@@ -17,9 +17,10 @@ deterministic at every replica.  A client-side pump drains the outbox
 and fans events out through the SQS model's ``deliver`` path, whose
 heavy-tailed delivery lag happily reorders messages; the session's
 *watch fence* re-orders arrivals by sequence number before the
-application sees them.  ``REPRO_TEST_NO_WATCH_FENCE=1`` disables the
-fence at delivery — the planted mutation the exploration hunter in
-``tests/explore/test_keeper_hunter.py`` must catch.
+application sees them.  The ``"no-watch-fence"`` mutation
+(:mod:`repro.mutation`) disables the fence at delivery — the planted
+bug the exploration hunter in ``tests/explore/test_keeper_hunter.py``
+must catch.
 
 **Sessions.**  A session is a server-side lease: a client-side
 :class:`~repro.dso.liveness.HeartbeatPump` renews it at a third of
@@ -33,7 +34,6 @@ deletions are ordinary tree mutations riding the same zxid log.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -52,6 +52,7 @@ from repro.errors import (
     SessionExpiredError,
 )
 from repro.linearizability.znode import SEQUENTIAL_WIDTH
+from repro.mutation import PLANTED
 from repro.simulation.thread import sleep, spawn
 
 if TYPE_CHECKING:
@@ -59,14 +60,6 @@ if TYPE_CHECKING:
 
 #: Outbox messages drained per pump invocation.
 _PUMP_BATCH = 64
-
-
-def _watch_fence_disabled() -> bool:
-    """Planted mutation hook: deliver watch events in *arrival* order
-    (skipping the sequence-number fence) so the SQS delivery lag's
-    reordering becomes client-visible.  The exploration hunter must
-    catch this; never set outside tests."""
-    return os.environ.get("REPRO_TEST_NO_WATCH_FENCE", "") == "1"
 
 
 @dataclass(frozen=True)
@@ -599,7 +592,7 @@ class KeeperSession:
     session's id attached; watch events arrive on the session's own
     SQS queue and are released by :meth:`next_event` strictly in the
     tree-assigned sequence order (the watch fence) — unless the
-    ``REPRO_TEST_NO_WATCH_FENCE`` mutation is planted.
+    ``"no-watch-fence"`` mutation is planted.
     """
 
     def __init__(self, service: KeeperService, sid: str, ttl: float,
@@ -706,13 +699,13 @@ class KeeperSession:
     # -- watch delivery (the fence) --------------------------------------------------
 
     def _admit(self, event: WatchEvent) -> None:
-        if _watch_fence_disabled():
+        if "no-watch-fence" in PLANTED:
             self._arrivals.append(event)
         elif event.seq >= self._next_seq and event.seq not in self._buffer:
             self._buffer[event.seq] = event
 
     def _pop_ready(self) -> WatchEvent | None:
-        if _watch_fence_disabled():
+        if "no-watch-fence" in PLANTED:
             if self._arrivals:
                 return self._arrivals.pop(0)
             if self._buffer:  # anything fenced before the mutation landed

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.cloud_thread import CloudThread
 from repro.core.runtime import current_environment
 from repro.core.shared import shared
-from repro.dso.layer import ServerObject
+from repro.dso.server import ServerObject
 from repro.simulation.kernel import Kernel, current_thread
 from repro.simulation.primitives import Condition, Lock
 from repro.simulation.thread import spawn

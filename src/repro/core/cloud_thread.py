@@ -32,7 +32,6 @@ under the client's dispatch span.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from repro.core.retry import RetryPolicy
@@ -66,19 +65,6 @@ class CloudThread:
         self.attempts = 0
         self._sim_thread = None
         self._span = None
-
-    @property
-    def _thread(self):
-        """Deprecated accessor for the backing simulated thread.
-
-        Reaching into the simulation internals bypasses the public
-        contract (``join``/``result``/``is_alive``); it remains only
-        for backwards compatibility.
-        """
-        warnings.warn(
-            "CloudThread._thread is deprecated; use join(), result(), "
-            "done or is_alive() instead", DeprecationWarning, stacklevel=2)
-        return self._sim_thread
 
     def start(self) -> "CloudThread":
         """Dispatch the invocation; returns immediately.

@@ -75,7 +75,7 @@ class DsoProxy:
         """Explicitly remove the object from storage (how persistent
         objects are reclaimed, Section 3.1)."""
         env = current_environment()
-        env.dso.delete(current_location(), self._ref)
+        env.dso.placements.delete(current_location(), self._ref)
 
     # -- marshalling ------------------------------------------------------------
 

@@ -114,7 +114,7 @@ class CrucialEnvironment:
         # Cache lifetime == container lifetime: when the platform
         # reclaims a container (keep-alive expiry, chaos kill), the DSO
         # layer drops that endpoint's leased-snapshot cache.
-        self.platform.on_container_reclaim(self.dso.drop_endpoint_cache)
+        self.platform.on_container_reclaim(self.dso.caches.drop)
         #: One account for the whole deployment: every storage backend
         #: created by this environment bills into it, and
         #: ``repro.metrics.cost_summary(env.cost_ledger)`` renders the

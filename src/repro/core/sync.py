@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.proxy import DsoProxy
-from repro.dso.layer import ServerObject
-from repro.dso.server import DsoCall
+from repro.dso.server import DsoCall, ServerObject
 from repro.errors import BrokenBarrierError, FutureCancelledError
 
 # ---------------------------------------------------------------------------

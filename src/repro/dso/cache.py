@@ -49,7 +49,16 @@ checks exactly this on recorded histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.dso.reference import DsoReference
+from repro.simulation.kernel import current_thread
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dso.layer import DsoLayer
+
+#: Sentinel distinguishing "cache miss" from a cached ``None`` result.
+CACHE_MISS = object()
 
 
 def readonly(method: Callable) -> Callable:
@@ -172,3 +181,99 @@ class ObjectCache:
 
     def idents(self) -> list[tuple[str, str]]:
         return list(self._entries)
+
+
+class EndpointCaches:
+    """Client side of the lease protocol: one :class:`ObjectCache` per
+    execution site (client process or FaaS container endpoint)."""
+
+    def __init__(self, layer: DsoLayer, enabled: bool):
+        self._layer = layer
+        #: Off by default: the paper's model ships every read, and
+        #: Table 2 is calibrated against that.
+        self.enabled = enabled
+        self._caches: dict[str, ObjectCache] = {}
+
+    def of(self, endpoint: str) -> ObjectCache | None:
+        """The endpoint's object cache, if it has one (introspection)."""
+        return self._caches.get(endpoint)
+
+    def drop(self, endpoint: str) -> None:
+        """Discard ``endpoint``'s object cache: its FaaS container was
+        reclaimed (``FaasPlatform.on_container_reclaim``).  Leases the
+        endpoint still holds at primaries expire by TTL (or are revoked
+        by the next write)."""
+        self._caches.pop(endpoint, None)
+
+    def invalidate(self, endpoint: str, ident: tuple[str, str]) -> None:
+        """Drop ``endpoint``'s entry for ``ident`` (lease revoked)."""
+        cache = self._caches.get(endpoint)
+        if cache is not None:
+            cache.invalidate(ident)
+
+    def purge(self, ident: tuple[str, str]) -> None:
+        """Drop ``ident`` everywhere (delete/restore control plane:
+        those reset the placement version, so version matching alone
+        cannot be trusted to fence pre-existing entries)."""
+        for cache in self._caches.values():
+            cache.invalidate(ident)
+
+    def cacheable(self, ctor: tuple | None, method: str) -> bool:
+        """Whether this invocation may use the leased read cache.
+
+        Classified from the constructor recipe's class — available
+        client-side and independent of cache state, so the decision
+        (and hence session-stamp assignment for the remaining calls)
+        is deterministic across runs and named-session replays.
+        """
+        return (self.enabled and ctor is not None
+                and method != "__dso_touch__"
+                and is_readonly(ctor[0], method))
+
+    def read(self, client: str, ref: DsoReference, method: str,
+             args: tuple, kwargs: dict, cost: float) -> Any:
+        """Serve a read-only invocation locally, or ``CACHE_MISS``.
+
+        A hit requires an unexpired lease whose placement version
+        still matches — failover, rebalance, and restore all bump the
+        version, which is how a promoted backup conservatively
+        revokes every lease its dead predecessor granted.
+        """
+        layer = self._layer
+        cache = self._caches.get(client)
+        entry = cache.get(ref.ident) if cache is not None else None
+        placement = layer.placements.live(ref)
+        if (entry is None or placement is None
+                or entry.version != placement.version
+                or entry.expiry <= layer.kernel.now):
+            if entry is not None:
+                cache.invalidate(ref.ident)
+            layer.stats.cache_misses += 1
+            return CACHE_MISS
+        with layer.kernel.tracer.span(
+                "dso.cache_hit", kind="client", endpoint=client,
+                attributes={"key": ref.key, "method": method}):
+            overhead = layer.config.dso.cache_hit_overhead
+            if overhead + cost > 0:
+                current_thread().sleep(overhead + cost)
+            bound = getattr(entry.snapshot, method, None)
+            if bound is None or not callable(bound):
+                raise AttributeError(
+                    f"{type(entry.snapshot).__name__} has no method "
+                    f"{method!r}")
+            result = bound(*args, **kwargs)
+        layer.stats.cache_hits += 1
+        # Copy out: the caller must never mutate the cached snapshot
+        # through an aliased result (same wire discipline as ship()).
+        return layer.shippable(result)
+
+    def store(self, client: str, ref: DsoReference,
+              grant: LeaseGrant) -> None:
+        """Install the snapshot a lease-granting reply carried."""
+        cache = self._caches.get(client)
+        if cache is None:
+            cache = self._caches[client] = ObjectCache(
+                limit=self._layer.config.dso.cache_max_objects)
+        cache.put(ref.ident, CacheEntry(snapshot=grant.snapshot,
+                                        expiry=grant.expiry,
+                                        version=grant.version))

@@ -1,4 +1,4 @@
-"""The DSO layer: placement, method shipping, SMR, rebalancing.
+"""The DSO layer: a deployment of storage nodes plus the client stub.
 
 Clients never hold object state: they ship method invocations to the
 object's *primary* replica, located by consistent-hashing the
@@ -7,95 +7,51 @@ object's *primary* replica, located by consistent-hashing the
 primary: invocations acquire it in arrival order and execute one at a
 time.
 
-Persistent objects (``rf >= 2``): each invocation is applied, in the
-same order, at every replica before the client is acknowledged —
-state machine replication.  The inter-replica ordering round adds two
-one-way hops plus replica-side work, reproducing Table 2's latency
-doubling.  On a node crash the surviving replicas take over after
-failure detection; acknowledged writes survive (``rf - 1`` joint
-failures tolerated, Section 4.4).
+This module is the composition root and the client verbs; every other
+concern lives beside the data it owns:
 
-Membership changes install totally-ordered views; a background
-rebalancer then moves objects to their new consistent-hash owners,
-holding each object's lock only for its own transfer — the "minimal
-service interruption" property, and the recovery ramp of Fig. 8.
-
-Shipped invocations are **exactly-once**: every call carries a
-deterministic :class:`repro.dso.session.SessionStamp`, containers
-remember the replies they produced per client session (replicated via
-SMR, shipped on rebalance, snapshotted on passivation), and retries —
-including failover retries against a newly promoted replica — receive
-the cached reply instead of re-executing.  The paper leaves this to
-application-level idempotence (Section 4.4); see DESIGN.md
-"Exactly-once method shipping" for the deviation.
-
-With ``read_cache=True`` the layer additionally serves methods marked
-:func:`~repro.dso.cache.readonly` from per-container leased snapshot
-caches; mutating invocations revoke outstanding leases before they are
-acknowledged, and failover/rebalance invalidate leases via the
-placement version.  Off by default (the paper always ships); see
-:mod:`repro.dso.cache` and DESIGN.md "Lease-based caching".
+* ``placements`` (:mod:`repro.dso.placement`) — the directory, view
+  changes, background rebalancing, passivation;
+* ``nodes`` (:mod:`repro.dso.server`) — primary-side execution, state
+  machine replication of persistent (``rf >= 2``) objects, read leases;
+* ``sessions`` (:mod:`repro.dso.session`) — exactly-once shipping: calls
+  carry a deterministic stamp and retries receive the cached reply
+  (the paper leaves this to application idempotence, Section 4.4; see
+  DESIGN.md "Exactly-once method shipping");
+* ``caches`` (:mod:`repro.dso.cache`) — leased client-side caching of
+  read-only methods, off by default (the paper always ships);
+* ``txns`` (:mod:`repro.dso.txn`) and the per-endpoint pipelines
+  (:mod:`repro.dso.pipeline`).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, ContextManager, Sequence
 
-from repro.cluster.hashring import ConsistentHashRing
-from repro.cluster.membership import MembershipService, View
+from repro.cluster.membership import MembershipService
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.retry import RetryPolicy
-from repro.dso.cache import CacheEntry, LeaseGrant, ObjectCache, is_readonly, readonly
+from repro.dso.cache import CACHE_MISS, EndpointCaches, readonly
 from repro.dso.pipeline import DsoFuture, _PendingOp, _Pipeline
+from repro.dso.placement import PlacementDirectory
 from repro.dso.reference import DsoReference
-from repro.dso.server import DsoCall, DsoNode, ObjectContainer, ServerCondition
-from repro.dso.session import SessionStamp, _ClientSession
-from repro.dso.txn import (
-    Txn,
-    TxnCell,
-    _commit_fence_disabled,
-    is_unreplicated,
-)
-from repro.errors import (
-    NetworkError,
-    NoSuchObjectError,
-    NodeCrashedError,
-    ObjectLostError,
-    ServiceUnavailableError,
-    SessionReplayError,
-    TxnPrepareLostError,
-)
+from repro.dso.server import TRANSIENT, DsoNode
+from repro.dso.session import ClientSessions, SessionStamp
+from repro.dso.txn import Transactions, Txn
+from repro.errors import NetworkError, NoSuchObjectError, ObjectLostError
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel, current_thread
-from repro.storage.backend import StorageBackend
-
-
-class ServerObject:
-    """Base class for objects needing server-side facilities.
-
-    Methods of a ``ServerObject`` receive the current :class:`DsoCall`
-    as their first argument and may park it on conditions created with
-    :meth:`new_condition` — the wait/notify pattern the paper's
-    synchronization objects use.  Server objects are never replicated
-    (footnote 2: synchronization objects are ephemeral).
-    """
-
-    _container: ObjectContainer | None = None
-
-    def attach(self, container: ObjectContainer) -> None:
-        self._container = container
-
-    def new_condition(self) -> ServerCondition:
-        assert self._container is not None, "object not hosted yet"
-        return self._container.condition()
 
 
 class KvSlot:
-    """A plain value cell: the raw GET/PUT path measured in Table 2."""
+    """A plain value cell: the raw GET/PUT path measured in Table 2.
+
+    Lives here because its import path is on the wire: lease grants
+    pickle the instance, so moving the class changes payload bytes —
+    and with them every calibrated transfer latency.
+    """
 
     def __init__(self, value: Any = None):
         self.value = value
@@ -106,33 +62,6 @@ class KvSlot:
 
     def set(self, value: Any) -> None:
         self.value = value
-
-
-class _StaleContainer(Exception):
-    """Internal: the container moved while we queued on its lock."""
-
-
-def _backup_dedup_disabled() -> bool:
-    """Mutation-test hook: ``REPRO_TEST_NO_BACKUP_DEDUP=1`` disables
-    the backup-side session lookup during replication, so a
-    re-replicated op double-applies at backups that already executed
-    it.  Exists solely to prove the exploration fuzzer detects the
-    resulting exactly-once violation (``tests/explore/
-    test_mutation_smoke.py``); never set outside tests.
-    """
-    return os.environ.get("REPRO_TEST_NO_BACKUP_DEDUP", "") == "1"
-
-
-#: Sentinel distinguishing "cache miss" from a cached ``None`` result.
-_CACHE_MISS = object()
-
-
-@dataclass
-class Placement:
-    ref: DsoReference
-    replicas: list[str]
-    lost: bool = False
-    version: int = 0
 
 
 @dataclass
@@ -187,20 +116,20 @@ class DsoLayer:
         #: Ship object state through pickle on creation/rebalance.
         #: Benchmarks with huge logical objects can disable it.
         self.copy_instances = copy_instances
-        #: Lease-based client-side caching of read-only invocations
-        #: (repro.dso.cache).  Off by default: the paper's model ships
-        #: every read, and Table 2 is calibrated against that.
-        self.read_cache = read_cache
-        #: One ObjectCache per execution site (client process or FaaS
-        #: container endpoint); dropped when the container is
-        #: reclaimed, so cache lifetime == container lifetime.
-        self._caches: dict[str, ObjectCache] = {}
         self.membership = MembershipService(
             kernel, failure_detection_delay=config.dso.failure_detection)
         self.nodes: dict[str, DsoNode] = {}
-        self.ring: ConsistentHashRing | None = None
         self.stats = LayerStats()
-        self._placements: dict[tuple[str, str], Placement] = {}
+        self.placements = PlacementDirectory(self)
+        #: Lease-based client-side caching of read-only invocations.
+        self.caches = EndpointCaches(self, enabled=read_cache)
+        #: Exactly-once session state (client side).
+        self.sessions = ClientSessions(self)
+        self.txns = Transactions(self)
+        #: Per-endpoint async op queues (repro.dso.pipeline), created
+        #: lazily on the first invoke_async — the dict stays empty (and
+        #: the sync path pays nothing) until the feature is used.
+        self._pipelines: dict[str, _Pipeline] = {}
         self._node_ids = itertools.count()
         timings = config.dso
         self._retry_policy = RetryPolicy(
@@ -208,27 +137,8 @@ class DsoLayer:
             multiplier=timings.retry_backoff_multiplier,
             max_backoff=timings.retry_backoff_max,
             jitter=timings.retry_jitter)
-        # Exactly-once session state (client side).  Thread sessions are
-        # keyed by the calling sim thread's tid; their ids come from a
-        # per-layer counter, so session ids — and hence traces — are
-        # deterministic for a fixed seed and workload.
-        self._session_ids = itertools.count()
-        self._thread_sessions: dict[int, _ClientSession] = {}
-        self._named_stack: dict[int, list[_ClientSession]] = {}
-        #: Per-endpoint async op queues (repro.dso.pipeline), created
-        #: lazily on the first invoke_async — the dict stays empty (and
-        #: the sync path pays nothing) until the feature is used.
-        self._pipelines: dict[str, _Pipeline] = {}
-        # Read-atomic transactions (repro.dso.txn).  Commit ids come
-        # from a plain counter — no RNG, no clock — and the logs are
-        # append-only client-side records for the atomicity checker;
-        # all of it is free until the first transaction runs, so the
-        # Table 2 / Fig. 2a calibration is untouched.
-        self._txn_cids = itertools.count(1)
-        self.txn_log: list = []
-        self.txn_reads: list = []
         self._failure_detector = None
-        self.membership.subscribe(self._on_view)
+        self.membership.subscribe(self.placements.on_view)
 
     # ------------------------------------------------------------------
     # Deployment management
@@ -238,9 +148,7 @@ class DsoLayer:
         """Provision one storage node and announce it to the group."""
         if name is None:
             name = f"{self.name}-{next(self._node_ids)}"
-        node = DsoNode(self.kernel, self.network, name,
-                       workers=self.config.dso.node_workers,
-                       session_limit=self.config.dso.session_table_max)
+        node = DsoNode(self, name)
         self.nodes[name] = node
         latency = self.config.dso.replica_replica
         for other in self.nodes.values():
@@ -313,245 +221,127 @@ class DsoLayer:
         return [n for n in self.nodes.values()
                 if n.alive and n.name in view]
 
+    def live_node(self, name: str) -> DsoNode:
+        node = self.nodes.get(name)
+        if node is None or not node.alive:
+            raise NetworkError(f"{name} is down")
+        return node
+
+    def connect(self, client: str, node_name: str) -> None:
+        """Make sure ``client`` has a client-server link to the node."""
+        self.network.ensure_endpoint(client)
+        latency = self.config.dso.client_server
+        if self.network.link(client, node_name) is not latency:
+            self.network.set_link(client, node_name, latency)
+
+    def shippable(self, value: Any) -> Any:
+        """``value`` as it arrives after crossing the wire: a copy that
+        later mutations on either side cannot alias into."""
+        return ship(value) if self.copy_instances else value
+
+    def placement_of(self, ref: DsoReference) -> tuple[str, ...]:
+        placement = self.placements.get(ref)
+        if placement is None:
+            raise NoSuchObjectError(f"{ref} does not exist")
+        return tuple(placement.replicas)
+
+    def object_counts(self) -> dict[str, int]:
+        return {name: len(node.containers)
+                for name, node in self.nodes.items() if node.alive}
+
     # ------------------------------------------------------------------
-    # Client sessions (exactly-once method shipping)
+    # Sessions, transactions, read cache: entry points of collaborators
     # ------------------------------------------------------------------
 
-    def _session_for(self, client: str) -> _ClientSession:
-        """The session that will stamp the calling thread's next
-        invocation: the innermost active named session, else the
-        thread's implicit session (created lazily)."""
-        tid = current_thread().tid
-        stack = self._named_stack.get(tid)
-        if stack:
-            return stack[-1]
-        session = self._thread_sessions.get(tid)
-        if session is None:
-            session = _ClientSession(
-                sid=f"{self.name}/{client}#s{next(self._session_ids)}")
-            self._thread_sessions[tid] = session
-        return session
-
-    @contextmanager
-    def session(self, name: str) -> Iterator[str]:
-        """Run a block under a *named* session.
-
-        Re-entering the same name replays the original stamps, so
-        every DSO invocation inside the block returns its originally
-        cached reply instead of re-executing — the primitive behind
-        :func:`repro.core.idempotency.once`.  Call
-        :meth:`retire_session` once the block's effects are no longer
-        needed.  Yields the wire-level session id.
-        """
-        tid = current_thread().tid
-        session = _ClientSession(sid=f"named:{name}", named=True)
-        stack = self._named_stack.setdefault(tid, [])
-        stack.append(session)
-        try:
-            yield session.sid
-        finally:
-            stack.pop()
-            if not stack:
-                del self._named_stack[tid]
+    def session(self, name: str) -> ContextManager[str]:
+        """Run a block under a *named* session; see
+        :meth:`repro.dso.session.ClientSessions.named`."""
+        return self.sessions.named(name)
 
     def retire_session(self, client: str, name: str) -> int:
-        """Drop a named session's cached replies from every live node.
+        """Drop a named session's cached replies from every live node;
+        see :meth:`repro.dso.session.ClientSessions.retire`."""
+        return self.sessions.retire(client, name)
 
-        Returns the number of containers that held state for it.  Must
-        run in a simulated thread (it pays one network round per
-        node).
+    def transaction(self, client: str, rf: int = 1) -> Txn:
+        """Open one read-atomic transaction (use as a ``with`` block).
+
+        The block's reads observe an atomic-visibility snapshot,
+        writes are buffered, and a clean exit commits all of them
+        atomically (an exception aborts).  ``rf >= 2`` keys survive
+        primary crashes mid-commit — the commit fence re-prepares at
+        the promoted backup, and session dedup keeps the retried
+        commit exactly-once.
         """
-        sid = f"named:{name}"
-        retired = 0
-        for node in self.live_nodes():
-            self.network.ensure_endpoint(client)
-            self._connect(client, node.name)
-            self.network.transfer(client, node.name, ("retire", sid))
-            for container in node.containers.values():
-                if container.sessions.retire(sid):
-                    retired += 1
-        return retired
-
-    def _retry_delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based): exponential
-        with deterministic seeded jitter."""
-        rng = self.kernel.rng.stream(f"dso.{self.name}.retry")
-        return self._retry_policy.delay(attempt, rng)
-
-    # ------------------------------------------------------------------
-    # Read-atomic multi-object transactions (repro.dso.txn)
-    # ------------------------------------------------------------------
-
-    @contextmanager
-    def transaction(self, client: str, rf: int = 1) -> Iterator[Txn]:
-        """Run a block as one read-atomic transaction.
-
-        Yields a :class:`~repro.dso.txn.Txn`; the block's reads
-        observe an atomic-visibility snapshot, writes are buffered,
-        and a clean exit commits all of them atomically (an exception
-        aborts).  ``rf >= 2`` keys survive primary crashes mid-commit
-        — the commit fence re-prepares at the promoted backup, and
-        session dedup keeps the retried commit exactly-once.
-        """
-        txn = Txn(self, client, rf=rf)
-        try:
-            yield txn
-        except BaseException:
-            if txn.status == "open":
-                txn.abort()
-            raise
-        else:
-            if txn.status == "open":
-                txn.commit()
-
-    def _txn_ref(self, key: str, rf: int = 1) -> DsoReference:
-        return DsoReference("TxnCell", key, persistent=rf > 1, rf=rf)
-
-    def _txn_ctor(self) -> tuple:
-        return (TxnCell, (), {"history": self.config.dso.txn_history})
-
-    # ------------------------------------------------------------------
-    # Lease-based read caching (repro.dso.cache)
-    # ------------------------------------------------------------------
+        return Txn(self, client, rf=rf)
 
     def enable_read_cache(self) -> None:
         """Turn on leased client-side caching of read-only methods."""
-        self.read_cache = True
+        self.caches.enabled = True
 
-    def drop_endpoint_cache(self, endpoint: str) -> None:
-        """Discard ``endpoint``'s object cache (container reclaimed).
+    # ------------------------------------------------------------------
+    # Transient-failure retry: one deadline, one backoff step, one driver
+    # ------------------------------------------------------------------
 
-        Wired to :meth:`repro.faas.platform.FaasPlatform.\
-on_container_reclaim` so cache lifetime equals container lifetime:
-        a keep-alive expiry or chaos kill forgets the working set, a
-        warm container keeps it.  Leases the endpoint still holds at
-        primaries expire by TTL (or are revoked by the next write).
+    def retry_deadline(self) -> float:
+        """Until when transient failures are retried before surfacing:
+        detection + view installation + the configured grace."""
+        timings = self.config.dso
+        return self.kernel.now + (timings.failure_detection
+                                  + timings.view_change_pause
+                                  + timings.retry_grace)
+
+    def backoff(self, attempts: int, deadline: float) -> bool:
+        """Sleep the backoff after failed attempt number ``attempts``
+        (exponential with deterministic seeded jitter), clamped to
+        ``deadline``; ``False`` means the retry window is spent.
+
+        A backoff that would overshoot the window instead waits out
+        the window and gives up — without the clamp, one over-long
+        sleep fires an extra attempt past the documented budget.
         """
-        self._caches.pop(endpoint, None)
+        if self.kernel.now >= deadline:
+            return False
+        rng = self.kernel.rng.stream(f"dso.{self.name}.retry")
+        delay = self._retry_policy.delay(attempts - 1, rng)
+        remaining = deadline - self.kernel.now
+        current_thread().sleep(min(delay, remaining))
+        return delay < remaining
 
-    def cache_of(self, endpoint: str) -> ObjectCache | None:
-        """The endpoint's object cache, if it has one (introspection)."""
-        return self._caches.get(endpoint)
-
-    def _cacheable(self, ctor: tuple | None, method: str) -> bool:
-        """Whether this invocation may use the leased read cache.
-
-        Classified from the constructor recipe's class — available
-        client-side and independent of cache state, so the decision
-        (and hence session-stamp assignment for the remaining calls)
-        is deterministic across runs and named-session replays.
+    def _retry_transient(self, attempt: Callable[[], Any],
+                         lost_ref: DsoReference | None = None,
+                         span=None) -> Any:
+        """Run ``attempt`` until it succeeds, retrying transient
+        infrastructure failures until failure detection re-homes the
+        object or the retry window closes (the last failure then
+        surfaces).  ``lost_ref`` turns a retry against an object that
+        a view change declared lost into :class:`ObjectLostError`.
         """
-        return (self.read_cache and ctor is not None
-                and method != "__dso_touch__"
-                and is_readonly(ctor[0], method))
+        deadline = self.retry_deadline()
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                result = attempt()
+            except TRANSIENT as exc:
+                self.stats.retries += 1
+                if lost_ref is not None and self.placements.lost(lost_ref):
+                    raise ObjectLostError(
+                        f"{lost_ref} was lost in a storage-node failure"
+                    ) from exc
+                if not self.backoff(attempts, deadline):
+                    raise
+            else:
+                if span is not None and attempts > 1:
+                    span.set("retries", attempts - 1)
+                return result
 
-    def _cached_read(self, client: str, ref: DsoReference, method: str,
-                     args: tuple, kwargs: dict, cost: float) -> Any:
-        """Serve a read-only invocation locally, or ``_CACHE_MISS``.
-
-        A hit requires an unexpired lease whose placement version
-        still matches — failover, rebalance, and restore all bump the
-        version, which is how a promoted backup conservatively
-        revokes every lease its dead predecessor granted.
-        """
-        cache = self._caches.get(client)
-        entry = cache.get(ref.ident) if cache is not None else None
-        placement = self._placements.get(ref.ident)
-        if (entry is None or placement is None or placement.lost
-                or entry.version != placement.version
-                or entry.expiry <= self.kernel.now):
-            if entry is not None:
-                cache.invalidate(ref.ident)
-            self.stats.cache_misses += 1
-            return _CACHE_MISS
-        with self.kernel.tracer.span(
-                "dso.cache_hit", kind="client", endpoint=client,
-                attributes={"key": ref.key, "method": method}):
-            overhead = self.config.dso.cache_hit_overhead
-            if overhead + cost > 0:
-                current_thread().sleep(overhead + cost)
-            bound = getattr(entry.snapshot, method, None)
-            if bound is None or not callable(bound):
-                raise AttributeError(
-                    f"{type(entry.snapshot).__name__} has no method "
-                    f"{method!r}")
-            result = bound(*args, **kwargs)
-        self.stats.cache_hits += 1
-        # Copy out: the caller must never mutate the cached snapshot
-        # through an aliased result (same wire discipline as ship()).
-        return ship(result) if self.copy_instances else result
-
-    def _grant_lease(self, container: ObjectContainer, client: str,
-                     version: int) -> LeaseGrant:
-        """Primary side: record a lease and build the reply grant."""
-        expiry = self.kernel.now + self.config.dso.lease_ttl
-        container.leases.grant(client, expiry)
-        self.stats.leases_granted += 1
-        return LeaseGrant(snapshot=container.instance, expiry=expiry,
-                          version=version)
-
-    def _store_cache(self, client: str, ref: DsoReference,
-                     grant: LeaseGrant) -> None:
-        cache = self._caches.get(client)
-        if cache is None:
-            cache = self._caches[client] = ObjectCache(
-                limit=self.config.dso.cache_max_objects)
-        cache.put(ref.ident, CacheEntry(snapshot=grant.snapshot,
-                                        expiry=grant.expiry,
-                                        version=grant.version))
-
-    def _revoke_leases(self, container: ObjectContainer,
-                       primary_name: str) -> None:
-        """Invalidate every outstanding lease before a write acks.
-
-        Each holder is sent an invalidation message (charged to the
-        writer, like any transfer); a holder the primary cannot reach
-        is waited out to its lease expiry instead — after which its
-        cache entry is stale by time.  Unreachable holders are waited
-        out *together*: their leases expire concurrently, so k
-        partitioned holders stall the writer to the max remaining TTL,
-        not the sum — and reachable holders are invalidated before any
-        waiting starts.  Runs under the object lock, so no new lease
-        can be granted concurrently.
-        """
-        holders = container.leases.active(self.kernel.now)
-        container.leases.clear()
-        if not holders:
-            return
-        with self.kernel.tracer.span(
-                "dso.lease_revoke", kind="server", endpoint=primary_name,
-                attributes={"object": "/".join(container.key),
-                            "holders": len(holders)}):
-            unreachable: list[tuple[str, float]] = []
-            for holder, expiry in holders:
-                try:
-                    self.network.transfer(primary_name, holder,
-                                          ("dso.lease_revoke",
-                                           container.key))
-                except NetworkError:
-                    unreachable.append((holder, expiry))
-                    continue
-                cache = self._caches.get(holder)
-                if cache is not None:
-                    cache.invalidate(container.key)
-                self.stats.lease_revocations += 1
-            if unreachable:
-                remaining = (max(expiry for _, expiry in unreachable)
-                             - self.kernel.now)
-                if remaining > 0:
-                    current_thread().sleep(remaining)
-                for holder, _ in unreachable:
-                    cache = self._caches.get(holder)
-                    if cache is not None:
-                        cache.invalidate(container.key)
-                    self.stats.lease_revocations += 1
-
-    def _invalidate_all_caches(self, ident: tuple[str, str]) -> None:
-        """Purge ``ident`` everywhere (delete/restore control plane:
-        those reset the placement version, so version matching alone
-        cannot be trusted to fence pre-existing entries)."""
-        for cache in self._caches.values():
-            cache.invalidate(ident)
+    def _preflight(self, client: str) -> None:
+        """Program order across the sync/async boundary: a blocking
+        verb must not overtake async ops this endpoint already queued."""
+        pipeline = self._pipelines.get(client)
+        if pipeline is not None and pipeline.busy:
+            pipeline.drain()
 
     # ------------------------------------------------------------------
     # Client operations
@@ -571,98 +361,74 @@ on_container_reclaim` so cache lifetime equals container lifetime:
         method propagate to the caller.
         """
         kwargs = kwargs or {}
-        if self._pipelines:
-            # Program order across the sync/async boundary: a sync op
-            # must not overtake async ops this endpoint already queued.
-            pipeline = self._pipelines.get(client)
-            if pipeline is not None and pipeline.busy:
-                pipeline.drain()
-        tracer = self.kernel.tracer
-        cacheable = self._cacheable(ctor, method)
+        self._preflight(client)
+        cacheable = self.caches.cacheable(ctor, method)
         if cacheable:
-            hit = self._cached_read(client, ref, method, args, kwargs,
-                                    cost)
-            if hit is not _CACHE_MISS:
+            hit = self.caches.read(client, ref, method, args, kwargs, cost)
+            if hit is not CACHE_MISS:
                 return hit
-        if cacheable:
             # Read-only invocations are idempotent and never shipped
             # under a session stamp (re-execution on retry is
             # harmless); skipping the stamp keeps sequence numbers —
             # and named-session replays — independent of cache state.
-            session = None
-            stamp = None
+            session = stamp = None
             attributes = {"key": ref.key, "rf": ref.rf, "readonly": True}
         else:
-            session = self._session_for(client)
+            session = self.sessions.current(client)
             # Stamp once, outside the retry loop: every retransmission
             # of this logical call carries the identical (sid, seq),
             # which is what lets servers recognise and deduplicate it.
             stamp = session.stamp()
             attributes = {"key": ref.key, "rf": ref.rf,
                           "session": stamp.sid, "seq": stamp.seq}
-        with tracer.span(f"dso.invoke:{ref.type_name}.{method}",
-                         kind="client", endpoint=client,
-                         attributes=attributes) as span:
-            deadline = self.kernel.now + self._retry_deadline_pad()
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    result = self._invoke_once(client, ref, method, args,
-                                               kwargs, ctor, cost,
-                                               raw_service, stamp,
-                                               lease=cacheable)
-                    if attempts > 1:
-                        span.set("retries", attempts - 1)
-                    if session is not None:
-                        session.acknowledge(stamp.seq)
-                    return result
-                except (_StaleContainer, NetworkError,
-                        NodeCrashedError) as exc:
-                    self.stats.retries += 1
-                    placement = self._placements.get(ref.ident)
-                    if placement is not None and placement.lost:
-                        raise ObjectLostError(
-                            f"{ref} was lost in a storage-node failure"
-                        ) from exc
-                    self._backoff_or_raise(attempts, deadline)
+        with self.kernel.tracer.span(
+                f"dso.invoke:{ref.type_name}.{method}", kind="client",
+                endpoint=client, attributes=attributes) as span:
+            result = self._retry_transient(
+                lambda: self._invoke_once(client, ref, method, args, kwargs,
+                                          ctor, cost, raw_service, stamp,
+                                          lease=cacheable),
+                lost_ref=ref, span=span)
+            if session is not None:
+                session.acknowledge(stamp.seq)
+            return result
 
-    def _backoff_or_raise(self, attempts: int, deadline: float) -> None:
-        """Sleep the retry backoff, clamped to ``deadline``.
+    def _invoke_once(self, client: str, ref: DsoReference, method: str,
+                     args: tuple, kwargs: dict, ctor: tuple | None,
+                     cost: float, raw_service: float | None,
+                     stamp: SessionStamp | None, lease: bool) -> Any:
+        """One attempt: ship to the primary, execute, ship the reply."""
+        placement = self.placements.lookup(ref, ctor)
+        primary = self.live_node(placement.replicas[0])
+        lease_version = placement.version if lease else None
+        self.connect(client, primary.name)
+        method, args, kwargs, stamp = self.network.transfer(
+            client, primary.name, (method, args, kwargs, stamp))
+        result, grant = primary.execute(
+            client, ref, method, args, kwargs, cost, raw_service, stamp,
+            placement, lease_version)
+        if grant is None:
+            return self.network.transfer(primary.name, client, result)
+        # The snapshot crosses the wire with the reply, so its bytes
+        # are charged; the shipped copy never aliases the primary's
+        # live instance.
+        result, grant = self.network.transfer(primary.name, client,
+                                              (result, grant))
+        self.caches.store(client, ref, grant)
+        return result
 
-        A backoff that would overshoot the retry window instead waits
-        out the window and re-raises the original failure — without the
-        clamp, one over-long sleep fires an extra attempt past the
-        documented ``_retry_deadline_pad`` budget.  Must be called from
-        the ``except`` block of a retry loop (re-raises the active
-        exception at the deadline).
-        """
-        if self.kernel.now >= deadline:
-            raise
-        delay = self._retry_delay(attempts - 1)
-        remaining = deadline - self.kernel.now
-        if delay >= remaining:
-            current_thread().sleep(remaining)
-            raise
-        current_thread().sleep(delay)
-
-    def _retry_deadline_pad(self) -> float:
-        """How long transient failures are retried before surfacing:
-        detection + view installation + the configured grace."""
-        timings = self.config.dso
-        return (timings.failure_detection + timings.view_change_pause
-                + timings.retry_grace)
+    def _kv_ref(self, key: str, rf: int) -> DsoReference:
+        return DsoReference("KvSlot", key, persistent=rf > 1, rf=rf)
 
     def get(self, client: str, key: str, rf: int = 1) -> Any:
         """Raw 1-value GET (the Table 2 code path)."""
-        ref = self._kv_ref(key, rf)
-        return self.invoke(client, ref, "get", ctor=(KvSlot, (), {}),
+        return self.invoke(client, self._kv_ref(key, rf), "get",
+                           ctor=(KvSlot, (), {}),
                            raw_service=self.config.dso.get_service)
 
     def put(self, client: str, key: str, value: Any, rf: int = 1) -> None:
         """Raw 1-value PUT (the Table 2 code path)."""
-        ref = self._kv_ref(key, rf)
-        self.invoke(client, ref, "set", args=(value,),
+        self.invoke(client, self._kv_ref(key, rf), "set", args=(value,),
                     ctor=(KvSlot, (), {}),
                     raw_service=self.config.dso.put_service)
 
@@ -686,7 +452,7 @@ on_container_reclaim` so cache lifetime equals container lifetime:
         return an already-resolved future.
         """
         kwargs = kwargs or {}
-        if self._cacheable(ctor, method):
+        if self.caches.cacheable(ctor, method):
             future = DsoFuture()
             try:
                 future._resolve(self.invoke(client, ref, method, args,
@@ -695,8 +461,10 @@ on_container_reclaim` so cache lifetime equals container lifetime:
             except Exception as exc:  # noqa: BLE001 - surfaced by result()
                 future._fail(exc)
             return future
-        pipeline = self._pipeline_for(client)
-        session = self._session_for(client)
+        pipeline = self._pipelines.get(client)
+        if pipeline is None:
+            pipeline = self._pipelines[client] = _Pipeline(self, client)
+        session = self.sessions.current(client)
         future = DsoFuture(pipeline)
         pipeline.submit(_PendingOp(
             ref=ref, method=method, args=args, kwargs=kwargs, ctor=ctor,
@@ -723,19 +491,15 @@ on_container_reclaim` so cache lifetime equals container lifetime:
         Must run in a simulated thread.  Returns once every op queued
         *before* the call has resolved or failed its future.
         """
-        if client is not None:
-            pipeline = self._pipelines.get(client)
+        pipelines = (list(self._pipelines.values()) if client is None
+                     else [self._pipelines.get(client)])
+        for pipeline in pipelines:
             if pipeline is not None:
                 pipeline.drain()
-            return
-        for pipeline in list(self._pipelines.values()):
-            pipeline.drain()
 
-    def _pipeline_for(self, client: str) -> _Pipeline:
-        pipeline = self._pipelines.get(client)
-        if pipeline is None:
-            pipeline = self._pipelines[client] = _Pipeline(self, client)
-        return pipeline
+    # ------------------------------------------------------------------
+    # Weaker reads: bulk sweeps and any-replica reads
+    # ------------------------------------------------------------------
 
     def read_bulk(self, client: str, refs: Sequence[DsoReference],
                   method: str = "get", per_read_cost: float = 0.0) -> list[Any]:
@@ -765,24 +529,38 @@ on_container_reclaim` so cache lifetime equals container lifetime:
         results and are not re-read, so node service time is charged
         once per completed group rather than once per attempt.
         """
+        results: list[Any] = [None] * len(refs)
+        pending = set(range(len(refs)))
+
+        def attempt() -> None:
+            # One pass over the *unfinished* groups.  Each group's
+            # indexes leave ``pending`` as soon as its reply lands, so
+            # a failure in a later group leaves earlier groups
+            # finished — the retry re-reads only what actually failed,
+            # instead of re-charging every node for the whole batch.
+            groups: dict[str, list[int]] = {}
+            for index in sorted(pending):
+                placement = self.placements.lookup(refs[index])
+                groups.setdefault(placement.replicas[0], []).append(index)
+            for primary_name, indexes in sorted(groups.items()):
+                node = self.live_node(primary_name)
+                self.connect(client, primary_name)
+                self.network.transfer(client, primary_name,
+                                      [refs[i].ident for i in indexes])
+                values = node.read_group([refs[i] for i in indexes],
+                                         method, per_read_cost)
+                for i, value in zip(indexes, values):
+                    results[i] = value
+                self.network.transfer(primary_name, client, len(indexes))
+                pending.difference_update(indexes)
+
+        self._preflight(client)
         with self.kernel.tracer.span(
                 "dso.read_bulk", kind="client", endpoint=client,
                 attributes={"objects": len(refs)}):
-            deadline = self.kernel.now + self._retry_deadline_pad()
-            attempts = 0
-            results: list[Any] = [None] * len(refs)
-            pending = set(range(len(refs)))
-            while True:
-                attempts += 1
-                try:
-                    self._read_bulk_attempt(client, refs, method,
-                                            per_read_cost, results,
-                                            pending)
-                    self.stats.invocations += len(refs)
-                    return ship(results) if self.copy_instances else results
-                except (_StaleContainer, NetworkError, NodeCrashedError):
-                    self.stats.retries += 1
-                    self._backoff_or_raise(attempts, deadline)
+            self._retry_transient(attempt)
+            self.stats.invocations += len(refs)
+            return self.shippable(results)
 
     def read_any(self, client: str, ref: DsoReference, method: str,
                  args: tuple = (), cost: float = 0.0) -> Any:
@@ -801,778 +579,19 @@ on_container_reclaim` so cache lifetime equals container lifetime:
         :meth:`invoke` — internal routing errors never escape to the
         caller.
         """
-        deadline = self.kernel.now + self._retry_deadline_pad()
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return self._read_any_once(client, ref, method, args, cost)
-            except (_StaleContainer, NetworkError, NodeCrashedError) as exc:
-                self.stats.retries += 1
-                placement = self._placements.get(ref.ident)
-                if placement is not None and placement.lost:
-                    raise ObjectLostError(
-                        f"{ref} was lost in a storage-node failure"
-                    ) from exc
-                self._backoff_or_raise(attempts, deadline)
+        def attempt() -> Any:
+            replicas = self.placements.lookup(ref).replicas
+            rng = self.kernel.rng.stream(f"dso.{self.name}.anyread")
+            target = replicas[int(rng.integers(0, len(replicas)))]
+            with self.kernel.tracer.span(
+                    f"dso.read_any:{ref.type_name}.{method}", kind="client",
+                    endpoint=client,
+                    attributes={"key": ref.key, "replica": target}):
+                node = self.live_node(target)
+                self.connect(client, target)
+                self.network.transfer(client, target, (method, args))
+                result = node.read_local(ref, method, args, cost)
+                return self.network.transfer(target, client, result)
 
-    def _read_any_once(self, client: str, ref: DsoReference, method: str,
-                       args: tuple, cost: float) -> Any:
-        placement = self._lookup(ref, None)
-        rng = self.kernel.rng.stream(f"dso.{self.name}.anyread")
-        replicas = placement.replicas
-        target = replicas[int(rng.integers(0, len(replicas)))]
-        with self.kernel.tracer.span(
-                f"dso.read_any:{ref.type_name}.{method}", kind="client",
-                endpoint=client,
-                attributes={"key": ref.key, "replica": target}):
-            node = self._live_node(target)
-            self._connect(client, target)
-            self.network.transfer(client, target, (method, args))
-            container = node.containers.get(ref.ident)
-            if container is None or container.dead:
-                raise _StaleContainer(f"{ref} not hosted on {target}")
-            node.node.workers.acquire()
-            try:
-                current_thread().sleep((self.config.dso.method_call_overhead
-                                        + cost) * node.slow_factor)
-                if not node.alive or container.dead:
-                    raise NodeCrashedError(
-                        f"{target} crashed during {ref}.{method} read")
-                result = self._apply(container, method, args, {}, None)
-            finally:
-                node.node.workers.release()
-            self.stats.invocations += 1
-            return self.network.transfer(target, client, result)
-
-    # ------------------------------------------------------------------
-    # Passivation (Section 4.1: objects "can be passivated to stable
-    # storage using standard mechanisms (marshalling)")
-    # ------------------------------------------------------------------
-
-    def passivate(self, client: str, ref: DsoReference,
-                  store: "StorageBackend") -> str:
-        """Marshal a shared object into stable storage.
-
-        ``store`` is any :class:`~repro.storage.backend.
-        StorageBackend` — the S3-like object store, a gp3 block
-        volume, or a :class:`~repro.storage.tiering.TieredStore`;
-        the backend charges its own write latency and request fee.
-        Returns the storage key.  The object stays live in memory;
-        passivation is a checkpoint, from which :meth:`restore` can
-        re-create the object after the layer lost it.
-        """
-        placement = self._lookup(ref, None)
-        primary = self._live_node(placement.replicas[0])
-        container = primary.containers.get(ref.ident)
-        if container is None:
-            raise NoSuchObjectError(f"{ref} not hosted")
-        key = f"__dso__/{ref.type_name}/{ref.key}"
-        self.network.transfer(client, primary.name, ref.ident)
-        snapshot = ship(container.instance)
-        store.put(key, (type(snapshot), snapshot.__dict__,
-                        ship(container.sessions)))
-        return key
-
-    def restore(self, client: str, ref: DsoReference,
-                store: "StorageBackend", key: str | None = None) -> None:
-        """Re-create a shared object from a passivated snapshot."""
-        if key is None:
-            key = f"__dso__/{ref.type_name}/{ref.key}"
-        cls, state, sessions = store.get(key)
-        instance = cls.__new__(cls)
-        instance.__dict__.update(state)
-        placement = self._placements.get(ref.ident)
-        if placement is not None and not placement.lost:
-            raise ServiceUnavailableError(
-                f"{ref} is still live; delete it before restoring")
-        self._placements.pop(ref.ident, None)
-        if self.ring is None or not len(self.ring):
-            raise ServiceUnavailableError(f"{self.name}: no storage nodes")
-        replicas = [name for name in
-                    self.ring.preference_list(ref.ident, ref.rf)
-                    if self.nodes[name].alive]
-        if not replicas:
-            raise ServiceUnavailableError(f"{self.name}: no live replica")
-        restored = Placement(ref=ref, replicas=list(replicas))
-        self._placements[ref.ident] = restored
-        # The restored placement starts over at version 0, so version
-        # matching cannot fence leases cut before the object was lost.
-        self._invalidate_all_caches(ref.ident)
-        for name in replicas:
-            copy = ship(instance) if self.copy_instances else instance
-            # Dedup state survives passivation too: a client whose
-            # write landed before the snapshot still dedups after the
-            # restore.
-            table = ship(sessions) if self.copy_instances else sessions
-            container = self.nodes[name].host(ref.ident, copy,
-                                              sessions=table)
-            if isinstance(copy, ServerObject):
-                copy.attach(container)
-        self.stats.creations += 1
-
-    def object_exists(self, ref: DsoReference) -> bool:
-        placement = self._placements.get(ref.ident)
-        return placement is not None and not placement.lost
-
-    def delete(self, client: str, ref: DsoReference) -> None:
-        """Explicitly remove a shared object (how persistent objects
-        die, Section 3.1)."""
-        placement = self._placements.pop(ref.ident, None)
-        if placement is None:
-            raise NoSuchObjectError(f"{ref} does not exist")
-        # A later re-creation restarts the placement version at 0, so
-        # leased snapshots of the deleted incarnation must go now.
-        self._invalidate_all_caches(ref.ident)
-        for name in placement.replicas:
-            node = self.nodes.get(name)
-            if node is not None and node.alive:
-                self.network.transfer(client, name, ref.ident)
-                node.evict(ref.ident)
-
-    # ------------------------------------------------------------------
-    # One invocation attempt
-    # ------------------------------------------------------------------
-
-    def _invoke_once(self, client: str, ref: DsoReference, method: str,
-                     args: tuple, kwargs: dict, ctor: tuple | None,
-                     cost: float, raw_service: float | None,
-                     stamp: SessionStamp | None = None,
-                     lease: bool = False) -> Any:
-        placement = self._lookup(ref, ctor)
-        primary_name = placement.replicas[0]
-        node = self._live_node(primary_name)
-        version = placement.version
-        self._connect(client, primary_name)
-        shipped = self.network.transfer(client, primary_name,
-                                        (method, args, kwargs, stamp))
-        method, args, kwargs, stamp = shipped
-        result, grant = self._execute_op(
-            client, ref, method, args, kwargs, cost, raw_service, stamp,
-            lease, placement, version, node, primary_name)
-        if grant is not None:
-            # The snapshot crosses the wire with the reply, so its
-            # bytes are charged; the shipped copy never aliases the
-            # primary's live instance.
-            result, grant = self.network.transfer(
-                primary_name, client, (result, grant))
-            self._store_cache(client, ref, grant)
-            return result
-        return self.network.transfer(primary_name, client, result)
-
-    def _execute_op(self, client: str, ref: DsoReference, method: str,
-                    args: tuple, kwargs: dict, cost: float,
-                    raw_service: float | None, stamp: SessionStamp | None,
-                    lease: bool, placement: Placement, version: int,
-                    node: DsoNode, primary_name: str,
-                    smr_context: dict | None = None
-                    ) -> tuple[Any, LeaseGrant | None]:
-        """Run one shipped op at its primary: lock, dedup, apply, SMR.
-
-        The primary-side half of :meth:`_invoke_once`, shared with the
-        batched path (:meth:`_run_batch`), which executes many ops per
-        round trip: ``smr_context`` then makes consecutive replicated
-        ops share a single SMR ordering round (see :meth:`_replicate`).
-        Returns ``(result, lease grant or None)``; the caller owns the
-        reply transfer back to the client.
-        """
-        container = node.containers.get(ref.ident)
-        if container is None or container.dead:
-            raise _StaleContainer(f"{ref} not hosted on {primary_name}")
-        call = DsoCall(container)
-        grant: LeaseGrant | None = None
-        with self.kernel.tracer.span(
-                "dso.primary", kind="server", endpoint=primary_name,
-                attributes={"method": method}):
-            call.acquire()
-            try:
-                if node.containers.get(ref.ident) is not container:
-                    raise _StaleContainer(f"{ref} moved off {primary_name}")
-                if (not placement.replicas
-                        or placement.replicas[0] != primary_name):
-                    # A rebalance re-homed the primary while this op
-                    # queued on the lock (possibly without evicting the
-                    # local copy, if only the replica *order* changed).
-                    # Fence rather than apply: an op applied here would
-                    # never reach the new primary.
-                    raise _StaleContainer(
-                        f"{ref} re-homed off {primary_name}")
-                entry = (container.sessions.lookup(stamp)
-                         if stamp is not None else None)
-                if entry is not None:
-                    result = self._dedup_hit(placement, ref, node,
-                                             container, call, entry,
-                                             stamp, method, args, kwargs,
-                                             cost, version, smr_context)
-                else:
-                    service = (raw_service if raw_service is not None
-                               else self.config.dso.method_call_overhead)
-                    current_thread().sleep((service + cost)
-                                           * node.slow_factor)
-                    if not node.alive or container.dead:
-                        raise NodeCrashedError(
-                            f"{primary_name} crashed during {ref}.{method}")
-                    # Commit fence: a txn commit is only valid at a
-                    # primary still holding the prepared entry.  A
-                    # promoted backup never saw the (unreplicated)
-                    # prepare, so the commit is turned back *before*
-                    # any mutation or session record — the client
-                    # re-prepares there and retries with a fresh
-                    # stamp.  The mutation hook drops the write
-                    # instead (see repro.dso.txn).
-                    fence_dropped = False
-                    if method == "__txn_commit__":
-                        prepared = getattr(container.instance,
-                                           "prepared", None)
-                        if (prepared is not None
-                                and args[0] not in prepared):
-                            if _commit_fence_disabled():
-                                fence_dropped = True
-                            else:
-                                self.stats.txn_fence_trips += 1
-                                raise TxnPrepareLostError(
-                                    f"{ref}: no prepared entry for txn "
-                                    f"{args[0]!r} at {primary_name}; "
-                                    f"re-prepare before committing")
-                    self.stats.invocations += 1
-                    if fence_dropped:
-                        result = args[1]
-                    else:
-                        result = self._apply(container, method, args,
-                                             kwargs, call)
-                    # Replicate to the *current* backup set whenever
-                    # one exists.  The old guard skipped replication
-                    # if the placement version moved past the client's
-                    # captured ``version`` — but a concurrent rebalance
-                    # bumps the version while writes queue on the lock,
-                    # and an acked write that silently stays
-                    # primary-only is lost with the primary.  The
-                    # primary fence above already rejects ops at a
-                    # node that is no longer ``replicas[0]``; from the
-                    # current primary, replicating under the current
-                    # replica list is always correct.
-                    replicated = (len(placement.replicas) > 1
-                                  and not fence_dropped
-                                  and not is_unreplicated(
-                                      type(container.instance), method))
-                    entry = None
-                    if stamp is not None:
-                        # Remember the reply *before* replication: if we
-                        # crash mid-replication, a retry must dedup here
-                        # rather than mutate twice.  committed=False until
-                        # every backup has it.  A txn prepare's record is
-                        # pinned under its txn id — LRU eviction must not
-                        # reclaim it before the commit/abort resolves.
-                        entry = container.sessions.record(
-                            stamp, self._shippable(result),
-                            committed=not replicated,
-                            pin=(args[0] if method == "__txn_prepare__"
-                                 else None))
-                    if self.read_cache:
-                        if not is_readonly(type(container.instance),
-                                           method):
-                            # Coherence: no cached read may be served
-                            # after this write acks.  Runs after the
-                            # session record, so a crash mid-revocation
-                            # still dedups the client's retry.
-                            self._revoke_leases(container, primary_name)
-                            if not node.alive or container.dead:
-                                raise NodeCrashedError(
-                                    f"{primary_name} crashed revoking "
-                                    f"leases for {ref}.{method}")
-                        elif lease and not isinstance(
-                                container.instance, ServerObject):
-                            grant = self._grant_lease(container, client,
-                                                      version)
-                    if replicated:
-                        # Free the primary worker before queueing for
-                        # backup workers (keeps saturated replicating
-                        # nodes deadlock-free); the object lock still
-                        # serializes the op stream, preserving SMR's
-                        # total order.
-                        call.release_worker()
-                        self._replicate(placement, ref, method, args,
-                                        kwargs, cost, stamp, result,
-                                        smr_context)
-                        if entry is not None:
-                            entry.committed = True
-            finally:
-                if not call.aborted:
-                    call.release()
-        return result, grant
-
-    # ------------------------------------------------------------------
-    # Batched shipping (the pump side of repro.dso.pipeline)
-    # ------------------------------------------------------------------
-
-    def _run_batch(self, client: str, ops: list[_PendingOp]) -> None:
-        """Ship one flushed batch, retrying transient failures.
-
-        A transient infrastructure failure retries only the unfinished
-        ops; ops that already applied dedup against the session table
-        on the retry, so a re-shipped batch never double-applies.  At
-        the retry deadline the surviving failure is delivered to every
-        unfinished future — the pump thread itself never dies.
-        """
-        remaining = [op for op in ops if not op.future.done]
-        if not remaining:
-            return
-        deadline = self.kernel.now + self._retry_deadline_pad()
-        attempts = 0
-        while remaining:
-            attempts += 1
-            try:
-                self._batch_attempt(client, remaining)
-            except (_StaleContainer, NetworkError,
-                    NodeCrashedError) as exc:
-                self.stats.retries += 1
-                survivors = []
-                for op in remaining:
-                    if op.future.done:
-                        continue
-                    placement = self._placements.get(op.ref.ident)
-                    if placement is not None and placement.lost:
-                        op.future._fail(ObjectLostError(
-                            f"{op.ref} was lost in a storage-node "
-                            f"failure"))
-                    else:
-                        survivors.append(op)
-                remaining = survivors
-                if not remaining:
-                    return
-                if self.kernel.now >= deadline:
-                    for op in remaining:
-                        op.future._fail(exc)
-                    return
-                # Same clamp as _backoff_or_raise, but failures land in
-                # the futures instead of unwinding the pump thread.
-                delay = self._retry_delay(attempts - 1)
-                window = deadline - self.kernel.now
-                if delay >= window:
-                    current_thread().sleep(window)
-                    for op in remaining:
-                        op.future._fail(exc)
-                    return
-                current_thread().sleep(delay)
-            else:
-                remaining = [op for op in remaining if not op.future.done]
-
-    def _batch_attempt(self, client: str, ops: list[_PendingOp]) -> None:
-        """One pass over a batch, in submission order.
-
-        Consecutive ops sharing a primary coalesce into one round trip
-        (:meth:`_ship_group`); a run boundary is a barrier, so batching
-        never reorders ops within a session — or across one.
-        """
-        runs: list[tuple[str, list[_PendingOp]]] = []
-        for op in ops:
-            if op.future.done:
-                continue
-            try:
-                placement = self._lookup(op.ref, op.ctor)
-            except (ObjectLostError, NoSuchObjectError,
-                    ServiceUnavailableError) as exc:
-                op.future._fail(exc)
-                continue
-            primary = placement.replicas[0]
-            if runs and runs[-1][0] == primary:
-                runs[-1][1].append(op)
-            else:
-                runs.append((primary, [op]))
-        for primary_name, group in runs:
-            self._ship_group(client, primary_name, group)
-
-    def _ship_group(self, client: str, primary_name: str,
-                    group: list[_PendingOp]) -> None:
-        """One batched round trip to one primary.
-
-        A single request transfer carries every op of the group; the
-        primary executes them back to back — each still acquiring the
-        per-object lock, deduplicating, and charging its own service
-        time — with replicated ops sharing one SMR ordering round; a
-        single reply transfer carries the results back, demultiplexed
-        to the futures.  Application exceptions fail only their own
-        future; infrastructure failures abort the group and surface to
-        the retry loop (completed-but-unacknowledged ops dedup on the
-        retry, which is when their replies reach the client).
-        """
-        node = self._live_node(primary_name)
-        self._connect(client, primary_name)
-        with self.kernel.tracer.span(
-                "dso.batch", kind="client", endpoint=client,
-                attributes={"primary": primary_name, "ops": len(group)}):
-            shipped = self.network.transfer(
-                client, primary_name,
-                [(op.method, op.args, op.kwargs, op.stamp)
-                 for op in group])
-            smr_context: dict = {}
-            outcomes: list[tuple[_PendingOp, bool, Any]] = []
-            for op, wire in zip(group, shipped):
-                method, args, kwargs, stamp = wire
-                placement = self._placements.get(op.ref.ident)
-                if placement is None or placement.lost:
-                    raise _StaleContainer(f"{op.ref} no longer placed")
-                if placement.replicas[0] != primary_name:
-                    raise _StaleContainer(
-                        f"{op.ref} moved off {primary_name} mid-batch")
-                try:
-                    result, _ = self._execute_op(
-                        client, op.ref, method, args, kwargs, op.cost,
-                        op.raw_service, stamp, False, placement,
-                        placement.version, node, primary_name,
-                        smr_context=smr_context)
-                except (_StaleContainer, NetworkError, NodeCrashedError):
-                    raise
-                except Exception as exc:  # noqa: BLE001 - app-level error
-                    outcomes.append((op, False, exc))
-                else:
-                    outcomes.append((op, True, result))
-            replies = self.network.transfer(
-                primary_name, client,
-                [(ok, value) for _, ok, value in outcomes])
-            self.stats.batches += 1
-            self.stats.pipelined_ops += len(outcomes)
-            for (op, _, _), (ok, value) in zip(outcomes, replies):
-                if ok:
-                    op.session.acknowledge(op.stamp.seq)
-                    op.future._resolve(value)
-                else:
-                    op.future._fail(value)
-
-    def _shippable(self, value: Any) -> Any:
-        """A snapshot of ``value`` safe to cache as a session reply
-        (later object mutations must not alias into it)."""
-        return ship(value) if self.copy_instances else value
-
-    def _dedup_hit(self, placement: Placement, ref: DsoReference,
-                   node: DsoNode, container: ObjectContainer,
-                   call: DsoCall, entry, stamp: SessionStamp,
-                   method: str, args: tuple, kwargs: dict, cost: float,
-                   version: int, smr_context: dict | None = None) -> Any:
-        """Answer a retransmission from the session table.
-
-        Charges only lookup-grade service time, and — crucially — if
-        the original attempt died before replication finished
-        (``committed`` is false), re-runs replication so the cached
-        acknowledgement is as durable as a fresh one.  Backups dedup
-        the re-sent op themselves.
-        """
-        self.stats.dedup_hits += 1
-        with self.kernel.tracer.span(
-                "dso.dedup_hit", kind="server", endpoint=node.name,
-                attributes={"method": method, "session": stamp.sid,
-                            "seq": stamp.seq}):
-            current_thread().sleep(self.config.dso.get_service
-                                   * node.slow_factor)
-            if not node.alive or container.dead:
-                raise NodeCrashedError(
-                    f"{node.name} crashed during {ref}.{method} dedup")
-            if not entry.committed:
-                # Same rule as the fresh-apply path: a surviving
-                # backup set must get the op no matter how many view
-                # changes raced the retry; only the version is stale,
-                # not this node's primaryship (fenced by the caller).
-                if len(placement.replicas) > 1:
-                    call.release_worker()
-                    self._replicate(placement, ref, method, args, kwargs,
-                                    cost, stamp, entry.reply, smr_context)
-                entry.committed = True
-        return entry.reply
-
-    def _apply(self, container: ObjectContainer, method: str, args: tuple,
-               kwargs: dict, call: DsoCall | None) -> Any:
-        instance = container.instance
-        if method == "__dso_touch__":
-            return None  # creation ping from Proxy._ensure()
-        bound = getattr(instance, method, None)
-        if bound is None or not callable(bound):
-            raise AttributeError(
-                f"{type(instance).__name__} has no method {method!r}")
-        container.applied_ops += 1
-        if isinstance(instance, ServerObject) and call is not None:
-            return bound(call, *args, **kwargs)
-        result = bound(*args, **kwargs)
-        if method in ("__txn_commit__", "__txn_abort__"):
-            # The prepare's pinned dedup record may now be reclaimed;
-            # runs wherever the op applies (primary, SMR backups, and
-            # rebalanced tables that travelled with pins).
-            container.sessions.unpin(args[0])
-        return result
-
-    def _replicate(self, placement: Placement, ref: DsoReference,
-                   method: str, args: tuple, kwargs: dict, cost: float,
-                   stamp: SessionStamp | None = None,
-                   reply: Any = None,
-                   smr_context: dict | None = None) -> None:
-        """Apply the op at every backup before acknowledging (SMR).
-
-        Methods must be deterministic: each replica executes them on
-        its own copy — the state-machine-replication contract.  The
-        session ``stamp`` and primary ``reply`` replicate with the op,
-        so any backup promoted to primary can still deduplicate the
-        client's retries.
-
-        ``smr_context`` (a per-batch dict) lets the batched invoke path
-        charge the two inter-replica ordering hops once per batch: the
-        ops travel to the backups in a single totally-ordered round,
-        while per-op replica work is still paid in full.
-        """
-        hop = self.config.dso.replica_replica
-        rng = self.kernel.rng.stream(f"dso.{self.name}.smr")
-        primary_name = placement.replicas[0]
-        charge_hops = (smr_context is None
-                       or not smr_context.get("hops_charged"))
-        if smr_context is not None:
-            smr_context["hops_charged"] = True
-        with self.kernel.tracer.span(
-                "dso.replicate", kind="server", endpoint=primary_name,
-                attributes={"backups": len(placement.replicas) - 1}):
-            if charge_hops:
-                current_thread().sleep(hop.sample(rng))  # ordering round out
-            for backup_name in placement.replicas[1:]:
-                backup = self.nodes.get(backup_name)
-                if backup is None or not backup.alive:
-                    continue  # repaired at the next view
-                if not self.network.reachable(primary_name, backup_name):
-                    # Partitioned replica: SMR cannot acknowledge without
-                    # it (fail-stop durability contract).  Surface as a
-                    # suspected failure; the client retries until the
-                    # partition heals or a view change expels the replica.
-                    raise NodeCrashedError(
-                        f"{backup_name} unreachable from {primary_name} "
-                        "during replication")
-                bcontainer = backup.containers.get(ref.ident)
-                if bcontainer is None or bcontainer.dead:
-                    continue
-                if stamp is not None and not _backup_dedup_disabled():
-                    # A re-replication after a dedup hit (or a rebalance
-                    # that already shipped the table): this backup may
-                    # have applied the op already.
-                    try:
-                        if bcontainer.sessions.lookup(stamp) is not None:
-                            continue
-                    except SessionReplayError:
-                        continue  # applied and since truncated: done
-                with self.kernel.tracer.span(
-                        "dso.smr_apply", kind="server",
-                        endpoint=backup_name):
-                    backup.node.workers.acquire()
-                    try:
-                        current_thread().sleep(
-                            (self.config.dso.smr_replica_overhead + cost)
-                            * backup.slow_factor)
-                        self._apply(bcontainer, method, args, kwargs, None)
-                        if stamp is not None:
-                            bcontainer.sessions.record(
-                                stamp, self._shippable(reply),
-                                committed=False)
-                    finally:
-                        backup.node.workers.release()
-            if charge_hops:
-                current_thread().sleep(hop.sample(rng))  # commit round back
-
-    def _read_bulk_attempt(self, client: str,
-                           refs: Sequence[DsoReference], method: str,
-                           per_read_cost: float, results: list[Any],
-                           pending: set[int]) -> None:
-        """One pass over the *unfinished* groups of a bulk read.
-
-        Fills ``results`` in place and discards each group's indexes
-        from ``pending`` as soon as that group's reply lands, so a
-        failure in a later group leaves earlier groups finished — the
-        retry re-reads only what actually failed, instead of
-        re-charging every node for the whole batch.
-        """
-        groups: dict[str, list[int]] = {}
-        for index in sorted(pending):
-            placement = self._lookup(refs[index], None)
-            groups.setdefault(placement.replicas[0], []).append(index)
-        service_each = (self.config.dso.method_call_overhead
-                        + per_read_cost)
-        for primary_name, indexes in sorted(groups.items()):
-            node = self._live_node(primary_name)
-            self._connect(client, primary_name)
-            self.network.transfer(client, primary_name,
-                                  [refs[i].ident for i in indexes])
-            node.node.workers.acquire()
-            try:
-                current_thread().sleep(service_each * len(indexes)
-                                       * node.slow_factor)
-                if not node.alive:
-                    raise NodeCrashedError(f"{primary_name} crashed mid-read")
-                for i in indexes:
-                    container = node.containers.get(refs[i].ident)
-                    if container is None or container.dead:
-                        raise _StaleContainer(f"{refs[i]} moved")
-                    results[i] = self._apply(container, method, (), {}, None)
-            finally:
-                node.node.workers.release()
-            self.network.transfer(primary_name, client, len(indexes))
-            pending.difference_update(indexes)
-
-    # ------------------------------------------------------------------
-    # Placement
-    # ------------------------------------------------------------------
-
-    def _kv_ref(self, key: str, rf: int) -> DsoReference:
-        return DsoReference("KvSlot", key, persistent=rf > 1, rf=rf)
-
-    def _lookup(self, ref: DsoReference, ctor: tuple | None) -> Placement:
-        placement = self._placements.get(ref.ident)
-        if placement is not None:
-            if placement.lost:
-                raise ObjectLostError(
-                    f"{ref} was lost in a storage-node failure")
-            return placement
-        if ctor is None:
-            raise NoSuchObjectError(f"{ref} does not exist")
-        return self._create(ref, ctor)
-
-    def _create(self, ref: DsoReference, ctor: tuple) -> Placement:
-        if self.ring is None or not len(self.ring):
-            raise ServiceUnavailableError(f"{self.name}: no storage nodes")
-        cls, ctor_args, ctor_kwargs = ctor
-        replicas = [name for name in
-                    self.ring.preference_list(ref.ident, ref.rf)
-                    if self.nodes[name].alive]
-        if not replicas:
-            raise ServiceUnavailableError(f"{self.name}: no live replica")
-        placement = Placement(ref=ref, replicas=list(replicas))
-        # Register before hosting: no suspension points in between, so
-        # concurrent first-touch creations cannot double-create.
-        self._placements[ref.ident] = placement
-        for name in replicas:
-            instance = cls(*ship(ctor_args), **ship(ctor_kwargs)) \
-                if self.copy_instances else cls(*ctor_args, **ctor_kwargs)
-            container = self.nodes[name].host(ref.ident, instance)
-            if isinstance(instance, ServerObject):
-                instance.attach(container)
-        self.stats.creations += 1
-        return placement
-
-    def _live_node(self, name: str) -> DsoNode:
-        node = self.nodes.get(name)
-        if node is None or not node.alive:
-            raise NetworkError(f"{name} is down")
-        return node
-
-    def _connect(self, client: str, node_name: str) -> None:
-        self.network.ensure_endpoint(client)
-        latency = self.config.dso.client_server
-        if self.network.link(client, node_name) is not latency:
-            self.network.set_link(client, node_name, latency)
-
-    # ------------------------------------------------------------------
-    # View changes and rebalancing
-    # ------------------------------------------------------------------
-
-    def _on_view(self, view: View) -> None:
-        self.ring = (ConsistentHashRing(view.members)
-                     if view.members else None)
-        for placement in self._placements.values():
-            if placement.lost:
-                continue
-            # Drop only *dead* replicas.  A node that left gracefully
-            # is still alive and keeps serving its objects until the
-            # background rebalancer migrates them to the new owners.
-            survivors = [
-                n for n in placement.replicas
-                if n in view.members
-                or (n in self.nodes and self.nodes[n].alive)]
-            if survivors != placement.replicas:
-                placement.version += 1
-            if not survivors:
-                placement.lost = True
-                placement.replicas = []
-                self.stats.lost_objects += 1
-            else:
-                placement.replicas = survivors
-        if view.members:
-            self.kernel.spawn(self._rebalance, view, daemon=True,
-                              name=f"{self.name}-rebalance-{view.view_id}")
-
-    def _rebalance(self, view: View) -> None:
-        """Move objects to their new consistent-hash owners.
-
-        Runs in the background after ``view_change_pause``; each
-        object's lock is held only for its own transfer, so foreground
-        traffic stalls at most per-object ("service interruption is
-        minimal", Section 4.1).  The per-object transfer cost includes
-        deliberate throttling, which is what stretches the Fig. 8
-        recovery over tens of seconds.
-        """
-        timings = self.config.dso
-        current_thread().sleep(timings.view_change_pause)
-        for ident in sorted(self._placements):
-            if self.membership.view.view_id != view.view_id:
-                return  # superseded by a newer view
-            placement = self._placements[ident]
-            if placement.lost or isinstance(
-                    self._primary_instance(placement), ServerObject):
-                continue
-            target = [n for n in
-                      self.ring.preference_list(ident, placement.ref.rf)]
-            if target == placement.replicas:
-                continue
-            source = self.nodes.get(placement.replicas[0])
-            if source is None or not source.alive:
-                continue
-            container = source.containers.get(ident)
-            if container is None:
-                continue
-            container.lock.acquire()
-            try:
-                current_thread().sleep(timings.transfer_per_object)
-                if self.membership.view.view_id != view.view_id:
-                    return
-                if not source.alive or container.dead:
-                    continue
-                for name in target:
-                    if name not in placement.replicas:
-                        copy = (ship(container.instance)
-                                if self.copy_instances
-                                else container.instance)
-                        # The session table migrates with the object:
-                        # a client retrying against the new owner must
-                        # still find its cached replies.
-                        sessions = (ship(container.sessions)
-                                    if self.copy_instances
-                                    else container.sessions)
-                        self.nodes[name].host(ident, copy,
-                                              sessions=sessions)
-                old_replicas = list(placement.replicas)
-                placement.replicas = list(target)
-                placement.version += 1
-                for name in old_replicas:
-                    if name not in target:
-                        self.nodes[name].evict(ident)
-                self.stats.rebalanced_objects += 1
-            finally:
-                # Guarded, not unconditional: if the source node died
-                # mid-transfer its crash handler may have released the
-                # parked waiters (and this thread with them), in which
-                # case we no longer own the lock and releasing it would
-                # raise from a cleanup path.
-                if container.lock.held():
-                    container.lock.release()
-
-    def _primary_instance(self, placement: Placement) -> Any:
-        node = self.nodes.get(placement.replicas[0])
-        if node is None:
-            return None
-        container = node.containers.get(placement.ref.ident)
-        return container.instance if container else None
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def placement_of(self, ref: DsoReference) -> tuple[str, ...]:
-        placement = self._placements.get(ref.ident)
-        if placement is None:
-            raise NoSuchObjectError(f"{ref} does not exist")
-        return tuple(placement.replicas)
-
-    def object_counts(self) -> dict[str, int]:
-        return {name: node.object_count()
-                for name, node in self.nodes.items() if node.alive}
+        self._preflight(client)
+        return self._retry_transient(attempt, lost_ref=ref)

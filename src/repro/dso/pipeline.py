@@ -26,17 +26,30 @@ Batching never reorders ops within a session: the queue is drained in
 submission order, and only consecutive same-primary ops coalesce — a
 run boundary is a barrier, so cross-primary order is preserved too.
 Leases and cacheable reads bypass the pipeline entirely (they are
-either served locally or idempotent and unstamped); a synchronous
-``invoke`` from an endpoint with queued async ops drains the pipeline
-first, so mixed sync/async code keeps its program order.
+either served locally or idempotent and unstamped); a blocking verb
+(``invoke``, ``read_bulk``, ``read_any``) from an endpoint with queued
+async ops drains the pipeline first, so mixed sync/async code keeps
+its program order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
+from repro.dso.reference import DsoReference
+from repro.dso.server import TRANSIENT, StaleContainer
+from repro.dso.session import SessionStamp, _ClientSession
+from repro.errors import (
+    NoSuchObjectError,
+    ObjectLostError,
+    ServiceUnavailableError,
+)
 from repro.simulation.primitives import Condition, Event
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dso.layer import DsoLayer
 
 
 class DsoFuture:
@@ -66,10 +79,7 @@ class DsoFuture:
 
     def result(self) -> Any:
         """Wait for and return the op's reply."""
-        if not self._done:
-            self._pipeline.request_flush()
-            self._event.wait()
-        if self._error is not None:
+        if self.exception() is not None:
             raise self._error
         return self._value
 
@@ -95,30 +105,26 @@ class DsoFuture:
             self._event.set()
 
 
+@dataclass(slots=True, eq=False)
 class _PendingOp:
     """One queued invocation: wire arguments plus client-side context."""
 
-    __slots__ = ("ref", "method", "args", "kwargs", "ctor", "cost",
-                 "raw_service", "session", "stamp", "future")
-
-    def __init__(self, ref, method, args, kwargs, ctor, cost, raw_service,
-                 session, stamp, future):
-        self.ref = ref
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        self.ctor = ctor
-        self.cost = cost
-        self.raw_service = raw_service
-        self.session = session
-        self.stamp = stamp
-        self.future = future
+    ref: DsoReference
+    method: str
+    args: tuple
+    kwargs: dict
+    ctor: tuple | None
+    cost: float
+    raw_service: float | None
+    session: _ClientSession
+    stamp: SessionStamp
+    future: DsoFuture
 
 
 class _Pipeline:
     """Per-endpoint op queue plus the daemon pump that flushes it."""
 
-    def __init__(self, layer, client: str):
+    def __init__(self, layer: DsoLayer, client: str):
         self.layer = layer
         self.client = client
         self.pending: deque[_PendingOp] = deque()
@@ -173,8 +179,133 @@ class _Pipeline:
                     batch.append(self.pending.popleft())
                 self.inflight = len(batch)
             try:
-                self.layer._run_batch(self.client, batch)
+                self._run_batch(batch)
             finally:
                 with self._cv:
                     self.inflight = 0
                     self._cv.notify_all()
+
+    def _run_batch(self, ops: list[_PendingOp]) -> None:
+        """Ship one flushed batch, retrying transient failures.
+
+        A transient infrastructure failure retries only the unfinished
+        ops; ops that already applied dedup against the session table
+        on the retry, so a re-shipped batch never double-applies.  At
+        the retry deadline the surviving failure is delivered to every
+        unfinished future — the pump thread itself never dies.
+        """
+        layer = self.layer
+        remaining = [op for op in ops if not op.future.done]
+        if not remaining:
+            return
+        deadline = layer.retry_deadline()
+        attempts = 0
+        while remaining:
+            attempts += 1
+            try:
+                self._attempt(remaining)
+            except TRANSIENT as exc:
+                layer.stats.retries += 1
+                survivors = []
+                for op in remaining:
+                    if op.future.done:
+                        continue
+                    if layer.placements.lost(op.ref):
+                        op.future._fail(ObjectLostError(
+                            f"{op.ref} was lost in a storage-node "
+                            f"failure"))
+                    else:
+                        survivors.append(op)
+                remaining = survivors
+                # Same deadline/backoff step as the blocking verbs, but
+                # failures land in the futures instead of unwinding
+                # the pump thread.
+                if remaining and not layer.backoff(attempts, deadline):
+                    for op in remaining:
+                        op.future._fail(exc)
+                    return
+            else:
+                remaining = [op for op in remaining if not op.future.done]
+
+    def _attempt(self, ops: list[_PendingOp]) -> None:
+        """One pass over a batch, in submission order.
+
+        Consecutive ops sharing a primary coalesce into one round trip
+        (:meth:`_ship_group`); a run boundary is a barrier, so batching
+        never reorders ops within a session — or across one.
+        """
+        runs: list[tuple[str, list[_PendingOp]]] = []
+        for op in ops:
+            if op.future.done:
+                continue
+            try:
+                placement = self.layer.placements.lookup(op.ref, op.ctor)
+            except (ObjectLostError, NoSuchObjectError,
+                    ServiceUnavailableError) as exc:
+                op.future._fail(exc)
+                continue
+            primary = placement.replicas[0]
+            if runs and runs[-1][0] == primary:
+                runs[-1][1].append(op)
+            else:
+                runs.append((primary, [op]))
+        for primary_name, group in runs:
+            self._ship_group(primary_name, group)
+
+    def _ship_group(self, primary_name: str,
+                    group: list[_PendingOp]) -> None:
+        """One batched round trip to one primary.
+
+        A single request transfer carries every op of the group; the
+        primary executes them back to back — each still acquiring the
+        per-object lock, deduplicating, and charging its own service
+        time — with replicated ops sharing one SMR ordering round; a
+        single reply transfer carries the results back, demultiplexed
+        to the futures.  Application exceptions fail only their own
+        future; infrastructure failures abort the group and surface to
+        the retry loop (completed-but-unacknowledged ops dedup on the
+        retry, which is when their replies reach the client).
+        """
+        layer = self.layer
+        client = self.client
+        node = layer.live_node(primary_name)
+        layer.connect(client, primary_name)
+        with layer.kernel.tracer.span(
+                "dso.batch", kind="client", endpoint=client,
+                attributes={"primary": primary_name, "ops": len(group)}):
+            shipped = layer.network.transfer(
+                client, primary_name,
+                [(op.method, op.args, op.kwargs, op.stamp)
+                 for op in group])
+            smr_context: dict = {}
+            outcomes: list[tuple[_PendingOp, bool, Any]] = []
+            for op, wire in zip(group, shipped):
+                method, args, kwargs, stamp = wire
+                placement = layer.placements.live(op.ref)
+                if placement is None:
+                    raise StaleContainer(f"{op.ref} no longer placed")
+                if placement.replicas[0] != primary_name:
+                    raise StaleContainer(
+                        f"{op.ref} moved off {primary_name} mid-batch")
+                try:
+                    result, _ = node.execute(
+                        client, op.ref, method, args, kwargs, op.cost,
+                        op.raw_service, stamp, placement,
+                        smr_context=smr_context)
+                except TRANSIENT:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - app-level error
+                    outcomes.append((op, False, exc))
+                else:
+                    outcomes.append((op, True, result))
+            replies = layer.network.transfer(
+                primary_name, client,
+                [(ok, value) for _, ok, value in outcomes])
+            layer.stats.batches += 1
+            layer.stats.pipelined_ops += len(outcomes)
+            for (op, _, _), (ok, value) in zip(outcomes, replies):
+                if ok:
+                    op.session.acknowledge(op.stamp.seq)
+                    op.future._resolve(value)
+                else:
+                    op.future._fail(value)

@@ -38,10 +38,16 @@ fixed kernel seed yields byte-identical session ids, traces included.
 
 from __future__ import annotations
 
+import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import SessionReplayError
+from repro.simulation.kernel import current_thread
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dso.layer import DsoLayer
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,76 @@ class _ClientSession:
         sessions, whose replies must remain replayable)."""
         if not self.named and seq > self.acked:
             self.acked = seq
+
+
+class ClientSessions:
+    """Client-side registry: which session stamps the calling thread.
+
+    Thread sessions are keyed by the calling sim thread's tid; their
+    ids come from a per-registry counter, so session ids — and hence
+    traces — are deterministic for a fixed seed and workload.
+    """
+
+    def __init__(self, layer: DsoLayer):
+        self._layer = layer
+        self._ids = itertools.count()
+        self._thread_sessions: dict[int, _ClientSession] = {}
+        self._named_stack: dict[int, list[_ClientSession]] = {}
+
+    def current(self, client: str) -> _ClientSession:
+        """The session that will stamp the calling thread's next
+        invocation: the innermost active named session, else the
+        thread's implicit session (created lazily)."""
+        tid = current_thread().tid
+        stack = self._named_stack.get(tid)
+        if stack:
+            return stack[-1]
+        session = self._thread_sessions.get(tid)
+        if session is None:
+            session = _ClientSession(
+                sid=f"{self._layer.name}/{client}#s{next(self._ids)}")
+            self._thread_sessions[tid] = session
+        return session
+
+    @contextmanager
+    def named(self, name: str) -> Iterator[str]:
+        """Run a block under a *named* session.
+
+        Re-entering the same name replays the original stamps, so
+        every DSO invocation inside the block returns its originally
+        cached reply instead of re-executing — the primitive behind
+        :func:`repro.core.idempotency.once`.  Call :meth:`retire` once
+        the block's effects are no longer needed.  Yields the
+        wire-level session id.
+        """
+        tid = current_thread().tid
+        session = _ClientSession(sid=f"named:{name}", named=True)
+        stack = self._named_stack.setdefault(tid, [])
+        stack.append(session)
+        try:
+            yield session.sid
+        finally:
+            stack.pop()
+            if not stack:
+                del self._named_stack[tid]
+
+    def retire(self, client: str, name: str) -> int:
+        """Drop a named session's cached replies from every live node.
+
+        Returns the number of containers that held state for it.  Must
+        run in a simulated thread (it pays one network round per
+        node).
+        """
+        layer = self._layer
+        sid = f"named:{name}"
+        retired = 0
+        for node in layer.live_nodes():
+            layer.connect(client, node.name)
+            layer.network.transfer(client, node.name, ("retire", sid))
+            for container in node.containers.values():
+                if container.sessions.retire(sid):
+                    retired += 1
+        return retired
 
 
 @dataclass

@@ -47,11 +47,11 @@ The moving parts:
   :class:`~repro.errors.TxnPrepareLostError` *before* anything is
   installed; the client re-prepares at the new primary and retries.
   Commits are additionally fenced client-side by the placement
-  version recorded at prepare time.  Disabling the fence
-  (``REPRO_TEST_NO_COMMIT_FENCE=1``, mutation testing only) silently
-  drops such writes — producing exactly the fractured, half-committed
-  state the exploration fuzzer is required to find
-  (``tests/explore/test_txn_hunter.py``).
+  version recorded at prepare time.  Disabling the fence (the
+  ``"no-commit-fence"`` entry of :mod:`repro.mutation`, mutation
+  testing only) silently drops such writes — producing exactly the
+  fractured, half-committed state the exploration fuzzer is required
+  to find (``tests/explore/test_txn_hunter.py``).
 
 Exactly-once commit falls out of the existing session machinery: every
 prepare/commit op is a stamped invocation deduplicated end-to-end
@@ -65,7 +65,7 @@ evict the one record that makes a retried commit exactly-once.
 
 from __future__ import annotations
 
-import os
+import itertools
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.dso.cache import readonly
@@ -78,7 +78,6 @@ from repro.errors import (
     TxnPrepareLostError,
 )
 from repro.linearizability.atomicity import TxnCommitRecord, TxnReadRecord
-from repro.simulation.kernel import current_thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
@@ -101,19 +100,6 @@ def is_unreplicated(cls: type, method: str) -> bool:
     """Whether ``method`` on ``cls`` is marked :func:`unreplicated`."""
     return bool(getattr(getattr(cls, method, None),
                         "__dso_unreplicated__", False))
-
-
-def _commit_fence_disabled() -> bool:
-    """Mutation-test hook: ``REPRO_TEST_NO_COMMIT_FENCE=1`` makes a
-    commit whose prepared entry is missing (lost in a crash-failover)
-    silently succeed *without installing anything*, instead of raising
-    :class:`TxnPrepareLostError` for client-side re-prepare.  The
-    acknowledged write is dropped at that key — a permanent fractured
-    state.  Exists solely to prove the exploration fuzzer detects the
-    resulting read-atomicity violation (``tests/explore/
-    test_txn_hunter.py``); never set outside tests.
-    """
-    return os.environ.get("REPRO_TEST_NO_COMMIT_FENCE", "") == "1"
 
 
 class TxnCell:
@@ -187,6 +173,29 @@ class TxnCell:
             del self.versions[:len(self.versions) - self.history_limit]
 
 
+class Transactions:
+    """A layer's transaction commit ids, audit logs and cell recipe.
+
+    Commit ids come from a plain counter — no RNG, no clock — and the
+    logs are append-only client-side records for the atomicity checker
+    (:mod:`repro.linearizability.atomicity`); all of it is free until
+    the first transaction runs, so the Table 2 / Fig. 2a calibration
+    is untouched.
+    """
+
+    def __init__(self, layer: "DsoLayer"):
+        self._layer = layer
+        self.cids = itertools.count(1)
+        self.log: list[TxnCommitRecord] = []
+        self.reads: list[TxnReadRecord] = []
+
+    def ref(self, key: str, rf: int = 1) -> DsoReference:
+        return DsoReference("TxnCell", key, persistent=rf > 1, rf=rf)
+
+    def ctor(self) -> tuple:
+        return (TxnCell, (), {"history": self._layer.config.dso.txn_history})
+
+
 class Txn:
     """One interactive read-atomic transaction (client side).
 
@@ -231,12 +240,12 @@ class Txn:
         if key in self._read_values:
             return self._read_values[key]
         layer = self._layer
-        ref = layer._txn_ref(key, self._rf)
-        deadline = layer.kernel.now + layer._retry_deadline_pad()
+        ref = layer.txns.ref(key, self._rf)
+        deadline = layer.retry_deadline()
         attempts = 0
         while True:
             snap = layer.invoke(self._client, ref, "__txn_read__",
-                                ctor=layer._txn_ctor())
+                                ctor=layer.txns.ctor())
             chosen = self._choose_version(key, snap)
             if chosen is not None:
                 cid, value, writeset = chosen
@@ -245,20 +254,15 @@ class Txn:
                 return value
             attempts += 1
             layer.stats.txn_read_retries += 1
-            cache = layer._caches.get(self._client)
-            if cache is not None:
-                # A lease-cached snapshot would just replay the same
-                # stale history; force the next fetch to ship.
-                cache.invalidate(ref.ident)
-            if layer.kernel.now >= deadline:
+            # A lease-cached snapshot would just replay the same
+            # stale history; force the next fetch to ship.
+            layer.caches.invalidate(self._client, ref.ident)
+            if not layer.backoff(attempts, deadline):
                 self.abort()
                 raise TxnFracturedReadError(
                     f"txn read of {key!r}: no version consistent with "
                     f"the read set after {attempts} attempts "
                     f"(observed {sorted(self._reads)})")
-            delay = layer._retry_delay(attempts - 1)
-            current_thread().sleep(
-                min(delay, deadline - layer.kernel.now))
 
     def write(self, key: str, value: Any) -> None:
         """Buffer a write; visible to this txn's reads immediately,
@@ -298,7 +302,7 @@ class Txn:
             layer.stats.txns_committed += 1
             self._record_reads()
             return
-        session = layer._session_for(self._client)
+        session = layer.sessions.current(self._client)
         # Derived from the session, not a counter: a named-session
         # replay (sequence restarts at 0) re-issues the identical
         # transaction id, so its prepares and commits deduplicate.
@@ -309,7 +313,7 @@ class Txn:
                 attributes={"txn": self.txn_id, "writes": len(writeset),
                             "deferred": len(self._deferred)}):
             if writeset:
-                proposed = next(layer._txn_cids)
+                proposed = next(layer.txns.cids)
                 try:
                     cid = self._prepare_all(proposed, writeset)
                 except TxnError:
@@ -326,7 +330,7 @@ class Txn:
             self.status = "committed"
             layer.stats.txns_committed += 1
             if writeset:
-                layer.txn_log.append(
+                layer.txns.log.append(
                     TxnCommitRecord(txn_id=self.txn_id, cid=self.cid,
                                     writes=writeset))
             self._record_reads()
@@ -345,7 +349,7 @@ class Txn:
         layer.stats.txns_aborted += 1
         if self.txn_id is not None:
             for key in sorted(self._writes):
-                ref = layer._txn_ref(key, self._rf)
+                ref = layer.txns.ref(key, self._rf)
                 try:
                     layer.invoke(self._client, ref, "__txn_abort__",
                                  args=(self.txn_id,))
@@ -423,17 +427,12 @@ class Txn:
         futures = {}
         for key in writeset:
             futures[key] = layer.invoke_async(
-                self._client, layer._txn_ref(key, self._rf),
+                self._client, layer.txns.ref(key, self._rf),
                 "__txn_prepare__",
                 args=(self.txn_id, proposed, self._writes[key], writeset),
-                ctor=layer._txn_ctor())
+                ctor=layer.txns.ctor())
         layer.flush(self._client)
-        replies = {}
-        for key, future in futures.items():
-            exc = future.exception()
-            if exc is not None:
-                raise exc
-            replies[key] = future.result()
+        replies = {key: future.result() for key, future in futures.items()}
         layer.stats.txn_prepares += len(futures)
         cid = max(replies.values())
         for key in writeset:
@@ -453,20 +452,19 @@ class Txn:
         that key, bounded by the retry deadline.
         """
         layer = self._layer
-        deadline = layer.kernel.now + layer._retry_deadline_pad()
+        deadline = layer.retry_deadline()
         pending = list(writeset)
         while True:
             for key in pending:
-                ref = layer._txn_ref(key, self._rf)
-                placement = layer._placements.get(ref.ident)
-                if (placement is None or placement.lost
-                        or placement.version
+                placement = layer.placements.live(
+                    layer.txns.ref(key, self._rf))
+                if (placement is None or placement.version
                         != self._prepare_versions.get(key)):
                     self._reprepare(key, cid, writeset)
             futures = {}
             for key in pending:
                 futures[key] = layer.invoke_async(
-                    self._client, layer._txn_ref(key, self._rf),
+                    self._client, layer.txns.ref(key, self._rf),
                     "__txn_commit__",
                     args=(self.txn_id, cid, self._writes[key], writeset))
             layer.flush(self._client)
@@ -491,17 +489,16 @@ class Txn:
 
     def _reprepare(self, key: str, cid: int, writeset: tuple) -> None:
         layer = self._layer
-        layer.invoke(self._client, layer._txn_ref(key, self._rf),
+        layer.invoke(self._client, layer.txns.ref(key, self._rf),
                      "__txn_prepare__",
                      args=(self.txn_id, cid, self._writes[key], writeset),
-                     ctor=layer._txn_ctor())
+                     ctor=layer.txns.ctor())
         layer.stats.txn_prepares += 1
         self._note_version(key)
 
     def _note_version(self, key: str) -> None:
         layer = self._layer
-        placement = layer._placements.get(
-            layer._txn_ref(key, self._rf).ident)
+        placement = layer.placements.live(layer.txns.ref(key, self._rf))
         self._prepare_versions[key] = (
             placement.version if placement is not None else -1)
 
@@ -514,7 +511,7 @@ class Txn:
 
     def _record_reads(self) -> None:
         if self._reads:
-            self._layer.txn_reads.append(TxnReadRecord(
+            self._layer.txns.reads.append(TxnReadRecord(
                 reader=self.txn_id or f"ro:{self._client}",
                 reads=tuple(sorted((key, cid) for key, (cid, _)
                                    in self._reads.items()))))

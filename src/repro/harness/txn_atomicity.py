@@ -102,7 +102,7 @@ def run(reps: int = 20, clients: int = 4, rounds: int = 8,
                         txn.read(key)
             txn_read = (env.now - start) / reps
 
-            refs = [layer._txn_ref(key) for key in txn_keys]
+            refs = [layer.txns.ref(key) for key in txn_keys]
             start = env.now
             for _ in range(reps):
                 layer.read_bulk(client, refs)

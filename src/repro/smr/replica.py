@@ -96,11 +96,7 @@ class ReplicatedStateMachine:
     # -- operation path ----------------------------------------------------------------
 
     def _deliver(self, member: str, payload: Any) -> None:
-        if len(payload) == 4:
-            op_id, method, args, stamp = payload
-        else:  # legacy 3-tuple payloads (no session)
-            op_id, method, args = payload
-            stamp = None
+        op_id, method, args, stamp = payload
         copy = self.copies.get(member)
         if copy is None:
             return

@@ -25,9 +25,7 @@ are GET-class requests in S3's pricing — into a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Any, Mapping
-from warnings import warn
+from typing import Any
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
@@ -62,34 +60,6 @@ class ObjectStore:
         self._rng = kernel.rng.stream(f"storage.{name}")
         self._resting_bytes = 0
         self._last_settle = kernel.now
-
-    # -- legacy counters (pre-protocol API; kept for compatibility) ----------
-
-    @property
-    def put_count(self) -> int:
-        return self.stats.puts
-
-    @property
-    def get_count(self) -> int:
-        return self.stats.gets
-
-    @property
-    def list_count(self) -> int:
-        """LIST-class requests (``list_prefix`` + ``exists``)."""
-        return self.stats.lists + self.stats.heads
-
-    @property
-    def _objects(self) -> Mapping[str, _StoredObject]:
-        """Deprecated: read-only view of the private blob map.
-
-        Install pre-existing data with :meth:`seed` instead.  The view
-        refuses mutation — writes through it would bypass the
-        capacity-rent accounting behind :meth:`stored_bytes`.
-        """
-        warn("ObjectStore._objects is deprecated; use seed() to install "
-             "data and the public API to read it", DeprecationWarning,
-             stacklevel=2)
-        return MappingProxyType(self._blobs)
 
     # -- billing ------------------------------------------------------------
 

@@ -148,8 +148,8 @@ def test_kill_primary_mid_txn_commit_fences_leases(kernel, network):
     layer = make_layer(kernel, network, nodes=3, config=config)
     injector = ChaosInjector(kernel, network=network, dso=layer)
     network.ensure_endpoint("writer")
-    ctor = layer._txn_ctor()
-    ref = layer._txn_ref("k", 2)
+    ctor = layer.txns.ctor()
+    ref = layer.txns.ref("k", 2)
 
     def main():
         with layer.transaction("writer", rf=2) as txn:

@@ -37,16 +37,16 @@ def make_layer(kernel, network, nodes=3):
 
 def collect_final_cids(layer):
     """Quiescent per-key commit ids (call from inside the sim)."""
-    keys = {key for record in layer.txn_log for key in record.writes}
-    return {key: layer.invoke("client", layer._txn_ref(key, 2),
-                              "latest_cid", ctor=layer._txn_ctor())
+    keys = {key for record in layer.txns.log for key in record.writes}
+    return {key: layer.invoke("client", layer.txns.ref(key, 2),
+                              "latest_cid", ctor=layer.txns.ctor())
             for key in sorted(keys)}
 
 
 def audit(layer, final_cids):
     """Cross-check the quiescent state against the acknowledged log."""
-    assert final_state_violations(layer.txn_log, final_cids) == []
-    assert find_fractured_reads(layer.txn_log, layer.txn_reads) == []
+    assert final_state_violations(layer.txns.log, final_cids) == []
+    assert find_fractured_reads(layer.txns.log, layer.txns.reads) == []
 
 
 def test_kill_primary_mid_commit_installs_exactly_acked(chaos_seed):
@@ -64,7 +64,7 @@ def test_kill_primary_mid_commit_installs_exactly_acked(chaos_seed):
             with layer.transaction("client", rf=2) as txn:
                 for key in KEYS:
                     txn.write(key, 0)
-            primary = layer.placement_of(layer._txn_ref("a", 2))[0]
+            primary = layer.placement_of(layer.txns.ref("a", 2))[0]
             for round_no in range(1, ROUNDS + 1):
                 with layer.transaction("client", rf=2) as txn:
                     for key in KEYS:
@@ -75,8 +75,8 @@ def test_kill_primary_mid_commit_installs_exactly_acked(chaos_seed):
                             kernel.now + 0.0005, "crash_node", primary))
             sleep(DEFAULT_CONFIG.dso.failure_detection + 2.0)
             finals = tuple(
-                layer.invoke("client", layer._txn_ref(key, 2),
-                             "get", ctor=layer._txn_ctor())
+                layer.invoke("client", layer.txns.ref(key, 2),
+                             "get", ctor=layer.txns.ctor())
                 for key in KEYS)
             return finals, collect_final_cids(layer)
 
@@ -130,7 +130,7 @@ def test_concurrent_txns_with_reader_audit_under_crash(chaos_seed):
             with layer.transaction("client", rf=2) as txn:
                 for key in keys:
                     txn.write(key, -1)
-            primary = layer.placement_of(layer._txn_ref("x", 2))[0]
+            primary = layer.placement_of(layer.txns.ref("x", 2))[0]
             injector.schedule(FaultPlan().add(
                 kernel.now + 0.004, "crash_node", primary))
             threads = [spawn(writer, i, name=f"writer-{i}")

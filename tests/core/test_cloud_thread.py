@@ -228,17 +228,6 @@ def test_is_alive_tracks_lifecycle(env):
     assert env.run(main) == (False, True, False)
 
 
-def test_thread_attribute_deprecated(env):
-    def main():
-        t = CloudThread(Incrementer(key="dep")).start()
-        with pytest.warns(DeprecationWarning):
-            backing = t._thread
-        t.join()
-        return backing is not None
-
-    assert env.run(main) is True
-
-
 def test_run_all_returns_results_without_explicit_join(env):
     def main():
         return sorted(run_all([Incrementer(key="ra") for _ in range(3)],

@@ -130,7 +130,7 @@ def test_cache_disabled_by_default(kernel, network):
     assert layer.stats.cache_hits == 0
     assert layer.stats.cache_misses == 0
     assert layer.stats.leases_granted == 0
-    assert layer.cache_of("client") is None
+    assert layer.caches.of("client") is None
 
 
 def test_write_revokes_lease_before_acknowledging(kernel, network):
@@ -200,7 +200,7 @@ def test_lru_eviction_respects_configured_limit(kernel, network):
             layer.get("client", key)
 
     kernel.run_main(main)
-    cache = layer.cache_of("client")
+    cache = layer.caches.of("client")
     assert len(cache) == 2
     assert ("KvSlot", "a") not in cache.idents()
 
@@ -236,7 +236,7 @@ def test_delete_purges_cached_snapshots(kernel, network):
     def main():
         layer.put("client", "k", "old")
         layer.get("client", "k")
-        layer.delete("client", layer._kv_ref("k", 1))
+        layer.placements.delete("client", layer._kv_ref("k", 1))
         layer.put("client", "k", "new")  # re-created at version 0 again
         return layer.get("client", "k")
 
@@ -250,9 +250,9 @@ def test_drop_endpoint_cache_forgets_working_set(kernel, network):
     def main():
         layer.put("client", "k", "v")
         layer.get("client", "k")
-        assert layer.cache_of("client") is not None
-        layer.drop_endpoint_cache("client")
-        assert layer.cache_of("client") is None
+        assert layer.caches.of("client") is not None
+        layer.caches.drop("client")
+        assert layer.caches.of("client") is None
         layer.get("client", "k")  # must ship again
 
     kernel.run_main(main)
@@ -271,8 +271,8 @@ def test_txn_commit_revokes_lease_before_acknowledging(kernel, network):
     the same coherence contract as plain writes."""
     layer = make_layer(kernel, network, nodes=1)
     network.ensure_endpoint("writer")
-    ctor = layer._txn_ctor()
-    ref = layer._txn_ref("k", 1)
+    ctor = layer.txns.ctor()
+    ref = layer.txns.ref("k", 1)
 
     def main():
         with layer.transaction("writer") as txn:
@@ -298,8 +298,8 @@ def test_mid_txn_lease_on_written_key_is_fenced_at_commit(
     the commit, so no later cached read serves the pre-commit
     snapshot."""
     layer = make_layer(kernel, network, nodes=1)
-    ctor = layer._txn_ctor()
-    ref = layer._txn_ref("k", 1)
+    ctor = layer.txns.ctor()
+    ref = layer.txns.ref("k", 1)
 
     def main():
         with layer.transaction("client") as txn:
@@ -348,9 +348,9 @@ def test_container_cache_survives_warm_reuse_and_dies_on_kill():
         assert env.platform.records[-2].container == container
         assert hits_after_first >= 1
         assert env.dso.stats.cache_hits >= hits_after_first + 2
-        cache = env.dso.cache_of(container)
+        cache = env.dso.caches.of(container)
         assert cache is not None and len(cache) == 1
         # Chaos (or keep-alive expiry) reclaims the container: the
         # platform hook drops its cache with it.
         assert env.platform.kill_container(container)
-        assert env.dso.cache_of(container) is None
+        assert env.dso.caches.of(container) is None

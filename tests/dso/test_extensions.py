@@ -58,12 +58,12 @@ def test_passivate_and_restore_after_total_loss(kernel, setup):
 
     def main():
         layer.invoke("client", r, "add", (41,), ctor=CTOR)
-        key = layer.passivate("client", r, store)
+        key = layer.placements.passivate("client", r, store)
         layer.crash_node(layer.placement_of(r)[0])
         sleep(DEFAULT_CONFIG.dso.failure_detection + 1.0)
         with pytest.raises(ObjectLostError):
             layer.invoke("client", r, "get", ctor=CTOR)
-        layer.restore("client", r, store, key)
+        layer.placements.restore("client", r, store, key)
         return layer.invoke("client", r, "add", (1,), ctor=CTOR)
 
     assert kernel.run_main(main) == 42
@@ -75,9 +75,9 @@ def test_restore_rejects_live_object(kernel, setup):
 
     def main():
         layer.invoke("client", r, "add", (1,), ctor=CTOR)
-        layer.passivate("client", r, store)
+        layer.placements.passivate("client", r, store)
         with pytest.raises(ServiceUnavailableError):
-            layer.restore("client", r, store)
+            layer.placements.restore("client", r, store)
 
     kernel.run_main(main)
 
@@ -88,10 +88,10 @@ def test_passivation_is_a_snapshot_not_a_link(kernel, setup):
 
     def main():
         layer.invoke("client", r, "add", (10,), ctor=CTOR)
-        layer.passivate("client", r, store)
+        layer.placements.passivate("client", r, store)
         layer.invoke("client", r, "add", (5,), ctor=CTOR)  # after snapshot
-        layer.delete("client", r)
-        layer.restore("client", r, store)
+        layer.placements.delete("client", r)
+        layer.placements.restore("client", r, store)
         return layer.invoke("client", r, "get", ctor=CTOR)
 
     assert kernel.run_main(main) == 10  # post-snapshot write not included
@@ -103,9 +103,9 @@ def test_restored_object_is_replicated_per_ref(kernel, setup):
 
     def main():
         layer.invoke("client", r, "add", (3,), ctor=CTOR)
-        layer.passivate("client", r, store)
-        layer.delete("client", r)
-        layer.restore("client", r, store)
+        layer.placements.passivate("client", r, store)
+        layer.placements.delete("client", r)
+        layer.placements.restore("client", r, store)
         return layer.placement_of(r)
 
     replicas = kernel.run_main(main)

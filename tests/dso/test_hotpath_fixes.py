@@ -5,7 +5,7 @@ Each test pins behaviour that was observably wrong before its fix:
 * ``_revoke_leases`` waited out unreachable lease holders *serially*,
   so a reachable holder queued behind a partitioned one kept serving
   stale cached reads for the whole TTL wait.
-* ``invoke``'s retry backoff could sleep past ``_retry_deadline_pad``
+* ``invoke``'s retry backoff could sleep past ``retry_deadline()``
   and fire one extra attempt before surfacing the failure.
 
 (The third fix of the sweep — ``run_until(limit=...)`` dropping the
@@ -123,7 +123,7 @@ def test_partitioned_holders_are_waited_out_together(kernel, network):
 
 def test_retry_backoff_clamped_to_deadline(kernel, network):
     """A persistent transient failure surfaces at *exactly*
-    ``_retry_deadline_pad()`` after the first attempt.
+    the retry window (``retry_deadline()``) after the first attempt.
 
     Pre-fix, the last exponential backoff slept its full duration past
     the deadline, firing one extra attempt and surfacing the error
@@ -149,7 +149,7 @@ def test_retry_backoff_clamped_to_deadline(kernel, network):
         return start, kernel.now
 
     start, end = kernel.run_main(main)
-    pad = layer._retry_deadline_pad()
+    pad = layer.retry_deadline() - kernel.now
     # The failure surfaces exactly at the deadline: the final backoff
     # is clamped to the remaining window instead of overshooting it.
     assert end - start == pytest.approx(pad, abs=1e-9)

@@ -259,10 +259,10 @@ def test_delete_object(kernel, network):
 
     def main():
         layer.invoke("client", r, "add", (1,), ctor=CTOR)
-        layer.delete("client", r)
-        assert not layer.object_exists(r)
+        layer.placements.delete("client", r)
+        assert layer.placements.live(r) is None
         with pytest.raises(NoSuchObjectError):
-            layer.delete("client", r)
+            layer.placements.delete("client", r)
 
     kernel.run_main(main)
 

@@ -141,6 +141,28 @@ def test_sync_invoke_drains_queued_async_ops(kernel, network):
     assert kernel.run_main(main) == "sync-second"
 
 
+@pytest.mark.parametrize("read", ["read_bulk", "read_any"])
+def test_blocking_reads_drain_queued_async_ops(kernel, network, read):
+    """Every blocking verb shares ``invoke``'s pre-flight: a bulk or
+    any-replica read never overtakes async ops its endpoint already
+    queued (no explicit ``flush``).  ``read_bulk`` used to skip the
+    drain and return the pre-``put_async`` value."""
+    layer = make_layer(kernel, network)
+    ref = DsoReference("KvSlot", "a")
+
+    def main():
+        layer.put("client", "a", 0)
+        future = layer.put_async("client", "a", 1)
+        if read == "read_bulk":
+            value, = layer.read_bulk("client", [ref])
+        else:
+            value = layer.read_any("client", ref, "get")
+        assert future.done
+        return value
+
+    assert kernel.run_main(main) == 1
+
+
 def test_app_exception_fails_only_its_own_future(kernel, network):
     layer = make_layer(kernel, network)
 

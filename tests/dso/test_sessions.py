@@ -231,9 +231,9 @@ def test_sessions_survive_passivate_restore(kernel, network):
     def main():
         with layer.session("checkpointed"):
             layer.invoke("client", r, "add", (3,), ctor=CTOR)
-        key = layer.passivate("client", r, store)
-        layer.delete("client", r)
-        layer.restore("client", r, store, key)
+        key = layer.placements.passivate("client", r, store)
+        layer.placements.delete("client", r)
+        layer.placements.restore("client", r, store, key)
         with layer.session("checkpointed"):
             replayed = layer.invoke("client", r, "add", (3,), ctor=CTOR)
         return replayed, layer.invoke("client", r, "get", ctor=CTOR)

@@ -63,7 +63,7 @@ def cell_ref(key, rf=1):
 
 def cell_value(layer, key, rf=1):
     return layer.invoke("client", cell_ref(key, rf), "get",
-                        ctor=layer._txn_ctor())
+                        ctor=layer.txns.ctor())
 
 
 def test_commit_installs_and_reads_back(kernel, network):
@@ -78,8 +78,8 @@ def test_commit_installs_and_reads_back(kernel, network):
 
     assert kernel.run_main(main) == (1, 2)
     assert layer.stats.txns_committed == 2
-    assert len(layer.txn_log) == 1
-    assert layer.txn_log[0].writes == ("a", "b")
+    assert len(layer.txns.log) == 1
+    assert layer.txns.log[0].writes == ("a", "b")
 
 
 def test_read_your_writes_and_repeatable_reads(kernel, network):
@@ -113,7 +113,7 @@ def test_abort_discards_writes(kernel, network):
 
     assert kernel.run_main(main) == "committed"
     assert layer.stats.txns_aborted == 1
-    assert len(layer.txn_log) == 1  # the abort never logged a commit
+    assert len(layer.txns.log) == 1  # the abort never logged a commit
 
 
 def test_context_manager_aborts_on_exception(kernel, network):
@@ -157,10 +157,10 @@ def test_read_only_txn_commits_without_a_commit_record(kernel, network):
         return txn.status
 
     assert kernel.run_main(main) == "committed"
-    assert len(layer.txn_log) == 1
+    assert len(layer.txns.log) == 1
     # ... but its observations are recorded for the atomicity pass.
     assert any(r.reader.startswith("ro:") or r.reads
-               for r in layer.txn_reads)
+               for r in layer.txns.reads)
 
 
 def test_history_fallback_preserves_atomic_visibility(kernel, network):
@@ -187,7 +187,7 @@ def test_history_fallback_preserves_atomic_visibility(kernel, network):
         return seen_a, seen_b, again
 
     assert kernel.run_main(main) == ("a1", "b1", "a1")
-    assert find_fractured_reads(layer.txn_log, layer.txn_reads) == []
+    assert find_fractured_reads(layer.txns.log, layer.txns.reads) == []
 
 
 def test_forced_fetch_from_prepared(kernel, network):
@@ -197,11 +197,11 @@ def test_forced_fetch_from_prepared(kernel, network):
     layer = make_layer(kernel, network, nodes=2)
 
     def main():
-        cid = next(layer._txn_cids)
+        cid = next(layer.txns.cids)
         for key, value in (("c", "c1"), ("d", "d1")):
             layer.invoke("client", cell_ref(key), "__txn_prepare__",
                          args=("manual", cid, value, ("c", "d")),
-                         ctor=layer._txn_ctor())
+                         ctor=layer.txns.ctor())
         # Commit lands on 'c' only; 'd' is still merely prepared.
         layer.invoke("client", cell_ref("c"), "__txn_commit__",
                      args=("manual", cid, "c1", ("c", "d")))
@@ -340,4 +340,4 @@ def test_read_bulk_fractures_under_mid_sweep_write(kernel, network):
     assert bulk == ["old", "new"]
     # The transactional read of the same keys never fractures.
     assert atomic == ["new", "new"]
-    assert find_fractured_reads(layer.txn_log, layer.txn_reads) == []
+    assert find_fractured_reads(layer.txns.log, layer.txns.reads) == []

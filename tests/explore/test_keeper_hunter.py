@@ -8,7 +8,7 @@ strictly increasing, zxids non-decreasing, nothing duplicated or
 lost.
 
 The mutation pair mirrors ``test_txn_hunter``:
-``REPRO_TEST_NO_WATCH_FENCE=1`` makes sessions release events in
+the ``"no-watch-fence"`` mutation makes sessions release events in
 *arrival* order, so the SQS model's heavy-tailed delivery lag leaks
 through as client-visible reordering — ZooKeeper's ordering guarantee
 silently gone.  The hunter must catch it within a bounded trial
@@ -20,6 +20,7 @@ from repro import (
     KeeperService,
     watch_order_invariant,
 )
+from repro.mutation import mutation
 from repro.simulation.thread import sleep, spawn
 
 PATHS = 6
@@ -65,9 +66,9 @@ def explore(trials):
         invariants=[watch_order_invariant], shrink=False).run()
 
 
-def test_hunter_finds_reordered_watch_without_the_fence(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_NO_WATCH_FENCE", "1")
-    report = explore(TRIALS)
+def test_hunter_finds_reordered_watch_without_the_fence():
+    with mutation("no-watch-fence"):
+        report = explore(TRIALS)
     assert report.failures, (
         "planted fence bug not found within "
         f"{TRIALS} trials:\n" + report.summary())
@@ -80,8 +81,7 @@ def test_hunter_finds_reordered_watch_without_the_fence(monkeypatch):
         assert failing.schedule.decisions is not None
 
 
-def test_hunter_is_quiet_with_the_fence_on(monkeypatch):
-    monkeypatch.delenv("REPRO_TEST_NO_WATCH_FENCE", raising=False)
+def test_hunter_is_quiet_with_the_fence_on():
     report = explore(CLEAN_TRIALS)
     assert report.ok, report.summary()
     assert len(report.results) == CLEAN_TRIALS

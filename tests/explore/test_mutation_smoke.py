@@ -1,7 +1,7 @@
 """Mutation smoke test: the fuzzer must catch a real planted bug.
 
-``REPRO_TEST_NO_BACKUP_DEDUP=1`` disables the backup-side session
-lookup in ``DsoLayer._replicate`` (see ``_backup_dedup_disabled``),
+The ``"no-backup-dedup"`` mutation (:mod:`repro.mutation`) disables
+the backup-side session lookup in ``DsoNode.replicate``,
 re-introducing a classic exactly-once bug: when a write half-replicates
 (one backup applied, another unreachable), the client's retransmission
 dedups at the primary and *re-replicates* — and without the lookup the
@@ -24,6 +24,7 @@ from repro import (
 )
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
+from repro.mutation import mutation
 from repro.simulation.thread import sleep
 
 KEY = "mutation-counter"
@@ -93,9 +94,9 @@ def explore():
         invariants=[exact_count], shrink=False).run()
 
 
-def test_fuzzer_finds_the_planted_double_apply(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_NO_BACKUP_DEDUP", "1")
-    report = explore()
+def test_fuzzer_finds_the_planted_double_apply():
+    with mutation("no-backup-dedup"):
+        report = explore()
     assert report.failures, (
         "planted exactly-once bug not found within "
         f"{TRIALS} trials:\n" + report.summary())
@@ -112,7 +113,6 @@ def test_fuzzer_finds_the_planted_double_apply(monkeypatch):
         assert failing.schedule.decisions
 
 
-def test_no_false_positives_without_the_mutation(monkeypatch):
-    monkeypatch.delenv("REPRO_TEST_NO_BACKUP_DEDUP", raising=False)
+def test_no_false_positives_without_the_mutation():
     report = explore()
     assert report.ok, report.summary()

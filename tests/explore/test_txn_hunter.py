@@ -7,7 +7,7 @@ then audits each trial with the cross-partition atomicity pass
 quiescent state must equal the acknowledged commit log per key.
 
 The mutation pair mirrors ``test_mutation_smoke``:
-``REPRO_TEST_NO_COMMIT_FENCE=1`` disables the server-side commit
+the ``"no-commit-fence"`` mutation disables the server-side commit
 fence, so a commit retried at a promoted backup (whose unreplicated
 prepare died with the old primary) silently installs *nothing* while
 still acknowledging — the classic lost-update-by-failover bug.  The
@@ -18,6 +18,7 @@ trial budget, and must stay quiet with the fence on.
 import random
 
 from repro import ExplorationRunner
+from repro.mutation import mutation
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
 from repro.errors import TxnError
@@ -48,7 +49,7 @@ def workload(trial):
             with env.transaction(rf=2) as txn:
                 for key in KEYS:
                     txn.write(key, 0)
-            primary = layer.placement_of(layer._txn_ref(KEYS[0], 2))[0]
+            primary = layer.placement_of(layer.txns.ref(KEYS[0], 2))[0]
             for round_no in range(1, ROUNDS + 1):
                 with env.transaction(rf=2) as txn:
                     for key in KEYS:
@@ -69,10 +70,10 @@ def workload(trial):
             except TxnError:
                 pass  # aborted rather than fractured: fine
             final_cids = {
-                key: layer.invoke("client", layer._txn_ref(key, 2),
-                                  "latest_cid", ctor=layer._txn_ctor())
+                key: layer.invoke("client", layer.txns.ref(key, 2),
+                                  "latest_cid", ctor=layer.txns.ctor())
                 for key in KEYS}
-            return (tuple(layer.txn_log), tuple(layer.txn_reads),
+            return (tuple(layer.txns.log), tuple(layer.txns.reads),
                     final_cids)
 
         return env.run(main)
@@ -100,9 +101,9 @@ def explore():
         shrink=False).run()
 
 
-def test_hunter_finds_dropped_commit_without_the_fence(monkeypatch):
-    monkeypatch.setenv("REPRO_TEST_NO_COMMIT_FENCE", "1")
-    report = explore()
+def test_hunter_finds_dropped_commit_without_the_fence():
+    with mutation("no-commit-fence"):
+        report = explore()
     assert report.failures, (
         "planted fence bug not found within "
         f"{TRIALS} trials:\n" + report.summary())
@@ -116,7 +117,6 @@ def test_hunter_finds_dropped_commit_without_the_fence(monkeypatch):
         assert failing.schedule.decisions is not None
 
 
-def test_hunter_is_quiet_with_the_fence_on(monkeypatch):
-    monkeypatch.delenv("REPRO_TEST_NO_COMMIT_FENCE", raising=False)
+def test_hunter_is_quiet_with_the_fence_on():
     report = explore()
     assert report.ok, report.summary()

@@ -63,7 +63,7 @@ def test_results_pass_through_object_storage(kernel, executor):
 
     kernel.run_main(main)
     assert executor.store.size() == 4  # one result object per call
-    assert executor.store.get_count >= 4
+    assert executor.store.stats.gets >= 4
 
 
 def test_wait_any_returns_early(kernel, executor):

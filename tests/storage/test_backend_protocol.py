@@ -205,24 +205,3 @@ def test_block_store_latency_sits_between_memory_and_s3(kernel):
 
     mem_t, gp3_t, s3_t = kernel.run_main(main)
     assert mem_t < gp3_t < s3_t
-
-
-def test_legacy_object_store_surface_still_works(kernel):
-    """Satellite: old constructors/counters keep working; private
-    reach-ins warn."""
-    store = ObjectStore(kernel, DEFAULT_CONFIG)  # positional config
-
-    def main():
-        store.put("k", 1)
-        store.get("k")
-        store.list_prefix("")
-
-    kernel.run_main(main)
-    assert store.put_count == 1
-    assert store.get_count == 1
-    assert store.list_count == 1
-    with pytest.warns(DeprecationWarning):
-        assert "k" in store._objects
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError):
-            store._objects["x"] = object()  # view is read-only

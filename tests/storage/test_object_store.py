@@ -119,6 +119,6 @@ def test_request_counters(kernel, store):
         store.list_prefix("")
 
     kernel.run_main(main)
-    assert store.put_count == 1
-    assert store.get_count == 1
-    assert store.list_count == 1
+    assert store.stats.puts == 1
+    assert store.stats.gets == 1
+    assert store.stats.lists == 1

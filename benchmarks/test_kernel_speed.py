@@ -8,12 +8,17 @@ from conftest import OUT_DIR, archive, full_scale
 from repro.config import DEFAULT_CONFIG
 from repro.harness import kernel_speed
 
-# Conservative wall-clock floors (events/sec): a regression that
-# reintroduces per-pop isinstance/getattr taxes or per-event allocation
-# shows up as an order-of-magnitude drop, while CI jitter stays within
-# these margins.
-WAKEUPS_PER_SEC_FLOOR = 10_000
+# Wall-clock floors, a third of what the baton-passing kernel sustains
+# on the 2-core sandbox (BENCH_kernel.json): bouncing every event
+# through a host thread again, or starting an OS thread per spawn,
+# costs 3-20x on the row that measures it, while CI jitter stays
+# within these margins.
+WAKEUPS_PER_SEC_FLOOR = 50_000
 TIMERS_PER_SEC_FLOOR = 100_000
+SELF_WAKEUPS_PER_SEC_FLOOR = 250_000
+CROSS_WAKEUPS_PER_SEC_FLOOR = 50_000
+SPAWN_JOINS_PER_SEC_FLOOR = 15_000
+SYNC_PUT_HOST_US_CEILING = 150.0
 # Virtual-time amortization bar for batched shipping (ISSUE 6).
 PIPELINE_SPEEDUP_FLOOR = 3.0
 
@@ -32,6 +37,10 @@ def test_kernel_speed(benchmark):
         "wakeups_per_sec": result.wakeups_per_sec,
         "timer_events": result.timer_events,
         "timers_per_sec": result.timers_per_sec,
+        "self_wakeups_per_sec": result.self_wakeups_per_sec,
+        "cross_wakeups_per_sec": result.cross_wakeups_per_sec,
+        "spawn_joins_per_sec": result.spawn_joins_per_sec,
+        "sync_put_host_us": result.sync_put_host_us,
         "ops": result.ops,
         "sync_op_us": result.sync_op_time * 1e6,
         "pipelined_op_us": result.pipelined_op_time * 1e6,
@@ -43,6 +52,10 @@ def test_kernel_speed(benchmark):
 
     assert result.wakeups_per_sec >= WAKEUPS_PER_SEC_FLOOR, report
     assert result.timers_per_sec >= TIMERS_PER_SEC_FLOOR, report
+    assert result.self_wakeups_per_sec >= SELF_WAKEUPS_PER_SEC_FLOOR, report
+    assert result.cross_wakeups_per_sec >= CROSS_WAKEUPS_PER_SEC_FLOOR, report
+    assert result.spawn_joins_per_sec >= SPAWN_JOINS_PER_SEC_FLOOR, report
+    assert result.sync_put_host_us <= SYNC_PUT_HOST_US_CEILING, report
     # Batched shipping amortizes the round trip at least 3x on a
     # same-primary workload.
     assert result.pipeline_speedup >= PIPELINE_SPEEDUP_FLOOR, report

@@ -11,7 +11,6 @@ right network links.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -21,7 +20,8 @@ from repro.faas.platform import FaasPlatform, FunctionContext
 from repro.metrics.cost import CostLedger
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
-from repro.simulation.kernel import Kernel
+from repro.simulation.kernel import (Kernel, _context, current_kernel,
+                                     current_thread)
 from repro.storage.notification import NotificationService
 from repro.storage.object_store import ObjectStore
 from repro.storage.queue_service import QueueService
@@ -32,7 +32,22 @@ from repro.storage.queue_service import QueueService
 RUNNER_FUNCTION = "crucial-runner"
 
 _active_env: "CrucialEnvironment | None" = None
-_location = threading.local()
+
+#: Where code outside any function container runs, at one full vCPU.
+_CLIENT_SITE = ("client", 1.0)
+
+
+def _site() -> tuple[str, float]:
+    """``(endpoint, cpu_share)`` of the calling simulated thread.
+
+    Kept on the :class:`SimThread` (``locals``), never on the OS thread:
+    simulated threads reuse OS threads, and a new thread must start at
+    the client site whatever its OS thread's previous tenant left.
+    """
+    thread = getattr(_context, "thread", None)
+    if thread is None:
+        return _CLIENT_SITE
+    return thread.locals.get("site", _CLIENT_SITE)
 
 
 def current_environment() -> "CrucialEnvironment":
@@ -49,12 +64,11 @@ def current_location() -> str:
     ``client`` in the client application; the container's endpoint
     inside a cloud function.  Proxies use this as the RPC source.
     """
-    return getattr(_location, "name", "client")
+    return _site()[0]
 
 
 def _set_location(name: str, cpu_share: float = 1.0) -> None:
-    _location.name = name
-    _location.cpu_share = cpu_share
+    current_thread().locals["site"] = (name, cpu_share)
 
 
 def current_cpu_share() -> float:
@@ -63,7 +77,7 @@ def current_cpu_share() -> float:
     Inside a cloud function this reflects the memory-proportional CPU
     allocation (1792 MB = 1 vCPU); in the client process it is 1.0.
     """
-    return getattr(_location, "cpu_share", 1.0)
+    return _site()[1]
 
 
 def compute(cpu_seconds: float, jitter_sigma: float = 0.0) -> None:
@@ -73,8 +87,6 @@ def compute(cpu_seconds: float, jitter_sigma: float = 0.0) -> None:
     nominal-scale ML passes): wall time is ``cpu_seconds / cpu_share``
     with optional lognormal jitter (stragglers).
     """
-    from repro.simulation.kernel import current_kernel, current_thread
-
     if cpu_seconds <= 0:
         return
     wall = cpu_seconds / current_cpu_share()
@@ -196,8 +208,7 @@ class CrucialEnvironment:
         if isinstance(runnable, TracedRunnable):
             context = runnable.context
             runnable = runnable.runnable
-        previous_name = current_location()
-        previous_share = current_cpu_share()
+        previous = _site()
         _set_location(ctx.endpoint, ctx.cpu_share)
         try:
             with tracer.attach(context):
@@ -213,7 +224,7 @@ class CrucialEnvironment:
                         f"payload of type {type(runnable).__name__} "
                         "is not runnable")
         finally:
-            _set_location(previous_name, previous_share)
+            _set_location(*previous)
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -4,10 +4,17 @@ Not a figure from the paper — this harness guards the reproduction's
 own critical path.  Every benchmark, chaos trial, and fuzzer schedule
 is bounded by two rates:
 
-* **events/sec** (wall clock): how fast the kernel pops and dispatches
-  heap events.  Thread wakeups pay the real-thread handshake; timers
-  are pure kernel-context callbacks.  The pooled/slotted event path
-  and the no-scheduler fast path keep both cheap.
+* **events/sec** (wall clock): how fast the dispatch loop pops and
+  dispatches heap events.  The rows are the shapes real harnesses are
+  made of, cheapest first: a *timer* is a callback run inline by
+  whoever holds the baton; a *self wakeup* (one thread sleeping — a
+  client in a synchronous RPC) returns to the thread that ran the loop
+  with no OS switch; a *cross wakeup* (two threads ping-pong on a
+  queue) is one raw-lock handoff between OS threads; a *spawn+join*
+  (one short-lived thread per open-loop arrival) adds a worker
+  hand-over; the mixed *wakeups* row (four sleepers) is the historical
+  one.  ``sync_put_host_us`` is the same accounting one layer up: wall
+  microseconds per sequential DSO put.
 * **ops/sec** (virtual time): how fast a client pushes DSO ops.  The
   sequential ``put`` pays a full round trip per op; the pipelined
   ``put_async`` path batches queued ops into shared round trips, which
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 from repro import CrucialEnvironment
 from repro.metrics.report import comparison_table
-from repro.simulation import Kernel
+from repro.simulation import Kernel, Queue, current_kernel
 from repro.simulation.thread import sleep, spawn
 
 
@@ -37,7 +44,14 @@ class KernelSpeedResult:
     wakeup_wall: float  #: wall seconds dispatching thread wakeups
     timer_events: int
     timer_wall: float  #: wall seconds dispatching timer callbacks
+    self_events: int
+    self_wall: float  #: wall seconds for one thread's own sleeps
+    cross_events: int
+    cross_wall: float  #: wall seconds of two-thread queue ping-pong
+    spawn_events: int
+    spawn_wall: float  #: wall seconds spawning + joining threads
     ops: int
+    sync_put_wall: float  #: wall seconds for the sequential puts
     sync_op_time: float  #: virtual seconds per sequential put
     pipelined_op_time: float  #: virtual seconds per batched async put
     batches: int  #: round trips that carried the async ops
@@ -51,35 +65,93 @@ class KernelSpeedResult:
         return self.timer_events / self.timer_wall
 
     @property
+    def self_wakeups_per_sec(self) -> float:
+        return self.self_events / self.self_wall
+
+    @property
+    def cross_wakeups_per_sec(self) -> float:
+        return self.cross_events / self.cross_wall
+
+    @property
+    def spawn_joins_per_sec(self) -> float:
+        return self.spawn_events / self.spawn_wall
+
+    @property
+    def sync_put_host_us(self) -> float:
+        """Wall microseconds per sequential DSO put."""
+        return self.sync_put_wall / self.ops * 1e6
+
+    @property
     def pipeline_speedup(self) -> float:
         """Virtual-time ops/sec gain of pipelined over sequential."""
         return self.sync_op_time / self.pipelined_op_time
 
 
-def _wakeup_rate(events: int, seed: int) -> tuple[int, float]:
-    """Dispatch ``events`` thread wakeups; return (count, wall secs).
-
-    A handful of threads sleep in short steps — the dominant event
-    pattern of every workload — so the measured rate includes the
-    real-thread handshake, the wakeup pool, and cancellation cleanup.
-    """
-    threads = 4
-    rounds = events // threads
+def _timed_main(seed: int, main) -> float:
+    """Wall seconds to run ``main`` as a simulated thread."""
     with Kernel(seed=seed) as kernel:
-        def sleeper():
-            for _ in range(rounds):
-                sleep(1e-6)
-
-        def main():
-            workers = [spawn(sleeper) for _ in range(threads)]
-            for worker in workers:
-                worker.join()
-
         thread = kernel.spawn(main)
         start = time.perf_counter()
         kernel.run_until(lambda: thread.done)
         wall = time.perf_counter() - start
-    return threads * rounds, wall
+        thread.result()
+    return wall
+
+
+def _wakeup_rate(events: int, seed: int,
+                 threads: int = 4) -> tuple[int, float]:
+    """Dispatch ``events`` thread wakeups; return (count, wall secs).
+
+    ``threads`` sleepers step in lockstep, so with several of them
+    nearly every wakeup changes OS thread; with one, none does.
+    """
+    rounds = events // threads
+
+    def sleeper():
+        for _ in range(rounds):
+            sleep(1e-6)
+
+    def main():
+        workers = [spawn(sleeper) for _ in range(threads)]
+        for worker in workers:
+            worker.join()
+
+    return threads * rounds, _timed_main(seed, main)
+
+
+def _cross_rate(events: int, seed: int) -> tuple[int, float]:
+    """Two threads ping-pong on queues: every wakeup crosses OS
+    threads, as a client/server exchange does."""
+    rounds = events // 2
+
+    def main():
+        kernel = current_kernel()
+        ping, pong = Queue(kernel), Queue(kernel)
+
+        def echo():
+            for _ in range(rounds):
+                pong.put(ping.get())
+
+        server = spawn(echo)
+        for i in range(rounds):
+            ping.put(i)
+            pong.get()
+        server.join()
+
+    return 2 * rounds, _timed_main(seed, main)
+
+
+def _spawn_rate(events: int, seed: int) -> tuple[int, float]:
+    """One short-lived thread per arrival, joined by its spawner —
+    the open-loop generator's shape."""
+    def request():
+        sleep(1e-6)
+
+    def main():
+        for _ in range(events):
+            spawn(request).join()
+
+    return events, _timed_main(seed, main)
 
 
 def _timer_rate(events: int, seed: int) -> tuple[int, float]:
@@ -99,20 +171,21 @@ def _timer_rate(events: int, seed: int) -> tuple[int, float]:
     return events, wall
 
 
-def _op_rates(ops: int, seed: int) -> tuple[float, float, int]:
+def _op_rates(ops: int, seed: int) -> tuple[float, float, int, float]:
     """Virtual-time per-op latency: sequential puts vs pipelined puts.
 
     Single-node deployment, so every op shares one primary — the
     workload batching is built to amortize.  Returns (sync, pipelined,
-    batches).
+    batches, wall seconds of the sequential puts).
     """
     with CrucialEnvironment(seed=seed, dso_nodes=1) as env:
         def workload():
             client = env.client_endpoint
             env.dso.put(client, "warm", 0)  # create outside the window
-            start = env.now
+            start, begun = env.now, time.perf_counter()
             for i in range(ops):
                 env.dso.put(client, "warm", i)
+            sync_wall = time.perf_counter() - begun
             sync = (env.now - start) / ops
 
             start = env.now
@@ -123,23 +196,29 @@ def _op_rates(ops: int, seed: int) -> tuple[float, float, int]:
             assert all(f.done for f in futures)
             for future in futures:
                 future.result()
-            return sync, pipelined
+            return sync, pipelined, sync_wall
 
-        sync, pipelined = env.run(workload)
+        sync, pipelined, sync_wall = env.run(workload)
         batches = env.dso.stats.batches
-    return sync, pipelined, batches
+    return sync, pipelined, batches, sync_wall
 
 
 def run(events: int = 40_000, ops: int = 400,
         seed: int = 1) -> KernelSpeedResult:
     wakeup_events, wakeup_wall = _wakeup_rate(events, seed)
     timer_events, timer_wall = _timer_rate(events, seed)
-    sync, pipelined, batches = _op_rates(ops, seed)
+    self_events, self_wall = _wakeup_rate(events, seed, threads=1)
+    cross_events, cross_wall = _cross_rate(events, seed)
+    spawn_events, spawn_wall = _spawn_rate(events // 4, seed)
+    sync, pipelined, batches, sync_put_wall = _op_rates(ops, seed)
     return KernelSpeedResult(
         wakeup_events=wakeup_events, wakeup_wall=wakeup_wall,
         timer_events=timer_events, timer_wall=timer_wall,
-        ops=ops, sync_op_time=sync, pipelined_op_time=pipelined,
-        batches=batches)
+        self_events=self_events, self_wall=self_wall,
+        cross_events=cross_events, cross_wall=cross_wall,
+        spawn_events=spawn_events, spawn_wall=spawn_wall,
+        ops=ops, sync_put_wall=sync_put_wall, sync_op_time=sync,
+        pipelined_op_time=pipelined, batches=batches)
 
 
 def report(result: KernelSpeedResult) -> str:
@@ -148,6 +227,12 @@ def report(result: KernelSpeedResult) -> str:
         f"{result.timer_events:,} timers)",
         f"  thread wakeups  {result.wakeups_per_sec:,.0f} events/s",
         f"  timer callbacks {result.timers_per_sec:,.0f} events/s",
+        f"  self wakeups    {result.self_wakeups_per_sec:,.0f} events/s"
+        "  (one thread sleeping)",
+        f"  cross wakeups   {result.cross_wakeups_per_sec:,.0f} events/s"
+        "  (queue ping-pong)",
+        f"  spawn + join    {result.spawn_joins_per_sec:,.0f} threads/s",
+        f"  sequential put  {result.sync_put_host_us:,.1f} host us/op",
     ]
     table = comparison_table(
         f"DSO shipping, {result.ops} same-primary PUTs "

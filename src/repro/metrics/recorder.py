@@ -117,4 +117,7 @@ def percentile(values: list[float], q: float,
     lower = math.floor(position)
     upper = math.ceil(position)
     fraction = position - lower
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+    low, high = ordered[lower], ordered[upper]
+    # Rounding can land the blend an ulp outside [low, high] (for equal
+    # neighbours: below the sample minimum, and non-monotone in q).
+    return min(max(low * (1.0 - fraction) + high * fraction, low), high)

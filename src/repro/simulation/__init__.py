@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulation substrate.
 
-The kernel advances a virtual clock and wakes *simulated threads*
-(real Python threads, exactly one runnable at a time) in
+The kernel keeps a virtual clock and a heap of wakeups; *simulated
+threads* (real OS threads, exactly one holding the baton at a time)
+run its dispatch loop themselves and hand the baton on in
 ``(time, sequence)`` order.  All blocking synchronization used by the
 upper layers — sleeps, events, locks, semaphores, queues, conditions,
 capacity resources — is implemented here in terms of kernel wakeups, so

@@ -1,14 +1,23 @@
-"""The discrete-event kernel: a virtual clock plus a wakeup heap.
+"""The discrete-event kernel: a virtual clock, a wakeup heap, one baton.
 
-The kernel runs in the host thread (e.g. the pytest process).  Simulated
-threads are real Python threads, but the kernel wakes exactly one at a
-time and waits for it to block on a simulation primitive before
-advancing the clock, so execution is effectively single-threaded and —
-given seeded RNGs — fully deterministic.
+Simulated threads are real OS threads, but exactly one party — a
+simulated thread or the host (e.g. the pytest process) — holds the
+*baton* at any instant, and only the holder touches kernel state, so
+execution is effectively single-threaded and — given seeded RNGs —
+fully deterministic.
+
+There is no kernel thread.  Whoever gives up the baton (a thread that
+suspends or finishes, the host inside ``run()``) runs the one dispatch
+loop, :meth:`Kernel._advance`, itself: timers fire inline, a wakeup for
+the caller just returns, and a wakeup for someone else is one release
+of that party's raw lock followed by one acquire of the caller's own.
+The host only gets the baton back when its stop condition holds, the
+heap drains, the loop raised, or the kernel closes.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
 import threading
@@ -17,7 +26,13 @@ from typing import Any, Callable, Iterable
 from repro.errors import DeadlockError, NotInSimThread, SimulationError
 from repro.simulation.rng import RngRegistry
 
+#: Per-OS-thread pointer to the SimThread executing on it.  ``None``
+#: on the host, on a parked worker, and — masked by the dispatch loop —
+#: while a simulated thread's OS thread runs timers in kernel context.
 _context = threading.local()
+
+#: Why the dispatch loop handed the baton to the host.
+_STOPPED, _DRAINED, _LIMIT = "stopped", "drained", "limit"
 
 #: Cap on the Wakeup free list; beyond this, surplus events are left to
 #: the garbage collector (a pool larger than the live heap is pure waste).
@@ -30,10 +45,10 @@ _COMPACT_MIN = 512
 
 def current_kernel() -> "Kernel":
     """Return the kernel driving the calling simulated thread."""
-    kernel = getattr(_context, "kernel", None)
-    if kernel is None:
+    thread = getattr(_context, "thread", None)
+    if thread is None:
         raise NotInSimThread("no simulation kernel in this context")
-    return kernel
+    return thread.kernel
 
 
 def current_thread() -> "SimThread":
@@ -131,8 +146,21 @@ class Kernel:
         self._seq = itertools.count()
         self._heap: list[tuple[float, int, object]] = []
         self._threads: set = set()  # live SimThreads
-        self._running = None  # SimThread currently executing
-        self._control = threading.Event()  # thread -> kernel handshake
+        #: The host parks here while a simulated thread holds the baton.
+        self._host_gate = _thread.allocate_lock()
+        self._host_gate.acquire()
+        #: What ``run``/``run_until`` asked for: the loop hands the
+        #: baton to the host when ``_stop()`` holds or the next event
+        #: lies beyond ``_limit``, and says which in ``_outcome``.
+        self._stop: Callable[[], bool] | None = None
+        self._limit: float | None = None
+        self._outcome = _DRAINED
+        self._driving = False  # the host is inside run()/run_until()
+        #: An exception that escaped the loop on a simulated thread's
+        #: OS thread, parked for the host's ``run()`` to re-raise.
+        self._loop_error: BaseException | None = None
+        #: Parked OS threads of finished SimThreads, for ``spawn``.
+        self._idle: list = []
         self._closed = False
         self._failed: list = []  # threads that died with an exception
         #: Free list of recyclable Wakeups (see :class:`Wakeup`).
@@ -267,39 +295,8 @@ class Kernel:
         Raises :class:`DeadlockError` if the heap drains while
         non-daemon threads remain blocked.
         """
-        self._check_host_context()
-        heap = self._heap
-        pop = heapq.heappop
-        fast = self.scheduler is None
-        while heap:
-            head = heap[0]
-            item = head[2]
-            if item.cancelled:
-                pop(heap)
-                self._reclaim(item)
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            time = head[0]
-            if until is not None and time > until:
-                self._now = until
-                return
-            if fast:
-                pop(heap)
-            else:
-                item = self._next_event()
-                if item is None:
-                    continue
-            self._now = time
-            if item.is_timer:
-                item.callback()
-            else:
-                self._dispatch(item)
-                self._reclaim(item)
-            if self._cancelled >= _COMPACT_MIN \
-                    and self._cancelled * 2 >= len(heap):
-                self._compact()
-        self._detect_deadlock()
+        if self._drive(None, until) is _DRAINED:
+            self._detect_deadlock()
 
     def run_until(self, predicate: Callable[[], bool],
                   limit: float | None = None) -> None:
@@ -310,45 +307,112 @@ class Kernel:
         — a later ``run``/``run_until`` call on the same kernel will
         dispatch it.
         """
+        outcome = self._drive(predicate, limit)
+        if outcome is _LIMIT:
+            raise SimulationError(
+                f"condition not met by virtual time limit {limit}")
+        if outcome is _DRAINED:
+            self._detect_deadlock()
+            raise SimulationError(
+                "event queue drained before condition was met")
+
+    def _drive(self, stop: Callable[[], bool] | None,
+               limit: float | None) -> str:
+        """Host side of the loop: give the baton away until ``stop()``
+        holds, the next event lies beyond ``limit`` or the heap drains;
+        returns which."""
         self._check_host_context()
+        if self._driving:
+            raise SimulationError("Kernel.run() is not re-entrant")
+        self._driving = True
+        self._stop, self._limit = stop, limit
+        try:
+            gate = self._advance(None)
+            if gate is not None:
+                self._yield_to(gate)
+            return self._outcome
+        finally:
+            self._driving = False
+            self._stop = self._limit = None
+
+    def _yield_to(self, gate) -> None:
+        """Host: pass the baton through ``gate`` and park until a
+        simulated thread hands it back; re-raise what the loop raised
+        on that thread's OS thread."""
+        gate.release()
+        self._host_gate.acquire()
+        error, self._loop_error = self._loop_error, None
+        if error is not None:
+            raise error
+
+    def _advance(self, me):
+        """The dispatch loop, run by whoever holds the baton.
+
+        ``me`` is the calling :class:`SimThread` (suspending or just
+        finished), or ``None`` for the host.  Pops events — timers fire
+        inline, in kernel context — until someone must run: returns
+        ``None`` when that is the caller itself (its own wakeup came
+        up; for the host, a stop condition holds, see ``_outcome``),
+        else the gate the caller must release to pass the baton on.
+        An exception escaping on a simulated thread's OS thread is
+        parked in ``_loop_error`` and the baton goes to the host.
+        """
+        stop = self._stop
+        limit = self._limit
         heap = self._heap
         pop = heapq.heappop
         fast = self.scheduler is None
-        while not predicate():
-            head = heap[0] if heap else None
-            if head is not None and head[2].cancelled:
-                pop(heap)
-                self._reclaim(head[2])
-                if self._cancelled:
-                    self._cancelled -= 1
-                continue
-            if head is None:
-                self._detect_deadlock()
-                if not predicate():
-                    raise SimulationError(
-                        "event queue drained before condition was met")
-                return
-            time = head[0]
-            if limit is not None and time > limit:
-                self._now = limit
-                raise SimulationError(
-                    f"condition not met by virtual time limit {limit}")
-            if fast:
+        if me is not None:
+            _context.thread = None  # timers and predicates: kernel context
+        try:
+            while True:
+                if self._cancelled >= _COMPACT_MIN \
+                        and self._cancelled * 2 >= len(heap):
+                    self._compact()
+                if stop is not None and stop():
+                    self._outcome = _STOPPED
+                    break
+                if not heap:
+                    self._outcome = _DRAINED
+                    break
+                head = heap[0]
                 item = head[2]
-                pop(heap)
-            else:
-                item = self._next_event()
-                if item is None:
+                if item.cancelled:
+                    pop(heap)
+                    self._reclaim(item)
+                    if self._cancelled:
+                        self._cancelled -= 1
                     continue
-            self._now = time
-            if item.is_timer:
-                item.callback()
-            else:
-                self._dispatch(item)
+                time = head[0]
+                if limit is not None and time > limit:
+                    self._now = limit
+                    self._outcome = _LIMIT
+                    break
+                if fast:
+                    pop(heap)
+                else:
+                    item = self._next_event()
+                    if item is None:
+                        continue
+                self._now = time
+                if item.is_timer:
+                    item.callback()
+                    continue
+                thread = item.thread
+                value = item.value
+                thread._pending.discard(item)
                 self._reclaim(item)
-            if self._cancelled >= _COMPACT_MIN \
-                    and self._cancelled * 2 >= len(heap):
-                self._compact()
+                if not thread.done:
+                    thread._wake_value = value
+                    return None if thread is me else thread._gate
+        except BaseException as exc:
+            if me is None:
+                raise
+            self._loop_error = exc
+        finally:
+            if me is not None:
+                _context.thread = me
+        return None if me is None else self._host_gate
 
     def _next_event(self):
         """Pop the event to dispatch next, or ``None`` to re-examine.
@@ -403,18 +467,6 @@ class Kernel:
         self.run_until(lambda: thread.done)
         return thread.result()
 
-    def _dispatch(self, wakeup: Wakeup) -> None:
-        thread = wakeup.thread
-        thread._pending.discard(wakeup)
-        if thread.done:
-            return
-        self._running = thread
-        thread._wake_value = wakeup.value
-        thread._resume.set()
-        self._control.wait()
-        self._control.clear()
-        self._running = None
-
     def _detect_deadlock(self) -> None:
         blocked = [t.name for t in self._threads if not t.daemon and not t.done]
         if blocked:
@@ -431,23 +483,37 @@ class Kernel:
     # -- teardown ---------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down every live simulated thread and seal the kernel."""
+        """Tear down every live simulated thread, seal the kernel and
+        join every OS thread it started."""
         if self._closed:
             return
+        if in_sim_thread():
+            raise SimulationError(
+                "Kernel.close() must be called from the host thread")
         self._closed = True
         for thread in list(self._threads):
             thread._shutdown = True
-        # Wake blocked threads one at a time so each can unwind.
+        # Wake blocked threads one at a time so each can unwind; a
+        # thread woken for shutdown hands the baton straight back.
         for thread in list(self._threads):
-            if thread.done:
-                continue
-            self._running = thread
-            thread._resume.set()
-            self._control.wait()
-            self._control.clear()
-            self._running = None
+            if not thread.done:
+                self._yield_to(thread._gate)
         self._heap.clear()
         self._threads.clear()
+        # Every worker is idle now.  Joining (not just releasing) them
+        # is what frees this kernel's object graph before the caller
+        # builds the next one.
+        workers, self._idle = self._idle, []
+        for worker in workers:
+            worker.gate.release()
+        for worker in workers:
+            worker.os_thread.join()
+
+    def __del__(self) -> None:
+        # A kernel dropped without close(): let its parked workers go
+        # (they hold no reference to the kernel, so this does run).
+        for worker in getattr(self, "_idle", ()):
+            worker.gate.release()
 
     def __enter__(self) -> "Kernel":
         return self
@@ -471,7 +537,7 @@ class Kernel:
         return tuple(self._failed)
 
 
-def set_context(kernel: Kernel | None, thread) -> None:
-    """Install the (kernel, thread) pair for the calling real thread."""
-    _context.kernel = kernel
+def set_context(thread) -> None:
+    """Declare ``thread`` (or ``None``) the SimThread executing on the
+    calling OS thread."""
     _context.thread = thread

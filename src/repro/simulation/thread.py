@@ -1,14 +1,21 @@
-"""Simulated threads: real Python threads driven by the kernel.
+"""Simulated threads: real OS threads that pass one baton.
 
 A :class:`SimThread` executes ordinary blocking Python code.  Whenever
-it calls a simulation primitive (sleep, event wait, lock acquire...),
-it hands control back to the kernel and parks on a real
-``threading.Event`` until the kernel wakes it at the right virtual
-time.  Exactly one simulated thread runs at any instant.
+it calls a simulation primitive (sleep, event wait, lock acquire...)
+it runs the kernel's dispatch loop itself: if its own wakeup comes up
+next it simply carries on; otherwise it releases the next runner's
+raw lock and parks on its own until someone dispatches it.  Exactly
+one simulated thread runs at any instant.
+
+Each OS thread underneath is a :class:`_Worker`.  A finished
+SimThread parks its worker on the kernel's idle list and the next
+``start()`` reuses it, so an open-loop workload spawning one simulated
+thread per request starts a handful of OS threads, not thousands.
 """
 
 from __future__ import annotations
 
+import _thread
 import threading
 from typing import Any, Callable
 
@@ -18,6 +25,41 @@ from repro.simulation import kernel as _kernel_mod
 # Sentinel wake values used by primitives.
 TIMEOUT = object()
 INTERRUPT = object()
+
+
+class _Worker:
+    """One reusable OS thread: runs a SimThread each time its gate is
+    released with a job set, exits when released with none."""
+
+    __slots__ = ("gate", "job", "os_thread")
+
+    #: What an OS thread between jobs is called (``sim:<thread name>``
+    #: while it runs one), so a stack dump says who is who.
+    IDLE = "sim:idle"
+
+    def __init__(self) -> None:
+        #: Held while the worker runs or should stay parked; whoever
+        #: dispatches the job (or closes the kernel) releases it once.
+        self.gate = _thread.allocate_lock()
+        self.gate.acquire()
+        self.job: SimThread | None = None
+        # A threading.Thread (not a bare _thread) so profilers hooking
+        # Thread.run and threading.active_count() keep seeing it.
+        self.os_thread = threading.Thread(
+            target=self._serve, name=self.IDLE, daemon=True)
+        self.os_thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.gate.acquire()
+            job = self.job
+            if job is None:
+                return  # released by Kernel.close()
+            job._run(self)
+            # A parked worker must pin nothing of the finished thread
+            # (its target, result, kernel) — not in a local either.
+            del job
+            _kernel_mod.set_context(None)
 
 
 class SimThread:
@@ -44,30 +86,38 @@ class SimThread:
         self.exception: BaseException | None = None
         self._result: Any = None
         self._observed = False  # result()/join() was called
-        self._resume = threading.Event()
+        #: The raw lock this thread parks on: its worker's, borrowed
+        #: from ``start()`` until the target returns.
+        self._gate = None
         self._pending: set = set()  # outstanding Wakeups
         self._wake_value: Any = None
         self._shutdown = False
         self._joiners: list[SimThread] = []
-        self._real: threading.Thread | None = None
+        #: Per-thread storage for upper layers.  OS-thread-local storage
+        #: would not do: simulated threads take turns on OS threads.
+        self.locals: dict = {}
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "SimThread":
         if self.started:
             raise SimulationError(f"{self.name} already started")
+        kernel = self.kernel
+        if kernel._closed:
+            raise SimulationError("kernel is closed")
         self.started = True
-        self.kernel._register(self)
-        self._real = threading.Thread(
-            target=self._bootstrap, name=f"sim:{self.name}", daemon=True)
-        self._real.start()
-        self.kernel.schedule_wakeup(self, 0.0, recycle=True)
+        kernel._register(self)
+        worker = kernel._idle.pop() if kernel._idle else _Worker()
+        worker.job = self
+        worker.os_thread.name = f"sim:{self.name}"
+        self._gate = worker.gate
+        kernel.schedule_wakeup(self, 0.0, recycle=True)
         return self
 
-    def _bootstrap(self) -> None:
-        _kernel_mod.set_context(self.kernel, self)
-        self._resume.wait()
-        self._resume.clear()
+    def _run(self, worker: _Worker) -> None:
+        """Body of one job, on ``worker``'s OS thread, baton in hand."""
+        kernel = self.kernel
+        _kernel_mod.set_context(self)
         try:
             if not self._shutdown:
                 self._result = self.target(*self.args, **self.kwargs)
@@ -80,30 +130,38 @@ class SimThread:
             self._cancel_pending()
             if not self._shutdown:
                 for joiner in self._joiners:
-                    self.kernel.schedule_wakeup(joiner, 0.0, self,
-                                                recycle=True)
+                    kernel.schedule_wakeup(joiner, 0.0, self, recycle=True)
                 self._joiners.clear()
-            self.kernel._unregister(self)
-            if self.kernel.tracer.enabled:
-                self.kernel.tracer.on_thread_exit(self)
-            # Hand control back to the kernel for the last time.
-            self.kernel._control.set()
+            kernel._unregister(self)
+            if kernel.tracer.enabled:
+                kernel.tracer.on_thread_exit(self)
+            # Pass the baton for the last time: on through the loop, or
+            # — torn down by close() — straight back to the host.
+            gate = kernel._host_gate if self._shutdown \
+                else kernel._advance(self)
+            # Only the baton holder touches the idle list, so the
+            # worker goes back before the release, not after.
+            worker.job = None
+            worker.os_thread.name = worker.IDLE
+            kernel._idle.append(worker)
+            gate.release()
 
     # -- suspension protocol -------------------------------------------------
 
     def _suspend(self) -> Any:
-        """Park until the kernel delivers the next wakeup.
+        """Give up the baton until the next wakeup for this thread.
 
         Must be called by the thread itself, after having scheduled (or
         registered for) at least one wakeup.  Returns the wakeup value.
         """
         if self._shutdown:
             raise SimShutdown()
-        self.kernel._control.set()
-        self._resume.wait()
-        self._resume.clear()
-        if self._shutdown:
-            raise SimShutdown()
+        gate = self.kernel._advance(self)
+        if gate is not None:
+            gate.release()
+            self._gate.acquire()
+            if self._shutdown:
+                raise SimShutdown()
         value = self._wake_value
         self._wake_value = None
         return value

@@ -1,7 +1,7 @@
 """Unit tests for metrics: recorder, cost model, report tables."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
@@ -114,6 +114,13 @@ def test_percentile_p999_no_longer_pins_to_max():
                  st.floats(min_value=0, max_value=100)),
     method=st.sampled_from(["linear", "nearest"]),
 )
+# Equal neighbours used to blend to an ulp off the sample: below the
+# minimum, above the maximum, and out of order in q.
+@example(values=[0.000228, 0.000228], qs=(0.8, 1.7), method="linear")
+@example(values=[-767685.9258694759] * 4,
+         qs=(20.12000617915647, 90.53894035696106), method="linear")
+@example(values=[-509148.28389608726] * 2,
+         qs=(56.02575960634735, 60.53527496610309), method="linear")
 def test_percentile_monotone_and_bounded(values, qs, method):
     lo, hi = sorted(qs)
     p_lo = percentile(values, lo, method=method)

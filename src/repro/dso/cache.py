@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dso.reference import DsoReference
 from repro.simulation.kernel import current_thread
+from repro.trace.tracer import NO_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
@@ -250,9 +251,10 @@ class EndpointCaches:
                 cache.invalidate(ref.ident)
             layer.stats.cache_misses += 1
             return CACHE_MISS
-        with layer.kernel.tracer.span(
-                "dso.cache_hit", kind="client", endpoint=client,
-                attributes={"key": ref.key, "method": method}):
+        tracer = layer.kernel.tracer
+        with (tracer.span("dso.cache_hit", kind="client", endpoint=client,
+                          attributes={"key": ref.key, "method": method})
+              if tracer.enabled else NO_SPAN):
             overhead = layer.config.dso.cache_hit_overhead
             if overhead + cost > 0:
                 current_thread().sleep(overhead + cost)

@@ -43,6 +43,7 @@ from repro.dso.txn import Transactions, Txn
 from repro.errors import NetworkError, NoSuchObjectError, ObjectLostError
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel, current_thread
+from repro.trace.tracer import NO_SPAN
 
 
 class KvSlot:
@@ -228,10 +229,12 @@ class DsoLayer:
         return node
 
     def connect(self, client: str, node_name: str) -> None:
-        """Make sure ``client`` has a client-server link to the node."""
-        self.network.ensure_endpoint(client)
+        """Make sure ``client`` has a client-server link to the node
+        (a link that already is the model was made here, by the call
+        that also registered the endpoint)."""
         latency = self.config.dso.client_server
         if self.network.link(client, node_name) is not latency:
+            self.network.ensure_endpoint(client)
             self.network.set_link(client, node_name, latency)
 
     def shippable(self, value: Any) -> Any:
@@ -283,13 +286,16 @@ class DsoLayer:
     # Transient-failure retry: one deadline, one backoff step, one driver
     # ------------------------------------------------------------------
 
-    def retry_deadline(self) -> float:
-        """Until when transient failures are retried before surfacing:
+    def retry_window(self) -> float:
+        """For how long transient failures are retried before surfacing:
         detection + view installation + the configured grace."""
         timings = self.config.dso
-        return self.kernel.now + (timings.failure_detection
-                                  + timings.view_change_pause
-                                  + timings.retry_grace)
+        return (timings.failure_detection + timings.view_change_pause
+                + timings.retry_grace)
+
+    def retry_deadline(self) -> float:
+        """Until when an operation starting now retries."""
+        return self.kernel.now + self.retry_window()
 
     def backoff(self, attempts: int, deadline: float) -> bool:
         """Sleep the backoff after failed attempt number ``attempts``
@@ -308,28 +314,29 @@ class DsoLayer:
         current_thread().sleep(min(delay, remaining))
         return delay < remaining
 
-    def _retry_transient(self, attempt: Callable[[], Any],
+    def _retry_transient(self, attempt: Callable[..., Any], *args,
                          lost_ref: DsoReference | None = None,
                          span=None) -> Any:
-        """Run ``attempt`` until it succeeds, retrying transient
+        """Run ``attempt(*args)`` until it succeeds, retrying transient
         infrastructure failures until failure detection re-homes the
         object or the retry window closes (the last failure then
         surfaces).  ``lost_ref`` turns a retry against an object that
         a view change declared lost into :class:`ObjectLostError`.
         """
-        deadline = self.retry_deadline()
+        started = self.kernel.now  # the window opens with the operation
         attempts = 0
         while True:
             attempts += 1
             try:
-                result = attempt()
+                result = attempt(*args)
             except TRANSIENT as exc:
                 self.stats.retries += 1
                 if lost_ref is not None and self.placements.lost(lost_ref):
                     raise ObjectLostError(
                         f"{lost_ref} was lost in a storage-node failure"
                     ) from exc
-                if not self.backoff(attempts, deadline):
+                if not self.backoff(attempts,
+                                    started + self.retry_window()):
                     raise
             else:
                 if span is not None and attempts > 1:
@@ -372,26 +379,34 @@ class DsoLayer:
             # harmless); skipping the stamp keeps sequence numbers —
             # and named-session replays — independent of cache state.
             session = stamp = None
-            attributes = {"key": ref.key, "rf": ref.rf, "readonly": True}
         else:
             session = self.sessions.current(client)
             # Stamp once, outside the retry loop: every retransmission
             # of this logical call carries the identical (sid, seq),
             # which is what lets servers recognise and deduplicate it.
             stamp = session.stamp()
-            attributes = {"key": ref.key, "rf": ref.rf,
-                          "session": stamp.sid, "seq": stamp.seq}
-        with self.kernel.tracer.span(
-                f"dso.invoke:{ref.type_name}.{method}", kind="client",
-                endpoint=client, attributes=attributes) as span:
+        tracer = self.kernel.tracer
+        with (self._invoke_span(client, ref, method, stamp)
+              if tracer.enabled else NO_SPAN) as span:
             result = self._retry_transient(
-                lambda: self._invoke_once(client, ref, method, args, kwargs,
-                                          ctor, cost, raw_service, stamp,
-                                          lease=cacheable),
-                lost_ref=ref, span=span)
+                self._invoke_once, client, ref, method, args, kwargs, ctor,
+                cost, raw_service, stamp, cacheable, lost_ref=ref, span=span)
             if session is not None:
                 session.acknowledge(stamp.seq)
             return result
+
+    def _invoke_span(self, client: str, ref: DsoReference, method: str,
+                     stamp: SessionStamp | None):
+        """The client span of one traced :meth:`invoke`."""
+        attributes = {"key": ref.key, "rf": ref.rf}
+        if stamp is None:
+            attributes["readonly"] = True
+        else:
+            attributes["session"] = stamp.sid
+            attributes["seq"] = stamp.seq
+        return self.kernel.tracer.span(
+            f"dso.invoke:{ref.type_name}.{method}", kind="client",
+            endpoint=client, attributes=attributes)
 
     def _invoke_once(self, client: str, ref: DsoReference, method: str,
                      args: tuple, kwargs: dict, ctor: tuple | None,
@@ -555,9 +570,10 @@ class DsoLayer:
                 pending.difference_update(indexes)
 
         self._preflight(client)
-        with self.kernel.tracer.span(
-                "dso.read_bulk", kind="client", endpoint=client,
-                attributes={"objects": len(refs)}):
+        tracer = self.kernel.tracer
+        with (tracer.span("dso.read_bulk", kind="client", endpoint=client,
+                          attributes={"objects": len(refs)})
+              if tracer.enabled else NO_SPAN):
             self._retry_transient(attempt)
             self.stats.invocations += len(refs)
             return self.shippable(results)
@@ -583,10 +599,11 @@ class DsoLayer:
             replicas = self.placements.lookup(ref).replicas
             rng = self.kernel.rng.stream(f"dso.{self.name}.anyread")
             target = replicas[int(rng.integers(0, len(replicas)))]
-            with self.kernel.tracer.span(
-                    f"dso.read_any:{ref.type_name}.{method}", kind="client",
-                    endpoint=client,
-                    attributes={"key": ref.key, "replica": target}):
+            tracer = self.kernel.tracer
+            with (tracer.span(f"dso.read_any:{ref.type_name}.{method}",
+                              kind="client", endpoint=client,
+                              attributes={"key": ref.key, "replica": target})
+                  if tracer.enabled else NO_SPAN):
                 node = self.live_node(target)
                 self.connect(client, target)
                 self.network.transfer(client, target, (method, args))

@@ -47,6 +47,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.simulation.primitives import Condition, Event
+from repro.trace.tracer import NO_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
@@ -270,9 +271,11 @@ class _Pipeline:
         client = self.client
         node = layer.live_node(primary_name)
         layer.connect(client, primary_name)
-        with layer.kernel.tracer.span(
-                "dso.batch", kind="client", endpoint=client,
-                attributes={"primary": primary_name, "ops": len(group)}):
+        tracer = layer.kernel.tracer
+        with (tracer.span("dso.batch", kind="client", endpoint=client,
+                          attributes={"primary": primary_name,
+                                      "ops": len(group)})
+              if tracer.enabled else NO_SPAN):
             shipped = layer.network.transfer(
                 client, primary_name,
                 [(op.method, op.args, op.kwargs, op.stamp)

@@ -41,6 +41,7 @@ from repro.errors import (
 from repro.mutation import PLANTED
 from repro.simulation.kernel import current_thread
 from repro.simulation.primitives import Condition, Lock
+from repro.trace.tracer import NO_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
@@ -137,9 +138,11 @@ class ServerCondition:
         """
         call.release()
         container = self.container
-        with container.node.kernel.tracer.span(
-                "dso.wait", kind="server", endpoint=container.node.name,
-                attributes={"object": "/".join(container.key)}):
+        tracer = container.node.kernel.tracer
+        with (tracer.span("dso.wait", kind="server",
+                          endpoint=container.node.name,
+                          attributes={"object": "/".join(container.key)})
+              if tracer.enabled else NO_SPAN):
             with self._condition:
                 self._condition.wait()
             if container.dead:
@@ -258,7 +261,7 @@ class DsoNode:
 
     @property
     def alive(self) -> bool:
-        return self.node.alive
+        return self.node.endpoint.alive
 
     def host(self, key: tuple[str, str], instance: Any,
              sessions: SessionTable | None = None) -> ObjectContainer:
@@ -316,9 +319,10 @@ class DsoNode:
         container = self._hosted(ref)
         call = DsoCall(container)
         grant: LeaseGrant | None = None
-        with self.kernel.tracer.span(
-                "dso.primary", kind="server", endpoint=self.name,
-                attributes={"method": method}):
+        tracer = self.kernel.tracer
+        with (tracer.span("dso.primary", kind="server", endpoint=self.name,
+                          attributes={"method": method})
+              if tracer.enabled else NO_SPAN):
             call.acquire()
             try:
                 if self.containers.get(ref.ident) is not container:
@@ -442,10 +446,11 @@ class DsoNode:
         the re-sent op themselves.
         """
         self.layer.stats.dedup_hits += 1
-        with self.kernel.tracer.span(
-                "dso.dedup_hit", kind="server", endpoint=self.name,
-                attributes={"method": method, "session": stamp.sid,
-                            "seq": stamp.seq}):
+        tracer = self.kernel.tracer
+        with (tracer.span("dso.dedup_hit", kind="server", endpoint=self.name,
+                          attributes={"method": method, "session": stamp.sid,
+                                      "seq": stamp.seq})
+              if tracer.enabled else NO_SPAN):
             current_thread().sleep(self.layer.config.dso.get_service
                                    * self.slow_factor)
             if not self.alive or container.dead:
@@ -487,9 +492,10 @@ class DsoNode:
                        or not smr_context.get("hops_charged"))
         if smr_context is not None:
             smr_context["hops_charged"] = True
-        with self.kernel.tracer.span(
-                "dso.replicate", kind="server", endpoint=self.name,
-                attributes={"backups": len(placement.replicas) - 1}):
+        tracer = self.kernel.tracer
+        with (tracer.span("dso.replicate", kind="server", endpoint=self.name,
+                          attributes={"backups": len(placement.replicas) - 1})
+              if tracer.enabled else NO_SPAN):
             if charge_hops:
                 current_thread().sleep(hop.sample(rng))  # ordering round out
             for backup_name in placement.replicas[1:]:
@@ -516,9 +522,9 @@ class DsoNode:
                             continue
                     except SessionReplayError:
                         continue  # applied and since truncated: done
-                with self.kernel.tracer.span(
-                        "dso.smr_apply", kind="server",
-                        endpoint=backup_name):
+                with (tracer.span("dso.smr_apply", kind="server",
+                                  endpoint=backup_name)
+                      if tracer.enabled else NO_SPAN):
                     backup.node.workers.acquire()
                     try:
                         current_thread().sleep(
@@ -602,10 +608,12 @@ class DsoNode:
         if not holders:
             return
         layer = self.layer
-        with self.kernel.tracer.span(
-                "dso.lease_revoke", kind="server", endpoint=self.name,
-                attributes={"object": "/".join(container.key),
-                            "holders": len(holders)}):
+        tracer = self.kernel.tracer
+        with (tracer.span("dso.lease_revoke", kind="server",
+                          endpoint=self.name,
+                          attributes={"object": "/".join(container.key),
+                                      "holders": len(holders)})
+              if tracer.enabled else NO_SPAN):
             unreachable: list[tuple[str, float]] = []
             for holder, expiry in holders:
                 try:

@@ -193,9 +193,19 @@ class SessionTable:
     guard.
     """
 
+    #: The session at the recent end, if it is still in the table:
+    #: touching it again — every op does, twice — moves nothing.
+    _newest: str | None = None
+
     def __init__(self, limit: int = 4096):
         self.limit = limit
+        #: Ordered by recency (dict insertion order), coldest first.
         self._sessions: dict[str, _SessionState] = {}
+
+    def __getstate__(self) -> dict:
+        # ``_newest`` is a local shortcut, not state: a shipped table's
+        # bytes are charged (passivation), so they must not grow by it.
+        return {"limit": self.limit, "_sessions": self._sessions}
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -211,11 +221,11 @@ class SessionTable:
         state = self._sessions.get(stamp.sid)
         if state is None:
             return None
-        self._touch(stamp.sid)
+        self._touch(stamp.sid, state)
         entry = state.replies.get(stamp.seq)
         if entry is not None:
             return entry
-        if stamp.seq <= min(state.last_seq, stamp.acked):
+        if stamp.seq <= state.last_seq and stamp.seq <= stamp.acked:
             raise SessionReplayError(
                 f"session {stamp.sid!r} replayed acknowledged seq "
                 f"{stamp.seq} (watermark {stamp.acked})")
@@ -230,12 +240,20 @@ class SessionTable:
         state = self._sessions.get(stamp.sid)
         if state is None:
             state = self._sessions[stamp.sid] = _SessionState()
-        self._touch(stamp.sid)
+            self._newest = stamp.sid
+        else:
+            self._touch(stamp.sid, state)
+        # Prune first: what a session still remembers here is then
+        # usually all acknowledged (a thread session acknowledges each
+        # reply as it stamps the next) and goes in one sweep.
+        self._prune(state.replies, stamp.acked)
         entry = SessionEntry(reply=reply, committed=committed, pin=pin)
-        state.replies[stamp.seq] = entry
-        state.last_seq = max(state.last_seq, stamp.seq)
-        self.truncate(stamp)
-        self._evict()
+        if stamp.seq > stamp.acked:  # else acknowledged before it is kept
+            state.replies[stamp.seq] = entry
+        if stamp.seq > state.last_seq:
+            state.last_seq = stamp.seq
+        if len(self._sessions) > self.limit:
+            self._evict()
         return entry
 
     def unpin(self, token: str) -> int:
@@ -260,25 +278,33 @@ class SessionTable:
     def truncate(self, stamp: SessionStamp) -> None:
         """Drop this session's replies at or below the watermark."""
         state = self._sessions.get(stamp.sid)
-        if state is None or stamp.acked < 0:
+        if state is not None:
+            self._prune(state.replies, stamp.acked)
+
+    @staticmethod
+    def _prune(replies: dict[int, SessionEntry], acked: int) -> None:
+        if acked < 0 or not replies:
             return
-        for seq in [s for s in state.replies if s <= stamp.acked]:
-            del state.replies[seq]
+        if max(replies) <= acked:
+            replies.clear()
+            return
+        for seq in [s for s in replies if s <= acked]:
+            del replies[seq]
 
     def retire(self, sid: str) -> bool:
         """Forget a session entirely (explicit GC for named
         sessions)."""
         return self._sessions.pop(sid, None) is not None
 
-    def _touch(self, sid: str) -> None:
+    def _touch(self, sid: str, state: _SessionState) -> None:
         # dict preserves insertion order; re-inserting keeps the table
         # ordered by recency so eviction hits the coldest session.
-        state = self._sessions.pop(sid)
-        self._sessions[sid] = state
+        if sid != self._newest:  # else it is at the recent end already
+            del self._sessions[sid]
+            self._sessions[sid] = state
+            self._newest = sid
 
     def _evict(self) -> None:
-        if len(self._sessions) <= self.limit:
-            return
         # Eviction preference, cheapest information loss first:
         # (1) a session retaining no replies (fully acknowledged);
         # (2) the coldest session whose retained replies are all
@@ -325,6 +351,7 @@ class SessionTable:
             mine = self._sessions.get(sid)
             if mine is None:
                 self._sessions[sid] = state
+                self._newest = sid
             else:
                 for seq, entry in state.replies.items():
                     mine.replies.setdefault(seq, entry)

@@ -78,6 +78,7 @@ from repro.errors import (
     TxnPrepareLostError,
 )
 from repro.linearizability.atomicity import TxnCommitRecord, TxnReadRecord
+from repro.trace.tracer import NO_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
@@ -308,10 +309,13 @@ class Txn:
         # transaction id, so its prepares and commits deduplicate.
         self.txn_id = f"{session.sid}+t{session.next_seq}"
         writeset = tuple(sorted(self._writes))
-        with layer.kernel.tracer.span(
-                "dso.txn_commit", kind="client", endpoint=self._client,
-                attributes={"txn": self.txn_id, "writes": len(writeset),
-                            "deferred": len(self._deferred)}):
+        tracer = layer.kernel.tracer
+        with (tracer.span("dso.txn_commit", kind="client",
+                          endpoint=self._client,
+                          attributes={"txn": self.txn_id,
+                                      "writes": len(writeset),
+                                      "deferred": len(self._deferred)})
+              if tracer.enabled else NO_SPAN):
             if writeset:
                 proposed = next(layer.txns.cids)
                 try:

@@ -42,6 +42,7 @@ from repro.errors import (
 )
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel, current_thread
+from repro.trace.tracer import NO_SPAN
 
 
 @dataclass
@@ -216,10 +217,10 @@ class FaasPlatform:
         limits = self.config.faas_limits
         timings = self.config.faas_timings
         tracer = self.kernel.tracer
-        with tracer.span(f"faas.invoke:{function_name}", kind="client",
-                         endpoint=invoker,
-                         attributes={"memory_mb": function.memory_mb}
-                         ) as ispan:
+        with (tracer.span(f"faas.invoke:{function_name}", kind="client",
+                          endpoint=invoker,
+                          attributes={"memory_mb": function.memory_mb})
+              if tracer.enabled else NO_SPAN) as ispan:
             if self._active >= limits.max_concurrency:
                 raise ThrottlingError(
                     f"concurrency limit {limits.max_concurrency} reached")
@@ -227,17 +228,19 @@ class FaasPlatform:
             try:
                 payload = ship(payload)
                 container, cold = self._acquire_container(function)
-                ispan.set("container", container.name)
-                ispan.set("cold_start", cold)
+                if tracer.enabled:
+                    ispan.set("container", container.name)
+                    ispan.set("cold_start", cold)
                 start = self.kernel.now
                 error: BaseException | None = None
                 result: Any = None
                 completed = False
                 hspan = None
                 try:
-                    with tracer.span("faas.startup", kind="server",
-                                     endpoint=container.name,
-                                     attributes={"cold_start": cold}):
+                    with (tracer.span("faas.startup", kind="server",
+                                      endpoint=container.name,
+                                      attributes={"cold_start": cold})
+                          if tracer.enabled else NO_SPAN):
                         startup = (timings.cold_start if cold
                                    else timings.warm_start).sample(self._rng)
                         current_thread().sleep(startup)
@@ -246,10 +249,11 @@ class FaasPlatform:
                     ctx = FunctionContext(self, function, container, deadline)
                     fail_roll = (self._rng.random() < function.failure_rate
                                  if function.failure_rate > 0 else False)
-                    hspan = tracer.start_span(
-                        "faas.handler", kind="server",
-                        endpoint=container.name,
-                        attributes={"function": function_name})
+                    if tracer.enabled:
+                        hspan = tracer.start_span(
+                            "faas.handler", kind="server",
+                            endpoint=container.name,
+                            attributes={"function": function_name})
                     if fail_roll and function.failure_kind == "before":
                         error = InvocationError(
                             f"{function_name}: container {container.name} "
@@ -275,8 +279,10 @@ class FaasPlatform:
                     if error is None and self.kernel.now - start > function.timeout:
                         error = FunctionTimeoutError(
                             f"{function_name}: exceeded {function.timeout}s limit")
-                    tracer.end_span(
-                        hspan, error=type(error).__name__ if error else None)
+                    if hspan is not None:
+                        tracer.end_span(
+                            hspan,
+                            error=type(error).__name__ if error else None)
                     completed = True
                 finally:
                     # The container is released and the invocation recorded
@@ -302,9 +308,11 @@ class FaasPlatform:
                         memory_mb=function.memory_mb, cold_start=cold,
                         error=error_name)
                     self.records.append(record)
-                    ispan.set("billed_duration", record.billed_duration)
-                with tracer.span("faas.response", kind="client",
-                                 endpoint=invoker):
+                    if tracer.enabled:
+                        ispan.set("billed_duration", record.billed_duration)
+                with (tracer.span("faas.response", kind="client",
+                                  endpoint=invoker)
+                      if tracer.enabled else NO_SPAN):
                     current_thread().sleep(timings.response.sample(self._rng))
                 if error is not None:
                     raise error

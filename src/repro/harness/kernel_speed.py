@@ -13,8 +13,15 @@ is bounded by two rates:
   queue) is one raw-lock handoff between OS threads; a *spawn+join*
   (one short-lived thread per open-loop arrival) adds a worker
   hand-over; the mixed *wakeups* row (four sleepers) is the historical
-  one.  ``sync_put_host_us`` is the same accounting one layer up: wall
-  microseconds per sequential DSO put.
+  one.  ``sync_put_host_us`` / ``sync_get_host_us`` are the same
+  accounting one layer up — wall microseconds per sequential DSO put /
+  get — and ``transfer_host_us`` one layer down: one
+  ``Network.transfer`` of a put's 112-byte request tuple.
+* **calls per put** (exact): ``sys.setprofile`` counts of Python and C
+  calls, ``pickle.dumps`` and ``pickle.loads`` over warm sequential
+  puts.  They repeat exactly, so the benchmark asserts them tightly:
+  a second encode per hop, or a span built for a disabled tracer,
+  shows up here as a count before it shows up as noise-buried time.
 * **ops/sec** (virtual time): how fast a client pushes DSO ops.  The
   sequential ``put`` pays a full round trip per op; the pipelined
   ``put_async`` path batches queued ops into shared round trips, which
@@ -27,10 +34,13 @@ machinery costs the synchronous path nothing.
 
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
+from repro.dso.session import SessionStamp
 from repro.metrics.report import comparison_table
 from repro.simulation import Kernel, Queue, current_kernel
 from repro.simulation.thread import sleep, spawn
@@ -52,6 +62,11 @@ class KernelSpeedResult:
     spawn_wall: float  #: wall seconds spawning + joining threads
     ops: int
     sync_put_wall: float  #: wall seconds for the sequential puts
+    sync_get_wall: float  #: wall seconds for the sequential gets
+    transfer_wall: float  #: wall seconds for ``ops`` request transfers
+    calls_per_sync_put: float  #: profiled Python + C calls per warm put
+    dumps_per_sync_put: float
+    loads_per_sync_put: float
     sync_op_time: float  #: virtual seconds per sequential put
     pipelined_op_time: float  #: virtual seconds per batched async put
     batches: int  #: round trips that carried the async ops
@@ -80,6 +95,16 @@ class KernelSpeedResult:
     def sync_put_host_us(self) -> float:
         """Wall microseconds per sequential DSO put."""
         return self.sync_put_wall / self.ops * 1e6
+
+    @property
+    def sync_get_host_us(self) -> float:
+        """Wall microseconds per sequential DSO get."""
+        return self.sync_get_wall / self.ops * 1e6
+
+    @property
+    def transfer_host_us(self) -> float:
+        """Wall microseconds per ``Network.transfer`` of a put request."""
+        return self.transfer_wall / self.ops * 1e6
 
     @property
     def pipeline_speedup(self) -> float:
@@ -171,12 +196,14 @@ def _timer_rate(events: int, seed: int) -> tuple[int, float]:
     return events, wall
 
 
-def _op_rates(ops: int, seed: int) -> tuple[float, float, int, float]:
+def _op_rates(ops: int, seed: int
+              ) -> tuple[float, float, int, float, float, float]:
     """Virtual-time per-op latency: sequential puts vs pipelined puts.
 
     Single-node deployment, so every op shares one primary — the
     workload batching is built to amortize.  Returns (sync, pipelined,
-    batches, wall seconds of the sequential puts).
+    batches, wall seconds of the sequential puts, of as many gets, and
+    of as many bare request transfers).
     """
     with CrucialEnvironment(seed=seed, dso_nodes=1) as env:
         def workload():
@@ -196,11 +223,60 @@ def _op_rates(ops: int, seed: int) -> tuple[float, float, int, float]:
             assert all(f.done for f in futures)
             for future in futures:
                 future.result()
-            return sync, pipelined, sync_wall
 
-        sync, pipelined, sync_wall = env.run(workload)
+            # Host-time-only rows last, so the virtual-time rows above
+            # keep the RNG draws they have always had.
+            begun = time.perf_counter()
+            for _ in range(ops):
+                env.dso.get(client, "warm")
+            get_wall = time.perf_counter() - begun
+
+            (node,) = env.dso.nodes
+            request = ("set", (7,), {}, SessionStamp("dso/client#s0", 7, 6))
+            begun = time.perf_counter()
+            for _ in range(ops):
+                env.network.transfer(client, node, request)
+            transfer_wall = time.perf_counter() - begun
+            return sync, pipelined, sync_wall, get_wall, transfer_wall
+
+        sync, pipelined, sync_wall, get_wall, transfer_wall = \
+            env.run(workload)
         batches = env.dso.stats.batches
-    return sync, pipelined, batches, sync_wall
+    return sync, pipelined, batches, sync_wall, get_wall, transfer_wall
+
+
+def _put_call_counts(seed: int, puts: int = 1_000
+                     ) -> tuple[float, float, float]:
+    """Profiled (calls, ``dumps``, ``loads``) per warm sequential put.
+
+    ``sys.setprofile`` sees every Python call and every C call made on
+    the client's OS thread — which, a sequential client's wakeups being
+    its own, is all of them.  Deterministic for a seed.
+    """
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["calls"] += 1
+        elif event == "c_call":
+            counts["calls"] += 1
+            counts[arg.__name__] += 1
+
+    with CrucialEnvironment(seed=seed, dso_nodes=1) as env:
+        def workload():
+            client = env.client_endpoint
+            env.dso.put(client, "warm", 0)
+            sys.setprofile(profile)
+            try:
+                for i in range(puts):
+                    env.dso.put(client, "warm", i)
+            finally:
+                sys.setprofile(None)
+
+        env.run(workload)
+    # The closing setprofile(None) is itself one profiled C call.
+    return ((counts["calls"] - 1) / puts, counts["dumps"] / puts,
+            counts["loads"] / puts)
 
 
 def run(events: int = 40_000, ops: int = 400,
@@ -210,14 +286,19 @@ def run(events: int = 40_000, ops: int = 400,
     self_events, self_wall = _wakeup_rate(events, seed, threads=1)
     cross_events, cross_wall = _cross_rate(events, seed)
     spawn_events, spawn_wall = _spawn_rate(events // 4, seed)
-    sync, pipelined, batches, sync_put_wall = _op_rates(ops, seed)
+    sync, pipelined, batches, sync_put_wall, sync_get_wall, transfer_wall = \
+        _op_rates(ops, seed)
+    calls, dumps, loads = _put_call_counts(seed)
     return KernelSpeedResult(
         wakeup_events=wakeup_events, wakeup_wall=wakeup_wall,
         timer_events=timer_events, timer_wall=timer_wall,
         self_events=self_events, self_wall=self_wall,
         cross_events=cross_events, cross_wall=cross_wall,
         spawn_events=spawn_events, spawn_wall=spawn_wall,
-        ops=ops, sync_put_wall=sync_put_wall, sync_op_time=sync,
+        ops=ops, sync_put_wall=sync_put_wall, sync_get_wall=sync_get_wall,
+        transfer_wall=transfer_wall, calls_per_sync_put=calls,
+        dumps_per_sync_put=dumps, loads_per_sync_put=loads,
+        sync_op_time=sync,
         pipelined_op_time=pipelined, batches=batches)
 
 
@@ -232,7 +313,13 @@ def report(result: KernelSpeedResult) -> str:
         f"  cross wakeups   {result.cross_wakeups_per_sec:,.0f} events/s"
         "  (queue ping-pong)",
         f"  spawn + join    {result.spawn_joins_per_sec:,.0f} threads/s",
-        f"  sequential put  {result.sync_put_host_us:,.1f} host us/op",
+        f"  sequential put  {result.sync_put_host_us:,.1f} host us/op"
+        f"  ({result.calls_per_sync_put:g} calls,"
+        f" {result.dumps_per_sync_put:g} dumps,"
+        f" {result.loads_per_sync_put:g} loads)",
+        f"  sequential get  {result.sync_get_host_us:,.1f} host us/op",
+        f"  net transfer    {result.transfer_host_us:,.1f} host us/op"
+        "  (112-byte request)",
     ]
     table = comparison_table(
         f"DSO shipping, {result.ops} same-primary PUTs "

@@ -5,7 +5,9 @@ thread the sampled link latency; reachability honours endpoint
 liveness and the current partition set.  Payloads cross the network by
 ``pickle`` round-trip (see :func:`ship`) so no mutable Python reference
 leaks between simulated nodes — the discipline that lets the DSO layer
-legitimately claim distributed-memory semantics.
+legitimately claim distributed-memory semantics.  A message is encoded
+**once** per hop: the length of that encoding is its wire size and its
+decoding is what arrives (:func:`ship_sized`).
 """
 
 from __future__ import annotations
@@ -16,30 +18,47 @@ from typing import Any
 from repro.errors import NetworkError, SerializationError
 from repro.net.latency import LatencyModel
 from repro.simulation.kernel import Kernel, current_thread
+from repro.trace.tracer import NO_SPAN
+
+#: Exact types that are immutable all the way down: the receiver may be
+#: handed the sender's own object, so they are never decoded.
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+
+
+def ship_sized(value: Any, nbytes: int | None = None) -> tuple[Any, int]:
+    """``(value as it arrives, wire bytes)`` from a single encode.
+
+    ``nbytes`` is a caller's nominal size; it is returned in place of
+    the encoding's length.  Raises :class:`SerializationError` for
+    unpicklable values, exactly as Crucial requires shared objects and
+    method arguments to be serializable for marshalling.
+    """
+    scalar = type(value) in _SCALARS
+    if scalar and nbytes is not None:
+        return value, nbytes
+    try:
+        blob = pickle.dumps(value)
+        if not scalar:
+            value = pickle.loads(blob)
+    except Exception as exc:  # pickle raises a zoo of types
+        raise SerializationError(f"value is not serializable: {exc!r}") from exc
+    return value, len(blob) if nbytes is None else nbytes
 
 
 def ship(value: Any) -> Any:
-    """Copy ``value`` as if it were serialized onto the wire.
-
-    Raises :class:`SerializationError` for unpicklable values, exactly
-    as Crucial requires shared objects and method arguments to be
-    serializable for marshalling.
-    """
-    try:
-        return pickle.loads(pickle.dumps(value))
-    except Exception as exc:  # pickle raises a zoo of types
-        raise SerializationError(f"value is not serializable: {exc!r}") from exc
+    """Copy ``value`` as if it were serialized onto the wire."""
+    if type(value) in _SCALARS:
+        return value
+    return ship_sized(value)[0]
 
 
 def payload_size(value: Any) -> int:
     """Wire size of a value, in bytes (its pickle length).
 
     Raises :class:`SerializationError` for unpicklable values, like
-    :func:`ship` does.  It used to return 0 instead, which silently
-    under-charged transfer latency for exactly the payloads that could
-    never have crossed a real wire — callers sized the transfer as
-    free and then (with ``copy_messages`` on) failed later in
-    :func:`ship`, or (with it off) not at all.
+    :func:`ship` does: sizing them as 0 would under-charge transfer
+    latency for exactly the payloads that could never cross a real
+    wire.
     """
     try:
         return len(pickle.dumps(value))
@@ -163,13 +182,16 @@ class Network:
         return self._drop_rates.get((src, dst), 0.0)
 
     def reachable(self, src: str, dst: str) -> bool:
-        if src == dst:
+        return src == dst or self._connected(self.endpoint(src),
+                                             self.endpoint(dst))
+
+    def _connected(self, src: Endpoint, dst: Endpoint) -> bool:
+        if src is dst:
             return True
-        src_ep = self.endpoint(src)
-        dst_ep = self.endpoint(dst)
-        if not (src_ep.alive and dst_ep.alive):
+        if not (src.alive and dst.alive):
             return False
-        return frozenset((src, dst)) not in self._partitions
+        return (not self._partitions
+                or frozenset((src.name, dst.name)) not in self._partitions)
 
     # -- data plane -------------------------------------------------------------
 
@@ -178,34 +200,43 @@ class Network:
         """Move ``value`` from ``src`` to ``dst``, charging link latency.
 
         Blocks the calling simulated thread for the sampled delay and
-        returns the shipped (copied) value.  Raises
+        returns the shipped (copied) value: a snapshot taken at send
+        time, from the one encode that also sizes the message.  Raises
         :class:`NetworkError` if the destination is unreachable at send
         time *or* crashes mid-flight.
         """
-        with self.kernel.tracer.span(
-                "net.transfer", kind="internal", endpoint=src,
-                attributes={"src": src, "dst": dst}) as span:
-            if not self.reachable(src, dst):
+        tracer = self.kernel.tracer
+        with (tracer.span("net.transfer", kind="internal", endpoint=src,
+                          attributes={"src": src, "dst": dst})
+              if tracer.enabled else NO_SPAN) as span:
+            src_ep = self.endpoint(src)
+            dst_ep = self.endpoint(dst)
+            if not self._connected(src_ep, dst_ep):
                 raise NetworkError(f"{dst!r} unreachable from {src!r}")
-            if nbytes is None:
-                nbytes = payload_size(value) if self.copy_messages else 0
-            shipped = ship(value) if self.copy_messages else value
-            span.set("bytes", nbytes)
-            delay = self.link(src, dst).sample(self._rng, nbytes)
-            rate = self._drop_rates.get((src, dst), 0.0)
-            dropped = rate > 0.0 and float(self._rng.random()) < rate
-            dst_epoch = self.endpoint(dst).epoch
+            if self.copy_messages:
+                value, nbytes = ship_sized(value, nbytes)
+            elif nbytes is None:
+                nbytes = 0
+            if tracer.enabled:
+                span.set("bytes", nbytes)
+            delay = self._links.get((src, dst), self.default_latency) \
+                .sample(self._rng, nbytes)
+            dropped = False
+            if self._drop_rates:
+                rate = self._drop_rates.get((src, dst), 0.0)
+                dropped = rate > 0.0 and float(self._rng.random()) < rate
+            dst_epoch = dst_ep.epoch
             current_thread().sleep(delay)
             self.messages_sent += 1
             self.bytes_sent += nbytes
             if dropped:
                 self.messages_dropped += 1
                 raise NetworkError(f"message {src!r} -> {dst!r} dropped")
-            if not self.reachable(src, dst) \
-                    or self.endpoint(dst).epoch != dst_epoch:
+            if not self._connected(src_ep, dst_ep) \
+                    or dst_ep.epoch != dst_epoch:
                 raise NetworkError(
                     f"{dst!r} failed during transfer from {src!r}")
-            return shipped
+            return value
 
     def delay(self, src: str, dst: str, nbytes: int = 0) -> float:
         """Sample a link delay without blocking (for timers)."""

@@ -53,7 +53,10 @@ def current_kernel() -> "Kernel":
 
 def current_thread() -> "SimThread":
     """Return the simulated thread executing the caller."""
-    thread = getattr(_context, "thread", None)
+    try:
+        thread = _context.thread  # unset on an OS thread that never ran one
+    except AttributeError:
+        thread = None
     if thread is None:
         raise NotInSimThread("not running inside a simulated thread")
     return thread
@@ -142,7 +145,10 @@ class Kernel:
         #: :meth:`enable_tracing` installs a real one.  Tracing only
         #: *observes* the clock — enabling it never changes timestamps.
         self.tracer = NULL_TRACER
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, because
+        #: every layer reads it on every operation; only the dispatch
+        #: loop writes it.
+        self.now = 0.0
         self._seq = itertools.count()
         self._heap: list[tuple[float, int, object]] = []
         self._threads: set = set()  # live SimThreads
@@ -171,13 +177,6 @@ class Kernel:
         #: workload cancelling far-future timeouts cannot degrade every
         #: subsequent push/pop to O(log garbage).
         self._cancelled = 0
-
-    # -- clock ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     # -- tracing ----------------------------------------------------------
 
@@ -210,11 +209,11 @@ class Kernel:
             wakeup = pool.pop()
             wakeup.thread = thread
             wakeup.value = value
-            wakeup.time = self._now + delay
+            wakeup.time = self.now + delay
             wakeup.cancelled = False
             wakeup.recycle = recycle
         else:
-            wakeup = Wakeup(thread, value, self._now + delay, recycle)
+            wakeup = Wakeup(thread, value, self.now + delay, recycle)
         heapq.heappush(self._heap, (wakeup.time, next(self._seq), wakeup))
         thread._pending.add(wakeup)
         return wakeup
@@ -251,12 +250,12 @@ class Kernel:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        timer = Timer(callback, self._now + delay)
+        timer = Timer(callback, self.now + delay)
         heapq.heappush(self._heap, (timer.time, next(self._seq), timer))
         return timer
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Timer:
-        return self.call_later(max(0.0, when - self._now), callback)
+        return self.call_later(max(0.0, when - self.now), callback)
 
     def spawn(self, target: Callable[..., Any], *args, name: str | None = None,
               daemon: bool = False, **kwargs):
@@ -360,6 +359,7 @@ class Kernel:
         stop = self._stop
         limit = self._limit
         heap = self._heap
+        pool = self._wakeup_pool
         pop = heapq.heappop
         fast = self.scheduler is None
         if me is not None:
@@ -385,7 +385,7 @@ class Kernel:
                     continue
                 time = head[0]
                 if limit is not None and time > limit:
-                    self._now = limit
+                    self.now = limit
                     self._outcome = _LIMIT
                     break
                 if fast:
@@ -394,14 +394,16 @@ class Kernel:
                     item = self._next_event()
                     if item is None:
                         continue
-                self._now = time
+                self.now = time
                 if item.is_timer:
                     item.callback()
                     continue
                 thread = item.thread
                 value = item.value
                 thread._pending.discard(item)
-                self._reclaim(item)
+                if item.recycle and len(pool) < _POOL_MAX:  # _reclaim, inline
+                    item.thread = item.value = None
+                    pool.append(item)
                 if not thread.done:
                     thread._wake_value = value
                     return None if thread is me else thread._gate

@@ -179,9 +179,22 @@ class SimThread:
 
     def sleep(self, duration: float) -> None:
         """Advance this thread's virtual time by ``duration`` seconds."""
-        self.kernel.schedule_wakeup(self, duration, recycle=True)
-        self._suspend()
-        self._cancel_pending()
+        # The per-event path of every modelled latency: schedule, then
+        # :meth:`_suspend` spelled out.  The loop has already forgotten
+        # the wakeup it dispatched, so normally nothing is left to cancel.
+        kernel = self.kernel
+        kernel.schedule_wakeup(self, duration, recycle=True)
+        if self._shutdown:
+            raise SimShutdown()
+        gate = kernel._advance(self)
+        if gate is not None:
+            gate.release()
+            self._gate.acquire()
+            if self._shutdown:
+                raise SimShutdown()
+        self._wake_value = None
+        if self._pending:
+            self._cancel_pending()
 
     def join(self, timeout: float | None = None) -> None:
         """Block until this thread finishes.

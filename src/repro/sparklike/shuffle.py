@@ -54,6 +54,7 @@ def shuffle(rdd: RDD, num_partitions: int | None = None) -> RDD:
             block = blocks[reduce_id]
             source = cluster.executor_for(map_id)
             if source is not target:
+                # Sized explicitly, not shipped: see Broadcast._distribute.
                 cluster.network.transfer(source.name, target.name, None,
                                          nbytes=payload_size(block))
             merged.extend(block)

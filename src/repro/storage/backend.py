@@ -30,7 +30,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
 from repro.net.latency import LatencyModel
-from repro.net.network import payload_size, ship
+from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
 
 #: Billing month (AWS convention: 730 hours).
@@ -261,14 +261,16 @@ class ProfiledStore:
     # -- data path ----------------------------------------------------------
 
     def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None:
-            nbytes = payload_size(value)
+        # One encode, before the latency: it sizes the request and is
+        # the snapshot that gets stored, whatever the caller does to
+        # its object meanwhile.
+        value, nbytes = ship_sized(value, nbytes)
         with self.kernel.tracer.span(
                 f"{self.name}.put", kind="client", endpoint=self.name,
                 attributes={"key": key, "bytes": nbytes}):
             delay = self.profile.put_latency.sample(self._rng, nbytes)
             current_thread().sleep(delay)
-            self._install(key, ship(value), nbytes,
+            self._install(key, value, nbytes,
                           self.kernel.now + self.profile.visibility_lag)
             self._charge("put", self.profile.put_request_dollars, "puts")
             self.stats.bytes_written += nbytes

@@ -30,9 +30,10 @@ from typing import Any
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
-from repro.net.network import payload_size, ship
+from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
 from repro.storage.backend import BackendStats, s3_profile
+from repro.trace.tracer import NO_SPAN
 
 
 @dataclass
@@ -90,17 +91,23 @@ class ObjectStore:
     # -- data path ------------------------------------------------------------
 
     def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        """Store ``value`` under ``key`` (charges PUT latency)."""
-        if nbytes is None:
-            nbytes = payload_size(value)
-        with self.kernel.tracer.span(
-                f"{self.name}.put", kind="client", endpoint=self.name,
-                attributes={"key": key, "bytes": nbytes}):
+        """Store ``value`` under ``key`` (charges PUT latency).
+
+        What is stored is the value as it was when the request was
+        sent: one encode up front sizes it and snapshots it, so a
+        caller mutating its object during the PUT changes nothing.
+        """
+        value, nbytes = ship_sized(value, nbytes)
+        tracer = self.kernel.tracer
+        with (tracer.span(f"{self.name}.put", kind="client",
+                          endpoint=self.name,
+                          attributes={"key": key, "bytes": nbytes})
+              if tracer.enabled else NO_SPAN):
             delay = self.config.storage.s3_put.sample(self._rng, nbytes)
             current_thread().sleep(delay)
             lag = self.config.storage.s3_visibility_lag
             self._install(key, _StoredObject(
-                value=ship(value), nbytes=nbytes,
+                value=value, nbytes=nbytes,
                 put_time=self.kernel.now,
                 visible_at=self.kernel.now + lag))
             self._charge(self.profile.put_request_dollars, "puts")
@@ -110,9 +117,11 @@ class ObjectStore:
         """Fetch ``key`` (charges GET latency, size-dependent)."""
         stored = self._blobs.get(key)
         nbytes = stored.nbytes if stored is not None else 0
-        with self.kernel.tracer.span(
-                f"{self.name}.get", kind="client", endpoint=self.name,
-                attributes={"key": key, "bytes": nbytes}):
+        tracer = self.kernel.tracer
+        with (tracer.span(f"{self.name}.get", kind="client",
+                          endpoint=self.name,
+                          attributes={"key": key, "bytes": nbytes})
+              if tracer.enabled else NO_SPAN):
             delay = self.config.storage.s3_get.sample(self._rng, nbytes)
             current_thread().sleep(delay)
             stored = self._blobs.get(key)  # re-check after the delay

@@ -9,6 +9,7 @@ exporters.  Enable per environment with
 
 from repro.trace.tracer import (
     KINDS,
+    NO_SPAN,
     NULL_TRACER,
     NullTracer,
     Span,
@@ -28,6 +29,7 @@ from repro.trace.export import (
 
 __all__ = [
     "KINDS",
+    "NO_SPAN",
     "NULL_TRACER",
     "NullTracer",
     "Span",

@@ -145,22 +145,28 @@ class _NullContext:
         return False
 
 
-_NULL_CONTEXT = _NullContext()
+#: What a span site enters instead of a span while tracing is off.  The
+#: per-op idiom (DESIGN.md "Tracing is free when off") is
+#: ``with (tracer.span(...) if tracer.enabled else NO_SPAN) as span:``,
+#: so a disabled tracer costs one attribute test — no span name, no
+#: attribute dict, no call.
+NO_SPAN = _NullContext()
 
 
 class NullTracer:
     """The disabled tracer: every operation is a no-op.
 
-    Kernels carry one of these by default, so instrumentation sites can
-    call ``kernel.tracer.span(...)`` unconditionally without perturbing
-    untraced runs.
+    Kernels carry one of these by default, so instrumentation sites off
+    the per-op path can call ``kernel.tracer.span(...)`` unconditionally
+    without perturbing untraced runs; per-op sites test ``enabled``
+    first (see :data:`NO_SPAN`).
     """
 
     enabled = False
     spans: tuple = ()
 
     def span(self, *args, **kwargs) -> _NullContext:
-        return _NULL_CONTEXT
+        return NO_SPAN
 
     def start_span(self, *args, **kwargs) -> _NullSpan:
         return NULL_SPAN
@@ -170,10 +176,10 @@ class NullTracer:
         pass
 
     def use(self, span) -> _NullContext:
-        return _NULL_CONTEXT
+        return NO_SPAN
 
     def attach(self, context) -> _NullContext:
-        return _NULL_CONTEXT
+        return NO_SPAN
 
     def current(self) -> None:
         return None

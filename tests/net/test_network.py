@@ -45,12 +45,65 @@ def test_transfer_copies_payload(kernel, network):
     assert shipped["nested"] is not original["nested"]
 
 
-def test_transfer_unserializable_payload_rejected(kernel, network):
+class _CountsEncodes:
+    """A payload that counts how often pickle asks it for its form."""
+
+    encodes = 0
+
+    def __reduce__(self):
+        type(self).encodes += 1
+        return (_CountsEncodes, ())
+
+
+def test_transfer_encodes_the_payload_once(kernel, network):
+    """The one encode both sizes the message and is the shipped copy
+    (it used to be two: ``payload_size`` then ``ship``)."""
+    _CountsEncodes.encodes = 0
+    payload = _CountsEncodes()
+
     def main():
-        network.transfer("a", "b", lambda: None)
+        return network.transfer("a", "b", payload)
+
+    shipped = kernel.run_main(main)
+    assert _CountsEncodes.encodes == 1
+    assert isinstance(shipped, _CountsEncodes) and shipped is not payload
+    assert network.bytes_sent == len(pickle.dumps(payload))
+
+
+@pytest.mark.parametrize("scalar", [None, False, 12345678901, 0.25,
+                                    "s" * 100, b"b" * 100])
+def test_immutable_scalars_are_sized_but_not_copied(kernel, network, scalar):
+    def main():
+        return network.transfer("a", "b", scalar)
+
+    assert kernel.run_main(main) is scalar
+    assert network.bytes_sent == len(pickle.dumps(scalar))
+
+
+def test_transfer_ships_the_value_as_it_was_at_send_time(kernel, network):
+    original = {"nested": [1]}
+
+    def main():
+        kernel.call_later(0.005, lambda: original["nested"].append(2))
+        return network.transfer("a", "b", original)
+
+    assert kernel.run_main(main) == {"nested": [1]}
+    assert original == {"nested": [1, 2]}
+
+
+@pytest.mark.parametrize("nbytes", [None, 64])
+def test_transfer_unserializable_payload_rejected(kernel, network, nbytes):
+    """Rejected at send time: no latency charged, nothing counted."""
+    def main():
+        try:
+            network.transfer("a", "b", lambda: None, nbytes=nbytes)
+        finally:
+            assert now() == 0.0
 
     with pytest.raises(SerializationError):
         kernel.run_main(main)
+    assert network.messages_sent == 0
+    assert network.bytes_sent == 0
 
 
 def test_transfer_to_dead_endpoint_fails(kernel, network):

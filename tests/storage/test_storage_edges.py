@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import NoSuchKeyError
+from repro.net.network import payload_size
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
-from repro.storage import ObjectStore, QueueService
+from repro.storage import BlockStore, MemoryStore, ObjectStore, QueueService
 
 
 @pytest.fixture
@@ -35,6 +36,29 @@ def test_overwrite_updates_value_and_resets_visibility(kernel):
     assert value == 2
     assert listed_now is False
     assert listed_later is True
+
+
+@pytest.mark.parametrize("make_store", [ObjectStore, BlockStore, MemoryStore])
+def test_put_stores_the_value_as_it_was_when_sent(kernel, make_store):
+    """Regression: a store sized the value before the PUT latency but
+    copied it after, so a caller mutating its object meanwhile stored
+    the mutated value under the stale byte count."""
+    store = make_store(kernel)
+    value = {"rows": [1, 2, 3]}
+    sent_bytes = payload_size(value)
+
+    def mutator():
+        sleep(1e-7)  # inside every tier's PUT latency
+        value["rows"].extend(range(1000))
+
+    def main():
+        spawn(mutator)
+        store.put("k", value)
+        assert len(value["rows"]) == 1003  # the mutator did run mid-PUT
+        return store.get("k")
+
+    assert kernel.run_main(main) == {"rows": [1, 2, 3]}
+    assert store.stored_bytes() == store.stats.bytes_written == sent_bytes
 
 
 def test_list_prefix_filters(kernel):

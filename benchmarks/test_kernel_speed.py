@@ -28,6 +28,11 @@ DUMPS_PER_SYNC_PUT_CEILING = 2
 LOADS_PER_SYNC_PUT_CEILING = 2
 # Virtual-time amortization bar for batched shipping (ISSUE 6).
 PIPELINE_SPEEDUP_FLOOR = 3.0
+# A 16-put flush over 3 nodes, in sync puts of virtual time: the three
+# per-primary groups ship concurrently (measured 1.95: one round trip
+# plus the largest group's service times); one after another, as runs
+# of consecutive same-primary ops, they cost 9.05.
+SCATTER_FLUSH_RATIO_CEILING = 3.0
 
 
 def test_kernel_speed(benchmark):
@@ -60,6 +65,9 @@ def test_kernel_speed(benchmark):
         "pipelined_ops_per_sec": 1.0 / result.pipelined_op_time,
         "pipeline_speedup": result.pipeline_speedup,
         "batches": result.batches,
+        "scatter_flush_us": result.scatter_flush_time * 1e6,
+        "scatter_flush_ratio": result.scatter_flush_ratio,
+        "scatter_groups": result.scatter_groups,
     }, indent=2) + "\n")
 
     assert result.wakeups_per_sec >= WAKEUPS_PER_SEC_FLOOR, report
@@ -74,6 +82,9 @@ def test_kernel_speed(benchmark):
     # Batched shipping amortizes the round trip at least 3x on a
     # same-primary workload.
     assert result.pipeline_speedup >= PIPELINE_SPEEDUP_FLOOR, report
+    # ... and a flush over several primaries costs the slowest of
+    # their round trips, not the sum.
+    assert result.scatter_flush_ratio <= SCATTER_FLUSH_RATIO_CEILING, report
     # And costs the synchronous path nothing: the sequential PUT stays
     # on the Table 2 calibration (hops + put_service).
     timings = DEFAULT_CONFIG.dso

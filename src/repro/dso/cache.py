@@ -22,10 +22,10 @@ Crucial's method-shipping model:
 * The primary tracks outstanding leases in a :class:`LeaseTable` on
   the :class:`~repro.dso.server.ObjectContainer`.  Any mutating
   invocation revokes them **before acknowledging**: an invalidation
-  message is sent to each holder (charged to the writer, like any
-  transfer), and an unreachable holder is waited out to its lease
-  expiry — so no cached read can be served after a write is
-  acknowledged.
+  message is posted to every holder at once (the writer waits for the
+  slowest hop, not the sum), and a holder that is unreachable or lost
+  mid-flight is waited out to its lease expiry — so no cached read can
+  be served after a write is acknowledged.
 * Leases are additionally bound to the placement *version*: failover,
   rebalancing, and restore all bump it, so a promoted backup — which
   cannot know the leases its dead predecessor granted — conservatively

@@ -459,12 +459,14 @@ class DsoLayer:
 
         Returns a :class:`DsoFuture` immediately; the op ships with the
         endpoint's next batch flush (size, window, or an explicit
-        :meth:`flush` / ``future.result()``).  The session stamp is
-        drawn here, on the submitting thread, so the exactly-once
-        sequence numbers are identical to sequential :meth:`invoke` —
-        batching is invisible to the dedup machinery.  Cacheable reads
-        bypass the queue (served locally or shipped unstamped) and
-        return an already-resolved future.
+        :meth:`flush` / ``future.result()``).  Ops on one object apply
+        in submission order; ops of one flush on different primaries
+        ship concurrently (see :mod:`repro.dso.pipeline` for the
+        contract).  The session stamp is drawn here, on the submitting
+        thread, so the exactly-once sequence numbers are identical to
+        sequential :meth:`invoke` — batching is invisible to the dedup
+        machinery.  Cacheable reads bypass the queue (served locally or
+        shipped unstamped) and return an already-resolved future.
         """
         kwargs = kwargs or {}
         if self.caches.cacheable(ctor, method):
@@ -484,7 +486,7 @@ class DsoLayer:
         pipeline.submit(_PendingOp(
             ref=ref, method=method, args=args, kwargs=kwargs, ctor=ctor,
             cost=cost, raw_service=raw_service, session=session,
-            stamp=session.stamp(), future=future))
+            stamp=session.stamp(inflight=True), future=future))
         return future
 
     def get_async(self, client: str, key: str, rf: int = 1) -> DsoFuture:

@@ -7,29 +7,39 @@ Cloudburst-style stateful-serverless systems use to amortize that cost:
 
 * :meth:`DsoLayer.invoke_async` stamps the op with the caller's session
   (at **submit** time, on the submitting thread — so exactly-once
-  ordering is exactly what it would be for sequential ``invoke``),
-  enqueues it on the calling endpoint's :class:`_Pipeline`, and returns
-  a :class:`DsoFuture` immediately.
+  sequence numbers are exactly what they would be for sequential
+  ``invoke``), enqueues it on the calling endpoint's :class:`_Pipeline`,
+  and returns a :class:`DsoFuture` immediately.
 * A per-endpoint pump thread flushes the queue when it reaches
   ``pipeline_max_batch`` ops, when ``pipeline_flush_window`` of virtual
   time has passed since the batch started forming, or when someone
   blocks on a future / calls ``flush()``.
-* At flush time, *consecutive* ops that hash to the same primary ship
-  as one round trip: one request transfer carries the whole run, the
-  primary executes the ops back to back (each still taking the
+* At flush time the batch is grouped **by primary** (scatter) and every
+  group ships as one round trip, all groups at once (gather): one
+  request transfer carries the whole group, the primary executes the
+  ops back to back in submission order (each still taking the
   per-object lock, deduplicating against the session table, and
   charging its own service time), replicated ops share a single SMR
   ordering round, and one reply transfer carries the results back,
-  demultiplexed to the futures.
+  demultiplexed to the futures.  A flush over k primaries costs the
+  slowest round trip, not the sum of k.
 
-Batching never reorders ops within a session: the queue is drained in
-submission order, and only consecutive same-primary ops coalesce — a
-run boundary is a barrier, so cross-primary order is preserved too.
-Leases and cacheable reads bypass the pipeline entirely (they are
-either served locally or idempotent and unstamped); a blocking verb
-(``invoke``, ``read_bulk``, ``read_any``) from an endpoint with queued
-async ops drains the pipeline first, so mixed sync/async code keeps
-its program order.
+The ordering contract is the paper's (Section 4.1: each object is
+linearizable on its own, nothing is promised across objects):
+
+* ops on **one object** apply in submission order — an object has one
+  primary, so its ops share a group and the group keeps queue order;
+* ops of one flush on **different primaries** are concurrent, exactly
+  as if independent threads had issued them;
+* ``flush()``, ``future.result()`` and every synchronous verb
+  (``invoke``, ``read_bulk``, ``read_any``, which drain the endpoint's
+  pipeline first) are **barriers**: what was submitted before one
+  completes before anything after it starts, so mixed sync/async code
+  keeps its program order.
+
+Batches themselves ship one at a time.  Leases and cacheable reads
+bypass the pipeline entirely (they are either served locally or
+idempotent and unstamped).
 """
 
 from __future__ import annotations
@@ -120,6 +130,17 @@ class _PendingOp:
     session: _ClientSession
     stamp: SessionStamp
     future: DsoFuture
+
+    def resolve(self, value: Any) -> None:
+        """The reply arrived: acknowledge it, then wake the caller."""
+        self.session.acknowledge(self.stamp.seq)
+        self.future._resolve(value)
+
+    def fail(self, error: BaseException) -> None:
+        """Give the op up: it will never be retransmitted, so it stops
+        holding the session's acknowledgement watermark back."""
+        self.session.abandon(self.stamp.seq)
+        self.future._fail(error)
 
 
 class _Pipeline:
@@ -212,7 +233,7 @@ class _Pipeline:
                     if op.future.done:
                         continue
                     if layer.placements.lost(op.ref):
-                        op.future._fail(ObjectLostError(
+                        op.fail(ObjectLostError(
                             f"{op.ref} was lost in a storage-node "
                             f"failure"))
                     else:
@@ -223,35 +244,60 @@ class _Pipeline:
                 # the pump thread.
                 if remaining and not layer.backoff(attempts, deadline):
                     for op in remaining:
-                        op.future._fail(exc)
+                        op.fail(exc)
                     return
             else:
                 remaining = [op for op in remaining if not op.future.done]
 
     def _attempt(self, ops: list[_PendingOp]) -> None:
-        """One pass over a batch, in submission order.
+        """One scatter-gather pass over a batch.
 
-        Consecutive ops sharing a primary coalesce into one round trip
-        (:meth:`_ship_group`); a run boundary is a barrier, so batching
-        never reorders ops within a session — or across one.
+        The ops are grouped by primary, submission order kept inside a
+        group, and the groups ship concurrently (:meth:`_ship_group`):
+        the pump ships the first itself and hands each other one to a
+        short-lived lane thread, then joins them — a batch for a single
+        primary spawns nothing.  A transient failure of any group
+        surfaces once every group has finished, so the caller retries
+        exactly the ops that are still unfinished.
         """
-        runs: list[tuple[str, list[_PendingOp]]] = []
+        layer = self.layer
+        groups: dict[str, list[_PendingOp]] = {}
         for op in ops:
             if op.future.done:
                 continue
             try:
-                placement = self.layer.placements.lookup(op.ref, op.ctor)
+                placement = layer.placements.lookup(op.ref, op.ctor)
             except (ObjectLostError, NoSuchObjectError,
                     ServiceUnavailableError) as exc:
-                op.future._fail(exc)
+                op.fail(exc)
                 continue
-            primary = placement.replicas[0]
-            if runs and runs[-1][0] == primary:
-                runs[-1][1].append(op)
-            else:
-                runs.append((primary, [op]))
-        for primary_name, group in runs:
-            self._ship_group(primary_name, group)
+            groups.setdefault(placement.replicas[0], []).append(op)
+        if not groups:
+            return
+        tracer = layer.kernel.tracer
+        with (tracer.span("dso.flush", kind="client", endpoint=self.client,
+                          attributes={"ops": sum(map(len, groups.values())),
+                                      "groups": len(groups)})
+              if tracer.enabled else NO_SPAN):
+            (primary, group), *others = groups.items()
+            # Spawned inside the span, so a trace shows the lanes as
+            # its children, overlapping.
+            lanes = [layer.kernel.spawn(
+                         self._ship_group, peer, peer_group, daemon=True,
+                         name=f"{layer.name}-lane-{self.client}-{peer}")
+                     for peer, peer_group in others]
+            failure = None
+            try:
+                self._ship_group(primary, group)
+            except TRANSIENT as exc:
+                failure = exc
+            for lane in lanes:
+                try:
+                    lane.join()  # re-raises what the lane raised
+                except TRANSIENT as exc:
+                    failure = failure or exc
+            if failure is not None:
+                raise failure
 
     def _ship_group(self, primary_name: str,
                     group: list[_PendingOp]) -> None:
@@ -308,7 +354,6 @@ class _Pipeline:
             layer.stats.pipelined_ops += len(outcomes)
             for (op, _, _), (ok, value) in zip(outcomes, replies):
                 if ok:
-                    op.session.acknowledge(op.stamp.seq)
-                    op.future._resolve(value)
+                    op.resolve(value)
                 else:
-                    op.future._fail(value)
+                    op.fail(value)

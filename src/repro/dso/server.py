@@ -25,6 +25,7 @@ model of that round, checked against the message-passing reference in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.cluster.node import Node
@@ -593,43 +594,59 @@ class DsoNode:
     def _revoke_leases(self, container: ObjectContainer) -> None:
         """Invalidate every outstanding lease before a write acks.
 
-        Each holder is sent an invalidation message (charged to the
-        writer, like any transfer); a holder the primary cannot reach
-        is waited out to its lease expiry instead — after which its
-        cache entry is stale by time.  Unreachable holders are waited
-        out *together*: their leases expire concurrently, so k
-        partitioned holders stall the writer to the max remaining TTL,
-        not the sum — and reachable holders are invalidated before any
-        waiting starts.  Runs under the object lock, so no new lease
-        can be granted concurrently.
+        Every reachable holder is posted its invalidation at once, as a
+        one-way message (:meth:`Network.post`, charged like any
+        transfer), and the writer sleeps once, to the last arrival: k
+        holders stall the write for the slowest hop, not the sum.  A
+        holder the primary cannot reach — at send time or because it
+        failed or was cut off mid-flight — is waited out to its lease
+        expiry instead, after which its cache entry is stale by time.
+        Those holders are waited out *together*: their leases expire
+        concurrently, so the stall is the max remaining TTL.  Runs
+        under the object lock, so no new lease can be granted
+        concurrently.
         """
         holders = container.leases.active(self.kernel.now)
         container.leases.clear()
         if not holders:
             return
         layer = self.layer
+        key = container.key
         tracer = self.kernel.tracer
         with (tracer.span("dso.lease_revoke", kind="server",
                           endpoint=self.name,
-                          attributes={"object": "/".join(container.key),
+                          attributes={"object": "/".join(key),
                                       "holders": len(holders)})
-              if tracer.enabled else NO_SPAN):
-            unreachable: list[tuple[str, float]] = []
-            for holder, expiry in holders:
+              if tracer.enabled else NO_SPAN) as span:
+            invalidated: set[str] = set()
+
+            def invalidate(holder: str, _message: Any) -> None:
+                # At the holder, in kernel context (non-blocking).
+                layer.caches.invalidate(holder, key)
+                invalidated.add(holder)
+
+            # Timers and the wakeup below are all ``now + flight``, and
+            # the timers are queued first: the writer wakes after the
+            # last delivery, having slept the slowest hop only.
+            flights = []
+            for holder, _ in holders:
                 try:
-                    layer.network.transfer(
-                        self.name, holder,
-                        ("dso.lease_revoke", container.key))
+                    flights.append(layer.network.post(
+                        self.name, holder, ("dso.lease_revoke", key),
+                        partial(invalidate, holder)))
                 except NetworkError:
-                    unreachable.append((holder, expiry))
                     continue
-                layer.caches.invalidate(holder, container.key)
-                layer.stats.lease_revocations += 1
+            if tracer.enabled:
+                span.set("fanout", len(flights))
+            if flights:
+                current_thread().sleep(max(flights))
+            unreachable = [(holder, expiry) for holder, expiry in holders
+                           if holder not in invalidated]
             if unreachable:
                 remaining = (max(expiry for _, expiry in unreachable)
                              - self.kernel.now)
                 if remaining > 0:
                     current_thread().sleep(remaining)
                 for holder, _ in unreachable:
-                    layer.caches.invalidate(holder, container.key)
-                    layer.stats.lease_revocations += 1
+                    layer.caches.invalidate(holder, key)
+            layer.stats.lease_revocations += len(holders)

@@ -31,6 +31,14 @@ Two kinds of session exist:
   safely re-executable.  They are retired explicitly (or evicted by
   the table cap).
 
+The acknowledgement watermark is **contiguous**: it never passes a
+sequence number that is still in flight.  The pipelined path ships the
+per-primary groups of a flush concurrently, so replies arrive out of
+order; a plain ``max`` over received replies would let a later stamp
+truncate a reply whose retransmission is still to come.  Exactly-once
+therefore does not rest on the pump shipping one batch at a time (see
+:class:`_ClientSession`).
+
 Identifiers are drawn from per-layer counters and the caller-supplied
 names — never from wall-clock time or process-global state — so a
 fixed kernel seed yields byte-identical session ids, traces included.
@@ -66,23 +74,67 @@ class SessionStamp:
 
 @dataclass
 class _ClientSession:
-    """Client-side sequence/watermark state of one session."""
+    """Client-side sequence/watermark state of one session.
+
+    The watermark is **contiguous**: ``acked`` never rises above the
+    lowest sequence number still in flight on the async path.  A flush
+    ships its per-primary groups concurrently
+    (:mod:`repro.dso.pipeline`), so seq 4 (primary B) can be answered
+    while seq 3 (primary A) is still being retried; a later stamp
+    carrying ``acked=4`` would let A's :class:`SessionTable` prune the
+    one reply seq 3's retransmission needs.  Synchronous invocations
+    have nothing in flight behind them and acknowledge as a plain
+    maximum, as they always did.
+    """
 
     sid: str
     named: bool = False
     next_seq: int = 0
     acked: int = -1
+    #: Highest sequence number whose reply has arrived.
+    _received: int = -1
+    #: Async-path sequence numbers neither answered nor given up
+    #: (made by the first async stamp: most sessions never ship one).
+    _inflight: set | None = None
 
-    def stamp(self) -> SessionStamp:
+    def stamp(self, inflight: bool = False) -> SessionStamp:
+        """The next stamp; ``inflight`` marks it as shipped through the
+        pipeline, where replies can arrive out of order — the caller
+        then owes one :meth:`acknowledge` or :meth:`abandon`."""
         seq = self.next_seq
         self.next_seq = seq + 1
+        if inflight and not self.named:
+            if self._inflight is None:
+                self._inflight = set()
+            self._inflight.add(seq)
         return SessionStamp(sid=self.sid, seq=seq, acked=self.acked)
 
     def acknowledge(self, seq: int) -> None:
         """Record receipt of ``seq``'s reply (no-op for named
         sessions, whose replies must remain replayable)."""
-        if not self.named and seq > self.acked:
-            self.acked = seq
+        if self.named:
+            return
+        if seq > self._received:
+            self._received = seq
+        if self._inflight:
+            self._settle(seq)
+        else:  # the synchronous path: nothing to hold the watermark back
+            self.acked = self._received
+
+    def abandon(self, seq: int) -> None:
+        """``seq`` failed for good and will never be retransmitted, so
+        it no longer holds the watermark back."""
+        if not self.named:
+            self._settle(seq)
+
+    def _settle(self, seq: int) -> None:
+        inflight = self._inflight
+        if inflight:
+            inflight.discard(seq)
+        # Later stamps only ever exceed ``_received``, and the lowest
+        # in-flight seq only rises, so this never moves backwards.
+        self.acked = (min(self._received, min(inflight) - 1) if inflight
+                      else self._received)
 
 
 class ClientSessions:

@@ -31,15 +31,19 @@ The moving parts:
   the reader *force-fetches* the prepared entry, which is safe
   exactly because a committed sibling proves the commit point passed.
 
-* The two-phase commit: ``prepare`` every written key (batched
-  through the PR 6 pipeline, so same-primary keys share one round
-  trip), adopt one commit id, then ``commit`` every key (batched
-  again).  Prepare and abort are :func:`unreplicated` — prepared
-  state is primary-local and dies with the primary; commit carries
-  the full ``(cid, value, writeset)`` payload and installs
-  idempotently-by-cid at the primary *and* its SMR backups, so
-  acknowledged transactions meet the same rf>=2 durability contract
-  as single ops.
+* The two-phase commit: ``prepare`` every written key, adopt one
+  commit id, then ``commit`` every key.  Each phase is one
+  scatter-gather flush of :mod:`repro.dso.pipeline` — the write set
+  goes out to all its primaries at once (same-primary keys share a
+  round trip) and the phase costs the slowest of them, so an
+  uncontended k-key commit is about two round trips whatever k is
+  (AFT ships a write set the same way).  An abort releases its
+  prepares with one more such flush.  Prepare and abort are
+  :func:`unreplicated` — prepared state is primary-local and dies
+  with the primary; commit carries the full ``(cid, value,
+  writeset)`` payload and installs idempotently-by-cid at the primary
+  *and* its SMR backups, so acknowledged transactions meet the same
+  rf>=2 durability contract as single ops.
 
 * The **commit fence**: a commit arriving at a primary that holds no
   prepared entry for the transaction (a crash-failover promoted a
@@ -352,13 +356,17 @@ class Txn:
         layer = self._layer
         layer.stats.txns_aborted += 1
         if self.txn_id is not None:
-            for key in sorted(self._writes):
-                ref = layer.txns.ref(key, self._rf)
-                try:
-                    layer.invoke(self._client, ref, "__txn_abort__",
-                                 args=(self.txn_id,))
-                except CloudError:
-                    pass
+            # One concurrent round, like the prepares they undo.
+            futures = [layer.invoke_async(self._client,
+                                          layer.txns.ref(key, self._rf),
+                                          "__txn_abort__",
+                                          args=(self.txn_id,))
+                       for key in sorted(self._writes)]
+            layer.flush(self._client)
+            for future in futures:
+                exc = future.exception()
+                if exc is not None and not isinstance(exc, CloudError):
+                    raise exc
         self._record_reads()
 
     # -- context manager ----------------------------------------------------
@@ -419,8 +427,9 @@ class Txn:
     # -- two-phase commit ---------------------------------------------------
 
     def _prepare_all(self, proposed: int, writeset: tuple) -> int:
-        """Prepare every written key (one pipelined round, coalesced
-        per primary) and adopt a single commit id.
+        """Prepare every written key (one concurrent round: a round
+        trip per primary, all in flight together) and adopt a single
+        commit id.
 
         Replies carry the cid each primary recorded; a deduplicated
         replay returns the *original* cid, so adopting the maximum —
@@ -447,7 +456,7 @@ class Txn:
         return cid
 
     def _commit_all(self, cid: int, writeset: tuple) -> None:
-        """Install every key's write (one pipelined round per pass).
+        """Install every key's write (one concurrent round per pass).
 
         Client-side fence first: a key whose placement version moved
         since its prepare re-prepares before the commit ships.  A

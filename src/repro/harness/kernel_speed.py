@@ -25,7 +25,11 @@ is bounded by two rates:
 * **ops/sec** (virtual time): how fast a client pushes DSO ops.  The
   sequential ``put`` pays a full round trip per op; the pipelined
   ``put_async`` path batches queued ops into shared round trips, which
-  is where the ≥3x amortization this harness pins comes from.
+  is where the ≥3x amortization this harness pins comes from.  The
+  *scatter flush* row is the multi-primary case: 16 ``put_async`` to
+  keys spread over 3 nodes, one ``flush`` — the per-primary groups ship
+  concurrently, so the flush costs about the slowest group's round
+  trip (``scatter_flush_ratio`` sync puts), not one per group.
 
 The virtual-time numbers double as a calibration guard: the sync op
 latency must stay on the Table 2 PUT calibration, proving the batching
@@ -70,6 +74,8 @@ class KernelSpeedResult:
     sync_op_time: float  #: virtual seconds per sequential put
     pipelined_op_time: float  #: virtual seconds per batched async put
     batches: int  #: round trips that carried the async ops
+    scatter_flush_time: float  #: virtual seconds per 16-put, 3-node flush
+    scatter_groups: float  #: round trips (primaries) per such flush
 
     @property
     def wakeups_per_sec(self) -> float:
@@ -110,6 +116,11 @@ class KernelSpeedResult:
     def pipeline_speedup(self) -> float:
         """Virtual-time ops/sec gain of pipelined over sequential."""
         return self.sync_op_time / self.pipelined_op_time
+
+    @property
+    def scatter_flush_ratio(self) -> float:
+        """A 16-put flush over 3 nodes, in sync puts of virtual time."""
+        return self.scatter_flush_time / self.sync_op_time
 
 
 def _timed_main(seed: int, main) -> float:
@@ -245,6 +256,33 @@ def _op_rates(ops: int, seed: int
     return sync, pipelined, batches, sync_wall, get_wall, transfer_wall
 
 
+def _scatter_flush(seed: int, flushes: int = 25, width: int = 16
+                   ) -> tuple[float, float]:
+    """Virtual time of one flush of ``width`` puts over three nodes.
+
+    Its own deployment, so the single-node rows keep their RNG draws.
+    Returns (seconds per flush, round trips per flush).
+    """
+    with CrucialEnvironment(seed=seed, dso_nodes=3) as env:
+        def workload():
+            client = env.client_endpoint
+            keys = [f"s{i}" for i in range(width)]
+            for key in keys:
+                env.dso.put(client, key, 0)  # create outside the window
+            before = env.dso.stats.batches
+            start = env.now
+            for value in range(flushes):
+                futures = [env.dso.put_async(client, key, value)
+                           for key in keys]
+                env.dso.flush(client)
+                for future in futures:
+                    future.result()
+            return ((env.now - start) / flushes,
+                    (env.dso.stats.batches - before) / flushes)
+
+        return env.run(workload)
+
+
 def _put_call_counts(seed: int, puts: int = 1_000
                      ) -> tuple[float, float, float]:
     """Profiled (calls, ``dumps``, ``loads``) per warm sequential put.
@@ -289,6 +327,7 @@ def run(events: int = 40_000, ops: int = 400,
     sync, pipelined, batches, sync_put_wall, sync_get_wall, transfer_wall = \
         _op_rates(ops, seed)
     calls, dumps, loads = _put_call_counts(seed)
+    scatter_flush, scatter_groups = _scatter_flush(seed)
     return KernelSpeedResult(
         wakeup_events=wakeup_events, wakeup_wall=wakeup_wall,
         timer_events=timer_events, timer_wall=timer_wall,
@@ -299,7 +338,8 @@ def run(events: int = 40_000, ops: int = 400,
         transfer_wall=transfer_wall, calls_per_sync_put=calls,
         dumps_per_sync_put=dumps, loads_per_sync_put=loads,
         sync_op_time=sync,
-        pipelined_op_time=pipelined, batches=batches)
+        pipelined_op_time=pipelined, batches=batches,
+        scatter_flush_time=scatter_flush, scatter_groups=scatter_groups)
 
 
 def report(result: KernelSpeedResult) -> str:
@@ -331,4 +371,9 @@ def report(result: KernelSpeedResult) -> str:
             ("PUT pipelined", result.sync_op_time * 1e6,
              result.pipelined_op_time * 1e6),
         ], unit="us")
-    return "\n".join(lines) + "\n" + table
+    scatter = (
+        f"scatter flush: 16 put_async over 3 nodes = "
+        f"{result.scatter_flush_time * 1e6:,.1f} us "
+        f"({result.scatter_groups:g} concurrent round trips, "
+        f"{result.scatter_flush_ratio:.2f}x one sequential PUT)")
+    return "\n".join(lines) + "\n" + table + "\n" + scatter

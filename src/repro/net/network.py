@@ -13,7 +13,7 @@ decoding is what arrives (:func:`ship_sized`).
 from __future__ import annotations
 
 import pickle
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import NetworkError, SerializationError
 from repro.net.latency import LatencyModel
@@ -237,6 +237,48 @@ class Network:
                 raise NetworkError(
                     f"{dst!r} failed during transfer from {src!r}")
             return value
+
+    def post(self, src: str, dst: str, value: Any,
+             deliver: Callable[[Any], None]) -> float:
+        """Send ``value`` one way without blocking; returns its flight
+        time.
+
+        The message is sized, delayed and counted exactly like a
+        :meth:`transfer`, but the sender keeps running: a fan-out of k
+        posts costs the slowest hop, not the sum.  When the flight time
+        has passed ``deliver(shipped value)`` runs in kernel context (it
+        must not block) — unless the message was dropped, the endpoints
+        were partitioned, or ``dst`` crashed in flight, in which case
+        nothing runs: the sender learns of delivery only through what
+        ``deliver`` does.  A sender that sleeps the returned time wakes
+        after the delivery.  Raises :class:`NetworkError` if ``dst`` is
+        unreachable at send time.
+        """
+        src_ep = self.endpoint(src)
+        dst_ep = self.endpoint(dst)
+        if not self._connected(src_ep, dst_ep):
+            raise NetworkError(f"{dst!r} unreachable from {src!r}")
+        nbytes = 0
+        if self.copy_messages:
+            value, nbytes = ship_sized(value)
+        delay = self._links.get((src, dst), self.default_latency) \
+            .sample(self._rng, nbytes)
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        if self._drop_rates:
+            rate = self._drop_rates.get((src, dst), 0.0)
+            if rate > 0.0 and float(self._rng.random()) < rate:
+                self.messages_dropped += 1
+                return delay
+        dst_epoch = dst_ep.epoch
+
+        def arrive() -> None:
+            if self._connected(src_ep, dst_ep) \
+                    and dst_ep.epoch == dst_epoch:
+                deliver(value)
+
+        self.kernel.call_later(delay, arrive)
+        return delay
 
     def delay(self, src: str, dst: str, nbytes: int = 0) -> float:
         """Sample a link delay without blocking (for timers)."""

@@ -17,6 +17,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.simulation.kernel import Kernel, current_thread
 from repro.simulation.primitives import Event
+from repro.trace.tracer import NO_SPAN
 
 
 @dataclass
@@ -69,9 +70,11 @@ class QueueService:
 
     def send(self, queue_name: str, body: Any) -> None:
         """Send a message (charges SQS send latency)."""
-        with self.kernel.tracer.span(
-                f"{self.name}.send", kind="producer", endpoint=self.name,
-                attributes={"queue": queue_name}):
+        tracer = self.kernel.tracer
+        with (tracer.span(f"{self.name}.send", kind="producer",
+                          endpoint=self.name,
+                          attributes={"queue": queue_name})
+              if tracer.enabled else NO_SPAN):
             delay = self.config.storage.sqs_send.sample(self._rng)
             current_thread().sleep(delay)
             self.deliver(queue_name, body)
@@ -114,9 +117,11 @@ class QueueService:
         visibility timeout; call :meth:`delete` to acknowledge.
         """
         queue = self._queue(queue_name)
-        with self.kernel.tracer.span(
-                f"{self.name}.receive", kind="consumer", endpoint=self.name,
-                attributes={"queue": queue_name}) as span:
+        tracer = self.kernel.tracer
+        with (tracer.span(f"{self.name}.receive", kind="consumer",
+                          endpoint=self.name,
+                          attributes={"queue": queue_name})
+              if tracer.enabled else NO_SPAN) as span:
             delay = self.config.storage.sqs_receive.sample(self._rng)
             current_thread().sleep(delay)
             self.receive_count += 1
@@ -124,7 +129,8 @@ class QueueService:
             while True:
                 batch = self._take_visible(queue, max_messages)
                 if batch or self.kernel.now >= deadline:
-                    span.set("messages", len(batch))
+                    if tracer.enabled:
+                        span.set("messages", len(batch))
                     return batch
                 waiter = Event(self.kernel)
                 queue.waiters.append(waiter)
@@ -146,9 +152,11 @@ class QueueService:
 
     def delete(self, queue_name: str, receipt: str) -> None:
         """Acknowledge (remove) a received message."""
-        with self.kernel.tracer.span(
-                f"{self.name}.delete", kind="client", endpoint=self.name,
-                attributes={"queue": queue_name}):
+        tracer = self.kernel.tracer
+        with (tracer.span(f"{self.name}.delete", kind="client",
+                          endpoint=self.name,
+                          attributes={"queue": queue_name})
+              if tracer.enabled else NO_SPAN):
             delay = self.config.storage.sqs_send.sample(self._rng)
             current_thread().sleep(delay)
             queue = self._queue(queue_name)

@@ -17,7 +17,7 @@ from repro.dso.cache import LeaseTable, ObjectCache, is_readonly, readonly
 from repro.dso.layer import KvSlot
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
-from repro.simulation.thread import sleep
+from repro.simulation.thread import sleep, spawn
 
 
 def config_with(**dso_overrides):
@@ -188,6 +188,97 @@ def test_unreachable_holder_is_waited_out(kernel, network):
     # The write stalled until the lease self-expired.
     assert granted_at + write_latency >= granted_at + 1.9
     assert layer.stats.lease_revocations == 1
+
+
+def test_revocation_stalls_for_the_slowest_hop_not_the_sum(kernel, network):
+    """Six reachable holders are invalidated in one hop: the write
+    stalls for about one node -> client flight, where one blocking
+    invalidation per holder cost six."""
+    layer = make_layer(kernel, network, nodes=1)
+    holders = [f"reader-{i}" for i in range(6)]
+    for name in holders + ["writer"]:
+        network.ensure_endpoint(name)
+    hop = DEFAULT_CONFIG.dso.client_server.mean()
+
+    def timed_put(value):
+        start = kernel.now
+        layer.put("writer", "k", value)
+        return kernel.now - start
+
+    def main():
+        layer.put("writer", "k", 0)
+        plain = timed_put(1)  # nobody holds a lease
+        for name in holders:
+            assert layer.get(name, "k") == 1
+        revoking = timed_put(2)
+        return plain, revoking, [layer.get(name, "k") for name in holders]
+
+    tracer = kernel.enable_tracing()
+    plain, revoking, reads = kernel.run_main(main)
+    assert reads == [2] * 6
+    assert layer.stats.lease_revocations == 6
+    assert 0.8 * hop < revoking - plain < 1.5 * hop
+    (revoke,) = tracer.find("dso.lease_revoke")
+    assert revoke.attributes["holders"] == revoke.attributes["fanout"] == 6
+    assert 0.8 * hop < revoke.duration < 1.5 * hop
+
+
+@pytest.mark.parametrize("fault", ["partition", "crash"])
+def test_holder_lost_mid_invalidation_is_waited_out(kernel, network, fault):
+    """The invalidation is already in flight when its holder is cut
+    off (or dies and comes back): it is never delivered, so the write
+    waits out that lease — while the reachable holder was invalidated
+    in one hop — and no read that starts after the ack is stale."""
+    config = config_with(lease_ttl=2.0)
+    layer = make_layer(kernel, network, nodes=1, config=config)
+    for name in ("lost", "near", "writer"):
+        network.ensure_endpoint(name)
+    (node_name,) = layer.nodes
+    post = network.post
+
+    def post_then_fail(src, dst, value, deliver):
+        flight = post(src, dst, value, deliver)
+        if dst == "lost":  # the message has left; now lose its target
+            if fault == "partition":
+                network.partition({node_name}, {"lost"})
+            else:
+                network.endpoint("lost").crash()
+                network.endpoint("lost").restart()
+        return flight
+
+    reads = []
+
+    def reader(name):
+        while kernel.now < 3.0:
+            start = kernel.now
+            reads.append((name, start, layer.get(name, "k")))
+            sleep(0.05)
+
+    def main():
+        layer.put("writer", "k", "v0")
+        for name in ("lost", "near"):
+            assert layer.get(name, "k") == "v0"  # both hold a lease
+        granted = kernel.now
+        network.post = post_then_fail
+        readers = [spawn(reader, name) for name in ("lost", "near")]
+        layer.put("writer", "k", "v1")
+        acked = kernel.now
+        network.post = post
+        network.heal()
+        for thread in readers:
+            thread.join()
+        return granted, acked
+
+    granted, acked = kernel.run_main(main)
+    # Waited out to the lost holder's expiry, not acknowledged early.
+    assert granted + 1.9 <= acked <= granted + 2.1
+    assert layer.stats.lease_revocations == 2
+    # Before the ack the lost holder may still serve its lease (the
+    # write has not happened yet for anyone); after it, nobody may.
+    assert any(value == "v0" for name, start, value in reads
+               if name == "lost" and start < acked)
+    assert all(value == "v1" for _, start, value in reads if start >= acked)
+    assert sum(1 for _, start, _ in reads if start >= acked) > 10
 
 
 def test_lru_eviction_respects_configured_limit(kernel, network):

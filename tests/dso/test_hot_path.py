@@ -2,11 +2,10 @@
 (DESIGN.md "Wire discipline", "Tracing is free when off").
 
 Three things are pinned here: the virtual timeline of a mixed script is
-the same bytes with tracing off and on (and the same as before the hot
-path was slimmed — the literals below were captured on the parent
-commit first); a disabled tracer is never *called* on the per-op path;
-and nothing mutable is shared between a caller, the wire and the
-session table.
+the same bytes with tracing off and on (literals, so a change meant to
+keep the timeline can show that it did); a disabled tracer is never
+*called* on the per-op path; and nothing mutable is shared between a
+caller, the wire and the session table.
 """
 
 import zlib
@@ -63,10 +62,14 @@ def _mixed_script(trace_enabled):
                 zlib.crc32(export.encode()))
 
 
-#: Captured on the parent commit (9a14425), before the hot path changed:
 #: ops, crc of (op, virtual start, virtual end), spans, Chrome export crc.
-UNTRACED_PIN = (19, 1251481845, 0, 0)
-TRACED_PIN = (19, 1251481845, 144, 3112914668)
+#: Re-captured when flushes became scatter-gather: the txn4 and put_async
+#: steps span two and three primaries, so they got shorter, draw their
+#: latencies in another order and record ``dso.flush`` spans (the first
+#: 15 ops and every op's result are as before: 1251481845 / 144 spans /
+#: 3112914668 was the sequential-run timeline).
+UNTRACED_PIN = (19, 671847497, 0, 0)
+TRACED_PIN = (19, 671847497, 131, 1196378880)
 
 
 def test_mixed_script_timeline_is_pinned_with_tracing_off():
@@ -83,8 +86,10 @@ def test_mixed_script_timeline_and_trace_are_pinned_with_tracing_on():
 def test_a_disabled_tracer_is_never_asked_for_a_span(monkeypatch):
     """Every span site on the per-op path tests ``tracer.enabled``
     before it builds a name, an attribute dict or a call."""
-    with CrucialEnvironment(seed=2, dso_nodes=2) as env:
+    with CrucialEnvironment(seed=2, dso_nodes=2, read_cache=True) as env:
         dso, client = env.dso, env.client_endpoint
+        sqs = env.queue_service
+        sqs.create_queue("q")
 
         def transact(sequence):
             with env.transaction() as txn:
@@ -92,10 +97,13 @@ def test_a_disabled_tracer_is_never_asked_for_a_span(monkeypatch):
                     txn.write(f"t{j}", sequence)
 
         def script(round_no):
-            dso.put(client, "k", [round_no])
+            dso.put(client, "k", [round_no])  # revokes the lease below
             counter = AtomicLong("p", persistent=True)
             counter.add_and_get(1)
-            transact(round_no)
+            transact(round_no)  # two scattered flushes
+            sqs.send("q", round_no)
+            (message,) = sqs.receive("q", wait=10.0)
+            sqs.delete("q", message.receipt)
             return dso.get(client, "k"), counter.get()
 
         env.run(script, 0)  # warm: objects exist, links are made

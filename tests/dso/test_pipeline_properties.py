@@ -4,14 +4,17 @@ Whatever mix of ``invoke_async`` and ``flush`` a client issues — and
 however the schedule-exploration scheduler interleaves the pump thread
 with the submitter — the object ends in exactly the state a purely
 sequential ``invoke`` stream would have produced.  Batching may merge
-round trips, but it must never reorder ops within a session.
+round trips, but it must never reorder ops within a session.  With
+several objects spread over primaries a flush ships its per-primary
+groups concurrently; what must hold then is the per-object contract:
+every object's log is the sequential plan's.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dso import DsoLayer, DsoReference
-from repro.explore import RandomScheduler
+from repro.explore import PctScheduler, RandomScheduler
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import spawn
@@ -102,3 +105,61 @@ def test_concurrent_sessions_keep_per_session_order(seed, steps_a, steps_b):
         mine = [value for owner, value in log if owner == client]
         assert mine == list(range(ops))
     assert len(log) == sum(1 for s in steps_a + steps_b if s != "flush")
+
+
+# ---------------------------------------------------------------------------
+# Several objects over three primaries: per-object order
+# ---------------------------------------------------------------------------
+
+#: Two logs on each primary of a three-node deployment.
+SPREAD = [DsoReference("Log", f"log-{i}", persistent=True, rf=2)
+          for i in (0, 2, 6, 3, 4, 7)]
+
+#: (step kind, object index).
+SPREAD_STEP = st.tuples(STEP, st.integers(0, len(SPREAD) - 1))
+
+
+def _run_spread_plan(steps, scheduler=None):
+    """One client over :data:`SPREAD`; returns every object's log."""
+    with Kernel(seed=5, scheduler=scheduler) as kernel:
+        network = Network(kernel, LatencyModel(0.0001))
+        layer = DsoLayer(kernel, network)
+        for _ in range(3):
+            layer.add_node()
+
+        def main():
+            for ref in SPREAD:
+                layer.invoke("c1", ref, "snapshot", ctor=CTOR)
+            assert len({layer.placement_of(ref)[0] for ref in SPREAD}) == 3
+            for value, (step, index) in enumerate(steps):
+                if step == "async":
+                    layer.invoke_async("c1", SPREAD[index], "append",
+                                       (value,), ctor=CTOR)
+                elif step == "sync":
+                    layer.invoke("c1", SPREAD[index], "append", (value,),
+                                 ctor=CTOR)
+                else:
+                    layer.flush("c1")
+            layer.flush("c1")
+            return [layer.invoke("auditor", ref, "snapshot", ctor=CTOR)
+                    for ref in SPREAD]
+
+        return kernel.run_main(main)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 9999),
+       steps=st.lists(SPREAD_STEP, min_size=1, max_size=24))
+def test_scattered_flushes_keep_per_object_order(seed, steps):
+    """Keys interleaved over three primaries: under FIFO, random and
+    PCT schedules every object ends with the log the all-sync plan
+    gives it — scatter never reorders ops on one object, and a sync op
+    or a flush is a barrier for the async ops before it."""
+    sequential = _run_spread_plan(
+        [("sync" if step == "async" else step, index)
+         for step, index in steps])
+    assert _run_spread_plan(steps) == sequential
+    assert _run_spread_plan(steps, scheduler=RandomScheduler(
+        seed=seed, preempt_prob=0.25)) == sequential
+    assert _run_spread_plan(steps, scheduler=PctScheduler(
+        seed=seed, depth=3, expected_steps=300)) == sequential

@@ -282,6 +282,43 @@ def test_pinned_prepares_drain_after_commit(kernel, network):
             assert container.pinned_txns() == set()
 
 
+def test_abort_releases_prepares_in_one_concurrent_round(kernel, network):
+    """An abort after the prepares landed releases them the way they
+    were made: one flush, every primary at once — about one round
+    trip for six keys on three primaries, not six."""
+    layer = make_layer(kernel, network, nodes=3)
+    keys = tuple(f"k{i}" for i in range(6))
+
+    def main():
+        with layer.transaction("client") as txn:
+            for key in keys:
+                txn.write(key, 0)
+        assert len({layer.placement_of(cell_ref(key))[0]
+                    for key in keys}) == 3
+        start = kernel.now
+        layer.invoke("client", cell_ref("k0"), "latest_cid")
+        round_trip = kernel.now - start
+        txn = layer.transaction("client")
+        for key in keys:
+            txn.write(key, 1)
+        session = layer.sessions.current("client")
+        txn.txn_id = f"{session.sid}+t{session.next_seq}"
+        txn._prepare_all(next(layer.txns.cids), keys)
+        prepared = {txn_id for node in layer.nodes.values()
+                    for container in node.containers.values()
+                    for txn_id in container.pinned_txns()}
+        start = kernel.now
+        txn.abort()
+        return prepared, txn.txn_id, (kernel.now - start) / round_trip
+
+    prepared, txn_id, round_trips = kernel.run_main(main)
+    assert prepared == {txn_id}
+    assert round_trips < 2.5  # six sequential releases took six
+    for node in layer.nodes.values():
+        for container in node.containers.values():
+            assert container.pinned_txns() == set()
+
+
 def test_read_bulk_fractures_under_mid_sweep_write(kernel, network):
     """Regression pinning read_bulk's *documented* non-atomicity.
 

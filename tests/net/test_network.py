@@ -8,7 +8,7 @@ from repro.errors import NetworkError, SerializationError
 from repro.net import LatencyModel, Network
 from repro.net.network import payload_size
 from repro.simulation import Kernel
-from repro.simulation.thread import now
+from repro.simulation.thread import now, sleep
 
 
 @pytest.fixture
@@ -124,6 +124,78 @@ def test_crash_mid_flight_fails_transfer(kernel, network):
 
     with pytest.raises(NetworkError):
         kernel.run_main(main)
+
+
+def test_posts_fan_out_in_one_hop_and_deliver_copies(kernel, network):
+    """Three one-way messages cost the sender one flight, not three;
+    each is delivered at its own arrival, as a shipped copy, and is
+    counted like a transfer."""
+    network.register("c")
+    payload = {"x": [1]}
+    arrived = []
+
+    def main():
+        flights = [network.post("a", dst, payload,
+                                lambda value, dst=dst: arrived.append(
+                                    (dst, kernel.now, value)))
+                   for dst in ("b", "c", "b")]
+        assert now() == 0.0 and arrived == []  # post never blocks
+        sleep(max(flights))
+        return flights
+
+    flights = kernel.run_main(main)
+    assert kernel.now == pytest.approx(0.010)
+    assert [(dst, when) for dst, when, _ in arrived] \
+        == [("b", flights[0]), ("c", flights[1]), ("b", flights[2])]
+    assert all(value == payload and value is not payload
+               for _, _, value in arrived)
+    assert network.messages_sent == 3
+    assert network.bytes_sent == 3 * payload_size(payload)
+
+
+@pytest.mark.parametrize("fault", ["crash", "crash+restart", "partition"])
+def test_post_lost_in_flight_is_not_delivered(kernel, network, fault):
+    def lose_b():
+        if fault == "partition":
+            network.partition({"a"}, {"b"})
+        else:
+            network.endpoint("b").crash()
+            if fault == "crash+restart":
+                network.endpoint("b").restart()
+
+    kernel.call_later(0.005, lose_b)
+    arrived = []
+
+    def main():
+        sleep(network.post("a", "b", 1, arrived.append))
+        sleep(0.010)
+
+    kernel.run_main(main)
+    assert arrived == []
+    assert network.messages_sent == 1  # it did leave
+
+
+def test_post_to_unreachable_endpoint_fails_at_send(kernel, network):
+    network.partition({"a"}, {"b"})
+
+    def main():
+        network.post("a", "b", 1, lambda value: None)
+
+    with pytest.raises(NetworkError):
+        kernel.run_main(main)
+    assert network.messages_sent == 0
+
+
+def test_dropped_post_is_counted_and_never_delivered(kernel, network):
+    network.set_drop_rate("a", "b", 1.0)
+    arrived = []
+
+    def main():
+        sleep(2 * network.post("a", "b", 1, arrived.append))
+
+    kernel.run_main(main)
+    assert arrived == []
+    assert (network.messages_sent, network.messages_dropped) == (1, 1)
 
 
 def test_payload_size_is_pickle_length():

@@ -1,18 +1,13 @@
 """Ablation: method shipping vs data shipping (Section 4.2)."""
 
-from conftest import archive, full_scale
-from repro.harness import ablation_shipping
+from conftest import run_archived
 
 
 def test_ablation_method_shipping(benchmark):
-    counts = (8, 20, 40, 80) if full_scale() else (8, 20, 40)
-    result = benchmark.pedantic(
-        ablation_shipping.run, kwargs={"worker_counts": counts},
-        rounds=1, iterations=1)
-    report = ablation_shipping.report(result)
-    archive("ablation_shipping", report)
+    result, _report = run_archived(benchmark, "ablation")
 
     m = result.measurements
+    counts = sorted({workers for _strategy, workers in m})
     big = counts[-1]
     small = counts[0]
     # O(N) vs O(N^2): message growth is linear vs quadratic.

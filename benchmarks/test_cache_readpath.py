@@ -4,17 +4,12 @@ import json
 
 import pytest
 
-from conftest import OUT_DIR, archive, full_scale
-from repro.harness import cache_readpath, table2_latency
+from conftest import OUT_DIR, run_archived
+from repro.harness import table2_latency
 
 
 def test_cache_readpath(benchmark):
-    ops = 2000 if full_scale() else 300
-    result = benchmark.pedantic(cache_readpath.run, kwargs={"ops": ops},
-                                rounds=1, iterations=1)
-    report = cache_readpath.report(result)
-    archive("cache_readpath", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "cache")
     (OUT_DIR / "BENCH_readpath.json").write_text(json.dumps({
         "ops": result.ops,
         "uncached_get_us": result.uncached_get * 1e6,

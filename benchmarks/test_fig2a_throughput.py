@@ -1,16 +1,10 @@
 """Fig. 2a: throughput of simple vs complex ops, Crucial vs Redis."""
 
-from conftest import archive, full_scale
-from repro.harness import fig2a_throughput
+from conftest import run_archived
 
 
 def test_fig2a_throughput(benchmark):
-    kwargs = ({"threads": 200, "window": 0.2} if full_scale()
-              else {"threads": 200, "window": 0.1})
-    result = benchmark.pedantic(fig2a_throughput.run, kwargs=kwargs,
-                                rounds=1, iterations=1)
-    report = fig2a_throughput.report(result)
-    archive("fig2a_throughput", report)
+    result, _report = run_archived(benchmark, "fig2a")
 
     throughput = result.throughput
     # Redis wins on simple operations (optimized C core)...

@@ -2,18 +2,11 @@
 
 import math
 
-from conftest import archive, full_scale
-from repro.harness import fig2b_montecarlo
+from conftest import run_archived
 
 
 def test_fig2b_montecarlo(benchmark):
-    counts = ((1, 50, 100, 200, 400, 800) if full_scale()
-              else (1, 50, 200, 800))
-    result = benchmark.pedantic(
-        fig2b_montecarlo.run, kwargs={"thread_counts": counts},
-        rounds=1, iterations=1)
-    report = fig2b_montecarlo.report(result)
-    archive("fig2b_montecarlo", report)
+    result, _report = run_archived(benchmark, "fig2b")
 
     # Paper: 512x speedup at 800 threads, 8.4G points/s.
     speedup = result.speedup(800)

@@ -1,17 +1,10 @@
 """Fig. 3: k-means scale-up — Crucial vs single-machine VMs."""
 
-from conftest import archive, full_scale
-from repro.harness import fig3_scaleup
+from conftest import run_archived
 
 
 def test_fig3_kmeans_scaleup(benchmark):
-    counts = ((1, 8, 16, 80, 160, 320) if full_scale()
-              else (1, 16, 160, 320))
-    result = benchmark.pedantic(
-        fig3_scaleup.run, kwargs={"thread_counts": counts},
-        rounds=1, iterations=1)
-    report = fig3_scaleup.report(result)
-    archive("fig3_kmeans_scaleup", report)
+    result, _report = run_archived(benchmark, "fig3")
 
     crucial = result.curves["crucial"]
     vm8 = result.curves["vm-8-cores"]

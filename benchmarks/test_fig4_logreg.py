@@ -1,16 +1,10 @@
 """Fig. 4: logistic regression — Crucial vs Spark."""
 
-from conftest import archive, full_scale
-from repro.harness import fig4_logreg
+from conftest import run_archived
 
 
 def test_fig4_logreg(benchmark):
-    iterations = 100 if full_scale() else 100  # paper scale is cheap
-    result = benchmark.pedantic(
-        fig4_logreg.run, kwargs={"iterations": iterations},
-        rounds=1, iterations=1)
-    report = fig4_logreg.report(result)
-    archive("fig4_logreg", report)
+    result, _report = run_archived(benchmark, "fig4")
 
     # Paper: iterative phase 18% faster in Crucial (62.3s vs 75.9s).
     gain = 1.0 - result.crucial_iter / result.spark_iter

@@ -1,15 +1,10 @@
 """Fig. 5: k-means completion time vs number of clusters."""
 
-from conftest import archive, full_scale
-from repro.harness import fig5_kmeans
+from conftest import run_archived
 
 
 def test_fig5_kmeans_clusters(benchmark):
-    ks = (25, 50, 100, 200) if full_scale() else (25, 100, 200)
-    result = benchmark.pedantic(fig5_kmeans.run, kwargs={"ks": ks},
-                                rounds=1, iterations=1)
-    report = fig5_kmeans.report(result)
-    archive("fig5_kmeans_clusters", report)
+    result, _report = run_archived(benchmark, "fig5")
 
     iteration = result.iteration_times
     # Paper: k=25 Crucial ~40% faster than Spark (20.4s vs 34s).
@@ -23,5 +18,5 @@ def test_fig5_kmeans_clusters(benchmark):
                        / iteration[("spark", 200)])
     assert gap_large < gap_small
     # The Redis-backed variant is always slower than Crucial.
-    for k in ks:
+    for k in {k for _system, k in iteration}:
         assert iteration[("redis", k)] > iteration[("crucial", k)]

@@ -1,16 +1,10 @@
 """Fig. 6: synchronizing a map phase, five strategies."""
 
-from conftest import archive, full_scale
-from repro.harness import fig6_mapsync
+from conftest import run_archived
 
 
 def test_fig6_mapsync(benchmark):
-    repetitions = 3 if full_scale() else 2
-    result = benchmark.pedantic(
-        fig6_mapsync.run, kwargs={"repetitions": repetitions},
-        rounds=1, iterations=1)
-    report = fig6_mapsync.report(result)
-    archive("fig6_mapsync", report)
+    result, _report = run_archived(benchmark, "fig6")
 
     mean = result.mean
     # Paper ordering: polling (SQS/S3) slow, in-memory faster,

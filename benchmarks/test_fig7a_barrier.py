@@ -1,17 +1,10 @@
 """Fig. 7a: barrier wait times, Crucial vs SNS+SQS."""
 
-from conftest import archive, full_scale
-from repro.harness import fig7a_barrier
+from conftest import run_archived
 
 
 def test_fig7a_barrier(benchmark):
-    kwargs = ({"thread_counts": (4, 20, 80, 320),
-               "crucial_only": (1800,)} if full_scale()
-              else {"thread_counts": (4, 80, 320)})
-    result = benchmark.pedantic(fig7a_barrier.run, kwargs=kwargs,
-                                rounds=1, iterations=1)
-    report = fig7a_barrier.report(result)
-    archive("fig7a_barrier", report)
+    result, _report = run_archived(benchmark, "fig7a")
 
     waits = result.waits
     # Crucial's barrier is at least an order of magnitude faster.

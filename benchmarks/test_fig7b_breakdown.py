@@ -1,14 +1,10 @@
 """Fig. 7b: phase breakdown — per-iteration stages vs single stage."""
 
-from conftest import archive
-from repro.harness import fig7b_breakdown
+from conftest import run_archived
 
 
 def test_fig7b_breakdown(benchmark):
-    result = benchmark.pedantic(fig7b_breakdown.run, rounds=1,
-                                iterations=1)
-    report = fig7b_breakdown.report(result)
-    archive("fig7b_breakdown", report)
+    result, _report = run_archived(benchmark, "fig7b")
 
     stages = result.phases["per-iteration stages"]
     barrier = result.phases["single stage + barrier"]

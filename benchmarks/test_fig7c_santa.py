@@ -1,13 +1,10 @@
 """Fig. 7c: the Santa Claus problem across deployments."""
 
-from conftest import archive
-from repro.harness import fig7c_santa
+from conftest import run_archived
 
 
 def test_fig7c_santa(benchmark):
-    result = benchmark.pedantic(fig7c_santa.run, rounds=1, iterations=1)
-    report = fig7c_santa.report(result)
-    archive("fig7c_santa", report)
+    result, _report = run_archived(benchmark, "fig7c")
 
     # All three variants solve the problem completely.
     assert all(r.deliveries == 15 for r in result.results.values())

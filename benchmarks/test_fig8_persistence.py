@@ -1,16 +1,10 @@
 """Fig. 8: inference serving under storage-node churn."""
 
-from conftest import archive, full_scale
-from repro.harness import fig8_persistence
+from conftest import run_archived
 
 
 def test_fig8_persistence(benchmark):
-    duration = 360.0 if full_scale() else 120.0
-    result = benchmark.pedantic(
-        fig8_persistence.run, kwargs={"duration": duration},
-        rounds=1, iterations=1)
-    report = fig8_persistence.report(result)
-    archive("fig8_persistence", report)
+    result, _report = run_archived(benchmark, "fig8")
 
     steady = result.steady()
     degraded = result.degraded()

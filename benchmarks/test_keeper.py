@@ -2,19 +2,12 @@
 
 import json
 
-from conftest import OUT_DIR, archive, full_scale
-from repro.harness import keeper
+from conftest import OUT_DIR, run_archived
 from repro.harness.keeper import SESSION_TTL
 
 
 def test_keeper(benchmark):
-    kwargs = {"watchers": 300, "failovers": 3, "updates": 4} \
-        if full_scale() else {}
-    result = benchmark.pedantic(keeper.run, kwargs=kwargs,
-                                rounds=1, iterations=1)
-    report = keeper.report(result)
-    archive("keeper", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "keeper")
     (OUT_DIR / "BENCH_keeper.json").write_text(json.dumps({
         "session_ttl": SESSION_TTL,
         "barrier_parties": result.barrier_parties,

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from conftest import OUT_DIR, archive, full_scale
+from conftest import OUT_DIR, run_archived
 from repro.config import DEFAULT_CONFIG
-from repro.harness import kernel_speed
 
 # Wall-clock floors, a third of what the baton-passing kernel sustains
 # on the 2-core sandbox (BENCH_kernel.json): bouncing every event
@@ -36,14 +35,7 @@ SCATTER_FLUSH_RATIO_CEILING = 3.0
 
 
 def test_kernel_speed(benchmark):
-    events = 200_000 if full_scale() else 40_000
-    ops = 2_000 if full_scale() else 400
-    result = benchmark.pedantic(kernel_speed.run,
-                                kwargs={"events": events, "ops": ops},
-                                rounds=1, iterations=1)
-    report = kernel_speed.report(result)
-    archive("kernel_speed", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "kernel")
     (OUT_DIR / "BENCH_kernel.json").write_text(json.dumps({
         "wakeup_events": result.wakeup_events,
         "wakeups_per_sec": result.wakeups_per_sec,

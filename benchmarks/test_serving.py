@@ -3,17 +3,11 @@
 import json
 from dataclasses import asdict
 
-from conftest import OUT_DIR, archive, full_scale
-from repro.harness import serving
+from conftest import OUT_DIR, run_archived
 
 
 def test_serving(benchmark):
-    kwargs = {"duration": 56.0, "peak_rate": 400.0} if full_scale() else {}
-    result = benchmark.pedantic(serving.run, kwargs=kwargs,
-                                rounds=1, iterations=1)
-    report = serving.report(result)
-    archive("serving", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "serving")
     (OUT_DIR / "BENCH_serving.json").write_text(json.dumps({
         "duration": result.duration,
         "base_rate": result.base_rate,

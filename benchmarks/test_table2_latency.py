@@ -2,16 +2,12 @@
 
 import pytest
 
-from conftest import archive, full_scale
+from conftest import run_archived
 from repro.harness import table2_latency
 
 
 def test_table2_latency(benchmark):
-    ops = 2000 if full_scale() else 300
-    result = benchmark.pedantic(table2_latency.run, kwargs={"ops": ops},
-                                rounds=1, iterations=1)
-    report = table2_latency.report(result)
-    archive("table2_latency", report)
+    result, _report = run_archived(benchmark, "table2")
 
     for system, (paper_put, paper_get) in table2_latency.PAPER.items():
         put, get = result.averages[system]

@@ -1,13 +1,10 @@
 """Table 3: monetary costs of the ML experiments."""
 
-from conftest import archive
-from repro.harness import table3_costs
+from conftest import run_archived
 
 
 def test_table3_costs(benchmark):
-    result = benchmark.pedantic(table3_costs.run, rounds=1, iterations=1)
-    report = table3_costs.report(result)
-    archive("table3_costs", report)
+    result, _report = run_archived(benchmark, "table3")
 
     costs = result.costs
     k25_crucial = costs[("k-means k=25", "crucial")]

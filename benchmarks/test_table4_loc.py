@@ -1,13 +1,10 @@
 """Table 4: lines changed to port each application to Crucial."""
 
-from conftest import archive
-from repro.harness import table4_loc
+from conftest import run_archived
 
 
 def test_table4_loc(benchmark):
-    result = benchmark.pedantic(table4_loc.run, rounds=1, iterations=1)
-    report = table4_loc.report(result)
-    archive("table4_loc", report)
+    result, _report = run_archived(benchmark, "table4")
 
     # Porting is a handful of changed lines per application (the
     # paper's Java programs are longer, so fractions differ; the

@@ -3,18 +3,11 @@
 import json
 import math
 
-from conftest import OUT_DIR, archive, full_scale
-from repro.harness import tiering_pareto
+from conftest import OUT_DIR, run_archived
 
 
 def test_tiering_pareto(benchmark):
-    reads = 2400 if full_scale() else 600
-    result = benchmark.pedantic(tiering_pareto.run,
-                                kwargs={"reads": reads},
-                                rounds=1, iterations=1)
-    report = tiering_pareto.report(result)
-    archive("tiering_pareto", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "tiering")
     (OUT_DIR / "BENCH_tiering.json").write_text(json.dumps({
         "objects": result.objects,
         "object_bytes": result.object_bytes,

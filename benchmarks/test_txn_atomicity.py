@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from conftest import OUT_DIR, archive, full_scale
-from repro.harness import txn_atomicity
+from conftest import OUT_DIR, run_archived
 
 # CI floors (virtual-time ratios, so wall-clock jitter cannot move
 # them): a SIZE-key read-atomic commit must stay within 1.5x of SIZE
@@ -19,15 +18,7 @@ READ_RATIO_CEILING = 4.0
 
 
 def test_txn_atomicity(benchmark):
-    reps = 50 if full_scale() else 20
-    clients = 8 if full_scale() else 4
-    result = benchmark.pedantic(
-        txn_atomicity.run,
-        kwargs={"reps": reps, "clients": clients},
-        rounds=1, iterations=1)
-    report = txn_atomicity.report(result)
-    archive("txn_atomicity", report)
-    OUT_DIR.mkdir(exist_ok=True)
+    result, report = run_archived(benchmark, "txn")
     (OUT_DIR / "BENCH_txn.json").write_text(json.dumps({
         "size": result.size,
         "reps": result.reps,

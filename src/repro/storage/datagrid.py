@@ -6,6 +6,12 @@ multi-threaded KV grid with sub-millisecond operations.  The DSO layer
 (:mod:`repro.dso`) is built as an object layer **on top of** this kind
 of grid, with extra dispatch cost; keeping the plain-KV path separate
 lets the benchmarks compare both, as the paper does.
+
+The servers and the client verbs are those of any sharded RPC
+key-value cluster (:class:`KvCluster`); what makes this one a grid is
+consistent-hash placement and multi-threaded nodes.  The Redis
+baseline (:mod:`repro.storage.kvstore`) is the same cluster with other
+timings, one worker per server and its own placement.
 """
 
 from __future__ import annotations
@@ -14,21 +20,25 @@ from typing import Any
 
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.node import Node
-from repro.config import Config, DEFAULT_CONFIG
+from repro.config import Config, DEFAULT_CONFIG, GridTimings, RedisTimings
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
-from repro.net.network import Network, payload_size
+from repro.net.network import Network
 from repro.rpc.server import RpcServer
 from repro.simulation.kernel import Kernel
-from repro.storage.backend import BackendStats, memory_profile
+from repro.storage.backend import ClusterBackend
 
 
-class _GridNode:
+class KvNode:
+    """One server of a :class:`KvCluster`: a dict behind an RPC
+    endpoint, ``workers`` requests served at a time."""
+
     def __init__(self, kernel: Kernel, network: Network, name: str,
-                 config: Config):
-        self.config = config
-        self.node = Node(kernel, network, name,
-                         workers=config.grid.node_workers)
+                 cluster_name: str, workers: int,
+                 timings: GridTimings | RedisTimings):
+        self.cluster_name = cluster_name
+        self.timings = timings
+        self.node = Node(kernel, network, name, workers=workers)
         self.data: dict[str, Any] = {}
         self.server = RpcServer(self.node)
         self.server.register("get", self._get)
@@ -38,84 +48,75 @@ class _GridNode:
         self.server.register("keys", self._keys)
 
     def _get(self, call, key):
-        call.service(self.config.grid.get_service)
+        call.service(self.timings.get_service)
         if key not in self.data:
-            raise NoSuchKeyError(f"grid: no such key {key!r}")
+            raise NoSuchKeyError(f"{self.cluster_name}: no such key {key!r}")
         return self.data[key]
 
     def _put(self, call, key, value):
-        call.service(self.config.grid.put_service)
+        call.service(self.timings.put_service)
         self.data[key] = value
 
     def _remove(self, call, key):
-        call.service(self.config.grid.put_service)
+        call.service(self.timings.put_service)
         self.data.pop(key, None)
 
     def _contains(self, call, key):
-        call.service(self.config.grid.get_service)
+        call.service(self.timings.get_service)
         return key in self.data
 
     def _keys(self, call, prefix):
-        call.service(self.config.grid.get_service)
+        call.service(self.timings.get_service)
         return [key for key in self.data if key.startswith(prefix)]
 
 
-class DataGrid:
-    """A partitioned in-memory KV store with consistent hashing."""
+class KvCluster:
+    """N independent :class:`KvNode` servers and the client verbs over
+    them.  A subclass says which node owns a key (``_owner``)."""
 
-    def __init__(self, kernel: Kernel, network: Network, nodes: int = 1,
-                 config: Config = DEFAULT_CONFIG, name: str = "grid"):
-        if nodes <= 0:
-            raise ValueError(f"nodes must be positive: {nodes}")
+    def __init__(self, kernel: Kernel, network: Network, nodes: int,
+                 workers: int, timings: GridTimings | RedisTimings,
+                 config: Config, name: str):
         self.kernel = kernel
         self.network = network
         self.config = config
+        self.timings = timings
         self.name = name
-        self.grid_nodes = [
-            _GridNode(kernel, network, f"{name}-{i}", config)
+        self.nodes = [
+            KvNode(kernel, network, f"{name}-{i}", name, workers, timings)
             for i in range(nodes)
         ]
-        self.ring = ConsistentHashRing(
-            [gn.node.name for gn in self.grid_nodes])
-        self._by_name = {gn.node.name: gn for gn in self.grid_nodes}
 
-    def _owner(self, key: str) -> _GridNode:
-        return self._by_name[self.ring.lookup(key)]
+    def _owner(self, key: str) -> KvNode:
+        raise NotImplementedError
 
-    def _connect(self, client: str, grid_node: _GridNode) -> None:
+    def _call(self, client: str, node: KvNode, op: str, *args: Any) -> Any:
         self.network.ensure_endpoint(client)
-        latency = self.config.grid.client_server
-        if self.network.link(client, grid_node.node.name) is not latency:
-            self.network.set_link(client, grid_node.node.name, latency)
+        latency = self.timings.client_server
+        if self.network.link(client, node.node.name) is not latency:
+            self.network.set_link(client, node.node.name, latency)
+        return node.server.call(client, op, *args)
 
-    # -- client API ----------------------------------------------------------------
+    # -- client API ----------------------------------------------------------
 
     def get(self, client: str, key: str) -> Any:
-        owner = self._owner(key)
-        self._connect(client, owner)
-        return owner.server.call(client, "get", key)
+        return self._call(client, self._owner(key), "get", key)
 
     def put(self, client: str, key: str, value: Any) -> None:
-        owner = self._owner(key)
-        self._connect(client, owner)
-        owner.server.call(client, "put", key, value)
+        self._call(client, self._owner(key), "put", key, value)
 
     def remove(self, client: str, key: str) -> None:
-        owner = self._owner(key)
-        self._connect(client, owner)
-        owner.server.call(client, "remove", key)
+        """Idempotent."""
+        self._call(client, self._owner(key), "remove", key)
 
     def contains(self, client: str, key: str) -> bool:
-        owner = self._owner(key)
-        self._connect(client, owner)
-        return owner.server.call(client, "contains", key)
+        return self._call(client, self._owner(key), "contains", key)
 
     def keys(self, client: str, prefix: str = "") -> list[str]:
         """Scan every node for keys under ``prefix`` (one RPC each)."""
         found: list[str] = []
-        for grid_node in self.grid_nodes:
-            self._connect(client, grid_node)
-            found.extend(grid_node.server.call(client, "keys", prefix))
+        for node in self.nodes:
+            found.extend(self._call(client, node, "keys", prefix))
         return sorted(found)
 
     def seed(self, key: str, value: Any) -> None:
@@ -124,102 +125,26 @@ class DataGrid:
         self._owner(key).data[key] = value
 
     def backend(self, client: str = "client",
-                ledger: CostLedger | None = None) -> "GridBackend":
+                ledger: CostLedger | None = None) -> ClusterBackend:
         """A :class:`repro.storage.backend.StorageBackend` view of this
-        grid for one client endpoint (usable as a TieredStore tier)."""
-        return GridBackend(self, client=client, ledger=ledger)
+        cluster for one client endpoint (usable as a TieredStore tier)."""
+        return ClusterBackend(self, client=client, ledger=ledger)
 
 
-class GridBackend:
-    """Protocol adapter: a DataGrid as a priced in-memory tier.
+class DataGrid(KvCluster):
+    """A partitioned in-memory KV store with consistent hashing."""
 
-    Requests delegate to the grid's RPC path — latency is charged by
-    the grid itself (network hops + service time), never twice — while
-    this view adds the backend bookkeeping: per-request stats, RAM
-    rent at the in-memory tier rate, and nominal-size tracking so 100
-    GB objects bill correctly without being materialized.
-    """
+    def __init__(self, kernel: Kernel, network: Network, nodes: int = 1,
+                 config: Config = DEFAULT_CONFIG, name: str = "grid"):
+        if nodes <= 0:
+            raise ValueError(f"nodes must be positive: {nodes}")
+        super().__init__(kernel, network, nodes=nodes,
+                         workers=config.grid.node_workers,
+                         timings=config.grid, config=config, name=name)
+        self.grid_nodes = self.nodes
+        self.ring = ConsistentHashRing(
+            [gn.node.name for gn in self.grid_nodes])
+        self._by_name = {gn.node.name: gn for gn in self.grid_nodes}
 
-    def __init__(self, grid: DataGrid, client: str = "client",
-                 ledger: CostLedger | None = None):
-        self.grid = grid
-        self.kernel = grid.kernel
-        self.client = client
-        self.name = grid.name
-        self.profile = memory_profile(grid.config, grid.name)
-        self.profile.validate()
-        self.ledger = ledger if ledger is not None else CostLedger()
-        self.ledger.attach(self)
-        self.stats = BackendStats()
-        self._nbytes: dict[str, int] = {}
-        self._resting_bytes = 0
-        self._last_settle = self.kernel.now
-
-    # -- billing ------------------------------------------------------------
-
-    def settle(self) -> None:
-        now = self.kernel.now
-        elapsed = now - self._last_settle
-        if elapsed > 0 and self._resting_bytes > 0:
-            byte_seconds = self._resting_bytes * elapsed
-            self.ledger.occupancy(
-                self.name, self.profile.tier, byte_seconds,
-                self.profile.storage_dollars(byte_seconds))
-        self._last_settle = now
-
-    def _charge(self, dollars: float, count_attr: str) -> None:
-        setattr(self.stats, count_attr, getattr(self.stats, count_attr) + 1)
-        self.stats.request_dollars += dollars
-        self.ledger.request(self.name, self.profile.tier, dollars)
-
-    def _account(self, key: str, nbytes: int | None) -> None:
-        self.settle()
-        self._resting_bytes -= self._nbytes.pop(key, 0)
-        if nbytes is not None:
-            self._nbytes[key] = nbytes
-            self._resting_bytes += nbytes
-
-    # -- data path ----------------------------------------------------------
-
-    def put(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None:
-            nbytes = payload_size(value)
-        self.grid.put(self.client, key, value)
-        self._account(key, nbytes)
-        self._charge(self.profile.put_request_dollars, "puts")
-        self.stats.bytes_written += nbytes
-
-    def get(self, key: str) -> Any:
-        value = self.grid.get(self.client, key)
-        self._charge(self.profile.get_request_dollars, "gets")
-        self.stats.bytes_read += self._nbytes.get(key, 0)
-        return value
-
-    def delete(self, key: str) -> None:
-        self.grid.remove(self.client, key)
-        self._account(key, None)
-        self._charge(self.profile.put_request_dollars, "deletes")
-
-    def list_prefix(self, prefix: str) -> list[str]:
-        found = self.grid.keys(self.client, prefix)
-        self._charge(self.profile.get_request_dollars, "lists")
-        return found
-
-    def exists(self, key: str) -> bool:
-        found = self.grid.contains(self.client, key)
-        self._charge(self.profile.get_request_dollars, "heads")
-        return found
-
-    # -- free paths ---------------------------------------------------------
-
-    def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
-        if nbytes is None:
-            nbytes = payload_size(value)
-        self.grid.seed(key, value)
-        self._account(key, nbytes)
-
-    def size(self) -> int:
-        return len(self._nbytes)
-
-    def stored_bytes(self) -> int:
-        return self._resting_bytes
+    def _owner(self, key: str) -> KvNode:
+        return self._by_name[self.ring.lookup(key)]

@@ -99,9 +99,6 @@ class QueueService:
         self.send_count += 1
         self.kernel.call_later(lag, lambda: self._wake_waiters(queue))
 
-    #: Backwards-compatible alias (pre-1.1 internal name).
-    _deliver = deliver
-
     def _wake_waiters(self, queue: _Queue) -> None:
         for waiter in queue.waiters:
             waiter.set()

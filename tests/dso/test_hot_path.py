@@ -16,6 +16,7 @@ from repro import AtomicLong, CrucialEnvironment, chrome_trace_json
 from repro.dso import DsoLayer, DsoReference
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
+from repro.storage import BlockStore
 from repro.trace.tracer import NULL_TRACER
 
 
@@ -90,6 +91,8 @@ def test_a_disabled_tracer_is_never_asked_for_a_span(monkeypatch):
         dso, client = env.dso, env.client_endpoint
         sqs = env.queue_service
         sqs.create_queue("q")
+        stores = (env.object_store,
+                  BlockStore(env.kernel, ledger=env.cost_ledger))
 
         def transact(sequence):
             with env.transaction() as txn:
@@ -104,6 +107,12 @@ def test_a_disabled_tracer_is_never_asked_for_a_span(monkeypatch):
             sqs.send("q", round_no)
             (message,) = sqs.receive("q", wait=10.0)
             sqs.delete("q", message.receipt)
+            for store in stores:  # S3 and gp3: the five priced verbs
+                store.put("blob", round_no)
+                store.exists("blob")  # S3: still inside the listing lag
+                assert store.get("blob") == round_no
+                store.delete("blob")
+                assert store.list_prefix("bl") == []
             return dso.get(client, "k"), counter.get()
 
         env.run(script, 0)  # warm: objects exist, links are made

@@ -4,6 +4,7 @@ bills into the ledger."""
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
@@ -114,6 +115,24 @@ def test_round_trip_on_every_backend(kernel, network):
             assert f"{label}/k" in store.list_prefix(f"{label}/"), label
             store.delete(f"{label}/k")
             assert f"{label}/k" not in store.list_prefix(f"{label}/"), label
+
+    kernel.run_main(main)
+
+
+def test_a_missed_get_is_a_request_on_every_backend(kernel, network):
+    """The server answered "no such key": counted and billed like a
+    hit, on the flat stores and through the RPC adapters alike."""
+    ledger = CostLedger()
+    stores = all_backends(kernel, network, ledger)
+
+    def main():
+        for label, store in stores.items():
+            with pytest.raises(NoSuchKeyError):
+                store.get("missing")
+            assert store.stats.gets == 1, label
+            # A tiered store's misses are billed by its cold tier.
+            billed = "s3-2" if label == "tiered" else store.name
+            assert ledger.bills[billed].requests == 1, label
 
     kernel.run_main(main)
 

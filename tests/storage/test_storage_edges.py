@@ -109,7 +109,7 @@ def test_delete_batch_chunks_of_ten(kernel):
 
     def main():
         for i in range(25):
-            service._deliver("bulk", i)
+            service.deliver("bulk", i)
         sleep(5.0)  # ride out delivery lag
         receipts = []
         while len(receipts) < 25:
@@ -133,7 +133,7 @@ def test_receive_respects_max_messages(kernel):
 
     def main():
         for i in range(7):
-            service._deliver("cap", i)
+            service.deliver("cap", i)
         sleep(5.0)
         return len(service.receive("cap", max_messages=3))
 
@@ -145,7 +145,7 @@ def test_approximate_depth_counts_only_visible(kernel):
     service.create_queue("depth", visibility_timeout=100.0)
 
     def main():
-        service._deliver("depth", "m")
+        service.deliver("depth", "m")
         sleep(5.0)
         before = service.approximate_depth("depth")
         service.receive("depth")

@@ -85,6 +85,10 @@ def _script(label, traced=False):
 #: tuple (puts, gets, deletes, lists, heads, bytes_written, bytes_read,
 #: request_dollars); stored_bytes(); the store's BackendBill (requests,
 #: request dollars, byte-seconds, storage dollars); ledger.total_dollars.
+#: Captured before the stores were moved onto one metered core.  One
+#: event was re-captured: the adapters used not to count the missed GET
+#: (``gets`` 1 -> 2, the bill's requests 11 -> 12; memory-tier requests
+#: are free, so no dollar moved).
 PINS = {
     "s3": ([(0.029987537160658585, None),
           (0.06813120631846309, None),
@@ -136,9 +140,9 @@ PINS = {
           (0.08276307997648708, 5002066),
           (0.08276307997648708, 4),
           (3600.0831876363177, ('q/seeded', 'q/sized'))],
-         (4, 1, 1, 3, 2, 5003133, 1042, 0.0),
+         (4, 2, 1, 3, 2, 5003133, 1042, 0.0),
          1005002087,
-         (11, 0.0, 3618008350418.392, 0.007916114160923042),
+         (12, 0.0, 3618008350418.392, 0.007916114160923042),
          0.007916114160923042),
     "redis": ([(0.00023035826889776083, None),
           (0.0004612595962977661, None),
@@ -153,9 +157,9 @@ PINS = {
           (0.08295540014080245, 5002066),
           (0.08295540014080245, 4),
           (3600.083425005449, ('q/seeded', 'q/sized'))],
-         (4, 1, 1, 3, 2, 5003133, 1042, 0.0),
+         (4, 2, 1, 3, 2, 5003133, 1042, 0.0),
          1005002087,
-         (11, 0.0, 3618008396600.4624, 0.007916114261968287),
+         (12, 0.0, 3618008396600.4624, 0.007916114261968287),
          0.007916114261968287),
 }
 

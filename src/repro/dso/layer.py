@@ -20,8 +20,8 @@ concern lives beside the data it owns:
   DESIGN.md "Exactly-once method shipping");
 * ``caches`` (:mod:`repro.dso.cache`) — leased client-side caching of
   read-only methods, off by default (the paper always ships);
-* ``txns`` (:mod:`repro.dso.txn`) and the per-endpoint pipelines
-  (:mod:`repro.dso.pipeline`).
+* ``txns`` (:mod:`repro.dso.txn`) and the async pipelines, one per
+  endpoint and calling thread (:mod:`repro.dso.pipeline`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.dso.server import TRANSIENT, DsoNode
 from repro.dso.session import ClientSessions, SessionStamp
 from repro.dso.txn import Transactions, Txn
 from repro.errors import NetworkError, NoSuchObjectError, ObjectLostError
+from repro.mutation import PLANTED
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel, current_thread
 from repro.trace.tracer import NO_SPAN
@@ -127,10 +128,11 @@ class DsoLayer:
         #: Exactly-once session state (client side).
         self.sessions = ClientSessions(self)
         self.txns = Transactions(self)
-        #: Per-endpoint async op queues (repro.dso.pipeline), created
-        #: lazily on the first invoke_async — the dict stays empty (and
-        #: the sync path pays nothing) until the feature is used.
-        self._pipelines: dict[str, _Pipeline] = {}
+        #: Async op queues (repro.dso.pipeline), one per (endpoint,
+        #: calling thread's tid) with ops queued or in flight: made by
+        #: invoke_async, dropped by their pump once idle.  The sync path
+        #: pays one truth test while the dict is empty.
+        self._pipelines: dict[tuple[str, int], _Pipeline] = {}
         self._node_ids = itertools.count()
         timings = config.dso
         self._retry_policy = RetryPolicy(
@@ -345,10 +347,12 @@ class DsoLayer:
 
     def _preflight(self, client: str) -> None:
         """Program order across the sync/async boundary: a blocking
-        verb must not overtake async ops this endpoint already queued."""
-        pipeline = self._pipelines.get(client)
-        if pipeline is not None and pipeline.busy:
-            pipeline.drain()
+        verb must not overtake async ops the *calling thread* already
+        queued on ``client`` — the :meth:`flush` barrier.  It waits for
+        nothing another thread queued: their ops are as concurrent with
+        this verb as the threads themselves."""
+        if "no-own-barrier" not in PLANTED:
+            self.flush(client)
 
     # ------------------------------------------------------------------
     # Client operations
@@ -457,16 +461,19 @@ class DsoLayer:
                      raw_service: float | None = None) -> DsoFuture:
         """Queue a method invocation for batched shipping.
 
-        Returns a :class:`DsoFuture` immediately; the op ships with the
-        endpoint's next batch flush (size, window, or an explicit
-        :meth:`flush` / ``future.result()``).  Ops on one object apply
-        in submission order; ops of one flush on different primaries
-        ship concurrently (see :mod:`repro.dso.pipeline` for the
-        contract).  The session stamp is drawn here, on the submitting
-        thread, so the exactly-once sequence numbers are identical to
-        sequential :meth:`invoke` — batching is invisible to the dedup
-        machinery.  Cacheable reads bypass the queue (served locally or
-        shipped unstamped) and return an already-resolved future.
+        Returns a :class:`DsoFuture` immediately; the op joins the
+        calling thread's queue on ``client`` and ships with its next
+        batch flush (size, window, or an explicit :meth:`flush` /
+        ``future.result()``).  One thread's ops on one object apply in
+        submission order and its batches ship one at a time; ops of one
+        flush on different primaries, and batches of different
+        threads, ship concurrently (see :mod:`repro.dso.pipeline` for
+        the contract).  The session stamp is drawn here, on the
+        submitting thread, so the exactly-once sequence numbers are
+        identical to sequential :meth:`invoke` — batching is invisible
+        to the dedup machinery.  Cacheable reads bypass the queue
+        (served locally or shipped unstamped) and return an
+        already-resolved future.
         """
         kwargs = kwargs or {}
         if self.caches.cacheable(ctor, method):
@@ -478,9 +485,10 @@ class DsoLayer:
             except Exception as exc:  # noqa: BLE001 - surfaced by result()
                 future._fail(exc)
             return future
-        pipeline = self._pipelines.get(client)
+        key = (client, current_thread().tid)
+        pipeline = self._pipelines.get(key)
         if pipeline is None:
-            pipeline = self._pipelines[client] = _Pipeline(self, client)
+            pipeline = self._pipelines[key] = _Pipeline(self, client, key)
         session = self.sessions.current(client)
         future = DsoFuture(pipeline)
         pipeline.submit(_PendingOp(
@@ -503,15 +511,24 @@ class DsoLayer:
                                  raw_service=self.config.dso.put_service)
 
     def flush(self, client: str | None = None) -> None:
-        """Block until queued async ops complete (one endpoint or all).
+        """Barrier: block until every async op the *calling thread*
+        queued (on ``client``, or on every endpoint) has settled.
 
-        Must run in a simulated thread.  Returns once every op queued
-        *before* the call has resolved or failed its future.
+        Must run in a simulated thread.  Returns once each such op has
+        resolved or failed its future; what other threads queued is
+        neither shipped early nor waited for.
         """
-        pipelines = (list(self._pipelines.values()) if client is None
-                     else [self._pipelines.get(client)])
-        for pipeline in pipelines:
+        pipelines = self._pipelines
+        if not pipelines:
+            return
+        tid = current_thread().tid
+        if client is not None:
+            pipeline = pipelines.get((client, tid))
             if pipeline is not None:
+                pipeline.drain()
+            return
+        for (_, owner), pipeline in list(pipelines.items()):
+            if owner == tid:
                 pipeline.drain()
 
     # ------------------------------------------------------------------

@@ -8,12 +8,17 @@ Cloudburst-style stateful-serverless systems use to amortize that cost:
 * :meth:`DsoLayer.invoke_async` stamps the op with the caller's session
   (at **submit** time, on the submitting thread — so exactly-once
   sequence numbers are exactly what they would be for sequential
-  ``invoke``), enqueues it on the calling endpoint's :class:`_Pipeline`,
-  and returns a :class:`DsoFuture` immediately.
-* A per-endpoint pump thread flushes the queue when it reaches
+  ``invoke``), enqueues it on the :class:`_Pipeline` of the calling
+  *(endpoint, simulated thread)* pair, and returns a
+  :class:`DsoFuture` immediately.
+* The pipeline's pump thread flushes the queue when it reaches
   ``pipeline_max_batch`` ops, when ``pipeline_flush_window`` of virtual
   time has passed since the batch started forming, or when someone
-  blocks on a future / calls ``flush()``.
+  blocks on a future / calls ``flush()``.  A pump lives only while its
+  queue has work: once nothing is queued or in flight it retires with
+  its pipeline, and the thread's next submit starts a fresh one (a
+  pooled worker, so a thread that used ``put_async`` once pins
+  nothing).
 * At flush time the batch is grouped **by primary** (scatter) and every
   group ships as one round trip, all groups at once (gather): one
   request transfer carries the whole group, the primary executes the
@@ -25,19 +30,24 @@ Cloudburst-style stateful-serverless systems use to amortize that cost:
   slowest round trip, not the sum of k.
 
 The ordering contract is the paper's (Section 4.1: each object is
-linearizable on its own, nothing is promised across objects):
+linearizable on its own, nothing is promised across objects), and its
+unit is the calling thread — per-thread program order is the strongest
+order anyone can ask for:
 
-* ops on **one object** apply in submission order — an object has one
-  primary, so its ops share a group and the group keeps queue order;
+* one thread's ops on **one object** apply in submission order — an
+  object has one primary, so its ops share a group and the group keeps
+  queue order;
 * ops of one flush on **different primaries** are concurrent, exactly
   as if independent threads had issued them;
 * ``flush()``, ``future.result()`` and every synchronous verb
-  (``invoke``, ``read_bulk``, ``read_any``, which drain the endpoint's
-  pipeline first) are **barriers**: what was submitted before one
-  completes before anything after it starts, so mixed sync/async code
-  keeps its program order.
+  (``invoke``, ``read_bulk``, ``read_any``, which drain the caller's
+  own queue on that endpoint first) are **barriers for the calling
+  thread**: what this thread submitted before one completes before
+  anything it does after, so mixed sync/async code keeps its program
+  order.  A barrier waits for nothing another thread queued.
 
-Batches themselves ship one at a time.  Leases and cacheable reads
+One thread's batches ship one at a time; batches of different threads
+overlap, as the threads themselves would.  Leases and cacheable reads
 bypass the pipeline entirely (they are either served locally or
 idempotent and unstamped).
 """
@@ -54,8 +64,10 @@ from repro.dso.session import SessionStamp, _ClientSession
 from repro.errors import (
     NoSuchObjectError,
     ObjectLostError,
+    SerializationError,
     ServiceUnavailableError,
 )
+from repro.net.network import ship
 from repro.simulation.primitives import Condition, Event
 from repro.trace.tracer import NO_SPAN
 
@@ -144,18 +156,26 @@ class _PendingOp:
 
 
 class _Pipeline:
-    """Per-endpoint op queue plus the daemon pump that flushes it."""
+    """One thread's op queue on one endpoint, plus the daemon pump that
+    flushes it while it has work.
 
-    def __init__(self, layer: DsoLayer, client: str):
+    Registered in ``layer._pipelines`` under ``key`` — ``(endpoint,
+    tid)`` of the thread that submits to it — from the submit that
+    creates it until the pump retires, so a registered pipeline always
+    has ops queued or in flight.
+    """
+
+    def __init__(self, layer: DsoLayer, client: str, key: tuple[str, int]):
         self.layer = layer
         self.client = client
+        self.key = key
         self.pending: deque[_PendingOp] = deque()
         self._cv = Condition(layer.kernel)
         self._flush_requested = False
         #: Ops taken off the queue and currently executing in the pump.
         self.inflight = 0
-        self._pump = layer.kernel.spawn(
-            self._run, daemon=True, name=f"{layer.name}-pipe-{client}")
+        layer.kernel.spawn(self._run, daemon=True,
+                           name=f"{layer.name}-pipe-{client}")
 
     def submit(self, op: _PendingOp) -> None:
         with self._cv:
@@ -169,25 +189,25 @@ class _Pipeline:
             self._cv.notify_all()
 
     def drain(self) -> None:
-        """Block until every currently queued op has completed."""
+        """Block until every op queued here has settled: the one
+        barrier.  Only the owning thread submits here, so these are
+        exactly the ops the calling thread queued on this endpoint."""
         with self._cv:
             self._flush_requested = True
             self._cv.notify_all()
             while self.pending or self.inflight:
                 self._cv.wait()
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.pending) or self.inflight > 0
-
     def _run(self) -> None:
         timings = self.layer.config.dso
         kernel = self.layer.kernel
         while True:
             with self._cv:
-                while not self.pending:
-                    self._flush_requested = False
-                    self._cv.wait()
+                if not self.pending:
+                    # Nothing queued and nothing in flight: retire.
+                    # The owner's next submit registers a new pipeline.
+                    del self.layer._pipelines[self.key]
+                    return
                 # Let a partial batch fill up, bounded by the window.
                 window_end = kernel.now + timings.pipeline_flush_window
                 while (not self._flush_requested
@@ -253,7 +273,7 @@ class _Pipeline:
         """One scatter-gather pass over a batch.
 
         The ops are grouped by primary, submission order kept inside a
-        group, and the groups ship concurrently (:meth:`_ship_group`):
+        group, and the groups ship concurrently (:meth:`_ship_or_fail`):
         the pump ships the first itself and hands each other one to a
         short-lived lane thread, then joins them — a batch for a single
         primary spawns nothing.  A transient failure of any group
@@ -283,12 +303,12 @@ class _Pipeline:
             # Spawned inside the span, so a trace shows the lanes as
             # its children, overlapping.
             lanes = [layer.kernel.spawn(
-                         self._ship_group, peer, peer_group, daemon=True,
+                         self._ship_or_fail, peer, peer_group, daemon=True,
                          name=f"{layer.name}-lane-{self.client}-{peer}")
                      for peer, peer_group in others]
             failure = None
             try:
-                self._ship_group(primary, group)
+                self._ship_or_fail(primary, group)
             except TRANSIENT as exc:
                 failure = exc
             for lane in lanes:
@@ -299,6 +319,21 @@ class _Pipeline:
             if failure is not None:
                 raise failure
 
+    def _ship_or_fail(self, primary_name: str,
+                      group: list[_PendingOp]) -> None:
+        """:meth:`_ship_group`, with a failure that no retry can cure
+        delivered to the group's unfinished futures instead of
+        unwinding the pump (or a lane): transient failures propagate
+        to the retry loop, nothing else leaves."""
+        try:
+            self._ship_group(primary_name, group)
+        except TRANSIENT:
+            raise
+        except Exception as exc:  # noqa: BLE001 - delivered, not swallowed
+            for op in group:
+                if not op.future.done:
+                    op.fail(exc)
+
     def _ship_group(self, primary_name: str,
                     group: list[_PendingOp]) -> None:
         """One batched round trip to one primary.
@@ -308,9 +343,10 @@ class _Pipeline:
         per-object lock, deduplicating, and charging its own service
         time — with replicated ops sharing one SMR ordering round; a
         single reply transfer carries the results back, demultiplexed
-        to the futures.  Application exceptions fail only their own
-        future; infrastructure failures abort the group and surface to
-        the retry loop (completed-but-unacknowledged ops dedup on the
+        to the futures.  Application exceptions — and an argument or a
+        reply that cannot be encoded — fail only their own future;
+        infrastructure failures abort the group and surface to the
+        retry loop (completed-but-unacknowledged ops dedup on the
         retry, which is when their replies reach the client).
         """
         layer = self.layer
@@ -322,10 +358,23 @@ class _Pipeline:
                           attributes={"primary": primary_name,
                                       "ops": len(group)})
               if tracer.enabled else NO_SPAN):
-            shipped = layer.network.transfer(
-                client, primary_name,
-                [(op.method, op.args, op.kwargs, op.stamp)
-                 for op in group])
+            request = [(op.method, op.args, op.kwargs, op.stamp)
+                       for op in group]
+            try:
+                shipped = layer.network.transfer(client, primary_name,
+                                                 request)
+            except SerializationError:
+                unencodable = _unencodable(request)
+                for index, exc in unencodable.items():
+                    group[index].fail(exc)
+                group = [op for index, op in enumerate(group)
+                         if index not in unencodable]
+                if not group:
+                    return
+                shipped = layer.network.transfer(
+                    client, primary_name,
+                    [entry for index, entry in enumerate(request)
+                     if index not in unencodable])
             smr_context: dict = {}
             outcomes: list[tuple[_PendingOp, bool, Any]] = []
             for op, wire in zip(group, shipped):
@@ -347,9 +396,13 @@ class _Pipeline:
                     outcomes.append((op, False, exc))
                 else:
                     outcomes.append((op, True, result))
-            replies = layer.network.transfer(
-                primary_name, client,
-                [(ok, value) for _, ok, value in outcomes])
+            reply = [(ok, value) for _, ok, value in outcomes]
+            try:
+                replies = layer.network.transfer(primary_name, client, reply)
+            except SerializationError:
+                for index, exc in _unencodable(reply).items():
+                    reply[index] = (False, exc)
+                replies = layer.network.transfer(primary_name, client, reply)
             layer.stats.batches += 1
             layer.stats.pipelined_ops += len(outcomes)
             for (op, _, _), (ok, value) in zip(outcomes, replies):
@@ -357,3 +410,16 @@ class _Pipeline:
                     op.resolve(value)
                 else:
                     op.fail(value)
+
+
+def _unencodable(entries: list) -> dict[int, SerializationError]:
+    """Which entries of a message that failed to encode cannot cross
+    the wire on their own, with the error each raises.  Only a failed
+    transfer asks: the hot path encodes a group once, as a whole."""
+    found = {}
+    for index, entry in enumerate(entries):
+        try:
+            ship(entry)
+        except SerializationError as exc:
+            found[index] = exc
+    return found

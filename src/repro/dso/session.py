@@ -36,8 +36,9 @@ sequence number that is still in flight.  The pipelined path ships the
 per-primary groups of a flush concurrently, so replies arrive out of
 order; a plain ``max`` over received replies would let a later stamp
 truncate a reply whose retransmission is still to come.  Exactly-once
-therefore does not rest on the pump shipping one batch at a time (see
-:class:`_ClientSession`).
+therefore does not rest on batches shipping one at a time — a thread
+that submits on two endpoints has two queues, whose batches overlap
+(see :class:`_ClientSession`).
 
 Identifiers are drawn from per-layer counters and the caller-supplied
 names — never from wall-clock time or process-global state — so a
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import SessionReplayError
+from repro.mutation import PLANTED
 from repro.simulation.kernel import current_thread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -133,7 +135,8 @@ class _ClientSession:
             inflight.discard(seq)
         # Later stamps only ever exceed ``_received``, and the lowest
         # in-flight seq only rises, so this never moves backwards.
-        self.acked = (min(self._received, min(inflight) - 1) if inflight
+        self.acked = (min(self._received, min(inflight) - 1)
+                      if inflight and "ack-max" not in PLANTED
                       else self._received)
 
 

@@ -33,9 +33,11 @@ The moving parts:
 
 * The two-phase commit: ``prepare`` every written key, adopt one
   commit id, then ``commit`` every key.  Each phase is one
-  scatter-gather flush of :mod:`repro.dso.pipeline` — the write set
-  goes out to all its primaries at once (same-primary keys share a
-  round trip) and the phase costs the slowest of them, so an
+  scatter-gather flush of the committing thread's own queue
+  (:mod:`repro.dso.pipeline`; other threads' batches neither wait for
+  it nor hold it up) — the write set goes out to all its primaries at
+  once (same-primary keys share a round trip) and the phase costs the
+  slowest of them, so an
   uncontended k-key commit is about two round trips whatever k is
   (AFT ships a write set the same way).  An abort releases its
   prepares with one more such flush.  Prepare and abort are

@@ -18,22 +18,39 @@ can pin it:
   rate under contention is expected to be ~0 on a healthy cluster;
   it is reported — with the read-retry and forced-fetch counters that
   *do* move under contention — to keep that property pinned.
+* **mixed load**: :data:`MIXED_THREADS` threads on one endpoint, each
+  issuing synchronous GETs with a :data:`MIXED_TXN_SHARE` of
+  SIZE-key transactions mixed in.  A transaction's phases ship
+  through its own thread's async queue, so the GET p99 should stay
+  near a lone GET; a barrier that waited for other threads' batches
+  puts every GET behind them.
 
 All quantities are virtual-time; wall time only bounds the harness.
 """
 
 from __future__ import annotations
 
+import random
+import statistics
 from dataclasses import dataclass
 
 from repro.core.runtime import CrucialEnvironment
 from repro.errors import TxnError
+from repro.metrics.recorder import percentile
 from repro.metrics.report import comparison_table
 from repro.simulation.thread import spawn
 from repro.workload.distributions import ZipfSampler
 
 #: Keys per measured transaction (the ISSUE's "txn of size 4").
 SIZE = 4
+
+#: The mixed-load row: threads sharing one endpoint, ops per thread,
+#: the share of those ops that are SIZE-key transactions (the rest are
+#: GETs), and the keys the GETs cycle over.
+MIXED_THREADS = 8
+MIXED_OPS = 100
+MIXED_TXN_SHARE = 0.05
+MIXED_GET_KEYS = 64
 
 
 @dataclass
@@ -50,6 +67,8 @@ class TxnAtomicityResult:
     aborts: int
     read_retries: int
     forced_fetches: int
+    mixed_get_p99_time: float  #: p99 GET seconds under the mixed load
+    lone_get_time: float  #: median GET seconds of one thread alone
 
     @property
     def overhead_ratio(self) -> float:
@@ -59,6 +78,12 @@ class TxnAtomicityResult:
     @property
     def read_ratio(self) -> float:
         return self.txn_read_time / self.bulk_read_time
+
+    @property
+    def mixed_get_ratio(self) -> float:
+        """What sharing an endpoint with transactions costs a GET's
+        tail, in lone GETs."""
+        return self.mixed_get_p99_time / self.lone_get_time
 
     @property
     def abort_rate(self) -> float:
@@ -150,12 +175,66 @@ def run(reps: int = 20, clients: int = 4, rounds: int = 8,
 
         (seq_invoke, txn_commit, txn_read, bulk_read, attempted,
          aborts, read_retries, forced) = env.run(workload)
+    mixed_get_p99, lone_get = _mixed_load(seed)
     return TxnAtomicityResult(
         size=SIZE, reps=reps,
         txn_commit_time=txn_commit, seq_invoke_time=seq_invoke,
         txn_read_time=txn_read, bulk_read_time=bulk_read,
         contended_txns=attempted, aborts=aborts,
-        read_retries=read_retries, forced_fetches=forced)
+        read_retries=read_retries, forced_fetches=forced,
+        mixed_get_p99_time=mixed_get_p99, lone_get_time=lone_get)
+
+
+def _mixed_load(seed: int) -> tuple[float, float]:
+    """p99 of a synchronous GET among MIXED_THREADS threads sharing one
+    endpoint with transactions mixed in, and the median GET of one
+    thread alone, in seconds.
+
+    Its own deployment, so the rows above keep their RNG draws.
+    """
+    rng = random.Random(seed)
+    plans = [[rng.random() < MIXED_TXN_SHARE for _ in range(MIXED_OPS)]
+             for _ in range(MIXED_THREADS)]
+    with CrucialEnvironment(seed=seed, dso_nodes=3) as env:
+        client = env.client_endpoint
+
+        def group(thread: int) -> list[str]:
+            return [f"mixed-{thread}-{i}" for i in range(SIZE)]
+
+        def timed_get(key: int, into: list[float]) -> None:
+            start = env.now
+            env.dso.get(client, f"g{key % MIXED_GET_KEYS}")
+            into.append(env.now - start)
+
+        def workload():
+            # Create every object outside the measured windows.
+            for key in range(MIXED_GET_KEYS):
+                env.dso.put(client, f"g{key}", 0)
+            for thread in range(MIXED_THREADS):
+                with env.transaction() as txn:
+                    for key in group(thread):
+                        txn.write(key, 0)
+            alone: list[float] = []
+            for key in range(MIXED_GET_KEYS):
+                timed_get(key, alone)
+            mixed: list[float] = []
+
+            def mixer(thread: int, plan: list[bool]) -> None:
+                for step, transact in enumerate(plan):
+                    if not transact:
+                        timed_get(step, mixed)
+                        continue
+                    with env.transaction() as txn:
+                        for key in group(thread):
+                            txn.write(key, step)
+
+            threads = [spawn(mixer, thread, plan, name=f"mixer-{thread}")
+                       for thread, plan in enumerate(plans)]
+            for thread in threads:
+                thread.join()
+            return percentile(mixed, 99.0), statistics.median(alone)
+
+        return env.run(workload)
 
 
 def report(result: TxnAtomicityResult) -> str:
@@ -185,5 +264,10 @@ def report(result: TxnAtomicityResult) -> str:
         f"(rate {result.abort_rate:.3f}), "
         f"{result.read_retries} read retries, "
         f"{result.forced_fetches} forced fetches",
+        f"mixed load: {MIXED_THREADS} threads on one endpoint, "
+        f"{MIXED_TXN_SHARE:.0%} {result.size}-key txns: GET p99 "
+        f"{result.mixed_get_p99_time * 1e6:.1f}us = "
+        f"{result.mixed_get_ratio:.2f}x a lone GET "
+        f"({result.lone_get_time * 1e6:.1f}us)",
     ]
     return "\n".join(lines)

@@ -23,6 +23,13 @@ MUTATIONS = {
     "no-watch-fence": "keeper sessions release watch events in arrival "
                       "order, so SQS delivery reordering becomes "
                       "client-visible (test_keeper_hunter)",
+    "no-own-barrier": "a synchronous verb skips draining the calling "
+                      "thread's own async queue, so it overtakes ops the "
+                      "thread submitted before it (test_pipeline_hunter)",
+    "ack-max": "a session's acknowledgement watermark is the highest "
+               "answered seq instead of the contiguous one, so a later "
+               "stamp prunes the reply an in-flight retransmission "
+               "needs and it re-executes (test_pipeline_hunter)",
 }
 
 #: Mutations currently planted; empty outside mutation tests.

@@ -68,9 +68,17 @@ def _mixed_script(trace_enabled):
 #: steps span two and three primaries, so they got shorter, draw their
 #: latencies in another order and record ``dso.flush`` spans (the first
 #: 15 ops and every op's result are as before: 1251481845 / 144 spans /
-#: 3112914668 was the sequential-run timeline).
+#: 3112914668 was the sequential-run timeline).  Re-captured again when
+#: the async queue became per thread with a pump that retires when idle
+#: (timeline and span count unchanged; Chrome crc was 1196378880): each
+#: flush now runs on a freshly spawned pump, so the export has more
+#: thread tracks, and a pump inherits the span of the submit that
+#: spawned it — the second transaction's ``dso.flush`` spans now nest
+#: under its own ``dso.txn_commit`` and the ``put_async`` flush is a
+#: root, where the one long-lived pump had put all of them under the
+#: first transaction's commit.
 UNTRACED_PIN = (19, 671847497, 0, 0)
-TRACED_PIN = (19, 671847497, 131, 1196378880)
+TRACED_PIN = (19, 671847497, 131, 200989954)
 
 
 def test_mixed_script_timeline_is_pinned_with_tracing_off():

@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoLayer, DsoReference
+from repro.errors import SerializationError
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep
@@ -189,6 +190,49 @@ def test_app_exception_fails_only_its_own_future(kernel, network):
         return tail.result()
 
     assert kernel.run_main(main) == "done"
+
+
+class Opener:
+    """A shared object with one method whose reply cannot be shipped."""
+
+    def __init__(self):
+        self.opened = 0
+
+    def open(self):
+        self.opened += 1
+        return lambda: self.opened  # a closure cannot cross the wire
+
+    def count(self):
+        return self.opened
+
+
+def test_an_unencodable_op_fails_only_its_own_future(kernel, network):
+    """An argument or a reply that cannot be pickled fails its own
+    future with SerializationError — as the synchronous verb would
+    raise it — while the rest of the batch completes and the pump lives
+    on for the next one.  A failed group encode used to kill the pump,
+    leaving every future of the batch (and every later op) unsettled."""
+    layer = make_layer(kernel, network)
+    opener = DsoReference("Opener", "opener")
+    ctor = (Opener, (), {})
+
+    def main():
+        good = layer.put_async("client", "a", 1)
+        bad_argument = layer.put_async("client", "b", lambda: 1)
+        bad_reply = layer.invoke_async("client", opener, "open", ctor=ctor)
+        tail = layer.put_async("client", "c", 3)
+        layer.flush("client")
+        assert isinstance(bad_argument.exception(), SerializationError)
+        assert isinstance(bad_reply.exception(), SerializationError)
+        assert good.result() is None and tail.result() is None
+        later = layer.put_async("client", "d", 4)
+        assert later.result() is None
+        return ([layer.get("client", key) for key in "abcd"],
+                layer.invoke("client", opener, "count", ctor=ctor))
+
+    # The unencodable argument never left the client; the open() whose
+    # reply could not be shipped did run, as a synchronous one would.
+    assert kernel.run_main(main) == ([1, None, 3, 4], 1)
 
 
 def test_cacheable_read_bypasses_pipeline(kernel, network):

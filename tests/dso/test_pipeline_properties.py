@@ -41,8 +41,10 @@ CTOR = (Log, (), {})
 STEP = st.sampled_from(["async", "sync", "flush"])
 
 
-def _run_plan(client_plans, scheduler=None):
-    """Execute per-client step plans; return the object's final log."""
+def _run_plan(client_plans, scheduler=None, endpoint=None):
+    """Execute per-client step plans, one thread each; return the
+    object's final log.  Each thread ships from the endpoint named
+    after its client, or — with ``endpoint`` — all from that one."""
     with Kernel(seed=5, scheduler=scheduler) as kernel:
         network = Network(kernel, LatencyModel(0.0001))
         layer = DsoLayer(kernel, network)
@@ -50,19 +52,20 @@ def _run_plan(client_plans, scheduler=None):
             layer.add_node()
 
         def client_thread(client, steps):
+            source = endpoint or client
             value = 0
             for step in steps:
                 if step == "async":
-                    layer.invoke_async(client, REF, "append",
+                    layer.invoke_async(source, REF, "append",
                                        ((client, value),), ctor=CTOR)
                     value += 1
                 elif step == "sync":
-                    layer.invoke(client, REF, "append",
+                    layer.invoke(source, REF, "append",
                                  ((client, value),), ctor=CTOR)
                     value += 1
                 else:
-                    layer.flush(client)
-            layer.flush(client)
+                    layer.flush(source)
+            layer.flush(source)
 
         def main():
             threads = [spawn(client_thread, client, steps)
@@ -100,6 +103,26 @@ def test_concurrent_sessions_keep_per_session_order(seed, steps_a, steps_b):
     reorders within a session, whatever the global interleaving."""
     log = _run_plan({"a": steps_a, "b": steps_b},
                     scheduler=RandomScheduler(seed=seed, preempt_prob=0.25))
+    _assert_each_session_in_order(log, steps_a, steps_b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 9999),
+       steps_a=st.lists(STEP, min_size=1, max_size=8),
+       steps_b=st.lists(STEP, min_size=1, max_size=8))
+def test_threads_sharing_an_endpoint_keep_their_own_order(seed, steps_a,
+                                                          steps_b):
+    """Two threads on *one* endpoint: each has its own queue, and its
+    barriers wait for its own ops only — yet under random and PCT
+    schedules each thread's ops still land in its submission order."""
+    for scheduler in (RandomScheduler(seed=seed, preempt_prob=0.25),
+                      PctScheduler(seed=seed, depth=3, expected_steps=200)):
+        log = _run_plan({"a": steps_a, "b": steps_b}, scheduler=scheduler,
+                        endpoint="shared")
+        _assert_each_session_in_order(log, steps_a, steps_b)
+
+
+def _assert_each_session_in_order(log, steps_a, steps_b):
     for client, steps in (("a", steps_a), ("b", steps_b)):
         ops = sum(1 for s in steps if s != "flush")
         mine = [value for owner, value in log if owner == client]

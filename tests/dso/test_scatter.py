@@ -9,6 +9,8 @@ own group into the retry — exactly-once holds although replies now
 arrive out of order.
 """
 
+import random
+
 import pytest
 
 from repro.dso import DsoLayer, DsoReference
@@ -16,6 +18,7 @@ from repro.dso.session import _ClientSession
 from repro.explore import PctScheduler, RandomScheduler
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
+from repro.simulation.kernel import current_thread
 from repro.simulation.thread import sleep, spawn
 
 
@@ -103,18 +106,38 @@ def test_per_object_order_with_keys_interleaved_over_primaries(scheduler):
     assert batches == 15
 
 
+def _submitter_plan(who, steps=24):
+    """``(kind, object index)`` steps mixing async, sync and flush."""
+    rng = random.Random(f"plan-{who}")
+    return [(rng.choice(("async", "async", "sync", "flush")),
+             rng.randrange(3)) for _ in range(steps)]
+
+
 def test_concurrent_submitters_keep_their_order_on_every_object():
-    """Two threads share the endpoint's pipeline: restricted to one
-    submitter, each object's log is that submitter's order."""
-    with Kernel(seed=13, scheduler=RandomScheduler(
-            seed=7, preempt_prob=0.3)) as kernel:
+    """Two threads on one endpoint, each mixing ``invoke_async``,
+    ``invoke`` and ``flush`` over three primaries, under FIFO, random
+    and PCT schedules.  Each has its own queue and its barriers wait
+    for its own ops only; restricted to one thread, each object's log
+    is that thread's all-sync plan for it."""
+    for scheduler in (None, RandomScheduler(seed=7, preempt_prob=0.3),
+                      PctScheduler(seed=11, depth=3, expected_steps=800)):
+        _check_submitters_on_one_endpoint(scheduler)
+
+
+def _check_submitters_on_one_endpoint(scheduler):
+    plans = {who: _submitter_plan(who) for who in "ab"}
+    with Kernel(seed=13, scheduler=scheduler) as kernel:
         layer = make_layer(kernel)
 
         def submitter(who, refs):
-            for step in range(18):
-                layer.invoke_async("client", refs[step % len(refs)],
-                                   "append", ((who, step),), ctor=CTOR)
-                if step % 5 == 4:
+            for step, (kind, index) in enumerate(plans[who]):
+                if kind == "async":
+                    layer.invoke_async("client", refs[index], "append",
+                                       ((who, step),), ctor=CTOR)
+                elif kind == "sync":
+                    layer.invoke("client", refs[index], "append",
+                                 ((who, step),), ctor=CTOR)
+                else:
                     layer.flush("client")
             layer.flush("client")
 
@@ -129,9 +152,10 @@ def test_concurrent_submitters_keep_their_order_on_every_object():
 
         logs = kernel.run_main(main)
     for index, log in enumerate(logs):
-        for who in "ab":
+        for who, plan in plans.items():
             mine = [step for owner, step in log if owner == who]
-            assert mine == list(range(index, 18, 3))
+            assert mine == [step for step, (kind, target) in enumerate(plan)
+                            if kind != "flush" and target == index]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +194,9 @@ def test_a_flush_over_k_primaries_costs_about_one_round_trip():
 
 
 def test_a_single_primary_flush_spawns_no_lane():
+    """The only thread the flush starts is the pump itself: the warm-up
+    flush's pump retired once its queue was empty, and the next submit
+    spawned a fresh one from the worker pool."""
     with Kernel(seed=11) as kernel:
         layer = make_layer(kernel, nodes=1)
         spawned = []
@@ -187,7 +214,7 @@ def test_a_single_primary_flush_spawns_no_lane():
             layer.flush("client")
 
         kernel.run_main(main)
-    assert spawned == []
+    assert spawned == ["dso-pipe-client"]
     assert layer.stats.batches == 2
 
 
@@ -240,7 +267,8 @@ def test_primary_crash_mid_flush_retries_only_its_group():
                             "client", refs[step % 3], "append", (step,),
                             ctor=CTOR))
                        for step in range(12)]
-            pipeline = layer._pipelines["client"]
+            # This thread's queue on the endpoint.
+            pipeline = layer._pipelines["client", current_thread().tid]
             seqs = {op.stamp.seq: op.ref for op in pipeline.pending}
             shipped = []
             ship_group = pipeline._ship_group

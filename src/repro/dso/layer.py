@@ -423,9 +423,13 @@ class DsoLayer:
         self.connect(client, primary.name)
         method, args, kwargs, stamp = self.network.transfer(
             client, primary.name, (method, args, kwargs, stamp))
-        result, grant = primary.execute(
-            client, ref, method, args, kwargs, cost, raw_service, stamp,
-            placement, lease_version)
+        call = primary.hold(ref)
+        try:
+            result, grant = primary.execute(
+                call, client, ref, method, args, kwargs, cost, raw_service,
+                stamp, placement, lease_version)
+        finally:
+            call.release()
         if grant is None:
             return self.network.transfer(primary.name, client, result)
         # The snapshot crosses the wire with the reply, so its bytes

@@ -24,11 +24,13 @@ Cloudburst-style stateful-serverless systems use to amortize that cost:
   request transfer carries the whole group, the primary runs it as
   **per-object chains** — one object's ops in submission order,
   sharing one SMR ordering round; different objects concurrently, up
-  to ``node_workers`` — with every op still taking the per-object
-  lock, deduplicating against the session table and charging its own
-  service time, and one reply transfer carries the results back,
-  demultiplexed to the futures.  A flush costs its slowest primary's
-  round trip, and a group its slowest object, not the sums.
+  to ``node_workers`` — where each chain holds its object's lock once,
+  as one critical section (so a hot key's run of writes pays one lease
+  revocation round, not one per write), and every op still
+  deduplicates against the session table and charges its own service
+  time; one reply transfer carries the results back, demultiplexed to
+  the futures.  A flush costs its slowest primary's round trip, and a
+  group its slowest object, not the sums.
 
 The ordering contract is the paper's (Section 4.1: each object is
 linearizable on its own, nothing is promised across objects), and its
@@ -348,6 +350,7 @@ class _Pipeline:
 
         A single request transfer carries every op of the group; the
         primary runs them as per-object chains (:meth:`_run_chain`),
+        each one critical section on its object, the chains
         concurrent up to ``node_workers`` — a wider group runs in
         waves on the node's worker semaphore — so the group costs its
         slowest object, not the sum; a single reply transfer carries
@@ -409,28 +412,38 @@ class _Pipeline:
 
     def _run_chain(self, node: DsoNode, chain: list, reply: list) -> None:
         """One object's ops of a group, at its primary, in submission
-        order, sharing one SMR ordering round; each op's ``(ok,
-        value)`` lands in ``reply`` at the op's place in the group."""
+        order, as one critical section: the object's lock and a worker
+        are taken once (:meth:`DsoNode.hold`), every op runs under
+        them, and they are released after the last.  So no other
+        site's read is leased the object between two of the chain's
+        writes, and the chain pays one lease revocation round, not one
+        per write.  The chain's replicated ops share one SMR ordering
+        round; each op's ``(ok, value)`` lands in ``reply`` at the op's
+        place in the group."""
         placements = self.layer.placements
         smr_context: dict = {}
-        for index, op, (method, args, kwargs, stamp) in chain:
-            placement = placements.live(op.ref)
-            if placement is None:
-                raise StaleContainer(f"{op.ref} no longer placed")
-            if placement.replicas[0] != node.name:
-                raise StaleContainer(
-                    f"{op.ref} moved off {node.name} mid-batch")
-            try:
-                result, _ = node.execute(
-                    self.client, op.ref, method, args, kwargs, op.cost,
-                    op.raw_service, stamp, placement,
-                    smr_context=smr_context)
-            except TRANSIENT:
-                raise
-            except Exception as exc:  # noqa: BLE001 - app-level error
-                reply[index] = (False, exc)
-            else:
-                reply[index] = (True, result)
+        call = node.hold(chain[0][1].ref)
+        try:
+            for index, op, (method, args, kwargs, stamp) in chain:
+                placement = placements.live(op.ref)
+                if placement is None:
+                    raise StaleContainer(f"{op.ref} no longer placed")
+                if placement.replicas[0] != node.name:
+                    raise StaleContainer(
+                        f"{op.ref} moved off {node.name} mid-batch")
+                try:
+                    result, _ = node.execute(
+                        call, self.client, op.ref, method, args, kwargs,
+                        op.cost, op.raw_service, stamp, placement,
+                        smr_context=smr_context)
+                except TRANSIENT:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - app-level error
+                    reply[index] = (False, exc)
+                else:
+                    reply[index] = (True, result)
+        finally:
+            call.release()
 
 
 def _unencodable(entries: list) -> dict[int, SerializationError]:

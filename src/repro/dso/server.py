@@ -9,9 +9,12 @@ When a node crashes, every parked waiter on its objects is released
 with an error, and the containers are marked dead so late arrivals
 fail fast.
 
-A node is also where a shipped op *runs*: :meth:`DsoNode.execute` is
-the primary-side half of an invocation (lock, dedup, apply, lease
-revoke/grant, SMR).  Persistent objects (``rf >= 2``): each invocation
+A node is also where a shipped op *runs*: :meth:`DsoNode.hold` opens
+a critical section on an object (its lock, then a worker) and
+:meth:`DsoNode.execute` is the primary-side half of one invocation
+under it (dedup, apply, lease revoke/grant, SMR).  The synchronous
+path holds a section for one op, a batched chain for all of its ops on
+the object.  Persistent objects (``rf >= 2``): each invocation
 is applied, in the same order, at every replica before the client is
 acknowledged — state machine replication.  The inter-replica ordering
 round adds two one-way hops plus replica-side work, reproducing
@@ -79,18 +82,18 @@ class ServerObject:
 
 
 class DsoCall:
-    """Tracks one in-progress method invocation at its primary replica.
+    """One critical section on an object at its primary replica.
 
     Owns (at most) the container's object lock and one node worker
-    slot; :class:`ServerCondition` releases and re-acquires both when
-    the object parks the caller.
+    slot, for one op (the synchronous path) or every op of a batched
+    chain (:meth:`DsoNode.hold`); :class:`ServerCondition` releases and
+    re-acquires both when the object parks the caller.
     """
 
     def __init__(self, container: "ObjectContainer"):
         self.container = container
         self.lock_held = False
         self.worker_held = False
-        self.aborted = False
 
     def acquire(self) -> None:
         """Object lock first (linearization order), then a worker."""
@@ -99,12 +102,19 @@ class DsoCall:
         self.container.node.node.workers.acquire()
         self.worker_held = True
 
+    def acquire_worker(self) -> None:
+        """Take a worker slot again, the object lock still held."""
+        self.container.node.node.workers.acquire()
+        self.worker_held = True
+
     def release_worker(self) -> None:
         """Free the worker slot while keeping the object lock.
 
-        Used before cross-node work (SMR replication): holding a
-        worker on node A while queueing for a worker on node B would
-        deadlock two saturated nodes replicating toward each other.
+        Used before work that waits on other endpoints (SMR
+        replication, lease revocation): holding a worker on node A
+        while queueing for a worker on node B would deadlock two
+        saturated nodes replicating toward each other, and a worker
+        held through a wait on the network serves nobody.
         """
         if self.worker_held:
             self.container.node.node.workers.release()
@@ -147,7 +157,6 @@ class ServerCondition:
             with self._condition:
                 self._condition.wait()
             if container.dead:
-                call.aborted = True
                 raise NodeCrashedError(
                     f"{container.node.name} crashed while a caller "
                     f"waited on {container.key}")
@@ -299,139 +308,160 @@ class DsoNode:
             raise StaleContainer(f"{ref} not hosted on {self.name}")
         return container
 
-    def execute(self, client: str, ref: DsoReference, method: str,
-                args: tuple, kwargs: dict, cost: float,
+    def hold(self, ref: DsoReference) -> DsoCall:
+        """Open a critical section on ``ref``: its object lock, then a
+        worker.
+
+        The caller runs ops under the returned call with
+        :meth:`execute` and then releases it: the synchronous path
+        holds it for its one op, a batched chain
+        (:mod:`repro.dso.pipeline`) for every op of the chain.  No
+        lease can be granted on the object while the section is open,
+        so a chain's first write that finds lease holders revokes them
+        and its later writes find none.
+        """
+        # _hosted() inlined: every synchronous op passes here, and its
+        # call count is budgeted (BENCH_kernel.json calls_per_sync_put).
+        container = self.containers.get(ref.ident)
+        if container is None or container.dead:
+            raise StaleContainer(f"{ref} not hosted on {self.name}")
+        call = DsoCall(container)
+        call.acquire()
+        return call
+
+    def execute(self, call: DsoCall, client: str, ref: DsoReference,
+                method: str, args: tuple, kwargs: dict, cost: float,
                 raw_service: float | None, stamp: SessionStamp | None,
                 placement: Placement, lease_version: int | None = None,
                 smr_context: dict | None = None
                 ) -> tuple[Any, LeaseGrant | None]:
-        """Run one shipped op at its primary: lock, dedup, apply, SMR.
+        """Run one shipped op at its primary, under ``call`` — a
+        critical section on the op's object that the caller opened
+        with :meth:`hold` and releases: fence, dedup, apply, lease
+        revoke/grant, SMR.
 
-        Shared by the synchronous path and the batched path
-        (:mod:`repro.dso.pipeline`), which executes many ops per round
-        trip as per-object chains: ``smr_context`` then makes a chain's
-        replicated ops share a single SMR ordering round (see
-        :meth:`replicate`).
+        Shared by the synchronous path (one op per section) and the
+        batched path (:mod:`repro.dso.pipeline`), which runs each
+        per-object chain of a group as one section: ``smr_context``
+        then makes the chain's replicated ops share a single SMR
+        ordering round (see :meth:`replicate`).  An earlier op of the
+        section may have given its worker up (replication, lease
+        revocation, a parked wait); this op takes one again before its
+        service time.
         ``lease_version`` is the placement version the client captured
         before shipping a cacheable read, or ``None`` for no lease.
         Returns ``(result, lease grant or None)``; the caller owns the
         reply transfer back to the client.
         """
         layer = self.layer
-        container = self._hosted(ref)
-        call = DsoCall(container)
+        container = call.container
         grant: LeaseGrant | None = None
         tracer = self.kernel.tracer
         with (tracer.span("dso.primary", kind="server", endpoint=self.name,
                           attributes={"method": method})
               if tracer.enabled else NO_SPAN):
-            call.acquire()
-            try:
-                if self.containers.get(ref.ident) is not container:
-                    raise StaleContainer(f"{ref} moved off {self.name}")
-                if (not placement.replicas
-                        or placement.replicas[0] != self.name):
-                    # A rebalance re-homed the primary while this op
-                    # queued on the lock (possibly without evicting the
-                    # local copy, if only the replica *order* changed).
-                    # Fence rather than apply: an op applied here would
-                    # never reach the new primary.
-                    raise StaleContainer(f"{ref} re-homed off {self.name}")
-                entry = (container.sessions.lookup(stamp)
-                         if stamp is not None else None)
+            if not call.worker_held:
+                call.acquire_worker()
+            if self.containers.get(ref.ident) is not container:
+                raise StaleContainer(f"{ref} moved off {self.name}")
+            if (not placement.replicas
+                    or placement.replicas[0] != self.name):
+                # A rebalance re-homed the primary while this op
+                # queued on the lock (possibly without evicting the
+                # local copy, if only the replica *order* changed).
+                # Fence rather than apply: an op applied here would
+                # never reach the new primary.
+                raise StaleContainer(f"{ref} re-homed off {self.name}")
+            entry = (container.sessions.lookup(stamp)
+                     if stamp is not None else None)
+            if entry is not None:
+                return self._dedup_hit(
+                    placement, ref, container, call, entry, stamp,
+                    method, args, kwargs, cost, smr_context), None
+            service = (raw_service if raw_service is not None
+                       else layer.config.dso.method_call_overhead)
+            current_thread().sleep((service + cost) * self.slow_factor)
+            if not self.alive or container.dead:
+                raise NodeCrashedError(
+                    f"{self.name} crashed during {ref}.{method}")
+            # Commit fence: a txn commit is only valid at a primary
+            # still holding the prepared entry.  A promoted backup
+            # never saw the (unreplicated) prepare, so the commit is
+            # turned back *before* any mutation or session record —
+            # the client re-prepares there and retries with a fresh
+            # stamp.  The "no-commit-fence" mutation drops the write
+            # instead (see repro.mutation).
+            fence_dropped = False
+            if method == "__txn_commit__":
+                prepared = getattr(container.instance, "prepared", None)
+                if prepared is not None and args[0] not in prepared:
+                    if "no-commit-fence" in PLANTED:
+                        fence_dropped = True
+                    else:
+                        layer.stats.txn_fence_trips += 1
+                        raise TxnPrepareLostError(
+                            f"{ref}: no prepared entry for txn "
+                            f"{args[0]!r} at {self.name}; "
+                            f"re-prepare before committing")
+            layer.stats.invocations += 1
+            if fence_dropped:
+                result = args[1]
+            else:
+                result = container.apply(method, args, kwargs, call)
+            # Replicate to the *current* backup set whenever one
+            # exists, whatever placement version the client captured:
+            # a concurrent rebalance bumps the version while writes
+            # queue on the lock, and an acked write that silently
+            # stays primary-only is lost with the primary.  The
+            # primary fence above already rejects ops at a node that
+            # is no longer ``replicas[0]``; from the current primary,
+            # replicating under the current replica list is always
+            # correct.
+            replicated = (len(placement.replicas) > 1
+                          and not fence_dropped
+                          and not is_unreplicated(
+                              type(container.instance), method))
+            if stamp is not None:
+                # Remember the reply *before* replication: if we crash
+                # mid-replication, a retry must dedup here rather than
+                # mutate twice.  committed=False until every backup
+                # has it.  A txn prepare's record is pinned under its
+                # txn id — LRU eviction must not reclaim it before the
+                # commit/abort resolves.
+                entry = container.sessions.record(
+                    stamp, layer.shippable(result),
+                    committed=not replicated,
+                    pin=(args[0] if method == "__txn_prepare__"
+                         else None))
+            if layer.caches.enabled:
+                if not is_readonly(type(container.instance), method):
+                    # Coherence: no cached read may be served after
+                    # this write acks.  Runs after the session record,
+                    # so a crash mid-revocation still dedups the
+                    # client's retry.
+                    self._revoke_leases(call)
+                    if not self.alive or container.dead:
+                        raise NodeCrashedError(
+                            f"{self.name} crashed revoking "
+                            f"leases for {ref}.{method}")
+                elif lease_version is not None and not isinstance(
+                        container.instance, ServerObject):
+                    expiry = self.kernel.now + layer.config.dso.lease_ttl
+                    container.leases.grant(client, expiry)
+                    layer.stats.leases_granted += 1
+                    grant = LeaseGrant(snapshot=container.instance,
+                                       expiry=expiry,
+                                       version=lease_version)
+            if replicated:
+                # Free the primary worker before queueing for backup
+                # workers (keeps saturated replicating nodes
+                # deadlock-free); the object lock still serializes the
+                # op stream, preserving SMR's total order.
+                call.release_worker()
+                self.replicate(placement, ref, method, args, kwargs,
+                               cost, stamp, result, smr_context)
                 if entry is not None:
-                    return self._dedup_hit(
-                        placement, ref, container, call, entry, stamp,
-                        method, args, kwargs, cost, smr_context), None
-                service = (raw_service if raw_service is not None
-                           else layer.config.dso.method_call_overhead)
-                current_thread().sleep((service + cost) * self.slow_factor)
-                if not self.alive or container.dead:
-                    raise NodeCrashedError(
-                        f"{self.name} crashed during {ref}.{method}")
-                # Commit fence: a txn commit is only valid at a
-                # primary still holding the prepared entry.  A
-                # promoted backup never saw the (unreplicated)
-                # prepare, so the commit is turned back *before*
-                # any mutation or session record — the client
-                # re-prepares there and retries with a fresh
-                # stamp.  The "no-commit-fence" mutation drops the
-                # write instead (see repro.mutation).
-                fence_dropped = False
-                if method == "__txn_commit__":
-                    prepared = getattr(container.instance, "prepared", None)
-                    if prepared is not None and args[0] not in prepared:
-                        if "no-commit-fence" in PLANTED:
-                            fence_dropped = True
-                        else:
-                            layer.stats.txn_fence_trips += 1
-                            raise TxnPrepareLostError(
-                                f"{ref}: no prepared entry for txn "
-                                f"{args[0]!r} at {self.name}; "
-                                f"re-prepare before committing")
-                layer.stats.invocations += 1
-                if fence_dropped:
-                    result = args[1]
-                else:
-                    result = container.apply(method, args, kwargs, call)
-                # Replicate to the *current* backup set whenever one
-                # exists, whatever placement version the client
-                # captured: a concurrent rebalance bumps the version
-                # while writes queue on the lock, and an acked write
-                # that silently stays primary-only is lost with the
-                # primary.  The primary fence above already rejects
-                # ops at a node that is no longer ``replicas[0]``; from
-                # the current primary, replicating under the current
-                # replica list is always correct.
-                replicated = (len(placement.replicas) > 1
-                              and not fence_dropped
-                              and not is_unreplicated(
-                                  type(container.instance), method))
-                if stamp is not None:
-                    # Remember the reply *before* replication: if we
-                    # crash mid-replication, a retry must dedup here
-                    # rather than mutate twice.  committed=False until
-                    # every backup has it.  A txn prepare's record is
-                    # pinned under its txn id — LRU eviction must not
-                    # reclaim it before the commit/abort resolves.
-                    entry = container.sessions.record(
-                        stamp, layer.shippable(result),
-                        committed=not replicated,
-                        pin=(args[0] if method == "__txn_prepare__"
-                             else None))
-                if layer.caches.enabled:
-                    if not is_readonly(type(container.instance), method):
-                        # Coherence: no cached read may be served
-                        # after this write acks.  Runs after the
-                        # session record, so a crash mid-revocation
-                        # still dedups the client's retry.
-                        self._revoke_leases(container)
-                        if not self.alive or container.dead:
-                            raise NodeCrashedError(
-                                f"{self.name} crashed revoking "
-                                f"leases for {ref}.{method}")
-                    elif lease_version is not None and not isinstance(
-                            container.instance, ServerObject):
-                        expiry = self.kernel.now + layer.config.dso.lease_ttl
-                        container.leases.grant(client, expiry)
-                        layer.stats.leases_granted += 1
-                        grant = LeaseGrant(snapshot=container.instance,
-                                           expiry=expiry,
-                                           version=lease_version)
-                if replicated:
-                    # Free the primary worker before queueing for
-                    # backup workers (keeps saturated replicating
-                    # nodes deadlock-free); the object lock still
-                    # serializes the op stream, preserving SMR's
-                    # total order.
-                    call.release_worker()
-                    self.replicate(placement, ref, method, args, kwargs,
-                                   cost, stamp, result, smr_context)
-                    if entry is not None:
-                        entry.committed = True
-            finally:
-                if not call.aborted:
-                    call.release()
+                    entry.committed = True
         return result, grant
 
     def _dedup_hit(self, placement: Placement, ref: DsoReference,
@@ -593,7 +623,7 @@ class DsoNode:
     # Read leases (repro.dso.cache), primary side
     # ------------------------------------------------------------------
 
-    def _revoke_leases(self, container: ObjectContainer) -> None:
+    def _revoke_leases(self, call: DsoCall) -> None:
         """Invalidate every outstanding lease before a write acks.
 
         Every reachable holder is posted its invalidation at once, as a
@@ -604,14 +634,22 @@ class DsoNode:
         failed or was cut off mid-flight — is waited out to its lease
         expiry instead, after which its cache entry is stale by time.
         Those holders are waited out *together*: their leases expire
-        concurrently, so the stall is the max remaining TTL.  Runs
-        under the object lock, so no new lease can be granted
-        concurrently.
+        concurrently, so the stall is the max remaining TTL.
+
+        Runs under ``call``'s object lock, so no new lease can be
+        granted concurrently — for the rest of a batched chain too,
+        whose later writes then find no holder: one revocation round
+        per chain.  The wait holds no worker: ``call`` gives its slot
+        up before the first post (as :meth:`replicate` does), so a
+        holder waited out to its TTL stalls only writers of its own
+        object, not the node.
         """
+        container = call.container
         holders = container.leases.active(self.kernel.now)
         container.leases.clear()
         if not holders:
             return
+        call.release_worker()
         layer = self.layer
         key = container.key
         tracer = self.kernel.tracer
@@ -630,18 +668,22 @@ class DsoNode:
             # Timers and the wakeup below are all ``now + flight``, and
             # the timers are queued first: the writer wakes after the
             # last delivery, having slept the slowest hop only.
-            flights = []
+            flights = {}
             for holder, _ in holders:
                 try:
-                    flights.append(layer.network.post(
+                    flights[holder] = layer.network.post(
                         self.name, holder, ("dso.lease_revoke", key),
-                        partial(invalidate, holder)))
+                        partial(invalidate, holder))
                 except NetworkError:
                     continue
             if tracer.enabled:
                 span.set("fanout", len(flights))
             if flights:
-                current_thread().sleep(max(flights))
+                if "revoke-first-arrival" in PLANTED:
+                    current_thread().sleep(min(flights.values()))
+                    invalidated.update(flights)
+                else:
+                    current_thread().sleep(max(flights.values()))
             unreachable = [(holder, expiry) for holder, expiry in holders
                            if holder not in invalidated]
             if unreachable:

@@ -11,6 +11,14 @@ latencies on the same 1 KB payload:
 * ``cached_put``   — the write path with the cache enabled, which must
   stay on the Table 2 calibration (revocation is charged only when a
   lease is actually outstanding).
+
+A fourth row, in its own deployment so the three above keep their
+random draws, is the write path's contended case: ``hot_flush`` — one
+endpoint flushes ``HOT_WRITES`` ``put_async`` to one key while
+``HOT_READERS`` endpoints re-read it from their caches.  The primary
+runs the flush as one critical section on the key, so the readers'
+leases are revoked once and the flush costs one revocation hop on top
+of its round trip and service times.
 """
 
 from __future__ import annotations
@@ -19,7 +27,12 @@ from dataclasses import dataclass
 
 from repro import CrucialEnvironment
 from repro.harness.table2_latency import PAPER, PAYLOAD
-from repro.metrics.report import cache_summary, comparison_table
+from repro.metrics.report import cache_summary, comparison_table, render_table
+from repro.simulation.thread import sleep, spawn
+
+HOT_WRITES = 12
+HOT_READERS = 7
+HOT_FLUSHES = 5
 
 
 @dataclass
@@ -32,11 +45,18 @@ class CacheReadpathResult:
     granted: int
     revocations: int
     ops: int
+    hot_flush: float  #: avg seconds, one hot-key flush beside readers
+    hot_revocations: float  #: leases revoked per hot-key flush
 
     @property
     def speedup(self) -> float:
         """Warm-read improvement over the always-ship baseline."""
         return self.uncached_get / self.cached_get
+
+    @property
+    def hot_flush_ratio(self) -> float:
+        """A hot-key flush of ``HOT_WRITES`` puts, in cached puts."""
+        return self.hot_flush / self.cached_put
 
 
 def _timed(env: CrucialEnvironment, fn, ops: int) -> float:
@@ -70,11 +90,50 @@ def run(ops: int = 300, seed: int = 1) -> CacheReadpathResult:
         cached_get, cached_put = env.run(cached)
         stats = env.dso.stats
 
+    hot_flush, hot_revocations = _hot_key_flush(seed)
     return CacheReadpathResult(
         uncached_get=uncached_get, cached_get=cached_get,
         cached_put=cached_put, hits=stats.cache_hits,
         misses=stats.cache_misses, granted=stats.leases_granted,
-        revocations=stats.lease_revocations, ops=ops)
+        revocations=stats.lease_revocations, ops=ops,
+        hot_flush=hot_flush, hot_revocations=hot_revocations)
+
+
+def _hot_key_flush(seed: int) -> tuple[float, float]:
+    """(avg seconds, leases revoked) per flush of ``HOT_WRITES``
+    ``put_async`` to one key while ``HOT_READERS`` endpoints re-read it
+    in a closed loop."""
+    with CrucialEnvironment(seed=seed, dso_nodes=2,
+                            read_cache=True) as env:
+        layer = env.dso
+        done = []
+
+        def reader(name: str) -> None:
+            while not done:
+                layer.get(name, "hot")
+
+        def hot() -> float:
+            writer = env.client_endpoint
+            layer.put(writer, "hot", PAYLOAD)
+            readers = [spawn(reader, f"reader-{i}")
+                       for i in range(HOT_READERS)]
+            elapsed = 0.0
+            for _ in range(HOT_FLUSHES):
+                sleep(1e-3)  # every reader holds a lease again
+                start = env.now
+                futures = [layer.put_async(writer, "hot", PAYLOAD)
+                           for _ in range(HOT_WRITES)]
+                layer.flush(writer)
+                for future in futures:
+                    future.result()
+                elapsed += env.now - start
+            done.append(True)
+            for thread in readers:
+                thread.join()
+            return elapsed / HOT_FLUSHES
+
+        hot_flush = env.run(hot)
+        return hot_flush, layer.stats.lease_revocations / HOT_FLUSHES
 
 
 def report(result: CacheReadpathResult) -> str:
@@ -97,4 +156,11 @@ def report(result: CacheReadpathResult) -> str:
         leases_granted = result.granted
         lease_revocations = result.revocations
 
-    return table + "\n" + cache_summary(_Stats())
+    hot = render_table(
+        ["metric", "value"],
+        [("flush", f"{result.hot_flush * 1e6:.1f}us"),
+         ("flush / PUT with cache on", f"{result.hot_flush_ratio:.2f}x"),
+         ("leases revoked per flush", f"{result.hot_revocations:g}")],
+        title=f"Hot key: {HOT_WRITES} put_async to one key in one flush, "
+              f"{HOT_READERS} endpoints re-reading it")
+    return table + "\n" + cache_summary(_Stats()) + "\n" + hot

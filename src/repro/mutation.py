@@ -36,6 +36,12 @@ MUTATIONS = {
     "chain-per-op": "a primary splits a batched group into one chain per "
                     "op instead of per object, so one object's ops of a "
                     "batch race each other (test_chain_hunter)",
+    "revoke-first-arrival": "a write's lease revocation wakes at the "
+                            "earliest invalidation's arrival instead of "
+                            "the last and counts the ones still in flight "
+                            "as delivered, so a holder on a slower link "
+                            "serves a stale cached read after the write "
+                            "acked (test_lease_hunter)",
 }
 
 #: Mutations currently planted; empty outside mutation tests.

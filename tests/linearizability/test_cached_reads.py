@@ -6,7 +6,9 @@ because any conflicting write either revoked the lease before
 acknowledging or went through a placement-version bump that
 invalidated the entry first.  These tests check exactly that on
 recorded histories — including ones with crashes and rebalances in the
-middle — with ``read_cache=True`` end to end through the proxy stack.
+middle, and ones where a thread flushes a run of same-key async writes
+that the primary runs as one critical section — with
+``read_cache=True`` end to end through the proxy stack.
 """
 
 import pytest
@@ -31,7 +33,10 @@ class CounterSpec:
         return self.value
 
 
-OPS = st.sampled_from(["add", "get", "get", "get"])  # read-heavy mix
+#: Read-heavy mix; a "flush" is a run of same-key ``add_and_get``
+#: shipped as one batch, which its primary runs as one chain.
+OPS = st.sampled_from(["add", "get", "get", "get", "flush"])
+FLUSH_RUN = 3
 
 
 @settings(max_examples=10, deadline=None)
@@ -57,6 +62,14 @@ def test_cached_read_histories_linearizable(seed, plans, rf):
                         recorder.record(
                             f"t{tid}", "add_and_get", (1,),
                             lambda: counter.add_and_get(1))
+                    elif op == "flush":
+                        invoke = env.kernel.now
+                        futures = [counter.invoke_async("add_and_get", 1)
+                                   for _ in range(FLUSH_RUN)]
+                        results = [future.result() for future in futures]
+                        for result in results:
+                            recorder.add(f"t{tid}", "add_and_get", (1,),
+                                         result, invoke, env.kernel.now)
                     else:
                         recorder.record(f"t{tid}", "get", (), counter.get)
 

@@ -20,8 +20,10 @@ SPAWN_JOINS_PER_SEC_FLOOR = 15_000
 # Three times the ~30 us a warm sequential put costs the sandbox.
 SYNC_PUT_HOST_US_CEILING = 90.0
 # Exact per-put counts (sys.setprofile; they repeat to the call, so the
-# ceilings are tight).  Measured 136 / 2 / 1; the double-encoding,
-# always-build-the-span hot path this replaced measured 191 / 5 / 3.
+# ceilings are tight).  Measured 147 / 2 / 1 since a blocking put is a
+# batch of one on the batch path (136 on a path of its own); the
+# double-encoding, always-build-the-span hot path before that measured
+# 191 / 5 / 3.
 CALLS_PER_SYNC_PUT_CEILING = 150
 DUMPS_PER_SYNC_PUT_CEILING = 2
 LOADS_PER_SYNC_PUT_CEILING = 2

@@ -58,9 +58,11 @@ class DsoProxy:
         """Ship ``method`` without waiting for the reply.
 
         Returns a :class:`repro.dso.pipeline.DsoFuture`; the op is
-        batched with other queued invocations from this endpoint (see
-        ``DsoLayer.invoke_async``).  ``future.result()`` blocks until
-        the reply arrives, re-raising remote application exceptions.
+        batched with the calling thread's other queued invocations on
+        this endpoint (see ``DsoLayer.invoke_async``).
+        ``future.result()`` ships the batch if nobody has yet and blocks
+        until the reply arrives, re-raising remote application
+        exceptions.
         """
         env = current_environment()
         return env.dso.invoke_async(

@@ -20,8 +20,10 @@ concern lives beside the data it owns:
   DESIGN.md "Exactly-once method shipping");
 * ``caches`` (:mod:`repro.dso.cache`) — leased client-side caching of
   read-only methods, off by default (the paper always ships);
-* ``txns`` (:mod:`repro.dso.txn`) and the async pipelines, one per
-  endpoint and calling thread (:mod:`repro.dso.pipeline`).
+* ``txns`` (:mod:`repro.dso.txn`);
+* method shipping (:mod:`repro.dso.pipeline`): every call is a batch —
+  a blocking call the batch of one — shipped by the thread that waits
+  for it, and async ops queue per endpoint and calling thread.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.cluster.membership import MembershipService
 from repro.config import Config, DEFAULT_CONFIG
 from repro.core.retry import RetryPolicy
 from repro.dso.cache import CACHE_MISS, EndpointCaches, readonly
-from repro.dso.pipeline import DsoFuture, _PendingOp, _Pipeline
+from repro.dso.pipeline import DsoFuture, _attempt, _Pipeline
 from repro.dso.placement import PlacementDirectory
 from repro.dso.reference import DsoReference
 from repro.dso.server import TRANSIENT, DsoNode
@@ -130,8 +132,8 @@ class DsoLayer:
         self.txns = Transactions(self)
         #: Async op queues (repro.dso.pipeline), one per (endpoint,
         #: calling thread's tid) with ops queued or in flight: made by
-        #: invoke_async, dropped by their pump once idle.  The sync path
-        #: pays one truth test while the dict is empty.
+        #: invoke_async, dropped by their last shipper once empty.  The
+        #: sync path pays one truth test while the dict is empty.
         self._pipelines: dict[tuple[str, int], _Pipeline] = {}
         self._node_ids = itertools.count()
         timings = config.dso
@@ -324,6 +326,8 @@ class DsoLayer:
         object or the retry window closes (the last failure then
         surfaces).  ``lost_ref`` turns a retry against an object that
         a view change declared lost into :class:`ObjectLostError`.
+        The one retry loop: every shipped batch (a blocking call's
+        included), ``read_bulk`` and ``read_any`` run under it.
         """
         started = self.kernel.now  # the window opens with the operation
         attempts = 0
@@ -362,17 +366,21 @@ class DsoLayer:
                args: tuple = (), kwargs: dict | None = None,
                ctor: tuple | None = None, cost: float = 0.0,
                raw_service: float | None = None) -> Any:
-        """Ship a method invocation to ``ref``'s primary replica.
+        """Ship a method invocation to ``ref``'s primary replica and
+        wait for its reply: a batch of one (:mod:`repro.dso.pipeline`)
+        that the calling thread ships itself, once its own queue on
+        ``client`` has drained.
 
         ``ctor = (cls, ctor_args, ctor_kwargs)`` creates the object on
         first touch.  ``cost`` is the modelled CPU seconds the method
         burns server-side (beyond fixed dispatch overhead).  Transient
         infrastructure failures are retried until failure detection
-        re-homes the object; application exceptions raised by the
-        method propagate to the caller.
+        re-homes the object; an application exception raised by the
+        method travels back in the reply and propagates to the caller.
         """
         kwargs = kwargs or {}
-        self._preflight(client)
+        if self._pipelines:  # one truth test while no thread has a queue
+            self._preflight(client)
         cacheable = self.caches.cacheable(ctor, method)
         if cacheable:
             hit = self.caches.read(client, ref, method, args, kwargs, cost)
@@ -389,15 +397,18 @@ class DsoLayer:
             # of this logical call carries the identical (sid, seq),
             # which is what lets servers recognise and deduplicate it.
             stamp = session.stamp()
+        call = DsoFuture(None, ref, method, args, kwargs, ctor, cost,
+                         raw_service, session, stamp, lease=cacheable)
         tracer = self.kernel.tracer
         with (self._invoke_span(client, ref, method, stamp)
               if tracer.enabled else NO_SPAN) as span:
-            result = self._retry_transient(
-                self._invoke_once, client, ref, method, args, kwargs, ctor,
-                cost, raw_service, stamp, cacheable, lost_ref=ref, span=span)
-            if session is not None:
-                session.acknowledge(stamp.seq)
-            return result
+            # The batch path's one driver, run by the caller: a
+            # failure that outlives the retry window raises here.
+            self._retry_transient(_attempt, self, client, [call], span,
+                                  span=span)
+            if call._error is not None:
+                raise call._error
+            return call._value
 
     def _invoke_span(self, client: str, ref: DsoReference, method: str,
                      stamp: SessionStamp | None):
@@ -411,34 +422,6 @@ class DsoLayer:
         return self.kernel.tracer.span(
             f"dso.invoke:{ref.type_name}.{method}", kind="client",
             endpoint=client, attributes=attributes)
-
-    def _invoke_once(self, client: str, ref: DsoReference, method: str,
-                     args: tuple, kwargs: dict, ctor: tuple | None,
-                     cost: float, raw_service: float | None,
-                     stamp: SessionStamp | None, lease: bool) -> Any:
-        """One attempt: ship to the primary, execute, ship the reply."""
-        placement = self.placements.lookup(ref, ctor)
-        primary = self.live_node(placement.replicas[0])
-        lease_version = placement.version if lease else None
-        self.connect(client, primary.name)
-        method, args, kwargs, stamp = self.network.transfer(
-            client, primary.name, (method, args, kwargs, stamp))
-        call = primary.hold(ref)
-        try:
-            result, grant = primary.execute(
-                call, client, ref, method, args, kwargs, cost, raw_service,
-                stamp, placement, lease_version)
-        finally:
-            call.release()
-        if grant is None:
-            return self.network.transfer(primary.name, client, result)
-        # The snapshot crosses the wire with the reply, so its bytes
-        # are charged; the shipped copy never aliases the primary's
-        # live instance.
-        result, grant = self.network.transfer(primary.name, client,
-                                              (result, grant))
-        self.caches.store(client, ref, grant)
-        return result
 
     def _kv_ref(self, key: str, rf: int) -> DsoReference:
         return DsoReference("KvSlot", key, persistent=rf > 1, rf=rf)
@@ -466,9 +449,10 @@ class DsoLayer:
         """Queue a method invocation for batched shipping.
 
         Returns a :class:`DsoFuture` immediately; the op joins the
-        calling thread's queue on ``client`` and ships with its next
-        batch flush (size, window, or an explicit :meth:`flush` /
-        ``future.result()``).  One thread's ops on one object apply in
+        calling thread's queue on ``client``, which ships when someone
+        waits on it (:meth:`flush`, ``future.result()``, a synchronous
+        verb) or, if nobody does, when it fills a batch or its flush
+        window passes.  One thread's ops on one object apply in
         submission order and its batches ship one at a time; ops of one
         flush on different primaries, and batches of different
         threads, ship concurrently (see :mod:`repro.dso.pipeline` for
@@ -481,7 +465,8 @@ class DsoLayer:
         """
         kwargs = kwargs or {}
         if self.caches.cacheable(ctor, method):
-            future = DsoFuture()
+            future = DsoFuture(None, ref, method, args, kwargs, ctor, cost,
+                               raw_service, None, None)
             try:
                 future._resolve(self.invoke(client, ref, method, args,
                                             kwargs, ctor, cost,
@@ -494,11 +479,9 @@ class DsoLayer:
         if pipeline is None:
             pipeline = self._pipelines[key] = _Pipeline(self, client, key)
         session = self.sessions.current(client)
-        future = DsoFuture(pipeline)
-        pipeline.submit(_PendingOp(
-            ref=ref, method=method, args=args, kwargs=kwargs, ctor=ctor,
-            cost=cost, raw_service=raw_service, session=session,
-            stamp=session.stamp(inflight=True), future=future))
+        future = DsoFuture(pipeline, ref, method, args, kwargs, ctor, cost,
+                           raw_service, session, session.stamp(inflight=True))
+        pipeline.submit(future)
         return future
 
     def get_async(self, client: str, key: str, rf: int = 1) -> DsoFuture:
@@ -518,9 +501,10 @@ class DsoLayer:
         """Barrier: block until every async op the *calling thread*
         queued (on ``client``, or on every endpoint) has settled.
 
-        Must run in a simulated thread.  Returns once each such op has
-        resolved or failed its future; what other threads queued is
-        neither shipped early nor waited for.
+        Must run in a simulated thread, which ships those ops itself
+        (after letting a batch already in flight land).  Returns once
+        each has settled; what other threads queued is neither shipped
+        early nor waited for.
         """
         pipelines = self._pipelines
         if not pipelines:

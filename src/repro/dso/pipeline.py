@@ -1,68 +1,53 @@
-"""Pipelined + batched DSO method shipping (client side).
+"""DSO method shipping, client side: every call is a batch, shipped by
+the thread that waits for it.
 
-``DsoLayer.invoke`` is one synchronous round trip per op: the caller
-pays two client<->server hops for every invocation, even when it does
-not need the reply yet.  This module adds the asynchronous path
-Cloudburst-style stateful-serverless systems use to amortize that cost:
+Every invocation is a :class:`DsoFuture` (the op and, once settled,
+its outcome), and every round trip ships a batch of them through one
+path: :func:`_attempt`, repeated by the layer's one retry driver.
 
-* :meth:`DsoLayer.invoke_async` stamps the op with the caller's session
-  (at **submit** time, on the submitting thread — so exactly-once
-  sequence numbers are exactly what they would be for sequential
-  ``invoke``), enqueues it on the :class:`_Pipeline` of the calling
-  *(endpoint, simulated thread)* pair, and returns a
-  :class:`DsoFuture` immediately.
-* The pipeline's pump thread flushes the queue when it reaches
-  ``pipeline_max_batch`` ops, when ``pipeline_flush_window`` of virtual
-  time has passed since the batch started forming, or when someone
-  blocks on a future / calls ``flush()``.  A pump lives only while its
-  queue has work: once nothing is queued or in flight it retires with
-  its pipeline, and the thread's next submit starts a fresh one (a
-  pooled worker, so a thread that used ``put_async`` once pins
-  nothing).
-* At flush time the batch is grouped **by primary** (scatter) and every
-  group ships as one round trip, all groups at once (gather): one
-  request transfer carries the whole group, the primary runs it as
-  **per-object chains** — one object's ops in submission order,
-  sharing one SMR ordering round; different objects concurrently, up
-  to ``node_workers`` — where each chain holds its object's lock once,
-  as one critical section (so a hot key's run of writes pays one lease
-  revocation round, not one per write), and every op still
-  deduplicates against the session table and charges its own service
-  time; one reply transfer carries the results back, demultiplexed to
-  the futures.  A flush costs its slowest primary's round trip, and a
-  group its slowest object, not the sums.
+* :meth:`DsoLayer.invoke` is the batch of one.  The calling thread
+  drains its own queue on the endpoint, then ships the op inline — never
+  merged into a queued batch, whose ops on other objects it would race.
+* :meth:`DsoLayer.invoke_async` stamps the op at **submit** time (so
+  exactly-once sequence numbers are those of sequential ``invoke``),
+  queues it on the calling *(endpoint, thread)* pair's :class:`_Pipeline`
+  and returns the future.
+* **Whoever waits ships.**  A thread that blocks on a queue — a
+  ``flush()``, a synchronous verb's barrier, any thread's
+  ``future.result()`` — ships it.  A pump thread runs only for a queue
+  nobody waits on: ``pipeline_flush_window`` after its batch began
+  forming, or once it holds ``pipeline_max_batch`` ops.  **One shipper
+  per queue**: a waiter lets the batch in flight land before shipping
+  the next, so a queue's batches ship in order.
+* A batch is grouped **by primary** and the groups ship at once, one
+  round trip each; a primary runs its group as **per-object chains** —
+  one object's ops in order, as one critical section (a hot key's run of
+  writes pays one lease revocation round) sharing one SMR ordering
+  round; different objects concurrently, up to ``node_workers`` — and
+  one reply carries every outcome back, errors included.  A flush costs
+  its slowest primary, and a group its slowest object.  A group of one
+  travels bare (:func:`_carry`): a synchronous call's bytes are as ever.
 
 The ordering contract is the paper's (Section 4.1: each object is
 linearizable on its own, nothing is promised across objects), and its
-unit is the calling thread — per-thread program order is the strongest
-order anyone can ask for:
-
-* one thread's ops on **one object** apply in submission order — an
-  object has one primary, so its ops share a group, and one chain of
-  it that keeps queue order;
-* ops of one flush on **different objects** are concurrent, exactly
-  as if independent threads had issued them;
-* ``flush()``, ``future.result()`` and every synchronous verb
-  (``invoke``, ``read_bulk``, ``read_any``, which drain the caller's
-  own queue on that endpoint first) are **barriers for the calling
-  thread**: what this thread submitted before one completes before
-  anything it does after, so mixed sync/async code keeps its program
-  order.  A barrier waits for nothing another thread queued.
-
-One thread's batches ship one at a time; batches of different threads
-overlap, as the threads themselves would.  Leases and cacheable reads
-bypass the pipeline entirely (they are either served locally or
-idempotent and unstamped).
+unit is the calling thread: its ops on **one object** apply in
+submission order (they share a group, and one chain of it); ops of one
+flush on **different objects** are concurrent, as if independent
+threads had issued them; ``flush()``, ``future.result()`` and every
+synchronous verb are **barriers for the calling thread** — they wait for
+nothing another thread queued, and different threads' batches overlap.
+Cacheable reads never queue: they are served locally or shipped
+unstamped as a blocking call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.dso.reference import DsoReference
-from repro.dso.server import TRANSIENT, DsoNode, StaleContainer
+from repro.dso.server import TRANSIENT, DsoNode
 from repro.dso.session import SessionStamp, _ClientSession
 from repro.errors import (
     NoSuchObjectError,
@@ -71,33 +56,45 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.mutation import PLANTED
-from repro.net.network import ship
-from repro.simulation.primitives import Condition, Event
-from repro.trace.tracer import NO_SPAN
+from repro.net.network import ship as encode
+from repro.simulation.primitives import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dso.layer import DsoLayer
+    from repro.dso.placement import Placement
 
 
+@dataclass(slots=True, eq=False)
 class DsoFuture:
-    """Handle to one asynchronously shipped invocation.
+    """One shipped invocation: its wire arguments and, once it settles,
+    its outcome.
 
     ``result()`` blocks (in virtual time) until the op's reply arrives,
     re-raising any application exception the method raised remotely —
-    the same surface a synchronous ``invoke`` would have had.  Blocking
-    on an unflushed future requests an immediate flush first, so a
-    submit-then-wait pattern never stalls for the flush window.
+    the same surface a synchronous ``invoke`` has.  Waiting on a queued
+    op ships its queue, so a submit-then-wait pattern never stalls for
+    the flush window.
     """
 
-    __slots__ = ("_pipeline", "_event", "_value", "_error", "_done")
-
-    def __init__(self, pipeline: "_Pipeline | None" = None):
-        self._pipeline = pipeline
-        self._event = (Event(pipeline.layer.kernel)
-                       if pipeline is not None else None)
-        self._value: Any = None
-        self._error: BaseException | None = None
-        self._done = False
+    #: The queue the op waits in; ``None`` for a blocking call's.
+    _pipeline: _Pipeline | None
+    ref: DsoReference
+    method: str
+    args: tuple
+    kwargs: dict
+    ctor: tuple | None
+    cost: float
+    raw_service: float | None
+    session: _ClientSession | None
+    stamp: SessionStamp | None
+    #: Ask the primary for a read lease (a cacheable blocking read).
+    lease: bool = False
+    #: Where the current attempt ships it.
+    placement: Placement | None = field(default=None, init=False)
+    lease_version: int | None = field(default=None, init=False)
+    _value: Any = field(default=None, init=False)
+    _error: BaseException | None = field(default=None, init=False)
+    _done: bool = field(default=False, init=False)
 
     @property
     def done(self) -> bool:
@@ -113,337 +110,350 @@ class DsoFuture:
     def exception(self) -> BaseException | None:
         """Wait for completion; the failure, or ``None`` on success."""
         if not self._done:
-            self._pipeline.request_flush()
-            self._event.wait()
+            self._pipeline.drain(self)
         return self._error
 
-    # -- pump side ---------------------------------------------------------
+    # -- shipper side ------------------------------------------------------
 
     def _resolve(self, value: Any) -> None:
+        """The reply arrived: acknowledge it, then settle."""
+        if self.session is not None:
+            self.session.acknowledge(self.stamp.seq)
         self._value = value
         self._done = True
-        if self._event is not None:
-            self._event.set()
 
     def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._done = True
-        if self._event is not None:
-            self._event.set()
-
-
-@dataclass(slots=True, eq=False)
-class _PendingOp:
-    """One queued invocation: wire arguments plus client-side context."""
-
-    ref: DsoReference
-    method: str
-    args: tuple
-    kwargs: dict
-    ctor: tuple | None
-    cost: float
-    raw_service: float | None
-    session: _ClientSession
-    stamp: SessionStamp
-    future: DsoFuture
-
-    def resolve(self, value: Any) -> None:
-        """The reply arrived: acknowledge it, then wake the caller."""
-        self.session.acknowledge(self.stamp.seq)
-        self.future._resolve(value)
-
-    def fail(self, error: BaseException) -> None:
         """Give the op up: it will never be retransmitted, so it stops
         holding the session's acknowledgement watermark back."""
-        self.session.abandon(self.stamp.seq)
-        self.future._fail(error)
+        if self.session is not None:
+            self.session.abandon(self.stamp.seq)
+        self._error = error
+        self._done = True
 
 
 class _Pipeline:
-    """One thread's op queue on one endpoint, plus the daemon pump that
-    flushes it while it has work.
+    """One thread's op queue on one endpoint.
 
     Registered in ``layer._pipelines`` under ``key`` — ``(endpoint,
     tid)`` of the thread that submits to it — from the submit that
-    creates it until the pump retires, so a registered pipeline always
-    has ops queued or in flight.
+    creates it until it is empty with nobody shipping it.
     """
 
     def __init__(self, layer: DsoLayer, client: str, key: tuple[str, int]):
         self.layer = layer
         self.client = client
         self.key = key
-        self.pending: deque[_PendingOp] = deque()
-        self._cv = Condition(layer.kernel)
-        self._flush_requested = False
-        #: Ops taken off the queue and currently executing in the pump.
-        self.inflight = 0
-        layer.kernel.spawn(self._run, daemon=True,
-                           name=f"{layer.name}-pipe-{client}")
+        self.pending: deque[DsoFuture] = deque()
+        #: Set while no thread ships this queue.
+        self._idle = Event(layer.kernel)
+        self._idle.set()
+        #: The flush window of a batch forming with nobody shipping.
+        self._window = None
 
-    def submit(self, op: _PendingOp) -> None:
-        with self._cv:
-            self.pending.append(op)
-            self._cv.notify_all()
+    def submit(self, op: DsoFuture) -> None:
+        self.pending.append(op)
+        self._unattended()
 
-    def request_flush(self) -> None:
-        """Flush now instead of waiting out the batching window."""
-        with self._cv:
-            self._flush_requested = True
-            self._cv.notify_all()
-
-    def drain(self) -> None:
-        """Block until every op queued here has settled: the one
-        barrier.  Only the owning thread submits here, so these are
-        exactly the ops the calling thread queued on this endpoint."""
-        with self._cv:
-            self._flush_requested = True
-            self._cv.notify_all()
-            while self.pending or self.inflight:
-                self._cv.wait()
-
-    def _run(self) -> None:
-        timings = self.layer.config.dso
-        kernel = self.layer.kernel
-        while True:
-            with self._cv:
-                if not self.pending:
-                    # Nothing queued and nothing in flight: retire.
-                    # The owner's next submit registers a new pipeline.
-                    del self.layer._pipelines[self.key]
-                    return
-                # Let a partial batch fill up, bounded by the window.
-                window_end = kernel.now + timings.pipeline_flush_window
-                while (not self._flush_requested
-                       and len(self.pending) < timings.pipeline_max_batch):
-                    remaining = window_end - kernel.now
-                    if remaining <= 0:
-                        break
-                    self._cv.wait(remaining)
-                batch = []
-                while self.pending and len(batch) < timings.pipeline_max_batch:
-                    batch.append(self.pending.popleft())
-                self.inflight = len(batch)
-            try:
-                self._run_batch(batch)
-            finally:
-                with self._cv:
-                    self.inflight = 0
-                    self._cv.notify_all()
-
-    def _run_batch(self, ops: list[_PendingOp]) -> None:
-        """Ship one flushed batch, retrying transient failures.
-
-        A transient infrastructure failure retries only the unfinished
-        ops; ops that already applied dedup against the session table
-        on the retry, so a re-shipped batch never double-applies.  At
-        the retry deadline the surviving failure is delivered to every
-        unfinished future — the pump thread itself never dies.
-        """
-        layer = self.layer
-        remaining = [op for op in ops if not op.future.done]
-        if not remaining:
-            return
-        deadline = layer.retry_deadline()
-        attempts = 0
-        while remaining:
-            attempts += 1
-            try:
-                self._attempt(remaining)
-            except TRANSIENT as exc:
-                layer.stats.retries += 1
-                survivors = []
-                for op in remaining:
-                    if op.future.done:
-                        continue
-                    if layer.placements.lost(op.ref):
-                        op.fail(ObjectLostError(
-                            f"{op.ref} was lost in a storage-node "
-                            f"failure"))
-                    else:
-                        survivors.append(op)
-                remaining = survivors
-                # Same deadline/backoff step as the blocking verbs, but
-                # failures land in the futures instead of unwinding
-                # the pump thread.
-                if remaining and not layer.backoff(attempts, deadline):
-                    for op in remaining:
-                        op.fail(exc)
-                    return
+    def drain(self, until: DsoFuture | None = None) -> None:
+        """The one barrier: ship this queue, batch by batch, until
+        ``until`` has settled (by default: until it is empty).  While
+        another thread's batch is in flight, wait for it to land first —
+        one shipper per queue, so its batches ship in order."""
+        idle = self._idle
+        while ((until is None or not until._done)
+               and (self.pending or not idle.is_set())):
+            if idle.is_set():
+                self._claim()
+                self._ship_batch()
+            elif "second-shipper" in PLANTED and self.pending:
+                self._ship_batch()
             else:
-                return  # a clean pass settles every op it was given
+                idle.wait()
+        self._unattended()
 
-    def _fan_out(self, run, items: list[tuple[str, tuple]]) -> None:
-        """Run ``run(*args)`` for every ``(label, args)`` item at once.
+    def _claim(self) -> None:
+        """Make the caller (or the pump it spawns) the one shipper."""
+        self._idle.clear()
+        if self._window is not None:
+            self._window.cancel()
+            self._window = None
 
-        The calling thread runs the first item itself and a pooled lane
-        thread each other one, so a single item spawns nothing.  Every
-        lane is joined before anything leaves; a transient failure of
-        any item then surfaces (the first one raised), so the retry
-        loop sees exactly the ops that are still unfinished.
-        """
+    def _ship_batch(self) -> None:
+        """Ship the next batch, then step down as the shipper.  A
+        failure that outlives the retry window settles the batch's
+        unsettled ops: the shipper itself never dies."""
         layer = self.layer
-        (_, first), *others = items
-        lanes = [layer.kernel.spawn(
-                     run, *args, daemon=True,
-                     name=f"{layer.name}-lane-{self.client}-{label}")
-                 for label, args in others]
-        failure = None
+        pending = self.pending
+        batch = [pending.popleft() for _ in range(
+            min(len(pending), layer.config.dso.pipeline_max_batch))]
         try:
-            run(*first)
+            layer._retry_transient(_attempt, layer, self.client, batch, None)
         except TRANSIENT as exc:
-            failure = exc
-        for lane in lanes:
-            try:
-                lane.join()  # re-raises what the lane raised
-            except TRANSIENT as exc:
-                if "swallow-lane-error" not in PLANTED:
-                    failure = failure or exc
-        if failure is not None:
-            raise failure
-
-    def _attempt(self, ops: list[_PendingOp]) -> None:
-        """One scatter-gather pass over a batch: grouped by primary,
-        queue order kept, the groups shipped at once (:meth:`_fan_out`)."""
-        layer = self.layer
-        groups: dict[str, list[_PendingOp]] = {}
-        for op in ops:
-            if op.future.done:
-                continue
-            try:
-                placement = layer.placements.lookup(op.ref, op.ctor)
-            except (ObjectLostError, NoSuchObjectError,
-                    ServiceUnavailableError) as exc:
-                op.fail(exc)
-                continue
-            groups.setdefault(placement.replicas[0], []).append(op)
-        if not groups:
-            return
-        tracer = layer.kernel.tracer
-        with (tracer.span("dso.flush", kind="client", endpoint=self.client,
-                          attributes={"ops": sum(map(len, groups.values())),
-                                      "groups": len(groups)})
-              if tracer.enabled else NO_SPAN):
-            # Lanes spawned inside the span are its children in a trace.
-            self._fan_out(self._ship_or_fail,
-                          [(primary, (primary, group))
-                           for primary, group in groups.items()])
-
-    def _ship_or_fail(self, primary_name: str,
-                      group: list[_PendingOp]) -> None:
-        """:meth:`_ship_group`, with a failure that no retry can cure
-        delivered to the group's unfinished futures instead of
-        unwinding the pump (or a lane): transient failures propagate
-        to the retry loop, nothing else leaves."""
-        try:
-            self._ship_group(primary_name, group)
-        except TRANSIENT:
-            raise
-        except Exception as exc:  # noqa: BLE001 - delivered, not swallowed
-            for op in group:
-                if not op.future.done:
-                    op.fail(exc)
-
-    def _ship_group(self, primary_name: str,
-                    group: list[_PendingOp]) -> None:
-        """One batched round trip to one primary.
-
-        A single request transfer carries every op of the group; the
-        primary runs them as per-object chains (:meth:`_run_chain`),
-        each one critical section on its object, the chains
-        concurrent up to ``node_workers`` — a wider group runs in
-        waves on the node's worker semaphore — so the group costs its
-        slowest object, not the sum; a single reply transfer carries
-        the results back, demultiplexed to the futures.  Application
-        exceptions — and an argument or a reply that cannot be encoded
-        — fail only their own future; infrastructure failures abort
-        the group once every chain has stopped and surface to the retry
-        loop (completed-but-unacknowledged ops dedup on the retry,
-        which is when their replies reach the client).
-        """
-        layer = self.layer
-        client = self.client
-        node = layer.live_node(primary_name)
-        layer.connect(client, primary_name)
-        tracer = layer.kernel.tracer
-        with (tracer.span("dso.batch", kind="client", endpoint=client,
-                          attributes={"primary": primary_name,
-                                      "ops": len(group)})
-              if tracer.enabled else NO_SPAN):
-            request = [(op.method, op.args, op.kwargs, op.stamp)
-                       for op in group]
-            try:
-                shipped = layer.network.transfer(client, primary_name,
-                                                 request)
-            except SerializationError:
-                unencodable = _unencodable(request)
-                for index, exc in unencodable.items():
-                    group[index].fail(exc)
-                group = [op for index, op in enumerate(group)
-                         if index not in unencodable]
-                if not group:
-                    return
-                shipped = layer.network.transfer(
-                    client, primary_name,
-                    [entry for index, entry in enumerate(request)
-                     if index not in unencodable])
-            chains: dict[Any, list] = {}
-            for index, (op, wire) in enumerate(zip(group, shipped)):
-                chain = index if "chain-per-op" in PLANTED else op.ref.ident
-                chains.setdefault(chain, []).append((index, op, wire))
-            reply: list = [None] * len(group)
-            self._fan_out(self._run_chain,
-                          [(f"{primary_name}-{chain[0][1].ref.key}",
-                            (node, chain, reply))
-                           for chain in chains.values()])
-            try:
-                replies = layer.network.transfer(primary_name, client, reply)
-            except SerializationError:
-                for index, exc in _unencodable(reply).items():
-                    reply[index] = (False, exc)
-                replies = layer.network.transfer(primary_name, client, reply)
-            layer.stats.batches += 1
-            layer.stats.pipelined_ops += len(group)
-            for op, (ok, value) in zip(group, replies):
-                if ok:
-                    op.resolve(value)
-                else:
-                    op.fail(value)
-
-    def _run_chain(self, node: DsoNode, chain: list, reply: list) -> None:
-        """One object's ops of a group, at its primary, in submission
-        order, as one critical section: the object's lock and a worker
-        are taken once (:meth:`DsoNode.hold`), every op runs under
-        them, and they are released after the last.  So no other
-        site's read is leased the object between two of the chain's
-        writes, and the chain pays one lease revocation round, not one
-        per write.  The chain's replicated ops share one SMR ordering
-        round; each op's ``(ok, value)`` lands in ``reply`` at the op's
-        place in the group."""
-        placements = self.layer.placements
-        smr_context: dict = {}
-        call = node.hold(chain[0][1].ref)
-        try:
-            for index, op, (method, args, kwargs, stamp) in chain:
-                placement = placements.live(op.ref)
-                if placement is None:
-                    raise StaleContainer(f"{op.ref} no longer placed")
-                if placement.replicas[0] != node.name:
-                    raise StaleContainer(
-                        f"{op.ref} moved off {node.name} mid-batch")
-                try:
-                    result, _ = node.execute(
-                        call, self.client, op.ref, method, args, kwargs,
-                        op.cost, op.raw_service, stamp, placement,
-                        smr_context=smr_context)
-                except TRANSIENT:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - app-level error
-                    reply[index] = (False, exc)
-                else:
-                    reply[index] = (True, result)
+            for op in batch:
+                if not op._done:
+                    op._fail(exc)
         finally:
-            call.release()
+            self._idle.set()
+
+    def _unattended(self) -> None:
+        """A queue nobody ships: a full batch gets a pump now, a partial
+        one when its flush window passes, and an empty queue retires."""
+        if not self._idle.is_set():
+            return  # its shipper comes back here when the batch lands
+        layer = self.layer
+        if not self.pending:
+            if layer._pipelines.get(self.key) is self:
+                del layer._pipelines[self.key]
+        elif len(self.pending) >= layer.config.dso.pipeline_max_batch:
+            self._pump()
+        elif self._window is None:
+            self._window = layer.kernel.call_later(
+                layer.config.dso.pipeline_flush_window, self._pump)
+
+    def _pump(self) -> None:
+        """Spawn a daemon that ships the batch nobody waits for, then
+        drains the queue like any waiter."""
+        self._claim()
+
+        def pump() -> None:
+            self._ship_batch()
+            self.drain()
+
+        self.layer.kernel.spawn(pump, daemon=True,
+                                name=f"{self.layer.name}-pipe-{self.client}")
+
+
+# ---------------------------------------------------------------------------
+# The round trip
+# ---------------------------------------------------------------------------
+
+
+def _attempt(layer: DsoLayer, client: str, ops: list[DsoFuture],
+             span) -> None:
+    """One scatter-gather pass over a batch's unsettled ops, grouped by
+    primary in queue order, the groups shipped at once (:func:`_fan_out`).
+    A transient failure fails the ops whose object a view change lost
+    and surfaces to the retry driver if any op is left.  ``span`` is a
+    blocking call's own (its batch records no ``dso.flush`` /
+    ``dso.batch`` span and no batch stats), ``None`` for a queue's."""
+    placements = layer.placements
+    groups: dict[str, list[DsoFuture]] = {}
+    items = []
+    for op in ops:
+        if op._done:
+            continue
+        try:
+            placement = op.placement = placements.lookup(op.ref, op.ctor)
+        except (ObjectLostError, NoSuchObjectError,
+                ServiceUnavailableError) as exc:
+            op._fail(exc)
+            continue
+        if op.lease:
+            op.lease_version = placement.version
+        primary = placement.replicas[0]
+        if primary in groups:
+            groups[primary].append(op)
+        else:
+            groups[primary] = group = [op]
+            items.append((primary, (layer, client, primary, group, span)))
+    if not items:
+        return
+    tracer = layer.kernel.tracer
+    try:
+        if span is None and tracer.enabled:
+            # Lanes spawned inside the span are its children in a trace.
+            with tracer.span("dso.flush", kind="client", endpoint=client,
+                             attributes={"ops": sum(map(len, groups.values())),
+                                         "groups": len(groups)}):
+                _fan_out(layer, client, _ship_or_fail, items)
+        elif len(items) == 1:  # one primary: no lane to spawn or join
+            _ship_or_fail(*items[0][1])
+        else:
+            _fan_out(layer, client, _ship_or_fail, items)
+    except TRANSIENT:
+        for op in ops:
+            if not op._done and placements.lost(op.ref):
+                op._fail(ObjectLostError(
+                    f"{op.ref} was lost in a storage-node failure"))
+        if not all(op._done for op in ops):
+            raise
+
+
+def _fan_out(layer: DsoLayer, client: str, run,
+             items: list[tuple[str, tuple]]) -> None:
+    """Run ``run(*args)`` for every ``(label, args)`` item at once.
+
+    The calling thread runs the first item itself and a pooled lane
+    thread each other one, so a single item spawns nothing.  Every
+    lane is joined before anything leaves; a transient failure of
+    any item then surfaces (the first one raised), so the retry
+    loop sees exactly the ops that are still unsettled.
+    """
+    (_, first), *others = items
+    lanes = []
+    for label, args in others:
+        lanes.append(layer.kernel.spawn(
+            run, *args, daemon=True,
+            name=f"{layer.name}-lane-{client}-{label}"))
+    failure = None
+    try:
+        run(*first)
+    except TRANSIENT as exc:
+        failure = exc
+    for lane in lanes:
+        try:
+            lane.join()  # re-raises what the lane raised
+        except TRANSIENT as exc:
+            if "swallow-lane-error" not in PLANTED:
+                failure = failure or exc
+    if failure is not None:
+        raise failure
+
+
+def _ship_or_fail(layer: DsoLayer, client: str, primary_name: str,
+                  group: list[DsoFuture], span) -> None:
+    """:func:`_ship_group`, with a failure that no retry can cure
+    settling the group's unsettled ops instead of unwinding the
+    shipper (or a lane): transient failures propagate to the retry
+    driver, nothing else leaves."""
+    tracer = layer.kernel.tracer
+    try:
+        if span is None and tracer.enabled:
+            with tracer.span("dso.batch", kind="client", endpoint=client,
+                             attributes={"primary": primary_name,
+                                         "ops": len(group)}):
+                _ship_group(layer, client, primary_name, group, span)
+        else:
+            _ship_group(layer, client, primary_name, group, span)
+    except TRANSIENT:
+        raise
+    except Exception as exc:  # noqa: BLE001 - delivered, not swallowed
+        for op in group:
+            if not op._done:
+                op._fail(exc)
+
+
+def _ship_group(layer: DsoLayer, client: str, primary_name: str,
+                group: list[DsoFuture], span) -> None:
+    """One round trip to one primary.
+
+    One request transfer carries the group; the primary runs it as
+    per-object chains (:func:`_run_chain`), concurrent up to
+    ``node_workers`` (a wider group runs in waves), so it costs its
+    slowest object; one reply transfer brings every outcome back,
+    demultiplexed to the futures, a lease grant into the client's
+    cache.  An application exception — or an argument or a reply that
+    cannot be encoded — fails only its own op, its reply paying the hop
+    like any result.  Infrastructure failures abort the group once
+    every chain has stopped and surface to the retry driver (ops that
+    completed dedup on the retry, when their replies reach the client).
+    """
+    node = layer.live_node(primary_name)
+    layer.connect(client, primary_name)
+    request = [(op.method, op.args, op.kwargs, op.stamp) for op in group]
+    try:
+        shipped = _carry(layer, client, primary_name, request)
+    except SerializationError:
+        unencodable = _unencodable(request)
+        for index, exc in unencodable.items():
+            group[index]._fail(exc)
+        rest = [op for index, op in enumerate(group)
+                if index not in unencodable]
+        if rest:
+            _ship_group(layer, client, primary_name, rest, span)
+        return
+    # Each op's reply lands in its request's slot: the arrived copies
+    # move into the chains below, so the list is free to reuse.
+    reply = shipped
+    if len(group) == 1:  # one op is one chain: no split, no lane
+        _run_chain(layer, client, node, [(0, group[0], shipped[0])], reply)
+    else:
+        chains: dict[Any, list] = {}
+        items = []
+        for index, op in enumerate(group):
+            key = index if "chain-per-op" in PLANTED else op.ref.ident
+            if key in chains:
+                chains[key].append((index, op, shipped[index]))
+            else:
+                chains[key] = chain = [(index, op, shipped[index])]
+                items.append((f"{primary_name}-{op.ref.key}",
+                              (layer, client, node, chain, reply)))
+        _fan_out(layer, client, _run_chain, items)
+    try:
+        replies = _carry(layer, primary_name, client, reply, True)
+    except SerializationError:
+        for index, exc in _unencodable(
+                [entry[1:] for entry in reply]).items():
+            reply[index] = (False, exc, None)
+        replies = _carry(layer, primary_name, client, reply, True)
+    if span is None:
+        layer.stats.batches += 1
+        layer.stats.pipelined_ops += len(group)
+    for op, (ok, value, grant) in zip(group, replies):
+        if grant is not None:
+            layer.caches.store(client, op.ref, grant)
+        if ok:
+            op._resolve(value)
+        else:
+            op._fail(value)
+
+
+def _run_chain(layer: DsoLayer, client: str, node: DsoNode, chain: list,
+               reply: list) -> None:
+    """One object's ops of a group, at its primary, in submission
+    order, as one critical section: the object's lock and a worker
+    are taken once (:meth:`DsoNode.hold`), every op runs under them,
+    and they are released after the last.  So no other site's read is
+    leased the object between two of the chain's writes, and the
+    chain pays one lease revocation round, not one per write.  The
+    chain's replicated ops share one SMR ordering round; each op's
+    ``(ok, value, lease grant)`` lands in ``reply`` at the op's place
+    in the group."""
+    smr_context: dict = {}
+    call = node.hold(chain[0][1].ref)
+    try:
+        for index, op, (method, args, kwargs, stamp) in chain:
+            try:
+                result, grant = node.execute(
+                    call, client, op.ref, method, args, kwargs, op.cost,
+                    op.raw_service, stamp, op.placement, op.lease_version,
+                    smr_context)
+            except TRANSIENT:
+                raise
+            except Exception as exc:  # noqa: BLE001 - app-level error
+                reply[index] = (False, exc, None)
+            else:
+                reply[index] = (True, result, grant)
+    finally:
+        call.release()
+
+
+def _carry(layer: DsoLayer, src: str, dst: str, entries: list,
+           reply: bool = False) -> list:
+    """Move a group's request or reply entries in one transfer; return
+    them as they arrive.
+
+    The wire rule: **a group of one travels bare**, its entry and not a
+    list.  A request entry is ``(method, args, kwargs, stamp)``; a reply
+    entry ``(ok, value, grant)`` travels as ``(ok, value)`` in a larger
+    group and alone as ``value`` — ``(value, grant)`` when a read was
+    leased — its ``ok`` riding in the reply's status, which like every
+    header costs no bytes.  So a synchronous put ships 112 B and gets
+    4 B back, as it always did.
+    """
+    transfer = layer.network.transfer
+    if len(entries) > 1:
+        if not reply:
+            return transfer(src, dst, entries)
+        return [(ok, value, None) for ok, value in transfer(
+            src, dst, [(ok, value) for ok, value, _ in entries])]
+    (entry,) = entries
+    if not reply:
+        return [transfer(src, dst, entry)]
+    ok, value, grant = entry
+    if grant is None:
+        return [(ok, transfer(src, dst, value), None)]
+    return [(ok, *transfer(src, dst, (value, grant)))]
 
 
 def _unencodable(entries: list) -> dict[int, SerializationError]:
@@ -453,7 +463,7 @@ def _unencodable(entries: list) -> dict[int, SerializationError]:
     found = {}
     for index, entry in enumerate(entries):
         try:
-            ship(entry)
+            encode(entry)
         except SerializationError as exc:
             found[index] = exc
     return found

@@ -12,9 +12,10 @@ fail fast.
 A node is also where a shipped op *runs*: :meth:`DsoNode.hold` opens
 a critical section on an object (its lock, then a worker) and
 :meth:`DsoNode.execute` is the primary-side half of one invocation
-under it (dedup, apply, lease revoke/grant, SMR).  The synchronous
-path holds a section for one op, a batched chain for all of its ops on
-the object.  Persistent objects (``rf >= 2``): each invocation
+under it (dedup, apply, lease revoke/grant, SMR).  A shipped batch
+runs as per-object chains, each holding one section for all of its ops
+on the object — a blocking call's chain has one op.  Persistent
+objects (``rf >= 2``): each invocation
 is applied, in the same order, at every replica before the client is
 acknowledged — state machine replication.  The inter-replica ordering
 round adds two one-way hops plus replica-side work, reproducing
@@ -85,8 +86,8 @@ class DsoCall:
     """One critical section on an object at its primary replica.
 
     Owns (at most) the container's object lock and one node worker
-    slot, for one op (the synchronous path) or every op of a batched
-    chain (:meth:`DsoNode.hold`); :class:`ServerCondition` releases and
+    slot, for every op of a chain (:meth:`DsoNode.hold`; a blocking
+    call's chain has one); :class:`ServerCondition` releases and
     re-acquires both when the object parks the caller.
     """
 
@@ -313,14 +314,13 @@ class DsoNode:
         worker.
 
         The caller runs ops under the returned call with
-        :meth:`execute` and then releases it: the synchronous path
-        holds it for its one op, a batched chain
-        (:mod:`repro.dso.pipeline`) for every op of the chain.  No
+        :meth:`execute` and then releases it: a chain
+        (:mod:`repro.dso.pipeline`) holds it for all of its ops.  No
         lease can be granted on the object while the section is open,
         so a chain's first write that finds lease holders revokes them
         and its later writes find none.
         """
-        # _hosted() inlined: every synchronous op passes here, and its
+        # _hosted() inlined: every blocking call passes here, and its
         # call count is budgeted (BENCH_kernel.json calls_per_sync_put).
         container = self.containers.get(ref.ident)
         if container is None or container.dead:
@@ -340,11 +340,11 @@ class DsoNode:
         with :meth:`hold` and releases: fence, dedup, apply, lease
         revoke/grant, SMR.
 
-        Shared by the synchronous path (one op per section) and the
-        batched path (:mod:`repro.dso.pipeline`), which runs each
-        per-object chain of a group as one section: ``smr_context``
-        then makes the chain's replicated ops share a single SMR
-        ordering round (see :meth:`replicate`).  An earlier op of the
+        Called by the one shipping path (:mod:`repro.dso.pipeline`),
+        which runs each per-object chain of a group — a blocking
+        call's has one op — as one section: ``smr_context`` makes the
+        chain's replicated ops share a single SMR ordering round (see
+        :meth:`replicate`).  An earlier op of the
         section may have given its worker up (replication, lease
         revocation, a parked wait); this op takes one again before its
         service time.

@@ -26,6 +26,11 @@ MUTATIONS = {
     "no-own-barrier": "a synchronous verb skips draining the calling "
                       "thread's own async queue, so it overtakes ops the "
                       "thread submitted before it (test_pipeline_hunter)",
+    "second-shipper": "a thread waiting on an async queue ships its next "
+                      "batch without checking for an active shipper, so "
+                      "a window pump and the waiter ship overlapping "
+                      "batches of one queue and a later op overtakes an "
+                      "earlier one on its object (test_pipeline_hunter)",
     "ack-max": "a session's acknowledgement watermark is the highest "
                "answered seq instead of the contiguous one, so a later "
                "stamp prunes the reply an in-flight retransmission "

@@ -21,7 +21,6 @@ from repro.dso import DsoLayer, DsoReference
 from repro.dso.cache import readonly
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
-from repro.simulation.kernel import current_thread
 from repro.simulation.thread import sleep, spawn
 
 TIMINGS = DEFAULT_CONFIG.dso
@@ -225,7 +224,8 @@ def test_primary_crash_mid_chain_with_leases_keeps_final_equal_acked(
                             "writer", refs[step % 4], "append", (step,),
                             ctor=CTOR, cost=20e-6))
                        for step in range(16)]
-            layer._pipelines["writer", current_thread().tid].request_flush()
+            # Another thread waits on the batch, so it ships it now.
+            waiter = spawn(futures[0][2].result)
             # The request lands after ~100 us; each chain revokes its
             # two readers (one hop), then runs four ops: ~115 us of
             # service plus ~170 us at the backup each, and one ordering
@@ -234,6 +234,7 @@ def test_primary_crash_mid_chain_with_leases_keeps_final_equal_acked(
             sleep(500e-6 + float(rng.uniform(0, 700e-6)))
             layer.crash_node(victim)
             layer.flush("writer")
+            waiter.join()
             acked: dict = {ref.key: [-1] for ref in refs}
             for ref, step, future in futures:
                 future.result()

@@ -15,8 +15,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoLayer, DsoReference
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
-from repro.simulation.kernel import current_thread
-from repro.simulation.thread import sleep
+from repro.simulation.thread import sleep, spawn
 
 WORKERS = DEFAULT_CONFIG.dso.node_workers
 PUT_SERVICE = DEFAULT_CONFIG.dso.put_service
@@ -172,7 +171,8 @@ def test_primary_crash_while_its_chains_run_keeps_final_equal_acked(
                             "client", refs[step % 4], "append", (step,),
                             ctor=CTOR, cost=20e-6))
                        for step in range(16)]
-            layer._pipelines["client", current_thread().tid].request_flush()
+            # Another thread waits on the batch, so it ships it now.
+            waiter = spawn(futures[0][2].result)
             # The request lands after ~100 us; each chain then runs four
             # ops: ~115 us of service plus ~170 us at the backup each,
             # and one ordering round.  The crash comes after the first
@@ -181,6 +181,7 @@ def test_primary_crash_while_its_chains_run_keeps_final_equal_acked(
             sleep(500e-6 + float(rng.uniform(0, 700e-6)))
             layer.crash_node(victim)
             layer.flush("client")
+            waiter.join()
             acked: dict = {ref.key: [] for ref in refs}
             for ref, step, future in futures:
                 future.result()
@@ -220,5 +221,5 @@ def test_a_flush_of_k_objects_on_one_primary_spawns_k_minus_one_lanes(
             layer.flush("client")
 
         kernel.run_main(main)
-    assert spawned == ["dso-pipe-client"] + [
-        f"dso-lane-client-dso-0-k{i}" for i in range(1, objects)]
+    assert spawned == [f"dso-lane-client-dso-0-k{i}"
+                       for i in range(1, objects)]

@@ -18,6 +18,7 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoLayer
+from repro.dso import layer as dso_layer
 from repro.errors import NetworkError
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
@@ -121,7 +122,7 @@ def test_partitioned_holders_are_waited_out_together(kernel, network):
 # ---------------------------------------------------------------------------
 
 
-def test_retry_backoff_clamped_to_deadline(kernel, network):
+def test_retry_backoff_clamped_to_deadline(kernel, network, monkeypatch):
     """A persistent transient failure surfaces at *exactly*
     the retry window (``retry_deadline()``) after the first attempt.
 
@@ -132,13 +133,13 @@ def test_retry_backoff_clamped_to_deadline(kernel, network):
     layer = make_layer(kernel, network)
     (node_name,) = layer.nodes
     attempt_times = []
-    original = layer._invoke_once
+    original = dso_layer._attempt
 
     def counting(*args, **kwargs):
         attempt_times.append(kernel.now)
         return original(*args, **kwargs)
 
-    layer._invoke_once = counting
+    monkeypatch.setattr(dso_layer, "_attempt", counting)
 
     def main():
         layer.put("writer", "k", "v0")

@@ -209,9 +209,10 @@ class Opener:
 def test_an_unencodable_op_fails_only_its_own_future(kernel, network):
     """An argument or a reply that cannot be pickled fails its own
     future with SerializationError — as the synchronous verb would
-    raise it — while the rest of the batch completes and the pump lives
-    on for the next one.  A failed group encode used to kill the pump,
-    leaving every future of the batch (and every later op) unsettled."""
+    raise it — while the rest of the batch completes and the queue
+    ships the next one.  A failed group encode used to kill the
+    shipping thread, leaving every future of the batch (and every later
+    op) unsettled."""
     layer = make_layer(kernel, network)
     opener = DsoReference("Opener", "opener")
     ctor = (Opener, (), {})

@@ -1,8 +1,8 @@
 """Property-based tests: batched async shipping is order-transparent.
 
 Whatever mix of ``invoke_async`` and ``flush`` a client issues — and
-however the schedule-exploration scheduler interleaves the pump thread
-with the submitter — the object ends in exactly the state a purely
+however the schedule-exploration scheduler interleaves the threads
+that ship — the object ends in exactly the state a purely
 sequential ``invoke`` stream would have produced.  Batching may merge
 round trips, but it must never reorder ops within a session.  With
 several objects spread over primaries a flush ships its per-primary

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.dso import DsoLayer, DsoReference
+from repro.dso import pipeline as pipeline_module
 from repro.dso.session import _ClientSession
 from repro.explore import PctScheduler, RandomScheduler
 from repro.net import LatencyModel, Network
@@ -197,11 +198,10 @@ def test_a_flush_over_k_primaries_costs_about_one_round_trip():
 
 
 def test_a_single_primary_flush_spawns_no_lane():
-    """A flush of one object's ops: the only thread it starts is the
-    pump itself (the warm-up flush's pump retired once its queue was
-    empty, and the next submit spawned a fresh one from the worker
-    pool).  Ops on several objects of one primary do start lanes, one
-    per extra object (tests/dso/test_chains.py)."""
+    """A flush of one object's ops starts no thread: the flushing
+    thread ships the batch itself.  Ops on several objects of one
+    primary do start lanes, one per extra object
+    (tests/dso/test_chains.py)."""
     with Kernel(seed=11) as kernel:
         layer = make_layer(kernel, nodes=1)
         spawned = []
@@ -219,7 +219,7 @@ def test_a_single_primary_flush_spawns_no_lane():
             layer.flush("client")
 
         kernel.run_main(main)
-    assert spawned == ["dso-pipe-client"]
+    assert spawned == []
     assert layer.stats.batches == 2
 
 
@@ -241,7 +241,7 @@ def test_a_trace_shows_the_groups_of_a_flush_overlapping():
     batches = [span for span in tracer.children_of(flush)
                if span.name == "dso.batch"]
     assert len(batches) == 3
-    assert len({span.thread for span in batches}) == 3  # pump + two lanes
+    assert len({span.thread for span in batches}) == 3  # flusher + two lanes
     # Every group is in flight before the first one returns.
     assert max(span.start for span in batches) \
         < min(span.end for span in batches)
@@ -253,7 +253,7 @@ def test_a_trace_shows_the_groups_of_a_flush_overlapping():
 # ---------------------------------------------------------------------------
 
 
-def test_primary_crash_mid_flush_retries_only_its_group():
+def test_primary_crash_mid_flush_retries_only_its_group(monkeypatch):
     """rf=2 logs on three primaries; one primary dies while its group
     is executing and the other two groups acknowledge.  The survivors'
     ops are never shipped again, the victim's complete at the promoted
@@ -276,14 +276,15 @@ def test_primary_crash_mid_flush_retries_only_its_group():
             pipeline = layer._pipelines["client", current_thread().tid]
             seqs = {op.stamp.seq: op.ref for op in pipeline.pending}
             shipped = []
-            ship_group = pipeline._ship_group
+            ship_group = pipeline_module._ship_group
 
-            def recording(primary, group):
+            def recording(layer, client, primary, group, span):
                 shipped.append({op.ref.key for op in group})
-                ship_group(primary, group)
+                ship_group(layer, client, primary, group, span)
 
-            pipeline._ship_group = recording
-            pipeline.request_flush()
+            monkeypatch.setattr(pipeline_module, "_ship_group", recording)
+            # Another thread waits on the batch, so it ships it now.
+            waiter = spawn(futures[0][2].result)
             sleep(150e-6)  # requests arrived, groups executing: kill one
             layer.crash_node(victim)
             sleep(2e-3)  # the surviving groups have long replied
@@ -291,6 +292,8 @@ def test_primary_crash_mid_flush_retries_only_its_group():
             mid_retry = (session.acked,
                          {ref for ref, _, future in futures if future.done})
             layer.flush("client")
+            waiter.join()
+            monkeypatch.setattr(pipeline_module, "_ship_group", ship_group)
             acked: dict = {}
             for ref, step, future in futures:
                 future.result()

@@ -3,9 +3,9 @@
 The barrier contract is per thread: what a thread submitted before a
 barrier (``flush``, ``future.result()``, any synchronous verb)
 completes before anything it does after — and a barrier waits for
-nothing another thread queued on the same endpoint.  A queue's pump
-lives only while the queue has work, so threads that used the async
-path once leave nothing behind.
+nothing another thread queued on the same endpoint.  A queue lives
+only while it has work, and the thread that waits on it ships it, so
+threads that used the async path once leave nothing behind.
 """
 
 import threading
@@ -128,8 +128,9 @@ def test_two_threads_batches_overlap():
 
 
 def test_short_lived_threads_leave_no_pipeline_or_pump():
-    """Two hundred threads each ship one op and finish: every pump
-    retires with its queue, so nothing stays parked until close()."""
+    """Two hundred threads each ship one op and finish: each ships its
+    own queue, which retires once empty, so no pump is ever spawned and
+    nothing stays parked until close()."""
     before = threading.active_count()
     with Kernel(seed=3) as kernel:
         layer = make_layer(kernel)

@@ -120,8 +120,8 @@ RF2_LOGS = [DsoReference("Log", f"lane-{index}", persistent=True, rf=2)
 
 def crash_workload(trial):
     """Appends over four rf=2 logs, the first to ``RF2_LOGS[0]`` (so
-    its primary's group runs inline on the pump); the flush window
-    ships them, and another primary — a lane's — crashes at a
+    its primary's group runs inline on the window's pump); the flush
+    window ships them, and another primary — a lane's — crashes at a
     seed-drawn instant while its group executes."""
     rnd = random.Random(trial.seed)
     plan = [0] + [rnd.randrange(len(RF2_LOGS)) for _ in range(PLAN_STEPS - 1)]

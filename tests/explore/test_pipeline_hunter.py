@@ -1,16 +1,22 @@
 """Hunters for the per-thread async pipeline (:mod:`repro.dso.pipeline`).
 
 Each async queue belongs to one (endpoint, thread) pair: a thread's
-barriers wait for its own ops only, and batches of different queues
-overlap.  Two planted mutations (:mod:`repro.mutation`) weaken the two
-mechanisms that keep that safe, and each hunter must catch its mutant
-within a bounded trial budget and stay quiet without it:
+barriers wait for its own ops only, batches of different queues
+overlap, and whoever waits on a queue ships it, one shipper at a time.
+Three planted mutations (:mod:`repro.mutation`) weaken the mechanisms
+that keep that safe, and each hunter must catch its mutant within a
+bounded trial budget and stay quiet without it:
 
 * ``"no-own-barrier"`` — a synchronous verb skips draining the calling
   thread's own queue.  Threads sharing an endpoint run random
   ``invoke_async`` / ``invoke`` / ``flush`` plans; the oracle is
   per-thread program order: restricted to one thread, every object's
   log is that thread's all-synchronous plan for it.
+* ``"second-shipper"`` — a thread that waits on its queue ships the
+  next batch while a window pump's batch is still in flight.  Beside
+  those threads a third one lags: it queues a large append, sleeps
+  past ``pipeline_flush_window`` (so a pump ships it), queues a small
+  append to the same object and blocks.  Same oracle.
 * ``"ack-max"`` — the session watermark is the highest answered seq
   instead of the contiguous one.  One thread's session ships through
   two endpoints, so two of its batches overlap: an op whose reply is
@@ -22,6 +28,7 @@ within a bounded trial budget and stay quiet without it:
 import random
 
 from repro import ExplorationRunner
+from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoReference
 from repro.mutation import mutation
 from repro.simulation.thread import sleep, spawn
@@ -39,8 +46,8 @@ class Log:
     def __init__(self):
         self.entries = []
 
-    def append(self, entry):
-        self.entries.append(entry)
+    def append(self, entry, pad=None):
+        self.entries.append(entry)  # ``pad`` only makes the request big
         return len(self.entries)
 
     def snapshot(self):
@@ -50,14 +57,28 @@ class Log:
 LOGS = [DsoReference("Log", f"hunt-{index}") for index in range(3)]
 LOG_CTOR = (Log, (), {})
 PLAN_STEPS = 16
+#: The lagging thread's large append: ~200 us on the wire beyond the
+#: hop, so a small append shipped after it but beside it lands first.
+PAD = b"x" * 240_000
+#: Longer than the flush window: the large append's pump is in flight.
+LAG = DEFAULT_CONFIG.dso.pipeline_flush_window + 20e-6
 
 
 def plans(trial):
-    """Two threads' ``(kind, object index)`` plans, drawn per trial."""
+    """Per-thread ``(kind, object index)`` plans, drawn per trial: two
+    threads mixing every verb, and a lagging one whose rounds are a
+    large async append, a sleep past the flush window, a small async
+    append to the same object and a blocking verb."""
     rnd = random.Random(trial.seed)
-    return {who: [(rnd.choice(("async", "async", "sync", "flush")),
-                   rnd.randrange(len(LOGS))) for _ in range(PLAN_STEPS)]
-            for who in "ab"}
+    drawn = {who: [(rnd.choice(("async", "async", "sync", "flush")),
+                    rnd.randrange(len(LOGS))) for _ in range(PLAN_STEPS)]
+             for who in "ab"}
+    drawn["c"] = []
+    for _ in range(PLAN_STEPS // 4):
+        index = rnd.randrange(len(LOGS))
+        drawn["c"] += [("lag", index), ("async", index),
+                       (rnd.choice(("sync", "flush")), index)]
+    return drawn
 
 
 def ordering_workload(trial):
@@ -66,7 +87,12 @@ def ordering_workload(trial):
 
         def submitter(who, plan):
             for step, (kind, index) in enumerate(plan):
-                if kind == "async":
+                if kind == "lag":
+                    layer.invoke_async(client, LOGS[index], "append",
+                                       ((who, step),), {"pad": PAD},
+                                       ctor=LOG_CTOR)
+                    sleep(LAG)
+                elif kind == "async":
                     layer.invoke_async(client, LOGS[index], "append",
                                        ((who, step),), ctor=LOG_CTOR)
                 elif kind == "sync":
@@ -113,6 +139,16 @@ def test_hunter_finds_a_sync_verb_overtaking_its_own_queue():
         report = explore_ordering()
     assert report.failures, (
         f"planted barrier bug not found within {TRIALS} trials:\n"
+        + report.summary())
+    assert any("program_order" in p for p in report.failures[0].problems), \
+        report.failures[0].describe()
+
+
+def test_hunter_finds_a_second_shipper_overtaking_the_pump():
+    with mutation("second-shipper"):
+        report = explore_ordering()
+    assert report.failures, (
+        f"planted shipper bug not found within {TRIALS} trials:\n"
         + report.summary())
     assert any("program_order" in p for p in report.failures[0].problems), \
         report.failures[0].describe()

@@ -105,7 +105,10 @@ def test_recorded_concurrent_history_is_linearizable():
                         try:
                             session.create(f"/r/shared-{i}", data=tid)
                         except NodeExistsError:
-                            session.set(f"/r/shared-{i}", tid)
+                            try:
+                                session.set(f"/r/shared-{i}", tid)
+                            except NoNodeError:
+                                pass  # its owner deleted it in between
                         session.create("/r/item-", data=tid,
                                        sequential=True)
                         if tid == i:

@@ -1,10 +1,9 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark runs the corresponding experiment harness once under
-pytest-benchmark (real wall time is what the benchmark records; the
-scientific results are *virtual-time* measurements), prints the
-paper-vs-measured report, and archives it under ``benchmarks/out/`` —
-EXPERIMENTS.md is assembled from those files.
+``test_experiments.py`` runs each experiment once under pytest-benchmark
+(real wall time is what the benchmark records; the scientific results
+are *virtual-time* measurements) and archives its report under
+``benchmarks/out/``.
 
 Set ``REPRO_BENCH_FULL=1`` to run every experiment at full paper scale
 (more threads / repetitions / longer windows); the default sizes keep
@@ -13,21 +12,8 @@ shape.
 """
 
 import os
-import pathlib
 
-from repro.__main__ import EXPERIMENTS
-
-OUT_DIR = pathlib.Path(__file__).parent / "out"
-
-
-def full_scale() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "") == "1"
-
-
-def archive(name: str, report: str) -> None:
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(report + "\n")
-    print("\n" + report)
+from repro.__main__ import EXPERIMENTS, OUT_DIR
 
 
 def run_archived(benchmark, name: str):
@@ -39,9 +25,10 @@ def run_archived(benchmark, name: str):
     CLI runs from.  Returns ``(result, report)``.
     """
     module, spec = EXPERIMENTS[name]
-    kwargs = spec["full" if full_scale() else "default"]
-    result = benchmark.pedantic(module.run, kwargs=kwargs,
+    scale = "full" if os.environ.get("REPRO_BENCH_FULL") == "1" else "default"
+    result = benchmark.pedantic(module.run, kwargs=spec[scale],
                                 rounds=1, iterations=1)
     report = module.report(result)
-    archive(spec["archive"], report)
+    (OUT_DIR / f"{spec['archive']}.txt").write_text(report + "\n")
+    print("\n" + report)
     return result, report

@@ -6,15 +6,19 @@ Usage::
     python -m repro table2
     python -m repro fig5 --full
     python -m repro all
+    python -m repro claims
 
 ``--full`` runs the paper-scale configuration where a reduced default
 exists.  Reports print to stdout (the same text the benchmarks
-archive under ``benchmarks/out/``).
+archive under ``benchmarks/out/``); ``claims`` prints the claim tables
+EXPERIMENTS.md carries, from the values the benchmarks recorded.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
 import time
 
@@ -40,12 +44,17 @@ from repro.harness import (
     tiering_pareto,
     txn_atomicity,
 )
+from repro.harness.claims import claims_markdown
+
+#: The source checkout's ``benchmarks/out/``.
+OUT_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/out"
 
 #: name -> (harness module, {"archive": stem of the report under
-#: ``benchmarks/out/``, "default" / "full": ``run`` kwargs at that
-#: scale}).  The benchmark suite reads the same table
-#: (``benchmarks/conftest.py::run_archived``), so the CLI and the
-#: archives cannot disagree about what an experiment is.
+#: ``benchmarks/out/``, "bench": stem of the JSON ``bench(result)``
+#: fills, "default" / "full": ``run`` kwargs at that scale}).  The
+#: benchmark suite reads the same table (``benchmarks/conftest.py``),
+#: so the CLI and the archives cannot disagree about what an
+#: experiment is.
 EXPERIMENTS = {
     "table2": (table2_latency,
                {"archive": "table2_latency",
@@ -91,25 +100,25 @@ EXPERIMENTS = {
                   "default": {"worker_counts": (8, 20, 40)},
                   "full": {"worker_counts": (8, 20, 40, 80)}}),
     "cache": (cache_readpath,
-              {"archive": "cache_readpath",
+              {"archive": "cache_readpath", "bench": "BENCH_readpath",
                "default": {"ops": 300}, "full": {"ops": 2000}}),
     "kernel": (kernel_speed,
-               {"archive": "kernel_speed",
+               {"archive": "kernel_speed", "bench": "BENCH_kernel",
                 "default": {"events": 40_000, "ops": 400},
                 "full": {"events": 200_000, "ops": 2_000}}),
     "tiering": (tiering_pareto,
-                {"archive": "tiering_pareto",
+                {"archive": "tiering_pareto", "bench": "BENCH_tiering",
                  "default": {"reads": 600}, "full": {"reads": 2400}}),
     "txn": (txn_atomicity,
-            {"archive": "txn_atomicity",
+            {"archive": "txn_atomicity", "bench": "BENCH_txn",
              "default": {"reps": 20, "clients": 4},
              "full": {"reps": 50, "clients": 8}}),
     "serving": (serving,
-                {"archive": "serving",
+                {"archive": "serving", "bench": "BENCH_serving",
                  "default": {},
                  "full": {"duration": 56.0, "peak_rate": 400.0}}),
     "keeper": (keeper,
-               {"archive": "keeper",
+               {"archive": "keeper", "bench": "BENCH_keeper",
                 "default": {},
                 "full": {"watchers": 300, "failovers": 3,
                          "updates": 4}}),
@@ -131,9 +140,11 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro",
         description="Reproduce the Crucial paper's experiments.")
     parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["list", "all"],
+                        choices=sorted(EXPERIMENTS)
+                        + ["list", "all", "claims"],
                         help="experiment to run ('list' to enumerate, "
-                             "'all' for everything)")
+                             "'all' for everything, 'claims' for the "
+                             "recorded claim tables)")
     parser.add_argument("--full", action="store_true",
                         help="paper-scale configuration")
     args = parser.parse_args(argv)
@@ -141,6 +152,12 @@ def main(argv: list[str] | None = None) -> int:
         for name, (module, _spec) in sorted(EXPERIMENTS.items()):
             summary = (module.__doc__ or "").strip().splitlines()[0]
             print(f"{name:10s} {summary}")
+        return 0
+    if args.experiment == "claims":
+        for name, (module, _spec) in EXPERIMENTS.items():
+            path = OUT_DIR / "claims" / f"{name}.json"
+            measured = json.loads(path.read_text()) if path.exists() else {}
+            print(claims_markdown(name, module.CLAIMS, measured))
         return 0
     names = (sorted(EXPERIMENTS) if args.experiment == "all"
              else [args.experiment])

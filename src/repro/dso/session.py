@@ -143,30 +143,31 @@ class _ClientSession:
 class ClientSessions:
     """Client-side registry: which session stamps the calling thread.
 
-    Thread sessions are keyed by the calling sim thread's tid; their
-    ids come from a per-registry counter, so session ids — and hence
+    A thread's implicit session lives in its ``SimThread.locals``,
+    keyed by this registry (one thread may call two layers), so it goes
+    when the thread does: the open-loop generator spawns a thread per
+    request, and a registry-wide map would grow by one session each.
+    Ids come from a per-registry counter, so session ids — and hence
     traces — are deterministic for a fixed seed and workload.
     """
 
     def __init__(self, layer: DsoLayer):
         self._layer = layer
         self._ids = itertools.count()
-        self._thread_sessions: dict[int, _ClientSession] = {}
         self._named_stack: dict[int, list[_ClientSession]] = {}
 
     def current(self, client: str) -> _ClientSession:
         """The session that will stamp the calling thread's next
         invocation: the innermost active named session, else the
         thread's implicit session (created lazily)."""
-        tid = current_thread().tid
-        stack = self._named_stack.get(tid)
+        thread = current_thread()
+        stack = self._named_stack.get(thread.tid)
         if stack:
             return stack[-1]
-        session = self._thread_sessions.get(tid)
+        session = thread.locals.get(self)
         if session is None:
-            session = _ClientSession(
+            session = thread.locals[self] = _ClientSession(
                 sid=f"{self._layer.name}/{client}#s{next(self._ids)}")
-            self._thread_sessions[tid] = session
         return session
 
     @contextmanager

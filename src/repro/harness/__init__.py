@@ -1,57 +1,13 @@
 """Experiment drivers: one module per table/figure of the paper.
 
 Each module exposes ``run(...) -> <Result>`` returning structured
-virtual-time measurements, and ``report(result) -> str`` rendering the
-paper-vs-measured comparison that EXPERIMENTS.md records.  Benchmarks
-under ``benchmarks/`` are thin wrappers around these.
+virtual-time measurements, ``report(result) -> str`` rendering the
+paper-vs-measured comparison, and ``CLAIMS``: what the result must show
+(:mod:`repro.harness.claims`), which ``report`` renders, the benchmark
+suite asserts, and EXPERIMENTS.md tabulates.
 
+``repro.__main__.EXPERIMENTS`` names every experiment module here.
 Experiments accept a ``scale`` knob where the paper's full size would
 be slow to simulate; scaled runs keep the workload *shape* (threads,
 objects, and measured windows shrink together).
 """
-
-from repro.harness import (  # noqa: F401  (re-exported for discoverability)
-    ablation_shipping,
-    cache_readpath,
-    fig2a_throughput,
-    fig2b_montecarlo,
-    fig3_scaleup,
-    fig4_logreg,
-    fig5_kmeans,
-    fig6_mapsync,
-    fig7a_barrier,
-    fig7b_breakdown,
-    fig7c_santa,
-    fig8_persistence,
-    keeper,
-    kernel_speed,
-    serving,
-    table2_latency,
-    table3_costs,
-    table4_loc,
-    tiering_pareto,
-    txn_atomicity,
-)
-
-__all__ = [
-    "ablation_shipping",
-    "cache_readpath",
-    "table2_latency",
-    "fig2a_throughput",
-    "fig2b_montecarlo",
-    "fig3_scaleup",
-    "fig4_logreg",
-    "fig5_kmeans",
-    "table3_costs",
-    "fig6_mapsync",
-    "fig7a_barrier",
-    "fig7b_breakdown",
-    "fig7c_santa",
-    "fig8_persistence",
-    "keeper",
-    "kernel_speed",
-    "serving",
-    "table4_loc",
-    "tiering_pareto",
-    "txn_atomicity",
-]

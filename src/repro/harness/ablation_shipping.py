@@ -27,9 +27,42 @@ from repro.core.cloud_thread import CloudThread
 from repro.core.runtime import current_environment
 from repro.core.shared import dso_costs, shared
 from repro.core.sync import CyclicBarrier
+from repro.harness.claims import INFO, Claim, above, below, claim_lines
 from repro.metrics.report import render_table
 
 DIMS = (32, 100)  # k x d partial aggregates (k=32 centroids)
+
+
+def _growth(result, kind: str, power: int) -> float:
+    """``kind``-shipping's message growth from the smallest to the
+    largest N, over N's growth ** ``power``: 1 for O(N ** power)."""
+    counts = sorted({n for _s, n in result.measurements})
+    small, big = counts[0], counts[-1]
+    return (result.measurements[(f"{kind}-shipping", big)][1]
+            / result.measurements[(f"{kind}-shipping", small)][1]
+            / (big / small) ** power)
+
+
+def _at_largest(result, index: int) -> float:
+    """Data over method shipping at the largest N: wall time
+    (``index`` 0) or messages (1)."""
+    big = max(n for _s, n in result.measurements)
+    return (result.measurements[("data-shipping", big)][index]
+            / result.measurements[("method-shipping", big)][index])
+
+
+CLAIMS = [
+    Claim("ablation.method_linear", "method-shipping message growth over "
+          "N's (O(N))", 1.0, lambda r: _growth(r, "method", 1), below(2.0)),
+    Claim("ablation.data_quadratic", "data-shipping message growth over "
+          "N's squared (O(N^2))", 1.0, lambda r: _growth(r, "data", 2),
+          above(0.5)),
+    Claim("ablation.data_slower", "data over method shipping, wall time "
+          "at the largest N", None, lambda r: _at_largest(r, 0), above(1.0)),
+    Claim("ablation.message_ratio", "data over method shipping, messages "
+          "at the largest N", None, lambda r: _at_largest(r, 1), INFO,
+          "{:.1f}x"),
+]
 
 
 @dso_costs(merge=lambda partial: partial.size * 2e-9,
@@ -138,9 +171,4 @@ def report(result: ShippingResult) -> str:
         ["strategy", "workers", "wall", "messages", "messages/worker"],
         rows, title="Ablation - method shipping vs data shipping "
         "(Section 4.2)")
-    n = counts[-1]
-    ratio = (result.measurements[("data-shipping", n)][1]
-             / result.measurements[("method-shipping", n)][1])
-    table += (f"\npaper claim: O(N) vs O(N^2) messages -> at N={n} "
-              f"data shipping sends {ratio:.1f}x more messages")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

@@ -24,8 +24,10 @@ of its round trip and service times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, at_least, at_most, claim_lines, within
 from repro.harness.table2_latency import PAPER, PAYLOAD
 from repro.metrics.report import cache_summary, comparison_table, render_table
 from repro.simulation.thread import sleep, spawn
@@ -33,6 +35,26 @@ from repro.simulation.thread import sleep, spawn
 HOT_WRITES = 12
 HOT_READERS = 7
 HOT_FLUSHES = 5
+
+PAPER_PUT_US, PAPER_GET_US = (seconds * 1e6 for seconds in PAPER["crucial"])
+
+CLAIMS = [
+    Claim("cache.speedup", "warm reads over the always-ship read path",
+          None, attrgetter("speedup"), at_least(5.0), "{:.0f}x"),
+    Claim("cache.hit_rate", "warm reads served from the cache", None,
+          lambda r: r.hits / r.ops, at_least(1.0), "{:.1%}"),
+    # The write path and the cache-off read path stay on Table 2.
+    Claim("cache.put_calibrated", "PUT with the cache on", PAPER_PUT_US,
+          lambda r: r.cached_put * 1e6, within(PAPER_PUT_US, 0.15),
+          "{:.1f}us"),
+    Claim("cache.get_calibrated", "GET with the cache off", PAPER_GET_US,
+          lambda r: r.uncached_get * 1e6, within(PAPER_GET_US, 0.15),
+          "{:.1f}us"),
+    # Round trip, twelve put services and one revocation hop (~2.9);
+    # locking the key per write revoked readers 35 times (10.0x).
+    Claim("cache.hot_flush_ratio", "hot-key flush in cached PUTs", None,
+          attrgetter("hot_flush_ratio"), at_most(3.5)),
+]
 
 
 @dataclass
@@ -136,18 +158,29 @@ def _hot_key_flush(seed: int) -> tuple[float, float]:
         return hot_flush, layer.stats.lease_revocations / HOT_FLUSHES
 
 
+def bench(result: CacheReadpathResult) -> dict:
+    """The measurements CI uploads as ``BENCH_readpath.json``."""
+    return {
+        "ops": result.ops, "uncached_get_us": result.uncached_get * 1e6,
+        "cached_get_us": result.cached_get * 1e6,
+        "cached_put_us": result.cached_put * 1e6,
+        "speedup": result.speedup, "cache_hits": result.hits,
+        "cache_misses": result.misses,
+        "lease_revocations": result.revocations,
+        "hot_flush_us": result.hot_flush * 1e6,
+        "hot_flush_ratio": result.hot_flush_ratio,
+        "hot_flush_revocations": result.hot_revocations}
+
+
 def report(result: CacheReadpathResult) -> str:
-    paper_put, paper_get = PAPER["crucial"]
     table = comparison_table(
         f"Warm 1KB read path, {result.ops} sequential ops"
         f" (speedup {result.speedup:.0f}x)",
         [
-            ("GET uncached (Table 2)", paper_get * 1e6,
+            ("GET uncached (Table 2)", PAPER_GET_US,
              result.uncached_get * 1e6),
-            ("GET warm cached", paper_get * 1e6,
-             result.cached_get * 1e6),
-            ("PUT with cache on", paper_put * 1e6,
-             result.cached_put * 1e6),
+            ("GET warm cached", PAPER_GET_US, result.cached_get * 1e6),
+            ("PUT with cache on", PAPER_PUT_US, result.cached_put * 1e6),
         ], unit="us")
 
     class _Stats:
@@ -163,4 +196,5 @@ def report(result: CacheReadpathResult) -> str:
          ("leases revoked per flush", f"{result.hot_revocations:g}")],
         title=f"Hot key: {HOT_WRITES} put_async to one key in one flush, "
               f"{HOT_READERS} endpoints re-reading it")
-    return table + "\n" + cache_summary(_Stats()) + "\n" + hot
+    return "\n".join((table, cache_summary(_Stats()), hot,
+                      claim_lines(CLAIMS, result)))

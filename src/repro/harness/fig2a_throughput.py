@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro import CrucialEnvironment
 from repro.core.runtime import current_location
 from repro.core.shared import dso_costs, shared
+from repro.harness.claims import Claim, above, claim_lines
 from repro.metrics.report import render_table
 from repro.simulation.thread import spawn
 from repro.storage.kvstore import Script
@@ -25,6 +26,26 @@ from repro.storage.kvstore import Script
 N_OBJECTS = 800
 SIMPLE_OPS = 1
 COMPLEX_OPS = 10_000
+
+
+def _ratio(system: str, other: str, operation: str):
+    """``system``'s throughput over ``other``'s on ``operation``."""
+    return lambda r: (r.throughput[(system, operation)]
+                      / r.throughput[(other, operation)])
+
+
+CLAIMS = [
+    Claim("fig2a.simple_redis_lead", "Redis over Crucial on simple ops",
+          1.5, _ratio("redis", "crucial", "simple"), above(1.0)),
+    Claim("fig2a.complex_crucial_lead", "Crucial over Redis on complex "
+          "ops", 5.0, _ratio("crucial", "redis", "complex"), above(3.0)),
+    Claim("fig2a.complex_rf2_lead", "Crucial rf=2 over Redis on complex "
+          "ops", 1.7, _ratio("crucial-rf2", "redis", "complex"), above(1.3)),
+    Claim("fig2a.complexity_insensitive", "Crucial's complex/simple "
+          "throughput over Redis's", None,
+          lambda r: (_ratio("crucial", "redis", "complex")(r)
+                     / _ratio("crucial", "redis", "simple")(r)), above(3.0)),
+]
 
 
 @dso_costs(multiply=lambda times, factor, cost: cost)
@@ -124,17 +145,4 @@ def report(result: ThroughputResult) -> str:
         ["system", "operation", "throughput"], rows,
         title=(f"Fig. 2a - closed-loop throughput, "
                f"{result.threads} threads, 800 objects"))
-    simple_ratio = (result.throughput[("redis", "simple")]
-                    / result.throughput[("crucial", "simple")])
-    complex_ratio = (result.throughput[("crucial", "complex")]
-                     / result.throughput[("redis", "complex")])
-    rf2_ratio = (result.throughput[("crucial-rf2", "complex")]
-                 / result.throughput[("redis", "complex")])
-    table += (
-        f"\npaper: Redis ~1.5x Crucial on simple ops -> measured "
-        f"{simple_ratio:.2f}x"
-        f"\npaper: Crucial ~5x Redis on complex ops -> measured "
-        f"{complex_ratio:.2f}x"
-        f"\npaper: Crucial rf=2 ~1.7x Redis on complex ops -> measured "
-        f"{rf2_ratio:.2f}x")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

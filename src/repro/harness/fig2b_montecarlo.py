@@ -7,14 +7,28 @@ at 800 threads and 8.4 billion points/second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
 from repro.apps.montecarlo import estimate_pi
+from repro.harness.claims import Claim, above, below, between, claim_lines
 from repro.metrics.report import render_table
 
-PAPER_SPEEDUP_800 = 512.0
-PAPER_POINTS_PER_SECOND_800 = 8.4e9
+CLAIMS = [
+    Claim("fig2b.speedup_800", "speedup at 800 threads", 512.0,
+          lambda r: r.speedup(800) if 800 in r.runs else None,
+          between(400, 700), "{:.0f}x"),
+    Claim("fig2b.points_800", "points/s at 800 threads", 8.4,
+          lambda r: r.runs[800][2] / 1e9 if 800 in r.runs else None,
+          between(6.0, 10.0), "{:.1f}G/s"),
+    Claim("fig2b.speedup_50", "speedup at 50 threads (near-linear)", None,
+          lambda r: r.speedup(50) if 50 in r.runs else None, above(40),
+          "{:.0f}x"),
+    Claim("fig2b.pi_error", "worst error of a pi estimate", None,
+          lambda r: max(abs(run[0] - math.pi) for run in r.runs.values()),
+          below(1e-3), "{:.1e}"),
+]
 
 
 @dataclass
@@ -52,10 +66,4 @@ def report(result: MonteCarloScaling) -> str:
     table = render_table(
         ["threads", "pi", "elapsed", "points/s", "speedup"], rows,
         title="Fig. 2b - Monte Carlo scalability")
-    if 800 in result.runs:
-        table += (
-            f"\npaper: 512x speedup at 800 threads -> measured "
-            f"{result.speedup(800):.0f}x"
-            f"\npaper: 8.4G points/s at 800 threads -> measured "
-            f"{result.runs[800][2] / 1e9:.1f}G/s")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

@@ -11,13 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, above, below, claim_lines
 from repro.metrics.report import render_table
 from repro.ml.dataset import MLDataset
 from repro.ml.kmeans import CrucialKMeans
 from repro.ml.local import LocalKMeansBaseline
 from repro.simulation.kernel import Kernel
 
-PAPER_CRUCIAL = {160: 0.94, 320: 0.90}
+
+CLAIMS = [
+    Claim(f"fig3.{name}_{threads}", f"{system} scale-up at {threads} "
+          "threads", paper, lambda r, s=system, n=threads:
+          r.curves[s].get(n), bound, "{:.2f}")
+    for name, system, threads, paper, bound in (
+        ("crucial", "crucial", 160, 0.94, above(0.85)),
+        ("crucial", "crucial", 320, 0.90, above(0.80)),
+        ("vm8", "vm-8-cores", 160, None, below(0.10)),
+        ("vm16", "vm-16-cores", 160, None, below(0.20)),
+        ("vm16", "vm-16-cores", 16, None, above(0.95)))
+]
 
 
 @dataclass
@@ -81,8 +93,4 @@ def report(result: ScaleUpResult) -> str:
         ["system"] + [str(n) for n in threads], rows,
         title=(f"Fig. 3 - k-means scale-up (T1/Tn), k={result.k}, "
                f"{result.iterations} iterations"))
-    for n, paper in PAPER_CRUCIAL.items():
-        if n in result.curves["crucial"]:
-            table += (f"\npaper: Crucial scale-up {paper} at {n} threads "
-                      f"-> measured {result.curves['crucial'][n]:.2f}")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

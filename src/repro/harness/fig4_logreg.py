@@ -10,8 +10,10 @@ decreases identically per iteration — Crucial simply finishes sooner
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, below, between, claim_lines
 from repro.metrics.report import comparison_table
 from repro.ml.dataset import MLDataset
 from repro.ml.logreg import CrucialLogisticRegression
@@ -24,6 +26,24 @@ PAPER_CRUCIAL_ITER = 62.3
 PAPER_SPARK_ITER = 75.9
 PAPER_CRUCIAL_TOTAL = 122.0
 PAPER_SPARK_TOTAL = 192.0
+
+CLAIMS = [
+    Claim("fig4.iter_gain", "iterative phase faster in Crucial",
+          1.0 - PAPER_CRUCIAL_ITER / PAPER_SPARK_ITER,
+          lambda r: 1.0 - r.crucial_iter / r.spark_iter,
+          between(0.10, 0.35), "{:.0%}"),
+    Claim("fig4.crucial_iter", "Crucial iteration phase",
+          PAPER_CRUCIAL_ITER, attrgetter("crucial_iter"), between(50, 80),
+          "{:.1f}s"),
+    Claim("fig4.spark_iter", "Spark iteration phase", PAPER_SPARK_ITER,
+          attrgetter("spark_iter"), between(60, 95), "{:.1f}s"),
+    Claim("fig4.loss_drop", "final over initial loss (Fig. 4b)", None,
+          lambda r: r.crucial_loss[-1] / r.crucial_loss[0], below(0.5)),
+    Claim("fig4.loss_drift", "max Crucial/Spark loss difference "
+          "(identical math, as in the paper)", None, lambda r: max(
+              abs(a - b) for a, b in zip(r.crucial_loss, r.spark_loss)),
+          below(1e-9), "{:.2e}"),
+]
 
 
 @dataclass
@@ -78,18 +98,12 @@ def report(result: LogRegComparison) -> str:
             ("Spark total", PAPER_SPARK_TOTAL
              - PAPER_SPARK_ITER * (1 - fraction), result.spark_total),
         ], unit="s")
-    gain = 1.0 - result.crucial_iter / result.spark_iter
-    table += (f"\npaper: iterative phase 18% faster in Crucial -> "
-              f"measured {gain:.0%}")
+    table += "\n" + claim_lines(CLAIMS, result)
     first, mid, last = (result.crucial_loss[0],
                         result.crucial_loss[len(result.crucial_loss) // 2],
                         result.crucial_loss[-1])
     table += (f"\nFig. 4b loss trajectory (Crucial): "
               f"{first:.4f} -> {mid:.4f} -> {last:.4f}")
-    drift = max(abs(a - b) for a, b in
-                zip(result.crucial_loss, result.spark_loss))
-    table += (f"\nmax |Crucial - Spark| loss difference: {drift:.2e} "
-              "(identical math, as in the paper)")
     # Fig. 4b plots loss against *time*: same curve, but Crucial's
     # iterations tick faster, so it reaches any loss level sooner.
     from repro.metrics.ascii_plot import sparkline

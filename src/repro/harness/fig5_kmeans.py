@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, above, below, between, claim_lines
 from repro.metrics.report import render_table
 from repro.ml.dataset import MLDataset
 from repro.ml.kmeans import CrucialKMeans
@@ -23,6 +24,33 @@ from repro.storage import ObjectStore
 
 #: Paper values for the 10-iteration phase at k=25, seconds.
 PAPER_K25 = {"crucial": 20.4, "spark": 34.0}
+
+
+def _gap(result, k: int) -> float | None:
+    """How much faster Crucial is than Spark at ``k``, as a fraction."""
+    times = result.iteration_times
+    if ("crucial", k) not in times:
+        return None
+    return 1.0 - times[("crucial", k)] / times[("spark", k)]
+
+
+CLAIMS = [
+    Claim("fig5.k25_gain", "k=25: Crucial faster than Spark",
+          1.0 - PAPER_K25["crucial"] / PAPER_K25["spark"],
+          lambda r: _gap(r, 25), between(0.25, 0.55), "{:.0%}"),
+    *(Claim(f"fig5.k25_{system}", f"k=25: {system} iteration phase",
+            PAPER_K25[system], lambda r, s=system: r.iteration_times.get(
+                (s, 25)), bound, "{:.1f}s")
+      for system, bound in (("crucial", between(15, 26)),
+                            ("spark", between(28, 42)))),
+    Claim("fig5.gap_narrows", "gap at the largest k over the gap at k=25",
+          None, lambda r: _gap(r, max(k for _s, k in r.iteration_times))
+          / _gap(r, 25) if _gap(r, 25) else None, below(1.0)),
+    Claim("fig5.redis_slower", "Redis variant over Crucial, closest k",
+          None, lambda r: min(r.iteration_times[("redis", k)]
+                              / r.iteration_times[("crucial", k)]
+                              for _s, k in r.iteration_times), above(1.0)),
+]
 
 
 @dataclass
@@ -70,14 +98,18 @@ def _run_redis(k: int, iterations: int, workers: int,
         return result.iteration_phase_time, result.total_time
 
 
+#: system -> runner(k, iterations, workers, seed) returning the
+#: (iteration phase, total) seconds of one training run.
+RUNNERS = {"crucial": _run_crucial, "spark": _run_spark,
+           "redis": _run_redis}
+
+
 def run(ks: tuple[int, ...] = (25, 50, 100, 200), iterations: int = 10,
         workers: int = 80, seed: int = 6) -> KMeansComparison:
     iteration_times: dict[tuple[str, int], float] = {}
     total_times: dict[tuple[str, int], float] = {}
     for k in ks:
-        for system, runner in (("crucial", _run_crucial),
-                               ("spark", _run_spark),
-                               ("redis", _run_redis)):
+        for system, runner in RUNNERS.items():
             iter_time, total_time = runner(k, iterations, workers, seed)
             iteration_times[(system, k)] = iter_time
             total_times[(system, k)] = total_time
@@ -96,23 +128,7 @@ def report(result: KMeansComparison) -> str:
         ["system"] + [f"k={k}" for k in ks], rows,
         title=(f"Fig. 5 - k-means {result.iterations}-iteration phase, "
                f"{result.workers} workers"))
-    if 25 in ks:
-        crucial = result.iteration_times[("crucial", 25)]
-        spark = result.iteration_times[("spark", 25)]
-        gain = 1.0 - crucial / spark
-        table += (f"\npaper: k=25 Crucial 20.4s vs Spark 34s (40% faster)"
-                  f" -> measured {crucial:.1f}s vs {spark:.1f}s "
-                  f"({gain:.0%} faster)")
-    gaps = [result.iteration_times[("spark", k)]
-            - result.iteration_times[("crucial", k)] for k in ks]
-    relative = [gap / result.iteration_times[("spark", k)]
-                for gap, k in zip(gaps, ks)]
-    table += ("\npaper: relative gap narrows as k grows -> measured "
-              + ", ".join(f"k={k}: {r:.0%}"
-                          for k, r in zip(ks, relative)))
-    redis_slower = all(
-        result.iteration_times[("redis", k)]
-        > result.iteration_times[("crucial", k)] for k in ks)
-    table += (f"\npaper: Redis variant always slower than Crucial -> "
-              f"measured {redis_slower}")
+    table += ("\nrelative gap (Spark - Crucial) / Spark: "
+              + ", ".join(f"k={k}: {_gap(result, k):.0%}" for k in ks))
+    table += "\n" + claim_lines(CLAIMS, result)
     return table

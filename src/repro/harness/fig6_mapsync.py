@@ -14,9 +14,35 @@ from dataclasses import dataclass
 
 from repro import CrucialEnvironment
 from repro.coordination.mapsync import MapSyncExperiment
+from repro.harness.claims import (
+    INFO, Claim, above, at_most, below, claim_lines)
 from repro.metrics.report import render_table
 
 ORDER = ("sqs", "s3-polling", "grid-polling", "future", "auto-reduce")
+
+
+def _ratio(a: str, b: str):
+    """Mean sync time of strategy ``a`` over that of ``b``."""
+    return lambda r: r.mean(a) / r.mean(b)
+
+
+CLAIMS = [
+    Claim("fig6.auto_vs_future", "auto-reduce over futures", None,
+          _ratio("auto-reduce", "future"), at_most(1.0)),
+    Claim("fig6.future_vs_grid", "futures over grid polling", None,
+          _ratio("future", "grid-polling"), below(1.0)),
+    Claim("fig6.grid_vs_s3", "grid polling over S3 polling", None,
+          _ratio("grid-polling", "s3-polling"), below(1.0)),
+    Claim("fig6.sqs_vs_future", "SQS over futures", None,
+          _ratio("sqs", "future"), above(3.0), "{:.1f}x"),
+    Claim("fig6.sqs_vs_s3", "SQS over S3 polling (SQS among the "
+          "slowest)", None, _ratio("sqs", "s3-polling"), above(0.5)),
+    Claim("fig6.s3_vs_auto", "S3 polling over auto-reduce", 2.0,
+          _ratio("s3-polling", "auto-reduce"), above(2.0), "{:.1f}x"),
+    Claim("fig6.sync_share", "sync share of the run, mean of strategies",
+          0.23, lambda r: sum(r.mean(n) / r.total_times[n]
+                              for n in ORDER) / len(ORDER), INFO, "{:.0%}"),
+]
 
 
 @dataclass
@@ -68,13 +94,5 @@ def report(result: MapSyncComparison) -> str:
 
     table += "\n" + bar_chart(
         list(ORDER), [result.mean(name) for name in ORDER], unit="s")
-    table += (
-        f"\npaper: SQS slowest -> measured "
-        f"{result.mean('sqs'):.2f}s (max of others: "
-        f"{max(result.mean(n) for n in ORDER if n != 'sqs'):.2f}s)"
-        f"\npaper: auto-reduce ~2x faster than S3 polling -> measured "
-        f"{result.mean('s3-polling') / result.mean('auto-reduce'):.1f}x"
-        f"\nsync share of total run, averaged over strategies "
-        f"(paper: ~23%): "
-        f"{sum(result.mean(n) / result.total_times[n] for n in ORDER) / len(ORDER):.0%}")
+    table += "\n" + claim_lines(CLAIMS, result)
     return table

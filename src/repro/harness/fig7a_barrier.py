@@ -14,12 +14,31 @@ from dataclasses import dataclass
 from repro import CrucialEnvironment, CloudThread, CyclicBarrier
 from repro.coordination.sns_barrier import SnsSqsBarrier
 from repro.core.runtime import compute, current_environment
+from repro.harness.claims import Claim, above, below, claim_lines
 from repro.metrics.report import render_table
 from repro.simulation.thread import spawn
 
-PAPER_1800_THREADS_WAIT = 0.068
 ROUNDS = 3
 STEP_SECONDS = 1.0
+
+
+def _wait_ms(result, system: str, threads: int) -> float | None:
+    wait = result.waits.get((system, threads))
+    return None if wait is None else wait * 1000
+
+
+CLAIMS = [
+    Claim("fig7a.gap_320", "SNS+SQS wait over Crucial's at 320 threads",
+          10.0, lambda r: _wait_ms(r, "sns-sqs", 320)
+          / _wait_ms(r, "crucial", 320) if ("sns-sqs", 320) in r.waits
+          else None, above(8.0), "{:.1f}x"),
+    Claim("fig7a.crucial_320", "Crucial wait at 320 threads", None,
+          lambda r: _wait_ms(r, "crucial", 320), below(150), "{:.0f}ms"),
+    Claim("fig7a.sns_4", "SNS+SQS wait at 4 threads", None,
+          lambda r: _wait_ms(r, "sns-sqs", 4), above(200), "{:.0f}ms"),
+    Claim("fig7a.crucial_1800", "Crucial wait at 1800 threads", 68.0,
+          lambda r: _wait_ms(r, "crucial", 1800), below(250), "{:.0f}ms"),
+]
 
 
 class _CrucialLockStep:
@@ -123,13 +142,4 @@ def report(result: BarrierComparison) -> str:
     table = render_table(
         ["system"] + [str(t) for t in threads], rows,
         title="Fig. 7a - average barrier wait (1s lock-step rounds)")
-    largest = max(t for s, t in result.waits if s == "sns-sqs")
-    ratio = (result.waits[("sns-sqs", largest)]
-             / result.waits[("crucial", largest)])
-    table += (f"\npaper: ~10x faster than SNS+SQS at 320 threads -> "
-              f"measured {ratio:.1f}x at {largest} threads")
-    big = max(t for s, t in result.waits if s == "crucial")
-    table += (f"\npaper: 68ms average at 1800 threads -> measured "
-              f"{result.waits[('crucial', big)] * 1000:.0f}ms at "
-              f"{big} threads")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

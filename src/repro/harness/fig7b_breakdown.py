@@ -25,15 +25,42 @@ construction — the consistency the paper's stacked bars imply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import CloudThread, CrucialEnvironment, CyclicBarrier, compute
+from repro.harness.claims import Claim, above, below, claim_lines
 from repro.metrics.report import render_table
 from repro.trace.tracer import Span, Tracer
 
 PHASES = ("invocation", "s3_read", "compute", "sync")
 INPUT_BYTES = 200 * 10 ** 6  # per-thread input fragment
 COMPUTE_SECONDS = 1.0
+
+
+STAGES, BARRIER = "per-iteration stages", "single stage + barrier"
+
+
+def _seconds(result, approach: str, phase: str = "total") -> float:
+    """Seconds ``approach`` spent in ``phase`` ("total": all four)."""
+    totals = result.phases[approach]
+    return sum(totals.values()) if phase == "total" else totals[phase]
+
+
+CLAIMS = [
+    Claim("fig7b.s3_reads", "S3 read time, stages over barrier (input "
+          "fetched once)", None, lambda r: (_seconds(r, STAGES, "s3_read")
+                                            / _seconds(r, BARRIER, "s3_read")),
+          above(3.0), "{:.1f}x"),
+    Claim("fig7b.total_ratio", "total time, barrier over stages", None,
+          lambda r: _seconds(r, BARRIER) / _seconds(r, STAGES), below(0.75)),
+    Claim("fig7b.sync_share", "barrier sync share of the barrier total",
+          None, lambda r: _seconds(r, BARRIER, "sync") / _seconds(r, BARRIER),
+          below(0.10), "{:.1%}"),
+    Claim("fig7b.compute_drift", "compute difference between approaches",
+          None, lambda r: abs(_seconds(r, STAGES, "compute")
+                              / _seconds(r, BARRIER, "compute") - 1),
+          below(0.20), "{:.1%}"),
+]
 
 
 class _SingleIteration:
@@ -72,8 +99,6 @@ class _AllIterations:
 class BreakdownResult:
     #: approach -> phase -> total seconds (averaged over threads)
     phases: dict[str, dict[str, float]]
-    #: per-thread detail for the first two threads of each approach
-    details: dict[str, list[dict]] = field(default_factory=dict)
     threads: int = 0
     iterations: int = 0
 
@@ -136,34 +161,23 @@ def run(threads: int = 10, iterations: int = 5,
 
         roots = [s for s in tracer.roots()
                  if s.name.startswith("cloudthread:")]
-        roots_a = [r for r in roots if r.span_id <= marker["a_end"]]
-        roots_b = [r for r in roots if r.span_id > marker["a_end"]]
 
-        # Approach (a): accumulate each thread's iterations (stages
-        # launch threads in index order, so position within the stage
-        # identifies the thread).
-        totals_a = {phase: 0.0 for phase in PHASES}
-        details_a = [{phase: 0.0 for phase in PHASES}
-                     for _ in range(threads)]
-        for index, root in enumerate(roots_a):
-            for phase, value in _phases_of_root(root, tracer).items():
-                totals_a[phase] += value / threads
-                details_a[index % threads][phase] += value
+        def totals(approach_roots) -> dict[str, float]:
+            """Each phase summed over a thread's iterations, averaged
+            over the threads."""
+            summed = {phase: 0.0 for phase in PHASES}
+            for root in approach_roots:
+                for phase, value in _phases_of_root(root, tracer).items():
+                    summed[phase] += value / threads
+            return summed
 
-        totals_b = {phase: 0.0 for phase in PHASES}
-        details_b = []
-        for root in roots_b:
-            decomposed = _phases_of_root(root, tracer)
-            details_b.append(decomposed)
-            for phase in PHASES:
-                totals_b[phase] += decomposed[phase] / threads
-
-    return BreakdownResult(
-        phases={"per-iteration stages": totals_a,
-                "single stage + barrier": totals_b},
-        details={"per-iteration stages": details_a[:2],
-                 "single stage + barrier": details_b[:2]},
-        threads=threads, iterations=iterations)
+        phases = {
+            STAGES: totals([r for r in roots
+                            if r.span_id <= marker["a_end"]]),
+            BARRIER: totals([r for r in roots
+                             if r.span_id > marker["a_end"]])}
+    return BreakdownResult(phases=phases, threads=threads,
+                           iterations=iterations)
 
 
 def report(result: BreakdownResult) -> str:
@@ -177,15 +191,4 @@ def report(result: BreakdownResult) -> str:
         title=(f"Fig. 7b - iterative task breakdown, "
                f"{result.threads} threads x {result.iterations} "
                "iterations (derived from trace spans)"))
-    stages = result.phases["per-iteration stages"]
-    barrier = result.phases["single stage + barrier"]
-    table += (
-        f"\npaper: input fetched once -> S3 time "
-        f"{stages['s3_read']:.2f}s (stages) vs "
-        f"{barrier['s3_read']:.2f}s (barrier)"
-        f"\npaper: barrier sync time is small -> "
-        f"{barrier['sync']:.2f}s of "
-        f"{sum(barrier.values()):.2f}s total"
-        f"\npaper: single stage total is lower -> "
-        f"{sum(barrier.values()):.2f}s vs {sum(stages.values()):.2f}s")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

@@ -12,9 +12,19 @@ from dataclasses import dataclass
 
 from repro import CrucialEnvironment
 from repro.coordination.santa import SantaClausProblem, SantaResult
+from repro.harness.claims import Claim, below, between, claim_lines, exactly
 from repro.metrics.report import render_table
 
-PAPER_DSO_OVERHEAD = 0.08
+CLAIMS = [
+    Claim("fig7c.all_delivered", "every variant makes every delivery",
+          True, lambda r: all(v.deliveries == r.deliveries
+                              for v in r.results.values()), exactly(True)),
+    Claim("fig7c.dso_overhead", "DSO monitors over POJO", 0.08,
+          lambda r: r.overhead("dso"), between(-0.02, 0.25), "{:+.1%}"),
+    Claim("fig7c.cloud_vs_dso", "cloud threads beyond DSO (invocation "
+          "only)", 0.0, lambda r: r.overhead("cloud") - r.overhead("dso"),
+          below(0.20), "{:+.1%}"),
+]
 
 
 @dataclass
@@ -49,8 +59,5 @@ def report(result: SantaComparison) -> str:
         rows,
         title=f"Fig. 7c - Santa Claus problem, {result.deliveries} "
               "deliveries")
-    table += (f"\npaper: DSO overhead ~8% -> measured "
-              f"{result.overhead('dso'):.1%}"
-              f"\npaper: cloud threads ~= DSO (invocation only) -> "
-              f"measured {result.overhead('cloud'):.1%}")
+    table += "\n" + claim_lines(CLAIMS, result)
     return table

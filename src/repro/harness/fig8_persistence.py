@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, above, between, claim_lines
 from repro.metrics.report import render_table
 from repro.ml.inference import (
     InferenceRunResult,
@@ -26,8 +27,17 @@ from repro.ml.inference import (
 )
 from repro.simulation.thread import sleep, spawn
 
-PAPER_STEADY = 490.0
-PAPER_DROP = 0.30
+CLAIMS = [
+    Claim("fig8.steady", "steady-state throughput", 490.0,
+          lambda r: r.steady(), between(380, 600), "{:.0f} inf/s"),
+    Claim("fig8.crash_drop", "throughput lost to the crash", 0.30,
+          lambda r: 1.0 - r.degraded() / r.steady(), between(0.2, 0.45),
+          "{:.0%}"),
+    Claim("fig8.degraded", "throughput after the crash (never blocks)",
+          None, lambda r: r.degraded(), above(100), "{:.0f} inf/s"),
+    Claim("fig8.recovered", "throughput after the join, of steady", 1.0,
+          lambda r: r.recovered() / r.steady(), above(0.9), "{:.0%}"),
+]
 
 
 @dataclass
@@ -95,11 +105,8 @@ def report(result: PersistenceResult) -> str:
     from repro.metrics.ascii_plot import sparkline
 
     table += (
-        f"\npaper: ~490 inf/s steady -> measured {steady:.0f} inf/s"
-        f"\npaper: crash costs ~30% -> measured {drop:.0%}"
-        f"\npaper: initial throughput restored after node join -> "
-        f"measured {recovered / steady:.0%} of steady"
-        f"\nthroughput series (1s buckets, crash at "
+        "\n" + claim_lines(CLAIMS, result)
+        + f"\nthroughput series (1s buckets, crash at "
         f"{result.crash_at:.0f}s, join at {result.join_at:.0f}s):"
         f"\n  {sparkline(result.run.per_second[:int(result.run.duration)], width=72)}"
         f"\nper-second series (5s buckets): "

@@ -28,6 +28,7 @@ report latencies for a broken delivery order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.coordination.keeper import KeeperService
 from repro.coordination.recipes import (
@@ -37,6 +38,7 @@ from repro.coordination.recipes import (
     LeaderElector,
 )
 from repro.core.runtime import CrucialEnvironment
+from repro.harness.claims import Claim, at_most, claim_lines, exactly
 from repro.linearizability.watches import find_watch_violations
 from repro.metrics.recorder import percentile
 from repro.metrics.report import render_table
@@ -49,6 +51,28 @@ from repro.workload.generator import (
 
 #: Session TTL every scenario leases under (virtual seconds).
 SESSION_TTL = 2.0
+
+CLAIMS = [
+    Claim("keeper.rendezvous", "barrier passes, semaphore acquisitions "
+          "and high-water match the scenario sizes", None, lambda r: (
+              r.barrier_passes == r.barrier_parties * r.barrier_rounds
+              and r.sem_acquisitions == r.sem_workers
+              and r.sem_max_concurrent == r.sem_permits), exactly(True)),
+    Claim("keeper.failovers", "every leader failover converges", None,
+          lambda r: len(r.convergences_s) == r.failovers, exactly(True)),
+    # Lease expiry plus one watch hop; the chaos suite pins the same.
+    Claim("keeper.convergence", "slowest failover convergence", None,
+          attrgetter("convergence_max_s"), at_most(2 * SESSION_TTL),
+          "{:.2f}s"),
+    Claim("keeper.expiry", "slowest removal of a dead holder's "
+          "ephemerals", None, attrgetter("expiry_max_s"),
+          at_most(2 * SESSION_TTL), "{:.2f}s"),
+    Claim("keeper.fanout_p99", "watch fan-out p99 (one SQS hop)", None,
+          attrgetter("fanout_p99_ms"), at_most(2000.0), "{:.0f} ms"),
+    *(Claim(f"keeper.{name}", name.replace("_", " "), None,
+            attrgetter(name), exactly(0), "{:d}")
+      for name in ("watch_violations", "load_errors")),
+]
 
 
 @dataclass
@@ -264,6 +288,17 @@ def run(parties: int = 8, rounds: int = 3, sem_workers: int = 9,
         return env.run(main)
 
 
+def bench(result: KeeperResult) -> dict:
+    """The measurements CI uploads as ``BENCH_keeper.json``."""
+    fields = {name: getattr(result, name) for name in (
+        "barrier_parties", "barrier_rounds", "barrier_passes",
+        "sem_workers", "sem_permits", "sem_acquisitions",
+        "sem_max_concurrent", "failovers", "convergences_s", "watchers",
+        "updates", "fanout_p50_ms", "fanout_p99_ms", "expiry_detections_s",
+        "watch_violations", "load_requests", "load_errors")}
+    return {"session_ttl": SESSION_TTL, **fields}
+
+
 def report(result: KeeperResult) -> str:
     rows = [
         ("barrier",
@@ -294,4 +329,5 @@ def report(result: KeeperResult) -> str:
     ]
     return render_table(
         ["scenario", "scale", "measured", "bound"], rows,
-        title="keeper coordination service (virtual-time measurements)")
+        title="keeper coordination service (virtual-time measurements)"
+    ) + "\n" + claim_lines(CLAIMS, result)

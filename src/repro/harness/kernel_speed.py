@@ -43,12 +43,55 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro import CrucialEnvironment
+from repro.config import DEFAULT_CONFIG
 from repro.dso.session import SessionStamp
+from repro.harness.claims import Claim, at_least, at_most, claim_lines, within
 from repro.metrics.report import comparison_table
 from repro.simulation import Kernel, Queue, current_kernel
 from repro.simulation.thread import sleep, spawn
+
+#: A sequential PUT's virtual time on the Table 2 calibration: two
+#: client-server hops plus the put service time, in microseconds.
+SYNC_PUT_US = (2 * DEFAULT_CONFIG.dso.client_server.mean()
+               + DEFAULT_CONFIG.dso.put_service) * 1e6
+
+CLAIMS = [
+    # Wall-clock floors, a third of what the baton-passing kernel
+    # sustains on a 2-core host: a host-thread bounce per event, or an
+    # OS thread per spawn, costs 3-20x on the row that measures it.
+    *(Claim(f"kernel.{name}", name.replace("_", " "), None,
+            attrgetter(name), at_least(floor), "{:,.0f}")
+      for name, floor in (
+          ("wakeups_per_sec", 50_000), ("timers_per_sec", 100_000),
+          ("self_wakeups_per_sec", 250_000),
+          ("cross_wakeups_per_sec", 50_000),
+          ("spawn_joins_per_sec", 15_000))),
+    # Three times the ~30 us a warm sequential put costs a 2-core host.
+    Claim("kernel.sync_put_host_us", "host time per sequential put", None,
+          attrgetter("sync_put_host_us"), at_most(90.0), "{:.1f}us"),
+    # Exact sys.setprofile counts per warm sequential put, hence tight
+    # ceilings: 147 / 2 / 1 since a blocking put is a batch of one; 191
+    # / 5 / 3 with a double encode per hop and an always-built span.
+    *(Claim(f"kernel.{name}", name.replace("_", " "), None,
+            attrgetter(name), at_most(ceiling), "{:g}")
+      for name, ceiling in (("calls_per_sync_put", 150),
+                            ("dumps_per_sync_put", 2),
+                            ("loads_per_sync_put", 2))),
+    Claim("kernel.pipeline_speedup", "pipelined over sequential puts",
+          None, attrgetter("pipeline_speedup"), at_least(3.0), "{:.1f}x"),
+    # One round trip plus one service time (1.03); 1.95 when a primary
+    # ran its group back to back, 9.05 when groups shipped in turn.
+    Claim("kernel.scatter_flush_ratio", "16-put flush over 3 nodes, in "
+          "sequential puts", None, attrgetter("scatter_flush_ratio"),
+          at_most(1.5)),
+    # Batching costs the synchronous path nothing.
+    Claim("kernel.sync_put_calibrated", "virtual time per sequential put",
+          None, lambda r: r.sync_op_time * 1e6, within(SYNC_PUT_US, 0.10),
+          "{:.1f}us"),
+]
 
 
 @dataclass
@@ -343,6 +386,26 @@ def run(events: int = 40_000, ops: int = 400,
         scatter_flush_time=scatter_flush, scatter_groups=scatter_groups)
 
 
+def bench(result: KernelSpeedResult) -> dict:
+    """The measurements CI uploads as ``BENCH_kernel.json``."""
+    fields = {name: getattr(result, name) for name in (
+        "wakeup_events", "wakeups_per_sec", "timer_events",
+        "timers_per_sec", "self_wakeups_per_sec", "cross_wakeups_per_sec",
+        "spawn_joins_per_sec", "sync_put_host_us", "sync_get_host_us",
+        "transfer_host_us", "calls_per_sync_put", "dumps_per_sync_put",
+        "loads_per_sync_put", "ops")}
+    return {**fields,
+            "sync_op_us": result.sync_op_time * 1e6,
+            "pipelined_op_us": result.pipelined_op_time * 1e6,
+            "sync_ops_per_sec": 1.0 / result.sync_op_time,
+            "pipelined_ops_per_sec": 1.0 / result.pipelined_op_time,
+            "pipeline_speedup": result.pipeline_speedup,
+            "batches": result.batches,
+            "scatter_flush_us": result.scatter_flush_time * 1e6,
+            "scatter_flush_ratio": result.scatter_flush_ratio,
+            "scatter_groups": result.scatter_groups}
+
+
 def report(result: KernelSpeedResult) -> str:
     lines = [
         f"kernel dispatch ({result.wakeup_events:,} wakeups, "
@@ -377,4 +440,4 @@ def report(result: KernelSpeedResult) -> str:
         f"{result.scatter_flush_time * 1e6:,.1f} us "
         f"({result.scatter_groups:g} concurrent round trips, "
         f"{result.scatter_flush_ratio:.2f}x one sequential PUT)")
-    return "\n".join(lines) + "\n" + table + "\n" + scatter
+    return "\n".join(lines + [table, scatter, claim_lines(CLAIMS, result)])

@@ -32,10 +32,11 @@ is what the experiment preserves.  All quantities are virtual-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.config import DEFAULT_CONFIG, Config
 from repro.core.runtime import RUNNER_FUNCTION, CrucialEnvironment
+from repro.harness.claims import Claim, at_least, below, claim_lines, exactly
 from repro.metrics.recorder import percentile
 from repro.metrics.report import render_table
 from repro.workload.autoscaler import (
@@ -47,7 +48,6 @@ from repro.workload.autoscaler import (
 from repro.workload.generator import (
     OpenLoopGenerator,
     RateProfile,
-    ServingMetrics,
     TenantSpec,
 )
 
@@ -58,6 +58,40 @@ POINTS = ("static-small", "static-large", "autoscaled")
 SMALL_NODES = 1
 LARGE_NODES = 4
 LARGE_PREWARM = 8
+
+
+def _autoscaled_over(metric: str, point: str):
+    """The autoscaled point's ``metric`` over ``point``'s."""
+    return lambda r: (getattr(r.points["autoscaled"], metric)
+                      / getattr(r.points[point], metric))
+
+
+CLAIMS = [
+    # Elasticity: autoscaled beats the trough-sized cluster's tail
+    # latency under the peak-sized cluster's dollars.
+    Claim("serving.p999_vs_small", "autoscaled p999 over static-small's",
+          None, _autoscaled_over("p999_ms", "static-small"), below(1.0)),
+    Claim("serving.dollars_vs_large", "autoscaled dollars over "
+          "static-large's", None, _autoscaled_over("dollars",
+                                                   "static-large"),
+          below(1.0)),
+    # Open loop: the arrival process sets the sustained rate (the
+    # 50->340 ramp averages ~197 req/s), whatever the cluster.
+    Claim("serving.min_tput", "lowest sustained rate of any strategy",
+          None, lambda r: min(p.sustained_tput for p in r.points.values()),
+          at_least(150.0), "{:.1f}/s"),
+    Claim("serving.scaled_out_and_in", "autoscaler added and removed "
+          "nodes", None, lambda r: {"add-node", "remove-node"} <= {
+              e.action for e in r.points["autoscaled"].scale_events},
+          exactly(True)),
+    Claim("serving.errors", "failed requests, all strategies", None,
+          lambda r: sum(p.errors for p in r.points.values()), exactly(0),
+          "{:d}"),
+    Claim("serving.acked_equal", "every strategy acked the same writes",
+          None, lambda r: len({p.acked_writes
+                               for p in r.points.values()}) == 1,
+          exactly(True)),
+]
 
 
 def serving_config(config: Config = DEFAULT_CONFIG) -> Config:
@@ -223,25 +257,17 @@ def report(result: ServingResult) -> str:
         title=(f"open-loop serving, {result.base_rate:.0f}->"
                f"{result.peak_rate:.0f} req/s diurnal ramp x "
                f"{result.duration:.0f}s ({result.requests} requests)"))
-    small = result.points["static-small"]
-    large = result.points["static-large"]
-    auto = result.points["autoscaled"]
-    table += (
-        f"\nautoscaled vs static-small p999: {auto.p999_ms:.1f} vs "
-        f"{small.p999_ms:.1f} ms ({auto.p999_ms < small.p999_ms})"
-        f"\nautoscaled vs static-large dollars: ${auto.dollars:.4f} vs "
-        f"${large.dollars:.4f} ({auto.dollars < large.dollars})")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)
 
 
-__all__ = [
-    "POINTS",
-    "ServingPoint",
-    "ServingResult",
-    "report",
-    "run",
-    "serving_config",
-    "serving_policy",
-    "serving_tenants",
-    "ServingMetrics",
-]
+def bench(result: ServingResult) -> dict:
+    """The measurements CI uploads as ``BENCH_serving.json``."""
+    points = []
+    for point in result.points.values():
+        fields = asdict(point)
+        events = fields.pop("scale_events")
+        points.append({**fields, "scale_events": events})
+    return {"duration": result.duration, "base_rate": result.base_rate,
+            "peak_rate": result.peak_rate, "requests": result.requests,
+            "points": points}
+

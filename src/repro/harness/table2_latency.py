@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import CrucialEnvironment
+from repro.harness.claims import Claim, above, between, claim_lines, within
 from repro.metrics.report import comparison_table
 
 PAYLOAD = b"x" * 1024
@@ -23,6 +24,23 @@ PAPER = {
     "crucial": (231e-6, 229e-6),
     "crucial-rf2": (512e-6, 505e-6),
 }
+
+CLAIMS = [
+    Claim(f"table2.{system.replace('-', '_')}_{verb}",
+          f"{system} {verb.upper()} latency", PAPER[system][i] * 1e6,
+          lambda r, s=system, i=i: r.averages[s][i] * 1e6,
+          within(PAPER[system][i] * 1e6, 0.15), "{:,.1f}us")
+    for system in PAPER for i, verb in enumerate(("put", "get"))
+] + [
+    Claim("table2.s3_vs_memory", "S3 GET in Crucial GETs", None,
+          lambda r: r.averages["s3"][1] / r.averages["crucial"][1],
+          above(10.0), "{:.0f}x"),
+    Claim("table2.rf2_factor", "rf=2 GET in rf=1 GETs (replication)",
+          PAPER["crucial-rf2"][1] / PAPER["crucial"][1],
+          lambda r: (r.averages["crucial-rf2"][1]
+                     / r.averages["crucial"][1]),
+          between(1.8, 2.6)),
+]
 
 
 @dataclass
@@ -80,4 +98,4 @@ def report(result: LatencyResult) -> str:
         entries.append((f"{system} GET", paper_get * 1e6, get * 1e6))
     return comparison_table(
         f"Table 2 - 1KB access latency, {result.ops} sequential ops",
-        entries, unit="us")
+        entries, unit="us") + "\n" + claim_lines(CLAIMS, result)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.harness import fig4_logreg, fig5_kmeans
+from repro.harness.claims import Claim, above, below, between, claim_lines
 from repro.metrics.cost import CostModel, ExperimentCost
 from repro.metrics.report import render_table
 
@@ -27,6 +28,35 @@ PAPER = {
 }
 
 
+def _totals(result) -> dict[tuple[str, str], tuple[float, float]]:
+    """The measured costs, shaped as :data:`PAPER`."""
+    return {key: (cost.total_dollars, cost.iteration_dollars)
+            for key, cost in result.costs.items()}
+
+
+def _premium(costs, k: int) -> float:
+    """Crucial's total minus Spark's at ``k``, from a table shaped as
+    :data:`PAPER`."""
+    label = f"k-means k={k}"
+    return costs[(label, "crucial")][0] - costs[(label, "spark")][0]
+
+
+CLAIMS = [
+    Claim("table3.k25_gap", "k=25: Crucial vs Spark total, magnitude",
+          abs(_premium(PAPER, 25)), lambda r: abs(_premium(_totals(r), 25)),
+          below(0.12), "${:.3f}"),
+    Claim("table3.k200_premium", "k=200 (compute-bound): Crucial minus "
+          "Spark total", _premium(PAPER, 200),
+          lambda r: _premium(_totals(r), 200), above(0.0), "${:.3f}"),
+    *(Claim(f"table3.k{k}_crucial", f"k={k}: Crucial total",
+            PAPER[(f"k-means k={k}", "crucial")][0],
+            lambda r, k=k: _totals(r)[(f"k-means k={k}", "crucial")][0],
+            bound, "${:.3f}")
+      for k, bound in ((25, between(0.15, 0.35)),
+                       (200, between(0.3, 0.95)))),
+]
+
+
 @dataclass
 class CostsResult:
     #: (experiment, system) -> ExperimentCost
@@ -38,19 +68,19 @@ def run(iterations_logreg: int = 100, iterations_kmeans: int = 10,
     model = CostModel()
     costs: dict[tuple[str, str], ExperimentCost] = {}
 
-    kmeans = fig5_kmeans.run(ks=(25, 200), iterations=iterations_kmeans,
-                             workers=workers, seed=seed)
+    # Only the two systems Table 3 prices: Fig. 5's Redis variant
+    # would cost a third of the run for nothing.
     for k in (25, 200):
         label = f"k-means k={k}"
+        iteration, total = fig5_kmeans.RUNNERS["crucial"](
+            k, iterations_kmeans, workers, seed)
         costs[(label, "crucial")] = model.crucial_experiment(
-            label,
-            total_seconds=kmeans.total_times[("crucial", k)],
-            iteration_seconds=kmeans.iteration_times[("crucial", k)],
+            label, total_seconds=total, iteration_seconds=iteration,
             functions=workers, memory_mb=2048)
+        iteration, total = fig5_kmeans.RUNNERS["spark"](
+            k, iterations_kmeans, workers, seed)
         costs[(label, "spark")] = model.spark_experiment(
-            label,
-            total_seconds=kmeans.total_times[("spark", k)],
-            iteration_seconds=kmeans.iteration_times[("spark", k)])
+            label, total_seconds=total, iteration_seconds=iteration)
 
     logreg = fig4_logreg.run(iterations=iterations_logreg,
                              workers=workers, seed=seed)
@@ -79,13 +109,4 @@ def report(result: CostsResult) -> str:
         ["experiment", "system", "time", "total $", "paper $",
          "iter $", "paper iter $"],
         rows, title="Table 3 - monetary costs")
-    k25_cru = result.costs[("k-means k=25", "crucial")].total_dollars
-    k25_spk = result.costs[("k-means k=25", "spark")].total_dollars
-    k200_cru = result.costs[("k-means k=200", "crucial")].total_dollars
-    k200_spk = result.costs[("k-means k=200", "spark")].total_dollars
-    table += (f"\npaper: comparable cost at k=25 -> measured "
-              f"${k25_cru:.3f} vs ${k25_spk:.3f}"
-              f"\npaper: Crucial costlier at k=200 (compute-bound) -> "
-              f"measured ${k200_cru:.3f} vs ${k200_spk:.3f} "
-              f"({k200_cru > k200_spk})")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)

@@ -22,9 +22,11 @@ that earns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from repro.config import Config, DEFAULT_CONFIG
+from repro.harness.claims import Claim, above, at_most, below, claim_lines
 from repro.metrics.cost import CostLedger
 from repro.metrics.recorder import percentile
 from repro.metrics.report import render_table
@@ -41,6 +43,32 @@ from repro.workload.distributions import ZipfSampler
 
 #: Placement labels, hot to cold (tiered last).
 POINTS = ("all-hot", "gp3", "all-cold", "tiered")
+
+
+def _tiered_over(metric: str, point: str, other: str | None = None):
+    """The tiered point's ``metric`` over ``point``'s ``other`` (by
+    default the same metric)."""
+    return lambda r: (getattr(r.points["tiered"], metric)
+                      / getattr(r.points[point], other or metric))
+
+
+CLAIMS = [
+    # Pareto: tiered dominates all-cold on latency and all-hot on
+    # dollars, paying under half the RAM price, and a read that finds
+    # its key in memory costs at most 1.5x the all-in-memory mean.
+    Claim("tiering.latency_vs_cold", "tiered mean read over all-cold's",
+          None, _tiered_over("mean_read", "all-cold"), below(1.0)),
+    Claim("tiering.dollars_vs_hot", "tiered $/GB-month over all-hot's",
+          None, _tiered_over("dollars_per_gb_month", "all-hot"),
+          at_most(0.5)),
+    Claim("tiering.hot_read", "tiered memory-tier read over all-hot's",
+          None, _tiered_over("hot_read", "all-hot", "mean_read"),
+          at_most(1.5)),
+    Claim("tiering.moved_both_ways", "fewer of tiered promotions and "
+          "demotions", None, lambda r: min(r.points["tiered"].promotions,
+                                           r.points["tiered"].demotions),
+          above(0), "{:d}"),
+]
 
 
 @dataclass
@@ -183,14 +211,18 @@ def report(result: ParetoResult) -> str:
         title=(f"tiering Pareto sweep - {result.objects} objects x "
                f"{result.object_bytes // 1024} KiB, "
                f"{result.reads} zipf reads"))
-    tiered = result.points["tiered"]
-    hot = result.points["all-hot"]
-    cold = result.points["all-cold"]
-    table += (
-        f"\ntiered vs all-cold latency: {tiered.mean_read * 1000:.3f} vs "
-        f"{cold.mean_read * 1000:.3f} ms "
-        f"({tiered.mean_read < cold.mean_read})"
-        f"\ntiered vs all-hot capacity: ${tiered.dollars_per_gb_month:.3f}"
-        f" vs ${hot.dollars_per_gb_month:.3f} /GB-month "
-        f"({tiered.dollars_per_gb_month < hot.dollars_per_gb_month})")
-    return table
+    return table + "\n" + claim_lines(CLAIMS, result)
+
+
+def bench(result: ParetoResult) -> dict:
+    """The measurements CI uploads as ``BENCH_tiering.json``: each
+    point's ``X_read`` latency becomes ``X_read_ms`` (NaN: ``None``)."""
+    def field(name, value):
+        if not name.endswith("_read"):
+            return name, value
+        return f"{name}_ms", None if math.isnan(value) else value * 1e3
+
+    points = [dict(field(*item) for item in asdict(point).items())
+              for point in result.points.values()]
+    return {"objects": result.objects, "object_bytes": result.object_bytes,
+            "reads": result.reads, "points": points}

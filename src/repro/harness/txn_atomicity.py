@@ -34,9 +34,11 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.core.runtime import CrucialEnvironment
 from repro.errors import TxnError
+from repro.harness.claims import Claim, above, at_most, claim_lines, exactly
 from repro.metrics.recorder import percentile
 from repro.metrics.report import comparison_table
 from repro.simulation.thread import spawn
@@ -52,6 +54,29 @@ MIXED_THREADS = 8
 MIXED_OPS = 100
 MIXED_TXN_SHARE = 0.05
 MIXED_GET_KEYS = 64
+
+CLAIMS = [
+    # Virtual-time ratios, immune to wall-clock jitter.  A commit is two
+    # scattered rounds, each its slowest key (0.62x; 1.05x with a
+    # primary's keys run back to back, 2.12x with groups shipped in turn).
+    Claim("txn.commit_overhead", f"{SIZE}-key commit over {SIZE} "
+          "sequential puts", None, attrgetter("overhead_ratio"),
+          at_most(1.0)),
+    Claim("txn.read_overhead", f"{SIZE}-key snapshot over one read_bulk",
+          None, attrgetter("read_ratio"), at_most(2.0)),
+    # 1.14x with one async queue per thread; 7.33x when every blocking
+    # verb drained the endpoint's shared queue.
+    Claim("txn.mixed_get_ratio", "GET p99 beside transactions over a "
+          "lone GET", None, attrgetter("mixed_get_ratio"), at_most(1.5)),
+    # Cheaper than one put would mean the measured window is broken.
+    Claim("txn.commit_real_work", "commit over one sequential put", None,
+          lambda r: r.overhead_ratio * r.size, above(1.0)),
+    # No conflict detection, so aborts mean spurious ones crept in.
+    Claim("txn.aborts", "aborted contended transactions", None,
+          attrgetter("aborts"), exactly(0), "{:d}"),
+    Claim("txn.contended", "contended transactions run", None,
+          attrgetter("contended_txns"), above(0), "{:d}"),
+]
 
 
 @dataclass
@@ -238,6 +263,19 @@ def _mixed_load(seed: int) -> tuple[float, float]:
         return env.run(workload)
 
 
+def bench(result: TxnAtomicityResult) -> dict:
+    """The measurements CI uploads as ``BENCH_txn.json``: an ``X_us``
+    key is the result's ``X_time`` in microseconds."""
+    return {name: (getattr(result, name[:-3] + "_time") * 1e6
+                   if name.endswith("_us") else getattr(result, name))
+            for name in (
+                "size", "reps", "txn_commit_us", "seq_invoke_us",
+                "overhead_ratio", "txn_read_us", "bulk_read_us",
+                "read_ratio", "contended_txns", "aborts", "abort_rate",
+                "read_retries", "forced_fetches", "mixed_get_p99_us",
+                "lone_get_us", "mixed_get_ratio")}
+
+
 def report(result: TxnAtomicityResult) -> str:
     table = comparison_table(
         f"read-atomic transactions, {result.size} keys x "
@@ -270,5 +308,6 @@ def report(result: TxnAtomicityResult) -> str:
         f"{result.mixed_get_p99_time * 1e6:.1f}us = "
         f"{result.mixed_get_ratio:.2f}x a lone GET "
         f"({result.lone_get_time * 1e6:.1f}us)",
+        claim_lines(CLAIMS, result),
     ]
     return "\n".join(lines)

@@ -7,6 +7,7 @@ isolation.
 """
 
 import os
+import threading
 
 import pytest
 
@@ -26,3 +27,15 @@ def _selected_seeds():
                 ids=lambda seed: f"seed{seed}")
 def chaos_seed(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Thread hygiene: once a test and the fixtures that close its
+    kernels have finished, every OS thread its kernels started is gone
+    (an autouse fixture is set up first, so it is torn down last)."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, (
+        f"{threading.active_count() - before} OS thread(s) outlived the "
+        f"test: {[thread.name for thread in threading.enumerate()]}")

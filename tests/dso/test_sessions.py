@@ -5,6 +5,9 @@ Covers the session table itself, the DSO layer's dedup behaviour
 the acknowledgement watermark, and the SMR substrate's stamped path.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -13,7 +16,7 @@ from repro.dso.session import SessionStamp, SessionTable
 from repro.errors import SessionReplayError
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
-from repro.simulation.thread import sleep
+from repro.simulation.thread import sleep, spawn
 from repro.storage import ObjectStore
 
 
@@ -175,6 +178,28 @@ def test_thread_sessions_stay_truncated(kernel, network):
     (node,) = layer.nodes.values()
     container = node.containers[r.ident]
     assert container.sessions.entry_count() <= 1
+
+
+def test_thread_sessions_go_with_their_threads(kernel, network):
+    """A thread's implicit session lives no longer than the thread: the
+    open-loop generator spawns one thread per request, so a registry
+    that kept every thread's session would grow by one per request."""
+    layer = make_layer(kernel, network, nodes=1)
+    r = ref("short-lived")
+    sessions = []
+
+    def request():
+        layer.invoke("client", r, "add", (1,), ctor=CTOR)
+        sessions.append(weakref.ref(layer.sessions.current("client")))
+
+    def main():
+        for _ in range(20):
+            spawn(request).join()
+
+    kernel.run_main(main)
+    gc.collect()
+    assert len(sessions) == 20
+    assert sessions[0]() is None
 
 
 def test_dedup_state_replicates_to_backups(kernel, network):

@@ -3,6 +3,7 @@ renders.  Full-scale shapes are asserted in benchmarks/."""
 
 import pytest
 
+from repro.__main__ import EXPERIMENTS
 from repro.harness import (
     ablation_shipping,
     fig2a_throughput,
@@ -18,6 +19,7 @@ from repro.harness import (
     table2_latency,
     table4_loc,
 )
+from repro.harness.claims import INFO, Bound
 
 
 def test_table2_small():
@@ -110,6 +112,22 @@ def test_paper_values_documented(module, marker):
 
     assert marker.lower().replace(" ", "") in \
         inspect.getsource(module).lower().replace(" ", "")
+
+
+def test_every_experiment_declares_its_claims():
+    """Each CLI experiment declares claims; ids are unique and carry
+    the experiment's name; a claim without limits is marked INFO; and
+    every claim renders its paper value."""
+    seen = set()
+    for name, (module, _spec) in EXPERIMENTS.items():
+        assert module.CLAIMS, name
+        for claim in module.CLAIMS:
+            assert claim.id.startswith(f"{name}."), claim.id
+            assert claim.id not in seen, claim.id
+            seen.add(claim.id)
+            assert isinstance(claim.bound, Bound), claim.id
+            assert claim.bound is INFO or claim.bound != INFO, claim.id
+            claim.row(claim.paper)
 
 
 def test_ablation_small():

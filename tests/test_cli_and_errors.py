@@ -28,12 +28,23 @@ def test_cli_rejects_unknown_experiment():
         cli.main(["fig99"])
 
 
+def test_cli_claims_prints_a_table_per_experiment(capsys):
+    assert cli.main(["claims"]) == 0
+    out = capsys.readouterr().out
+    for name in cli.EXPERIMENTS:
+        assert f"<!-- claims:{name} -->" in out
+        assert f"<!-- /claims:{name} -->" in out
+
+
 def test_cli_experiments_cover_every_harness():
+    import pkgutil
+
     import repro.harness as harness
 
     covered = {module.__name__.rsplit(".", 1)[-1]
                for module, _scales in cli.EXPERIMENTS.values()}
-    assert covered == set(harness.__all__)
+    modules = {info.name for info in pkgutil.iter_modules(harness.__path__)}
+    assert covered == modules - {"claims"}
 
 
 # -- error hierarchy ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.cluster.membership import MembershipService
 from repro.net.network import Network
 from repro.simulation.kernel import Kernel
-from repro.simulation.thread import SimThread
+from repro.simulation.thread import PeriodicThread
 
 
 class HeartbeatFailureDetector:
@@ -39,34 +39,31 @@ class HeartbeatFailureDetector:
         self.endpoint = network.ensure_endpoint(name)
         self.last_heartbeat: dict[str, float] = {}
         self.suspected: set[str] = set()
-        self._thread: SimThread | None = None
+        self._thread: PeriodicThread | None = None
 
     def start(self) -> "HeartbeatFailureDetector":
         if self._thread is not None:
             raise RuntimeError("failure detector already started")
-        self._thread = self.kernel.spawn(self._monitor, daemon=True,
-                                         name=f"{self.name}-monitor")
+        self._thread = self.kernel.every(self.period, self._sample,
+                                         name=f"{self.name}-monitor",
+                                         delay=0)
         return self
 
-    def _monitor(self) -> None:
-        from repro.simulation.thread import sleep
-
-        while True:
-            now = self.kernel.now
-            for member in self.membership.view.members:
-                if self.network.reachable(self.name, member):
-                    # Heartbeat received this round.
-                    self.last_heartbeat[member] = now
-                    self.suspected.discard(member)
-                    continue
-                last = self.last_heartbeat.get(member, now)
-                if member not in self.last_heartbeat:
-                    self.last_heartbeat[member] = now
-                if now - last >= self.timeout and \
-                        member not in self.suspected:
-                    self.suspected.add(member)
-                    self.membership.expel(member)
-            sleep(self.period)
+    def _sample(self) -> None:
+        now = self.kernel.now
+        for member in self.membership.view.members:
+            if self.network.reachable(self.name, member):
+                # Heartbeat received this round.
+                self.last_heartbeat[member] = now
+                self.suspected.discard(member)
+                continue
+            last = self.last_heartbeat.get(member, now)
+            if member not in self.last_heartbeat:
+                self.last_heartbeat[member] = now
+            if now - last >= self.timeout and \
+                    member not in self.suspected:
+                self.suspected.add(member)
+                self.membership.expel(member)
 
     def detection_bound(self) -> float:
         """Worst-case time from crash to view change."""

@@ -23,8 +23,8 @@ bug the exploration hunter in ``tests/explore/test_keeper_hunter.py``
 must catch.
 
 **Sessions.**  A session is a server-side lease: a client-side
-:class:`~repro.dso.liveness.HeartbeatPump` renews it at a third of
-the TTL, and a sweeper thread periodically invokes
+heartbeat (``Kernel.every``) renews it at a third of the TTL, and a
+periodic sweeper invokes
 ``expire_sessions(now)`` with the clock sampled *caller-side* (the
 method stays deterministic for SMR).  Expiry deletes the session's
 ephemeral znodes and fires their watches — exactly once, because the
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.core.proxy import GenericProxy
 from repro.core.runtime import CrucialEnvironment, current_environment, \
     current_location
-from repro.dso.liveness import HeartbeatPump, lease_beat_period
 from repro.errors import (
     BadVersionError,
     CloudError,
@@ -49,11 +48,11 @@ from repro.errors import (
     NodeExistsError,
     NoSuchKeyError,
     NotEmptyError,
+    ReproError,
     SessionExpiredError,
 )
 from repro.linearizability.znode import SEQUENTIAL_WIDTH
 from repro.mutation import PLANTED
-from repro.simulation.thread import sleep, spawn
 
 if TYPE_CHECKING:
     from repro.linearizability.history import HistoryRecorder
@@ -456,14 +455,14 @@ class KeeperService:
         self._proxy._ensure()
         self._sessions: dict[str, KeeperSession] = {}
         self._sids = itertools.count(1)
-        self._stopped = False
         #: Pump/sweeper invocations that failed after DSO retries
         #: (e.g. a failover outlasting the retry deadline).
         self.service_errors = 0
-        self._pump = spawn(self._pump_loop, name=f"{name}-pump",
-                           daemon=True)
-        self._sweeper = spawn(self._sweep_loop, name=f"{name}-sweeper",
-                              daemon=True)
+        kernel = self._env.kernel
+        self._pump = kernel.every(pump_period, self._pump_step,
+                                  name=f"{name}-pump", delay=0)
+        self._sweeper = kernel.every(self.sweep_period, self._sweep,
+                                     name=f"{name}-sweeper")
         self._env.platform.on_container_reclaim(self._container_reclaimed)
 
     # -- invocation (with optional history recording) -------------------------------
@@ -524,9 +523,9 @@ class KeeperService:
 
     # -- service threads ------------------------------------------------------------
 
-    def _pump_loop(self) -> None:
+    def _pump_step(self) -> None:
         queues = self._env.queue_service
-        while not self._stopped:
+        while True:
             try:
                 batch = self._proxy._invoke("drain_outbox", _PUMP_BATCH)
             except CloudError:
@@ -537,35 +536,33 @@ class KeeperService:
                     queues.deliver(self._queue_name(sid), event)
                 except NoSuchKeyError:
                     pass  # a session some other client owns
-            if len(batch) < _PUMP_BATCH:
-                sleep(self.pump_period)
-
-    def _sweep_loop(self) -> None:
-        while not self._stopped:
-            sleep(self.sweep_period)
-            if self._stopped:
+            # A full batch may have left more behind: drain again now.
+            if len(batch) < _PUMP_BATCH or self._pump.cancelled:
                 return
-            now = self._env.now
-            invoked = self._env.now
-            try:
-                expired = self._proxy._invoke("expire_sessions", now)
-            except CloudError:
-                self.service_errors += 1
-                continue
-            if expired and self._recorder is not None:
-                self._recorder.add(current_location(), "expire_sessions",
-                                   (now,), expired, invoked,
-                                   self._env.now, key=self._history_key)
-            for sid, _deleted in expired:
-                local = self._sessions.pop(sid, None)
-                if local is not None:
-                    local._mark_expired()
+
+    def _sweep(self) -> None:
+        now = self._env.now
+        invoked = self._env.now
+        try:
+            expired = self._proxy._invoke("expire_sessions", now)
+        except CloudError:
+            self.service_errors += 1
+            return
+        if expired and self._recorder is not None:
+            self._recorder.add(current_location(), "expire_sessions",
+                               (now,), expired, invoked,
+                               self._env.now, key=self._history_key)
+        for sid, _deleted in expired:
+            local = self._sessions.pop(sid, None)
+            if local is not None:
+                local._mark_expired()
 
     def stop(self) -> None:
         """Stop the pump and sweeper (sessions keep their state)."""
-        self._stopped = True
+        self._pump.cancel()
+        self._sweeper.cancel()
         for session in self._sessions.values():
-            session._pump.stop()
+            session._heartbeat.cancel()
 
     # -- audit accessors -------------------------------------------------------------
 
@@ -612,20 +609,27 @@ class KeeperSession:
         self._arrivals: list[WatchEvent] = []
         self._next_seq = 1
         self._queue = service._queue_name(sid)
-        self._pump = HeartbeatPump(lease_beat_period(ttl), self._beat,
-                                   name=f"{sid}-heartbeat")
+        # A third of the TTL survives two lost or late beats before the
+        # lease lapses (ZooKeeper pings at a third of the timeout).
+        self._heartbeat = service._env.kernel.every(
+            ttl / 3.0, self._beat, name=f"{sid}-heartbeat")
 
     # -- liveness ----------------------------------------------------------------
 
     def _beat(self) -> None:
-        self._service._call("touch", self.sid, self._service._env.now)
+        try:
+            self._service._call("touch", self.sid, self._service._env.now)
+        except ReproError:
+            # A lapsed lease (or a failover outlasting the retries)
+            # stays lapsed: the server may have given its state away.
+            self._heartbeat.cancel()
 
     def close(self) -> None:
         """Graceful goodbye: ephemerals are deleted immediately."""
         if self.state != "open":
             return
         self.state = "closed"
-        self._pump.stop()
+        self._heartbeat.cancel()
         self._service._call("close_session", self.sid)
         self._service._sessions.pop(self.sid, None)
 
@@ -634,7 +638,7 @@ class KeeperSession:
         the lease lapses and the sweeper reaps the ephemerals."""
         if self.state == "open":
             self.state = "killed"
-        self._pump.kill()
+        self._heartbeat.cancel()
 
     #: A reclaimed container's sessions are abandoned the same way.
     abandon = kill
@@ -642,7 +646,7 @@ class KeeperSession:
     def _mark_expired(self) -> None:
         if self.state in ("open", "killed"):
             self.state = "expired"
-        self._pump.stop()
+        self._heartbeat.cancel()
 
     @property
     def expired(self) -> bool:

@@ -12,10 +12,12 @@ is bounded by two rates:
   with no OS switch; a *cross wakeup* (two threads ping-pong on a
   queue) is one raw-lock handoff between OS threads; a *spawn+join*
   (one short-lived thread per open-loop arrival) adds a worker
-  hand-over; the mixed *wakeups* row (four sleepers) is the historical
-  one.  ``sync_put_host_us`` / ``sync_get_host_us`` are the same
-  accounting one layer up — wall microseconds per sequential DSO put /
-  get — and ``transfer_host_us`` one layer down: one
+  hand-over; a *periodic tick* (``Kernel.every`` with an empty step)
+  binds an idle worker per tick and hands it back, as a heartbeat
+  does between beats; the mixed *wakeups* row (four sleepers) is the
+  historical one.  ``sync_put_host_us`` / ``sync_get_host_us`` are the
+  same accounting one layer up — wall microseconds per sequential DSO
+  put / get — and ``transfer_host_us`` one layer down: one
   ``Network.transfer`` of a put's 112-byte request tuple.
 * **calls per put** (exact): ``sys.setprofile`` counts of Python and C
   calls, ``pickle.dumps`` and ``pickle.loads`` over warm sequential
@@ -68,7 +70,8 @@ CLAIMS = [
           ("wakeups_per_sec", 50_000), ("timers_per_sec", 100_000),
           ("self_wakeups_per_sec", 250_000),
           ("cross_wakeups_per_sec", 50_000),
-          ("spawn_joins_per_sec", 15_000))),
+          ("spawn_joins_per_sec", 15_000),
+          ("periodic_ticks_per_sec", 150_000))),
     # Three times the ~30 us a warm sequential put costs a 2-core host.
     Claim("kernel.sync_put_host_us", "host time per sequential put", None,
           attrgetter("sync_put_host_us"), at_most(90.0), "{:.1f}us"),
@@ -108,6 +111,8 @@ class KernelSpeedResult:
     cross_wall: float  #: wall seconds of two-thread queue ping-pong
     spawn_events: int
     spawn_wall: float  #: wall seconds spawning + joining threads
+    periodic_events: int
+    periodic_wall: float  #: wall seconds of periodic threads' ticks
     ops: int
     sync_put_wall: float  #: wall seconds for the sequential puts
     sync_get_wall: float  #: wall seconds for the sequential gets
@@ -140,6 +145,10 @@ class KernelSpeedResult:
     @property
     def spawn_joins_per_sec(self) -> float:
         return self.spawn_events / self.spawn_wall
+
+    @property
+    def periodic_ticks_per_sec(self) -> float:
+        return self.periodic_events / self.periodic_wall
 
     @property
     def sync_put_host_us(self) -> float:
@@ -232,6 +241,19 @@ def _spawn_rate(events: int, seed: int) -> tuple[int, float]:
             spawn(request).join()
 
     return events, _timed_main(seed, main)
+
+
+def _periodic_rate(events: int, seed: int) -> tuple[int, float]:
+    """Four periodic threads tick in lockstep with an empty step: each
+    tick binds an idle OS worker and hands it back."""
+    ticks = []
+    with Kernel(seed=seed) as kernel:
+        for i in range(4):
+            kernel.every(1e-6, lambda: ticks.append(None), name=f"duty-{i}")
+        start = time.perf_counter()
+        kernel.run_until(lambda: len(ticks) >= events)
+        wall = time.perf_counter() - start
+    return len(ticks), wall
 
 
 def _timer_rate(events: int, seed: int) -> tuple[int, float]:
@@ -368,6 +390,7 @@ def run(events: int = 40_000, ops: int = 400,
     self_events, self_wall = _wakeup_rate(events, seed, threads=1)
     cross_events, cross_wall = _cross_rate(events, seed)
     spawn_events, spawn_wall = _spawn_rate(events // 4, seed)
+    periodic_events, periodic_wall = _periodic_rate(events, seed)
     sync, pipelined, batches, sync_put_wall, sync_get_wall, transfer_wall = \
         _op_rates(ops, seed)
     calls, dumps, loads = _put_call_counts(seed)
@@ -378,6 +401,7 @@ def run(events: int = 40_000, ops: int = 400,
         self_events=self_events, self_wall=self_wall,
         cross_events=cross_events, cross_wall=cross_wall,
         spawn_events=spawn_events, spawn_wall=spawn_wall,
+        periodic_events=periodic_events, periodic_wall=periodic_wall,
         ops=ops, sync_put_wall=sync_put_wall, sync_get_wall=sync_get_wall,
         transfer_wall=transfer_wall, calls_per_sync_put=calls,
         dumps_per_sync_put=dumps, loads_per_sync_put=loads,
@@ -391,8 +415,8 @@ def bench(result: KernelSpeedResult) -> dict:
     fields = {name: getattr(result, name) for name in (
         "wakeup_events", "wakeups_per_sec", "timer_events",
         "timers_per_sec", "self_wakeups_per_sec", "cross_wakeups_per_sec",
-        "spawn_joins_per_sec", "sync_put_host_us", "sync_get_host_us",
-        "transfer_host_us", "calls_per_sync_put", "dumps_per_sync_put",
+        "spawn_joins_per_sec", "periodic_ticks_per_sec", "sync_put_host_us",
+        "sync_get_host_us", "transfer_host_us", "calls_per_sync_put", "dumps_per_sync_put",
         "loads_per_sync_put", "ops")}
     return {**fields,
             "sync_op_us": result.sync_op_time * 1e6,
@@ -417,6 +441,8 @@ def report(result: KernelSpeedResult) -> str:
         f"  cross wakeups   {result.cross_wakeups_per_sec:,.0f} events/s"
         "  (queue ping-pong)",
         f"  spawn + join    {result.spawn_joins_per_sec:,.0f} threads/s",
+        f"  periodic ticks  {result.periodic_ticks_per_sec:,.0f} ticks/s"
+        "  (four duties, empty step)",
         f"  sequential put  {result.sync_put_host_us:,.1f} host us/op"
         f"  ({result.calls_per_sync_put:g} calls,"
         f" {result.dumps_per_sync_put:g} dumps,"

@@ -165,7 +165,7 @@ class Kernel:
         #: An exception that escaped the loop on a simulated thread's
         #: OS thread, parked for the host's ``run()`` to re-raise.
         self._loop_error: BaseException | None = None
-        #: Parked OS threads of finished SimThreads, for ``spawn``.
+        #: Parked OS threads no SimThread holds (``SimThread._bind``).
         self._idle: list = []
         self._closed = False
         self._failed: list = []  # threads that died with an exception
@@ -262,14 +262,21 @@ class Kernel:
         """Create and start a simulated thread running ``target``."""
         from repro.simulation.thread import SimThread
 
-        thread = SimThread(self, target, args=args, kwargs=kwargs,
-                           name=name, daemon=daemon)
-        if self.tracer.enabled:
-            # Trace-context propagation: the child inherits the
-            # spawner's active span as its initial parent.
-            self.tracer.on_spawn(thread)
-        thread.start()
-        return thread
+        return SimThread(self, target, args=args, kwargs=kwargs,
+                         name=name, daemon=daemon).start()
+
+    def every(self, period: float, step: Callable[[], Any], *, name: str,
+              delay: float | None = None):
+        """Call ``step()`` every ``period`` virtual seconds, the first
+        time ``delay`` (default ``period``) from now, each next one
+        ``period`` after the last returned, on one daemon
+        :class:`PeriodicThread`; ``step`` may block.  Returns the
+        thread, whose ``cancel()`` stops the calls."""
+        from repro.simulation.thread import PeriodicThread
+
+        return PeriodicThread(self, period, step, name=name,
+                              delay=period if delay is None else delay
+                              ).start()
 
     def spawn_at(self, when: float, target: Callable[..., Any], *args,
                  name: str | None = None, daemon: bool = False,
@@ -352,7 +359,8 @@ class Kernel:
         inline, in kernel context — until someone must run: returns
         ``None`` when that is the caller itself (its own wakeup came
         up; for the host, a stop condition holds, see ``_outcome``),
-        else the gate the caller must release to pass the baton on.
+        else the gate the caller must release to pass the baton on —
+        binding the next runner an OS worker first if it holds none.
         An exception escaping on a simulated thread's OS thread is
         parked in ``_loop_error`` and the baton goes to the host.
         """
@@ -406,7 +414,8 @@ class Kernel:
                     pool.append(item)
                 if not thread.done:
                     thread._wake_value = value
-                    return None if thread is me else thread._gate
+                    return None if thread is me \
+                        else thread._gate or thread._bind()
         except BaseException as exc:
             if me is None:
                 raise
@@ -499,7 +508,7 @@ class Kernel:
         # thread woken for shutdown hands the baton straight back.
         for thread in list(self._threads):
             if not thread.done:
-                self._yield_to(thread._gate)
+                self._yield_to(thread._gate or thread._bind())
         self._heap.clear()
         self._threads.clear()
         # Every worker is idle now.  Joining (not just releasing) them

@@ -7,10 +7,11 @@ next it simply carries on; otherwise it releases the next runner's
 raw lock and parks on its own until someone dispatches it.  Exactly
 one simulated thread runs at any instant.
 
-Each OS thread underneath is a :class:`_Worker`.  A finished
-SimThread parks its worker on the kernel's idle list and the next
-``start()`` reuses it, so an open-loop workload spawning one simulated
-thread per request starts a handful of OS threads, not thousands.
+Each OS thread underneath is a :class:`_Worker`, bound by the dispatch
+loop when it hands a thread the baton.  A finished thread, or a
+periodic one (``Kernel.every``) between ticks, gives its worker back,
+so thread-per-request workloads and sleeping duties hold a handful of
+OS threads, not thousands.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class SimThread:
         self.exception: BaseException | None = None
         self._result: Any = None
         self._observed = False  # result()/join() was called
-        #: The raw lock this thread parks on: its worker's, borrowed
-        #: from ``start()`` until the target returns.
+        #: The raw lock this thread parks on: its worker's, bound by
+        #: the dispatch loop (``_bind``) until the target returns.
         self._gate = None
         self._pending: set = set()  # outstanding Wakeups
         self._wake_value: Any = None
@@ -107,44 +108,68 @@ class SimThread:
             raise SimulationError("kernel is closed")
         self.started = True
         kernel._register(self)
+        if kernel.tracer.enabled:
+            # Trace-context propagation: the child inherits the
+            # spawner's active span as its initial parent.
+            kernel.tracer.on_spawn(self)
+        kernel.schedule_wakeup(self, 0.0, recycle=True)
+        return self
+
+    def _bind(self):
+        """Take an OS worker (an idle one if any), return its gate: the
+        loop or ``close()`` hands the baton to a thread holding none."""
+        kernel = self.kernel
         worker = kernel._idle.pop() if kernel._idle else _Worker()
         worker.job = self
         worker.os_thread.name = f"sim:{self.name}"
         self._gate = worker.gate
-        kernel.schedule_wakeup(self, 0.0, recycle=True)
-        return self
+        return self._gate
 
     def _run(self, worker: _Worker) -> None:
-        """Body of one job, on ``worker``'s OS thread, baton in hand."""
+        """Body of one job, on ``worker``'s OS thread, baton in hand:
+        the target to its end, or ticks of a periodic thread for as
+        long as its own next tick is the next event."""
         kernel = self.kernel
         _kernel_mod.set_context(self)
-        try:
-            if not self._shutdown:
-                self._result = self.target(*self.args, **self.kwargs)
-        except SimShutdown:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - reported via result()
-            self.exception = exc
-        finally:
-            self.done = True
-            self._cancel_pending()
-            if not self._shutdown:
-                for joiner in self._joiners:
-                    kernel.schedule_wakeup(joiner, 0.0, self, recycle=True)
-                self._joiners.clear()
-            kernel._unregister(self)
-            if kernel.tracer.enabled:
-                kernel.tracer.on_thread_exit(self)
-            # Pass the baton for the last time: on through the loop, or
-            # — torn down by close() — straight back to the host.
-            gate = kernel._host_gate if self._shutdown \
-                else kernel._advance(self)
-            # Only the baton holder touches the idle list, so the
-            # worker goes back before the release, not after.
+        while True:
+            try:
+                if not self._shutdown:
+                    self._result = self.target(*self.args, **self.kwargs)
+            except SimShutdown:
+                pass
+            except BaseException as exc:  # noqa: BLE001 - via result()
+                self.exception = exc
+            if not self._rearm():
+                self._finish()
+            # Idle before the baton moves (only its holder touches the
+            # list), so the loop may bind the worker to the next runner
+            # and the handoff stays on this OS thread.
+            self._gate = None
             worker.job = None
             worker.os_thread.name = worker.IDLE
             kernel._idle.append(worker)
-            gate.release()
+            gate = kernel._host_gate if self._shutdown \
+                else kernel._advance(self)  # close() wants it back
+            if gate is not None:
+                break
+            self._bind()  # its own next tick came first: same worker
+        gate.release()
+
+    def _rearm(self) -> bool:
+        """Arm a periodic thread's next tick; a plain thread ends."""
+        return False
+
+    def _finish(self) -> None:
+        kernel = self.kernel
+        self.done = True
+        self._cancel_pending()
+        if not self._shutdown:
+            for joiner in self._joiners:
+                kernel.schedule_wakeup(joiner, 0.0, self, recycle=True)
+            self._joiners.clear()
+        kernel._unregister(self)
+        if kernel.tracer.enabled:
+            kernel.tracer.on_thread_exit(self)
 
     # -- suspension protocol -------------------------------------------------
 
@@ -232,6 +257,39 @@ class SimThread:
         if self.exception is not None:
             raise self.exception
         return self._result
+
+
+class PeriodicThread(SimThread):
+    """The daemon thread of :meth:`Kernel.every`: between ticks one
+    pending wakeup and no OS worker, yet the same SimThread (``locals``,
+    tracer context, execution site) on every tick."""
+
+    def __init__(self, kernel, period: float, step: Callable[[], Any], *,
+                 name: str, delay: float):
+        if period <= 0 or delay < 0:
+            raise SimulationError(f"bad period/delay: {period}/{delay}")
+        # With a delay, the first dispatch (a spawn's slot) only arms
+        # the first tick, where a hand-written loop slept first.
+        super().__init__(kernel, step if delay == 0 else (lambda: None),
+                         name=name, daemon=True)
+        self.period = period
+        self._step = step
+        self._next = delay or period
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Stop ticking: at once between ticks, else after this one."""
+        self.cancelled = True
+        if self._gate is None and not self.done:
+            self._finish()
+
+    def _rearm(self) -> bool:
+        if self.cancelled or self._shutdown or self.exception is not None:
+            return False
+        # Drawn before the thread yields: the slot of a loop's sleep.
+        self.kernel.schedule_wakeup(self, self._next, recycle=True)
+        self.target, self._next = self._step, self.period
+        return True
 
 
 def sleep(duration: float) -> None:

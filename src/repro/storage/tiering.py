@@ -48,8 +48,9 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NetworkError, NoSuchKeyError, NodeCrashedError
 from repro.metrics.cost import CostLedger
 from repro.net.network import payload_size
-from repro.simulation.kernel import Kernel, current_thread
+from repro.simulation.kernel import Kernel
 from repro.simulation.primitives import Lock
+from repro.simulation.thread import PeriodicThread
 from repro.storage.backend import BackendProfile, BackendStats, StorageBackend
 
 #: Infrastructure failures a tier may surface (vs. app-level misses).
@@ -128,7 +129,7 @@ class TieredStore:
         #: evictions (retained for the life of the store — bounded by
         #: the keyspace, like ``_versions``).
         self._locks: dict[str, Lock] = {}
-        self._sweeping = False
+        self._sweeper: PeriodicThread | None = None
 
     # -- placement bookkeeping ----------------------------------------------
 
@@ -457,19 +458,13 @@ class TieredStore:
         return started
 
     def start_sweeper(self) -> None:
-        """Run :meth:`sweep` every ``sweep_period`` on a daemon thread."""
-        if self._sweeping:
-            return
-        self._sweeping = True
-        self.kernel.spawn(self._sweeper_loop, daemon=True,
-                          name=f"{self.name}-sweeper")
+        """Run :meth:`sweep` every ``sweep_period`` (idempotent)."""
+        if self._sweeper is None:
+            self._sweeper = self.kernel.every(
+                self.config.tiering.sweep_period, self.sweep,
+                name=f"{self.name}-sweeper")
 
     def stop_sweeper(self) -> None:
-        self._sweeping = False
-
-    def _sweeper_loop(self) -> None:
-        period = self.config.tiering.sweep_period
-        while self._sweeping:
-            current_thread().sleep(period)
-            if self._sweeping:
-                self.sweep()
+        if self._sweeper is not None:
+            self._sweeper.cancel()
+            self._sweeper = None

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from repro.core.runtime import RUNNER_FUNCTION, CrucialEnvironment
 from repro.metrics.cost import CostLedger
 from repro.metrics.recorder import percentile
-from repro.simulation.kernel import current_thread
-from repro.simulation.thread import SimThread, spawn
+from repro.simulation.thread import PeriodicThread
 from repro.workload.generator import ServingMetrics
 
 
@@ -139,7 +138,7 @@ class _Signals:
 
 
 class Autoscaler:
-    """The control loop.  ``start()`` spawns it as a daemon thread."""
+    """The control loop.  ``start()`` runs :meth:`tick` every epoch."""
 
     def __init__(self, env: CrucialEnvironment, metrics: ServingMetrics,
                  policy: AutoscalerPolicy | None = None,
@@ -161,8 +160,7 @@ class Autoscaler:
         self._busy: dict[str, float] = {}
         self._hold = 0
         self._idle_streak = 0
-        self._stop = False
-        self._thread: SimThread | None = None
+        self._thread: PeriodicThread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -172,19 +170,15 @@ class Autoscaler:
             # from the first epoch — early arrivals hit warm capacity.
             self.env.platform.pre_warm(self.function_name,
                                        self.policy.min_warm)
-        self._thread = spawn(self._loop, name=self.name, daemon=True)
+        # ``tick`` is looked up per epoch, not bound here, so a wrapper
+        # a profiler installs on the class later still sees each one.
+        self._thread = self.env.kernel.every(
+            self.policy.epoch, lambda: self.tick(), name=self.name)
         return self
 
     def stop(self) -> None:
-        self._stop = True
-
-    def _loop(self) -> None:
-        thread = current_thread()
-        while not self._stop:
-            thread.sleep(self.policy.epoch)
-            if self._stop:
-                break
-            self.tick()
+        if self._thread is not None:
+            self._thread.cancel()
 
     # -- one epoch ---------------------------------------------------------
 

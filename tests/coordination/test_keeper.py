@@ -25,6 +25,7 @@ from repro.coordination import (
     KeeperSemaphore,
     LeaderElector,
 )
+from repro.simulation import thread as thread_module
 from repro.simulation.thread import sleep, spawn
 
 
@@ -328,6 +329,58 @@ def test_container_reclaim_abandons_function_sessions(env):
     # The session's home really was the function container.
     assert "keeper-worker" in home
     assert detection <= 2 * ttl
+
+
+def test_idle_heartbeats_hold_no_os_threads(env, monkeypatch):
+    """Sessions that only heartbeat share a few OS workers: between
+    beats a heartbeat is a pending wakeup, not a parked thread."""
+    made = []
+    original = thread_module._Worker.__init__
+
+    def counting(worker):
+        made.append(worker)
+        original(worker)
+
+    monkeypatch.setattr(thread_module._Worker, "__init__", counting)
+
+    def main():
+        keeper = make_service(name="idle")
+        sessions = [keeper.session(name=f"s{i}") for i in range(40)]
+        sleep(5.0)  # seven beats each
+        for session in sessions:
+            session.close()
+        keeper.stop()
+
+    env.run(main)
+    assert len(made) <= 6
+
+
+def test_a_heartbeat_bug_is_reported_not_read_as_a_lapsed_lease(env):
+    """Only a typed verdict (a lapsed lease, an outlasted failover)
+    stops a heartbeat quietly; a programming error in a beat ends the
+    heartbeat thread as a failure the kernel reports."""
+
+    def main():
+        keeper = make_service(name="bug")
+        session = keeper.session(name="s")
+        call = keeper._call
+
+        def broken(method, *args):
+            if method == "touch":
+                raise ValueError("beat broke")
+            return call(method, *args)
+
+        keeper._call = broken
+        sleep(1.0)
+        keeper._call = call
+        keeper.stop()
+        return session
+
+    session = env.run(main)
+    failed = env.kernel.failed_threads
+    assert [thread.name for thread in failed] == ["s-heartbeat"]
+    assert isinstance(failed[0].exception, ValueError)
+    assert session._heartbeat.done
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,25 @@ def test_idle_keys_demote_and_stay_readable(kernel):
     assert store.tiers[1].size() == 1
 
 
+def test_restarted_sweeper_sweeps_once_per_period(kernel):
+    """Regression: stop + start within one period left the first
+    sweeper asleep but alive, so two sweepers ran side by side."""
+    store = make_tiered(kernel, config_with(sweep_period=1.0))
+    sweeps = []
+    store.sweep = lambda: sweeps.append(kernel.now)
+
+    def main():
+        store.start_sweeper()
+        sleep(0.5)
+        store.stop_sweeper()
+        store.start_sweeper()
+        sleep(10.25)
+        store.stop_sweeper()
+
+    kernel.run_main(main)
+    assert sweeps == [1.5 + i for i in range(10)]
+
+
 def test_hot_keys_promote_after_repeated_access(kernel):
     config = config_with(promote_hits=3, heat_window=100.0)
     store = make_tiered(kernel, config)

@@ -20,12 +20,21 @@ Crucial's method-shipping model:
   FaaS container endpoint) and serves subsequent read-only invocations
   locally while the lease is valid.
 * The primary tracks outstanding leases in a :class:`LeaseTable` on
-  the :class:`~repro.dso.server.ObjectContainer`.  Any mutating
-  invocation revokes them **before acknowledging**: an invalidation
-  message is posted to every holder at once (the writer waits for the
-  slowest hop, not the sum), and a holder that is unreachable or lost
-  mid-flight is waited out to its lease expiry — so no cached read can
-  be served after a write is acknowledged.
+  the :class:`~repro.dso.server.ObjectContainer`.  A write first
+  **revokes** them before it acks: an invalidation is posted to every
+  holder at once (the writer waits for the slowest hop, not the sum),
+  and a holder unreachable or lost mid-flight is waited out to its
+  lease expiry.  Then, as its critical section ends, it **refreshes**
+  the holders the round reached: posts them the snapshot one way and
+  puts them back in the table with their original expiry.  The writer
+  is never refreshed: it is the site likeliest to write again, and its
+  own next write would have to revoke it.
+* A **lease generation** (one counter per deployment, sent as a header
+  without bytes) orders these messages: each revocation round opens a
+  new one, and a grant or refresh carries the current one, so it is
+  older than every later round.  A site drops a grant or refresh older
+  than the newest revocation it saw for the object, and a refresh
+  fills only an empty slot, before its lease expires.
 * Leases are additionally bound to the placement *version*: failover,
   rebalancing, and restore all bump it, so a promoted backup — which
   cannot know the leases its dead predecessor granted — conservatively
@@ -42,7 +51,10 @@ conflicting write either (a) executes at the same primary, which
 revokes the lease before acknowledging, or (b) executes at a different
 primary, which requires a placement-version bump that invalidates the
 entry first.  Either way no read observes a value older than the
-latest acknowledged write.  ``tests/linearizability/test_cached_reads``
+latest acknowledged write.  A refresh is posted only once the round
+has killed every old copy (a one-phase update, the
+``refresh-in-revocation`` mutant, is not linearizable), and the next
+write revokes it like a grant.  ``tests/linearizability/test_cached_reads``
 checks exactly this on recorded histories.
 """
 
@@ -90,7 +102,7 @@ def is_readonly(cls: type, method: str) -> bool:
 
 @dataclass
 class LeaseGrant:
-    """What a lease-granting reply carries back over the wire."""
+    """What a lease-granting reply or a refresh post carries."""
 
     #: Snapshot of the object at grant time (wire-copied by the reply
     #: transfer, so it never aliases the primary's live instance).
@@ -100,6 +112,12 @@ class LeaseGrant:
     #: Placement version the lease is bound to; any failover /
     #: rebalance / restore bumps it and voids the lease.
     version: int
+    #: Lease generation: a header, left out of the pickled state.
+    generation: int = 0
+
+    def __getstate__(self) -> dict:
+        return {"snapshot": self.snapshot, "expiry": self.expiry,
+                "version": self.version}
 
 
 @dataclass
@@ -138,9 +156,6 @@ class LeaseTable:
     def clear(self) -> None:
         self._holders.clear()
 
-    def holders(self) -> list[str]:
-        return list(self._holders)
-
 
 class ObjectCache:
     """Per-execution-site cache of leased object snapshots.
@@ -155,6 +170,7 @@ class ObjectCache:
     def __init__(self, limit: int = 256):
         self.limit = limit
         self._entries: dict[tuple[str, str], CacheEntry] = {}
+        self._fences: dict[tuple[str, str], int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -168,17 +184,24 @@ class ObjectCache:
             self._entries[ident] = entry
         return entry
 
-    def put(self, ident: tuple[str, str], entry: CacheEntry) -> None:
+    def put(self, ident: tuple[str, str], entry: CacheEntry,
+            generation: int = 0, refresh: bool = False) -> None:
+        """Install ``entry`` unless a revocation newer than its lease
+        ``generation`` landed; a ``refresh`` only fills an empty slot."""
+        if (generation < self._fences.get(ident, 0)
+                or refresh and ident in self._entries):
+            return
         self._entries.pop(ident, None)
         self._entries[ident] = entry
         while len(self._entries) > self.limit:
             del self._entries[next(iter(self._entries))]
 
+    def revoke(self, ident: tuple[str, str], generation: int) -> None:
+        self._fences[ident] = max(generation, self._fences.get(ident, 0))
+        self._entries.pop(ident, None)
+
     def invalidate(self, ident: tuple[str, str]) -> bool:
         return self._entries.pop(ident, None) is not None
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def idents(self) -> list[tuple[str, str]]:
         return list(self._entries)
@@ -194,6 +217,15 @@ class EndpointCaches:
         #: Table 2 is calibrated against that.
         self.enabled = enabled
         self._caches: dict[str, ObjectCache] = {}
+        #: The deployment's lease generation (see the module docstring).
+        self.generation = 0
+
+    def _cache(self, endpoint: str) -> ObjectCache:
+        cache = self._caches.get(endpoint)
+        if cache is None:
+            cache = self._caches[endpoint] = ObjectCache(
+                limit=self._layer.config.dso.cache_max_objects)
+        return cache
 
     def of(self, endpoint: str) -> ObjectCache | None:
         """The endpoint's object cache, if it has one (introspection)."""
@@ -206,18 +238,20 @@ class EndpointCaches:
         by the next write)."""
         self._caches.pop(endpoint, None)
 
-    def invalidate(self, endpoint: str, ident: tuple[str, str]) -> None:
-        """Drop ``endpoint``'s entry for ``ident`` (lease revoked)."""
-        cache = self._caches.get(endpoint)
-        if cache is not None:
-            cache.invalidate(ident)
+    def revoke(self, endpoint: str, ident: tuple[str, str],
+               generation: int = 0) -> None:
+        """Drop ``endpoint``'s entry for ``ident`` (if a revocation,
+        ``generation``'s may land before the endpoint's first grant)."""
+        self._cache(endpoint).revoke(ident, generation)
 
     def purge(self, ident: tuple[str, str]) -> None:
         """Drop ``ident`` everywhere (delete/restore control plane:
         those reset the placement version, so version matching alone
-        cannot be trusted to fence pre-existing entries)."""
+        cannot be trusted to fence pre-existing entries), fencing out
+        grants and refreshes still in flight."""
+        self.generation += 1
         for cache in self._caches.values():
-            cache.invalidate(ident)
+            cache.revoke(ident, self.generation)
 
     def cacheable(self, ctor: tuple | None, method: str) -> bool:
         """Whether this invocation may use the leased read cache.
@@ -269,13 +303,12 @@ class EndpointCaches:
         # through an aliased result (same wire discipline as ship()).
         return layer.shippable(result)
 
-    def store(self, client: str, ref: DsoReference,
-              grant: LeaseGrant) -> None:
-        """Install the snapshot a lease-granting reply carried."""
-        cache = self._caches.get(client)
-        if cache is None:
-            cache = self._caches[client] = ObjectCache(
-                limit=self._layer.config.dso.cache_max_objects)
-        cache.put(ref.ident, CacheEntry(snapshot=grant.snapshot,
-                                        expiry=grant.expiry,
-                                        version=grant.version))
+    def store(self, client: str, ident: tuple[str, str],
+              grant: LeaseGrant, generation: int,
+              refresh: bool = False) -> None:
+        """Install, while the lease lasts, the snapshot a lease-granting
+        reply (or a write's ``refresh`` post) carried."""
+        if grant.expiry > self._layer.kernel.now:
+            self._cache(client).put(ident, CacheEntry(
+                grant.snapshot, grant.expiry, grant.version), generation,
+                refresh)

@@ -86,6 +86,8 @@ class LayerStats:
     leases_granted: int = 0
     #: Leases revoked by mutating invocations before acknowledging.
     lease_revocations: int = 0
+    #: Revoked leases a write re-armed with a one-way refresh post.
+    lease_refreshes: int = 0
     #: Ops shipped through the pipelined async path, and the batch
     #: round trips that carried them (repro.dso.pipeline).
     pipelined_ops: int = 0

@@ -391,7 +391,7 @@ def _ship_group(layer: DsoLayer, client: str, primary_name: str,
         layer.stats.pipelined_ops += len(group)
     for op, (ok, value, grant) in zip(group, replies):
         if grant is not None:
-            layer.caches.store(client, op.ref, grant)
+            layer.caches.store(client, op.ref.ident, grant, grant.generation)
         if ok:
             op._resolve(value)
         else:
@@ -405,7 +405,8 @@ def _run_chain(layer: DsoLayer, client: str, node: DsoNode, chain: list,
     are taken once (:meth:`DsoNode.hold`), every op runs under them,
     and they are released after the last.  So no other site's read is
     leased the object between two of the chain's writes, and the
-    chain pays one lease revocation round, not one per write.  The
+    chain pays one lease revocation round, not one per write, and
+    refreshes the holders it reached as the section ends.  The
     chain's replicated ops share one SMR ordering round; each op's
     ``(ok, value, lease grant)`` lands in ``reply`` at the op's place
     in the group."""
@@ -424,6 +425,8 @@ def _run_chain(layer: DsoLayer, client: str, node: DsoNode, chain: list,
                 reply[index] = (False, exc, None)
             else:
                 reply[index] = (True, result, grant)
+        if call.refresh:
+            node.refresh_leases(call)
     finally:
         call.release()
 
@@ -438,8 +441,8 @@ def _carry(layer: DsoLayer, src: str, dst: str, entries: list,
     entry ``(ok, value, grant)`` travels as ``(ok, value)`` in a larger
     group and alone as ``value`` — ``(value, grant)`` when a read was
     leased — its ``ok`` riding in the reply's status, which like every
-    header costs no bytes.  So a synchronous put ships 112 B and gets
-    4 B back, as it always did.
+    header (the grant's lease generation too) costs no bytes.  So a
+    synchronous put ships 112 B and gets 4 B back, as it always did.
     """
     transfer = layer.network.transfer
     if len(entries) > 1:
@@ -453,7 +456,9 @@ def _carry(layer: DsoLayer, src: str, dst: str, entries: list,
     ok, value, grant = entry
     if grant is None:
         return [(ok, transfer(src, dst, value), None)]
-    return [(ok, *transfer(src, dst, (value, grant)))]
+    value, arrived = transfer(src, dst, (value, grant))
+    arrived.generation = grant.generation  # a header, like ``ok``
+    return [(ok, value, arrived)]
 
 
 def _unencodable(entries: list) -> dict[int, SerializationError]:

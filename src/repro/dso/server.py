@@ -91,6 +91,9 @@ class DsoCall:
     re-acquires both when the object parks the caller.
     """
 
+    #: Revoked leases to re-grant as the section ends, by holder.
+    refresh: dict[str, LeaseGrant] | None = None
+
     def __init__(self, container: "ObjectContainer"):
         self.container = container
         self.lock_held = False
@@ -439,7 +442,7 @@ class DsoNode:
                     # this write acks.  Runs after the session record,
                     # so a crash mid-revocation still dedups the
                     # client's retry.
-                    self._revoke_leases(call)
+                    self._revoke_leases(call, client, placement.version)
                     if not self.alive or container.dead:
                         raise NodeCrashedError(
                             f"{self.name} crashed revoking "
@@ -449,9 +452,9 @@ class DsoNode:
                     expiry = self.kernel.now + layer.config.dso.lease_ttl
                     container.leases.grant(client, expiry)
                     layer.stats.leases_granted += 1
-                    grant = LeaseGrant(snapshot=container.instance,
-                                       expiry=expiry,
-                                       version=lease_version)
+                    grant = LeaseGrant(container.instance, expiry,
+                                       lease_version,
+                                       layer.caches.generation)
             if replicated:
                 # Free the primary worker before queueing for backup
                 # workers (keeps saturated replicating nodes
@@ -623,7 +626,8 @@ class DsoNode:
     # Read leases (repro.dso.cache), primary side
     # ------------------------------------------------------------------
 
-    def _revoke_leases(self, call: DsoCall) -> None:
+    def _revoke_leases(self, call: DsoCall, writer: str,
+                       version: int) -> None:
         """Invalidate every outstanding lease before a write acks.
 
         Every reachable holder is posted its invalidation at once, as a
@@ -643,6 +647,10 @@ class DsoNode:
         up before the first post (as :meth:`replicate` does), so a
         holder waited out to its TTL stalls only writers of its own
         object, not the node.
+
+        The round opens a lease generation; the holders it reaches, bar
+        the ``writer``, are refreshed as the section ends (its only
+        round: a leased read is a chain of its own).
         """
         container = call.container
         holders = container.leases.active(self.kernel.now)
@@ -652,6 +660,7 @@ class DsoNode:
         call.release_worker()
         layer = self.layer
         key = container.key
+        generation = layer.caches.generation = layer.caches.generation + 1
         tracer = self.kernel.tracer
         with (tracer.span("dso.lease_revoke", kind="server",
                           endpoint=self.name,
@@ -660,20 +669,23 @@ class DsoNode:
               if tracer.enabled else NO_SPAN) as span:
             invalidated: set[str] = set()
 
-            def invalidate(holder: str, _message: Any) -> None:
+            def invalidate(holder: str, expiry: float, _message: Any) -> None:
                 # At the holder, in kernel context (non-blocking).
-                layer.caches.invalidate(holder, key)
+                layer.caches.revoke(holder, key, generation)
+                if "refresh-in-revocation" in PLANTED:
+                    layer.caches.store(holder, key, LeaseGrant(layer.shippable(
+                        container.instance), expiry, version), generation)
                 invalidated.add(holder)
 
             # Timers and the wakeup below are all ``now + flight``, and
             # the timers are queued first: the writer wakes after the
             # last delivery, having slept the slowest hop only.
             flights = {}
-            for holder, _ in holders:
+            for holder, expiry in holders:
                 try:
                     flights[holder] = layer.network.post(
                         self.name, holder, ("dso.lease_revoke", key),
-                        partial(invalidate, holder))
+                        partial(invalidate, holder, expiry))
                 except NetworkError:
                     continue
             if tracer.enabled:
@@ -692,5 +704,24 @@ class DsoNode:
                 if remaining > 0:
                     current_thread().sleep(remaining)
                 for holder, _ in unreachable:
-                    layer.caches.invalidate(holder, key)
+                    layer.caches.revoke(holder, key)
             layer.stats.lease_revocations += len(holders)
+        call.refresh = {holder: LeaseGrant(None, expiry, version, generation)
+                        for holder, expiry in holders
+                        if holder in invalidated and holder != writer}
+
+    def refresh_leases(self, call: DsoCall) -> None:
+        """Re-grant, as the section ends, the leases its revocation
+        round emptied: post each holder the snapshot one way and put it
+        back in the table with its original expiry."""
+        container, layer = call.container, self.layer
+        for holder, grant in call.refresh.items():
+            grant.snapshot = container.instance
+            try:
+                layer.network.post(self.name, holder, grant, partial(
+                    layer.caches.store, holder, container.key,
+                    generation=grant.generation, refresh=True))
+            except NetworkError:
+                continue
+            container.leases.grant(holder, grant.expiry)
+            layer.stats.lease_refreshes += 1

@@ -263,7 +263,7 @@ class Txn:
             layer.stats.txn_read_retries += 1
             # A lease-cached snapshot would just replay the same
             # stale history; force the next fetch to ship.
-            layer.caches.invalidate(self._client, ref.ident)
+            layer.caches.revoke(self._client, ref.ident)
             if not layer.backoff(attempts, deadline):
                 self.abort()
                 raise TxnFracturedReadError(

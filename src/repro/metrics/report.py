@@ -72,7 +72,8 @@ def cache_summary(stats, title: str = "dso read cache") -> str:
 
     ``stats`` is a :class:`repro.dso.layer.LayerStats`; the table shows
     the hit rate next to the coherence traffic it cost (leases granted
-    by read replies, revocations forced by writes), so benchmarks can
+    by read replies, revocations forced by writes, refreshes re-arming
+    the revoked caches after the write), so benchmarks can
     report read-path cache behaviour in one block.
     """
     lookups = stats.cache_hits + stats.cache_misses
@@ -83,6 +84,7 @@ def cache_summary(stats, title: str = "dso read cache") -> str:
         ("hit rate", f"{rate:.1%}"),
         ("leases granted", stats.leases_granted),
         ("lease revocations", stats.lease_revocations),
+        ("lease refreshes", stats.lease_refreshes),
     ]
     return render_table(["counter", "value"], rows, title=title)
 

@@ -47,6 +47,10 @@ MUTATIONS = {
                             "as delivered, so a holder on a slower link "
                             "serves a stale cached read after the write "
                             "acked (test_lease_hunter)",
+    "refresh-in-revocation": "a revocation installs the new snapshot "
+                             "instead of dropping the old, so a fast "
+                             "holder serves the new value while a slow "
+                             "one still serves the old (test_lease_hunter)",
 }
 
 #: Mutations currently planted; empty outside mutation tests.

@@ -10,8 +10,12 @@ different latency, re-reading a key from their lease caches while one
 site writes it, by synchronous puts and by flushed runs of same-key
 ``put_async``; the oracle is linearizability of the recorded history —
 a cached read that starts after a write acked and returns the value
-before it has no linearization.  The hunter must catch the mutant
-within a bounded trial budget and stay quiet without it.
+before it has no linearization.  The planted ``"refresh-in-revocation"``
+mutation makes the invalidation install the new snapshot instead (an
+update, not an invalidate): ``near`` then serves the new value while
+``far`` still serves the old one, also with no linearization.  The
+hunter must catch each mutant within a bounded trial budget and stay
+quiet without them.
 """
 
 import dataclasses
@@ -111,6 +115,17 @@ def test_hunter_finds_a_write_acked_before_its_last_invalidation():
         report = explore()
     assert report.failures, (
         f"planted revocation bug not found within {TRIALS} trials:\n"
+        + report.summary())
+    assert any("not linearizable" in p
+               for p in report.failures[0].problems), \
+        report.failures[0].describe()
+
+
+def test_hunter_finds_a_revocation_that_installs_the_new_value():
+    with mutation("refresh-in-revocation"):
+        report = explore()
+    assert report.failures, (
+        f"planted one-phase update not found within {TRIALS} trials:\n"
         + report.summary())
     assert any("not linearizable" in p
                for p in report.failures[0].problems), \

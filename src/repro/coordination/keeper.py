@@ -17,10 +17,13 @@ deterministic at every replica.  A client-side pump drains the outbox
 and fans events out through the SQS model's ``deliver`` path, whose
 heavy-tailed delivery lag happily reorders messages; the session's
 *watch fence* re-orders arrivals by sequence number before the
-application sees them.  The ``"no-watch-fence"`` mutation
-(:mod:`repro.mutation`) disables the fence at delivery — the planted
-bug the exploration hunter in ``tests/explore/test_keeper_hunter.py``
-must catch.
+application sees them.  Delivery is pushed: a write that can fire
+watches wakes the pump (its period is only a backstop), and a session
+acknowledges what it received without waiting for the ack, so an
+event reaches the application when its message turns visible.  The
+``"no-watch-fence"`` mutation (:mod:`repro.mutation`) disables the
+fence at delivery — the planted bug the exploration hunter in
+``tests/explore/test_keeper_hunter.py`` must catch.
 
 **Sessions.**  A session is a server-side lease: a client-side
 heartbeat (``Kernel.every``) renews it at a third of the TTL, and a
@@ -59,6 +62,18 @@ if TYPE_CHECKING:
 
 #: Outbox messages drained per pump invocation.
 _PUMP_BATCH = 64
+
+#: Tree writes whose success can fire watches (``expire_sessions``
+#: only when it deleted an ephemeral): each wakes the delivery pump.
+_FIRING = frozenset({"create", "set", "delete", "close_session"})
+
+
+def _fired(method: str, result: Any) -> bool:
+    """Whether a tree call that returned ``result`` may have parked
+    watch events in the outbox."""
+    if method == "expire_sessions":
+        return any(deleted for _sid, deleted in result)
+    return method in _FIRING and bool(result)
 
 
 @dataclass(frozen=True)
@@ -421,7 +436,9 @@ class KeeperService:
     replicated tree:
 
     * the **delivery pump**, draining the tree's watch outbox into
-      one SQS queue per session (the notification fan-out path), and
+      one SQS queue per session (the notification fan-out path) as
+      soon as a write may have fired a watch, and every
+      ``pump_period`` as a backstop, and
     * the **session sweeper**, invoking ``expire_sessions(now)`` so
       lapsed leases lose their ephemerals within a bounded delay
       (``sweep_period`` defaults to a third of the session TTL, so
@@ -467,15 +484,24 @@ class KeeperService:
 
     # -- invocation (with optional history recording) -------------------------------
 
-    def _call(self, method: str, *args: Any) -> Any:
+    def _invoke(self, method: str, *args: Any) -> Any:
+        """Ship one tree call.  A write that may have fired watches
+        pokes the delivery pump, so its events leave the outbox now,
+        not at the pump's next tick."""
         # Proxy._invoke, not getattr: tree method names like "delete"
         # and "get" would otherwise shadow DsoProxy's own attributes.
+        result = self._proxy._invoke(method, *args)
+        if _fired(method, result):
+            self._pump.poke()
+        return result
+
+    def _call(self, method: str, *args: Any) -> Any:
         if self._recorder is None:
-            return self._proxy._invoke(method, *args)
+            return self._invoke(method, *args)
 
         def attempt() -> Any:
             try:
-                return self._proxy._invoke(method, *args)
+                return self._invoke(method, *args)
             except KeeperError as exc:
                 # Errors are *results* to the sequential spec: the
                 # model returns the same sentinel instead of raising
@@ -544,7 +570,7 @@ class KeeperService:
         now = self._env.now
         invoked = self._env.now
         try:
-            expired = self._proxy._invoke("expire_sessions", now)
+            expired = self._invoke("expire_sessions", now)
         except CloudError:
             self.service_errors += 1
             return
@@ -743,8 +769,9 @@ class KeeperSession:
             batch = queues.receive(self._queue, max_messages=10,
                                    wait=min(remaining, 2.0))
             if batch:
-                queues.delete_batch(self._queue,
-                                    [m.receipt for m in batch])
+                # Acknowledged off the critical path: a copy redelivered
+                # before the ack lands fails the fence's seq check.
+                queues.ack(self._queue, [m.receipt for m in batch])
                 for message in batch:
                     self._admit(message.body)
 

@@ -407,10 +407,22 @@ class DsoNode:
                             f"{args[0]!r} at {self.name}; "
                             f"re-prepare before committing")
             layer.stats.invocations += 1
+            mutating = layer.caches.enabled and not is_readonly(
+                type(container.instance), method)
             if fence_dropped:
                 result = args[1]
             else:
-                result = container.apply(method, args, kwargs, call)
+                try:
+                    result = container.apply(method, args, kwargs, call)
+                except TRANSIENT:
+                    raise
+                except Exception:
+                    # A method may change state and then raise: its
+                    # error reply waits for the revocation round too.
+                    if mutating:
+                        self._revoke_for_write(call, client, placement,
+                                               ref, method)
+                    raise
             # Replicate to the *current* backup set whenever one
             # exists, whatever placement version the client captured:
             # a concurrent rebalance bumps the version while writes
@@ -437,16 +449,13 @@ class DsoNode:
                     pin=(args[0] if method == "__txn_prepare__"
                          else None))
             if layer.caches.enabled:
-                if not is_readonly(type(container.instance), method):
+                if mutating:
                     # Coherence: no cached read may be served after
                     # this write acks.  Runs after the session record,
                     # so a crash mid-revocation still dedups the
                     # client's retry.
-                    self._revoke_leases(call, client, placement.version)
-                    if not self.alive or container.dead:
-                        raise NodeCrashedError(
-                            f"{self.name} crashed revoking "
-                            f"leases for {ref}.{method}")
+                    self._revoke_for_write(call, client, placement, ref,
+                                           method)
                 elif lease_version is not None and not isinstance(
                         container.instance, ServerObject):
                     expiry = self.kernel.now + layer.config.dso.lease_ttl
@@ -625,6 +634,16 @@ class DsoNode:
     # ------------------------------------------------------------------
     # Read leases (repro.dso.cache), primary side
     # ------------------------------------------------------------------
+
+    def _revoke_for_write(self, call: DsoCall, writer: str,
+                          placement: Placement, ref: DsoReference,
+                          method: str) -> None:
+        """A write's revocation round, then the crash check it needs:
+        a primary that died mid-round must not ack the write."""
+        self._revoke_leases(call, writer, placement.version)
+        if not self.alive or call.container.dead:
+            raise NodeCrashedError(
+                f"{self.name} crashed revoking leases for {ref}.{method}")
 
     def _revoke_leases(self, call: DsoCall, writer: str,
                        version: int) -> None:

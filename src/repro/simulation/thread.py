@@ -283,6 +283,22 @@ class PeriodicThread(SimThread):
         if self._gate is None and not self.done:
             self._finish()
 
+    def poke(self) -> None:
+        """Tick now: between ticks the pending tick moves to this
+        instant, inside one the next follows at once; either way the
+        tick after that is a period later.  No-op once cancelled."""
+        if self.cancelled or self.done:
+            return
+        if self._gate is not None:  # inside a tick
+            self._next = 0.0
+            return
+        now = self.kernel.now
+        if any(wakeup.time <= now for wakeup in self._pending):
+            return  # already due: keep its slot
+        self._cancel_pending()
+        self.kernel.schedule_wakeup(self, 0.0, recycle=True)
+        self.target, self._next = self._step, self.period
+
     def _rearm(self) -> bool:
         if self.cancelled or self._shutdown or self.exception is not None:
             return False

@@ -163,12 +163,31 @@ class QueueService:
     def delete_batch(self, queue_name: str, receipts: list[str]) -> None:
         """DeleteMessageBatch: up to 10 acknowledgements per request."""
         queue = self._queue(queue_name)
-        for start in range(0, len(receipts), 10):
-            chunk = set(receipts[start:start + 10])
+        for chunk in self._chunks(receipts):
             delay = self.config.storage.sqs_send.sample(self._rng)
             current_thread().sleep(delay)
-            queue.messages = [m for m in queue.messages
-                              if m.receipt not in chunk]
+            self._remove(queue, chunk)
+
+    def ack(self, queue_name: str, receipts: list[str]) -> None:
+        """DeleteMessageBatch without waiting for it: each 10-receipt
+        request's latency is drawn as :meth:`delete_batch` draws it,
+        and its messages leave the queue when it lands.  Until then a
+        message whose visibility timeout runs out is received again."""
+        queue = self._queue(queue_name)
+        for chunk in self._chunks(receipts):
+            delay = self.config.storage.sqs_send.sample(self._rng)
+            self.kernel.call_later(
+                delay, lambda chunk=chunk: self._remove(queue, chunk))
+
+    @staticmethod
+    def _chunks(receipts: list[str]) -> list[set[str]]:
+        return [set(receipts[start:start + 10])
+                for start in range(0, len(receipts), 10)]
+
+    @staticmethod
+    def _remove(queue: _Queue, receipts: set[str]) -> None:
+        queue.messages = [m for m in queue.messages
+                          if m.receipt not in receipts]
 
     def approximate_depth(self, queue_name: str) -> int:
         """Visible-message count (no latency; monitoring API)."""

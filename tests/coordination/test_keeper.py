@@ -6,6 +6,8 @@ container liveness), ordered one-shot watches through the fence, and
 the classic recipes built on top.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -19,12 +21,14 @@ from repro import (
     SessionExpiredError,
     find_watch_violations,
 )
+from repro.config import DEFAULT_CONFIG
 from repro.coordination import (
     ConfigWatcher,
     KeeperBarrier,
     KeeperSemaphore,
     LeaderElector,
 )
+from repro.net import LatencyModel
 from repro.simulation import thread as thread_module
 from repro.simulation.thread import sleep, spawn
 
@@ -192,6 +196,145 @@ def test_watch_stream_obeys_global_write_order(env):
     zxids = [e.zxid for e in events]
     assert zxids == sorted(zxids)
     assert not find_watch_violations({"o": events}, assigned)
+
+
+# ---------------------------------------------------------------------------
+# delivery: a firing write wakes the pump, the ack is off the path
+# ---------------------------------------------------------------------------
+
+#: Fixed SQS latencies, so a delivery's deadline is exact.
+LAG, RECEIVE = 0.25, 0.015
+
+
+def fixed_sqs(ack: float = 0.015):
+    storage = replace(DEFAULT_CONFIG.storage,
+                      sqs_delivery_lag=LatencyModel(LAG),
+                      sqs_receive=LatencyModel(RECEIVE),
+                      sqs_send=LatencyModel(ack))
+    return replace(DEFAULT_CONFIG, storage=storage)
+
+
+def session_queue(env, keeper, session):
+    return env.queue_service._queue(keeper._queue_name(session.sid))
+
+
+def test_firing_writes_deliver_without_waiting_for_the_pump_period():
+    """With a 30 s pump period the pump is only a backstop: a set's
+    watchers and a sweeper expiry's watchers get their events within
+    one SQS lag plus one receive (plus the write's and the drain's
+    DSO round trips, a few hundred microseconds)."""
+    bound = LAG + RECEIVE + 0.005
+    with CrucialEnvironment(seed=11, dso_nodes=1,
+                            config=fixed_sqs()) as env:
+        def main():
+            keeper = make_service(name="push", pump_period=30.0)
+            writer = keeper.session(name="writer", ttl=60.0)
+            watchers = [keeper.session(name=f"w{i}", ttl=60.0)
+                        for i in range(6)]
+            holder = keeper.session(name="holder", ttl=1.0)
+            writer.create("/conf", data=0)
+            holder.create("/lock", ephemeral=True)
+            arrivals = []
+
+            def await_event(session):
+                event = session.next_event(timeout=10.0)
+                arrivals.append((event and event.path, env.now))
+
+            for session in watchers:
+                session.get("/conf", watch=True)
+            threads = [spawn(await_event, s) for s in watchers]
+            sleep(0.5)  # every watcher is long-polling
+            set_at = env.now
+            writer.set("/conf", 1)
+            for thread in threads:
+                thread.join()
+            set_delays = [at - set_at for _, at in arrivals]
+            set_paths = {path for path, _ in arrivals}
+
+            arrivals.clear()
+            for session in watchers:
+                session.exists("/lock", watch=True)
+            threads = [spawn(await_event, s) for s in watchers]
+            holder.kill()
+            while writer.exists("/lock") is not None:
+                sleep(0.001)
+            gone_at = env.now  # the sweep's expiry acked before this
+            for thread in threads:
+                thread.join()
+            expiry_delays = [at - gone_at for _, at in arrivals]
+            keeper.stop()
+            return set_paths, set_delays, expiry_delays, \
+                {path for path, _ in arrivals}
+
+        set_paths, set_delays, expiry_delays, expiry_paths = env.run(main)
+    assert set_paths == {"/conf"} and expiry_paths == {"/lock"}
+    assert max(set_delays) <= bound
+    assert max(expiry_delays) <= bound
+
+
+def test_next_event_returns_at_visibility_before_the_ack_lands():
+    ack = 0.1
+    with CrucialEnvironment(seed=11, dso_nodes=1,
+                            config=fixed_sqs(ack)) as env:
+        def main():
+            keeper = make_service(name="ack")
+            writer = keeper.session(name="writer")
+            watcher = keeper.session(name="watcher")
+            writer.create("/conf", data=0)
+            watcher.get("/conf", watch=True)
+            spawn(lambda: (sleep(0.5), writer.set("/conf", 1)))
+            event = watcher.next_event(timeout=10.0)
+            returned = env.now
+            queue = session_queue(env, keeper, watcher)
+            (message,) = queue.messages  # still there: the ack is in flight
+            sleep(ack)
+            left = len(queue.messages)
+            keeper.stop()
+            return event, returned, message, left
+
+        event, returned, message, left = env.run(main)
+    assert event.path == "/conf"
+    # Long-polling, the watcher returns the instant the message turns
+    # visible, and the receive at that instant is the last thing it did.
+    assert returned == pytest.approx(message.enqueued_at + LAG)
+    assert message.invisible_until == pytest.approx(returned + 30.0)
+    assert left == 0
+
+
+def test_redelivery_before_the_ack_lands_is_dropped_by_the_fence():
+    """The ack takes longer than the visibility timeout, so the first
+    event's message is received a second time: the seq fence drops the
+    copy, and the application's stream is the one the tree assigned."""
+    with CrucialEnvironment(seed=11, dso_nodes=1,
+                            config=fixed_sqs(ack=0.5)) as env:
+        def main():
+            keeper = make_service(name="redo")
+            writer = keeper.session(name="writer")
+            watcher = keeper.session(name="watcher")
+            queue = session_queue(env, keeper, watcher)
+            queue.visibility_timeout = 0.05
+            writer.create("/conf", data=0)
+            watcher.get("/conf", watch=True)
+            writer.set("/conf", 1)
+            first = watcher.next_event(timeout=10.0)
+            (message,) = queue.messages
+            watcher.get("/conf", watch=True)
+            spawn(lambda: (sleep(0.2), writer.set("/conf", 2)))
+            second = watcher.next_event(timeout=10.0)
+            third = watcher.next_event(timeout=1.0)
+            sleep(1.0)
+            assigned = keeper.assigned_counts()
+            keeper.stop()
+            return first, second, third, message.receive_count, \
+                watcher.delivered, assigned
+
+        first, second, third, receives, delivered, assigned = env.run(main)
+    assert receives >= 2  # the copy really was received again
+    assert [first.seq, second.seq] == [1, 2]
+    assert third is None
+    assert [e.seq for e in delivered] == [1, 2]
+    assert not find_watch_violations({"watcher": delivered},
+                                     {"watcher": assigned["watcher"]})
 
 
 # ---------------------------------------------------------------------------

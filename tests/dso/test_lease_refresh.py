@@ -10,7 +10,7 @@ revocation overtook on the wire.
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer
+from repro.dso import DsoLayer, DsoReference, readonly
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
@@ -166,3 +166,40 @@ def test_promoted_primary_grants_are_not_fenced_out(kernel):
         return layer.get("reader", "k", rf=2), layer.stats.cache_hits - hits
 
     assert kernel.run_main(main) == ("v1", 1)
+
+
+class _Checked:
+    """A register whose checked write applies, then rejects the value."""
+
+    def __init__(self):
+        self.value = "v0"
+
+    @readonly
+    def get(self):
+        return self.value
+
+    def set_checked(self, value):
+        self.value = value
+        raise ValueError(f"{value!r} rejected after it was applied")
+
+
+def test_write_that_mutates_then_raises_still_revokes_and_refreshes(
+        kernel, layer):
+    """The error reply waits for the revocation round like an ack, and
+    the holder is re-armed with the state the method left behind."""
+    ref = DsoReference("_Checked", "c")
+    ctor = (_Checked, (), {})
+
+    def main():
+        assert layer.invoke("reader", ref, "get", ctor=ctor) == "v0"
+        with pytest.raises(ValueError):
+            layer.invoke("writer", ref, "set_checked", ("v1",), ctor=ctor)
+        now_value = layer.invoke("reader", ref, "get", ctor=ctor)
+        sleep(2 * HOP)  # the refresh lands one hop after the section
+        hits = layer.stats.cache_hits
+        return now_value, layer.invoke("reader", ref, "get", ctor=ctor), \
+            layer.stats.cache_hits - hits
+
+    assert kernel.run_main(main) == ("v1", "v1", 1)
+    assert layer.stats.lease_revocations == 1
+    assert layer.stats.lease_refreshes == 1

@@ -215,6 +215,62 @@ def test_close_with_a_parked_periodic_thread_joins_every_os_thread():
     assert _sim_os_threads() == []
 
 
+# -- poke: tick now -----------------------------------------------------------
+
+
+def test_poke_between_ticks_ticks_now_then_a_period_later():
+    ticks = []
+    with Kernel(seed=1) as kernel:
+        def main():
+            duty = kernel.every(1.0, lambda: ticks.append(kernel.now),
+                                name="duty")
+            sleep(1.25)
+            duty.poke()
+            duty.poke()  # already due: one tick, not two
+            sleep(3.5)
+
+        kernel.run_main(main)
+    assert ticks == pytest.approx([1.0, 1.25, 2.25, 3.25, 4.25])
+
+
+def test_poke_inside_a_tick_runs_the_next_right_after_it():
+    ticks = []
+    with Kernel(seed=1) as kernel:
+        def step():
+            ticks.append(kernel.now)
+            sleep(0.25)
+
+        def main():
+            duty = kernel.every(1.0, step, name="duty")
+            sleep(1.125)  # mid-tick: the step sleeps until 1.25
+            duty.poke()
+            duty.poke()
+            sleep(3.0)
+
+        kernel.run_main(main)
+    # The poked tick follows at 1.25; the one after, a period later.
+    assert ticks == pytest.approx([1.0, 1.25, 2.5, 3.75])
+
+
+def test_poke_after_cancel_is_a_no_op():
+    scheduler = FifoScheduler()
+    ticks = []
+    with Kernel(seed=1, scheduler=scheduler) as kernel:
+        def main():
+            duty = kernel.every(1.0, lambda: ticks.append(kernel.now),
+                                name="duty")
+            sleep(1.5)
+            duty.cancel()
+            duty.poke()
+            sleep(3.0)
+            return duty.done
+
+        assert kernel.run_main(main)
+        kernel.run()
+    assert ticks == [1.0]
+    assert _dispatched(scheduler, "duty") == [0.0, 1.0]
+
+
 # -- exploration --------------------------------------------------------------
 
 
@@ -240,3 +296,26 @@ def test_explored_periodic_schedule_is_seeded():
     first, second = _explored(7), _explored(7)
     assert first == second
     assert _explored(8)[0] != first[0]
+
+
+def _explored_pokes(seed):
+    scheduler = RandomScheduler(seed=seed, preempt_prob=0.2)
+    log = []
+    with Kernel(seed=3, scheduler=scheduler) as kernel:
+        def main():
+            duty = kernel.every(
+                0.5, lambda: (log.append(round(kernel.now, 9)), sleep(0.05)),
+                name="duty")
+            for _ in range(8):
+                sleep(0.3)
+                duty.poke()
+            sleep(1.0)
+
+        kernel.run_main(main)
+    return scheduler.trace.decisions, log
+
+
+def test_explored_pokes_are_seeded():
+    first, second = _explored_pokes(7), _explored_pokes(7)
+    assert first == second
+    assert len(first[1]) > 8  # every poke ticked, plus the period's

@@ -21,9 +21,9 @@ application sees them.  Delivery is pushed: a write that can fire
 watches wakes the pump (its period is only a backstop), and a session
 acknowledges what it received without waiting for the ack, so an
 event reaches the application when its message turns visible.  The
-``"no-watch-fence"`` mutation (:mod:`repro.mutation`) disables the
-fence at delivery — the planted bug the exploration hunter in
-``tests/explore/test_keeper_hunter.py`` must catch.
+``"no-watch-fence"`` mutant disables the fence at delivery — the
+planted bug the ``watch-order`` hunt of
+``tests/explore/test_guarantees.py`` must catch.
 
 **Sessions.**  A session is a server-side lease: a client-side
 heartbeat (``Kernel.every``) renews it at a third of the TTL, and a

@@ -45,10 +45,6 @@ def _ensure(session: KeeperSession, path: str) -> None:
             pass
 
 
-def _seq_suffix(name: str) -> int:
-    return int(name[-10:])
-
-
 class KeeperBarrier:
     """A cyclic rendezvous: round ``n`` completes once ``parties``
     ephemeral-sequential children exist under ``<path>/round-<n>``."""
@@ -194,14 +190,6 @@ class LeaderElector:
             self.session.create(f"{self.path}/leader", data=self.member)
         except NodeExistsError:
             self.session.set(f"{self.path}/leader", self.member)
-
-    def resign(self) -> None:
-        if self._me is not None:
-            try:
-                self.session.delete(self._me)
-            except NoNodeError:
-                pass
-            self._me = None
 
 
 class ConfigWatcher:

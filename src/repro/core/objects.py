@@ -229,9 +229,6 @@ class _NumericProxy(_ScalarProxy):
     def decrement_and_get(self):
         return self._invoke("add_and_get", -1)
 
-    def int_value(self):
-        return int(self._invoke("get"))
-
 
 class AtomicInt(_NumericProxy):
     """A linearizable shared integer."""

@@ -143,7 +143,6 @@ class CrucialEnvironment:
                              memory_mb=function_memory_mb)
         self._data_grid = None
         self._redis = None
-        self._tiered_store = None
         self._previous_env: CrucialEnvironment | None = None
 
     def data_grid(self, nodes: int = 1):
@@ -174,21 +173,6 @@ class CrucialEnvironment:
         exactly-once (see :mod:`repro.dso.txn` and DESIGN.md §14).
         """
         return self.dso.transaction(current_location(), rf=rf)
-
-    def tiered_store(self):
-        """Heat-tracked tiered storage (created on first use): an
-        in-memory hot tier stacked over this environment's object
-        store, both billing into ``cost_ledger``."""
-        if self._tiered_store is None:
-            from repro.storage.backend import MemoryStore
-            from repro.storage.tiering import TieredStore
-
-            hot = MemoryStore(self.kernel, self.config, name="memory",
-                              ledger=self.cost_ledger)
-            self._tiered_store = TieredStore(
-                self.kernel, [hot, self.object_store], self.config,
-                ledger=self.cost_ledger)
-        return self._tiered_store
 
     # -- the generic runner function -------------------------------------------
 

@@ -392,8 +392,8 @@ class DsoNode:
             # never saw the (unreplicated) prepare, so the commit is
             # turned back *before* any mutation or session record —
             # the client re-prepares there and retries with a fresh
-            # stamp.  The "no-commit-fence" mutation drops the write
-            # instead (see repro.mutation).
+            # stamp.  The "no-commit-fence" mutant drops the write
+            # instead (declared in tests/explore/guarantees.py).
             fence_dropped = False
             if method == "__txn_commit__":
                 prepared = getattr(container.instance, "prepared", None)

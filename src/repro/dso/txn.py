@@ -54,10 +54,10 @@ The moving parts:
   installed; the client re-prepares at the new primary and retries.
   Commits are additionally fenced client-side by the placement
   version recorded at prepare time.  Disabling the fence (the
-  ``"no-commit-fence"`` entry of :mod:`repro.mutation`, mutation
-  testing only) silently drops such writes — producing exactly the
-  fractured, half-committed state the exploration fuzzer is required
-  to find (``tests/explore/test_txn_hunter.py``).
+  ``"no-commit-fence"`` mutant, mutation testing only) silently drops
+  such writes — producing exactly the fractured, half-committed state
+  the exploration fuzzer is required to find (the ``txn-failover``
+  hunt of ``tests/explore/test_guarantees.py``).
 
 Exactly-once commit falls out of the existing session machinery: every
 prepare/commit op is a stamped invocation deduplicated end-to-end

@@ -67,10 +67,6 @@ class NetworkError(CloudError):
     """The destination endpoint is unreachable (crash or partition)."""
 
 
-class RequestTimeout(CloudError):
-    """An RPC did not complete within its timeout."""
-
-
 class NodeCrashedError(CloudError):
     """The server node crashed while serving (or before serving) a call."""
 
@@ -152,10 +148,6 @@ class FaasError(CloudError):
 
 class FunctionTimeoutError(FaasError):
     """The function exceeded the platform's execution time limit."""
-
-
-class OutOfMemoryError(FaasError):
-    """The function exceeded its configured memory."""
 
 
 class InvocationError(FaasError):

@@ -88,9 +88,6 @@ class FunctionContext:
         """Network identity of the executing container."""
         return self.container.name
 
-    def remaining_time(self) -> float:
-        return max(0.0, self.deadline - self.platform.kernel.now)
-
     def compute(self, cpu_seconds: float) -> None:
         """Burn ``cpu_seconds`` of single-vCPU work at this memory's
         CPU share."""

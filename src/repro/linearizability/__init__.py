@@ -16,6 +16,7 @@ from repro.linearizability.atomicity import (
     final_state_violations,
     find_fractured_reads,
 )
+from repro.linearizability.counter import CounterModel
 from repro.linearizability.znode import ZnodeModel
 from repro.linearizability.watches import (
     WatchViolation,
@@ -26,5 +27,5 @@ from repro.linearizability.watches import (
 __all__ = ["HistoryRecorder", "Operation", "LinearizabilityChecker",
            "AtomicityViolation", "TxnCommitRecord", "TxnReadRecord",
            "find_fractured_reads", "final_state_violations",
-           "ZnodeModel", "WatchViolation", "find_watch_violations",
-           "watch_order_invariant"]
+           "CounterModel", "ZnodeModel", "WatchViolation",
+           "find_watch_violations", "watch_order_invariant"]

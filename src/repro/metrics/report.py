@@ -117,24 +117,6 @@ def cost_summary(ledger, title: str = "storage cost ledger") -> str:
         rows, title=title)
 
 
-def trace_summary(tracer, max_depth: int = 6,
-                  min_duration: float = 0.0,
-                  title: str = "trace summary") -> str:
-    """Render a traced run: span tree plus critical path.
-
-    ``tracer`` is the kernel's :class:`repro.trace.Tracer` (or any
-    span iterable).  Returns a note instead when tracing was disabled,
-    so harnesses can append this to their report unconditionally.
-    """
-    from repro.trace.export import critical_path_summary, span_tree
-
-    if not getattr(tracer, "enabled", True) or not list(tracer.spans):
-        return f"{title}: tracing disabled (no spans recorded)"
-    tree = span_tree(tracer, max_depth=max_depth,
-                     min_duration=min_duration)
-    return f"{title}:\n{tree}\n\n{critical_path_summary(tracer)}"
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"

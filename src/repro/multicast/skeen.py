@@ -52,7 +52,6 @@ class _Pending:
 class _MemberState:
     clock: int = 0
     pending: dict[Hashable, _Pending] = field(default_factory=dict)
-    delivered: list[Hashable] = field(default_factory=list)
     delivered_ids: set = field(default_factory=set)
 
 
@@ -195,7 +194,6 @@ class SkeenMulticast:
             # proposal; head is safe only if it precedes every proposal.
             msg_id = next(k for k, v in state.pending.items() if v is head)
             del state.pending[msg_id]
-            state.delivered.append(msg_id)
             state.delivered_ids.add(msg_id)
             self.deliver(member, head.payload)
             flight = self._in_flight.get(msg_id)
@@ -206,8 +204,3 @@ class SkeenMulticast:
             flight["deliveries"] += 1
             if flight["deliveries"] >= len(self.expected):
                 self.kernel.tracer.end_span(flight["span"])
-
-    # -- inspection ---------------------------------------------------------------
-
-    def delivered_sequence(self, member: str) -> list[Hashable]:
-        return list(self._states[member].delivered)

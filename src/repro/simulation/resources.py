@@ -110,10 +110,6 @@ class ProcessorSharing:
         self._jobs: dict[int, list] = {}
         self._next_id = 0
 
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
-
     def _rate(self) -> float:
         n = len(self._jobs)
         if n == 0:

@@ -58,10 +58,6 @@ class SparkCluster:
         self.stages_run = 0
         self.tasks_run = 0
 
-    @property
-    def total_cores(self) -> int:
-        return sum(e.cores.capacity for e in self.executors)
-
     def executor_for(self, partition_id: int) -> Executor:
         """Sticky partition placement (data locality)."""
         return self.executors[partition_id % len(self.executors)]

@@ -11,7 +11,11 @@ injected mid-workload.
 from repro import AtomicLong, CrucialEnvironment
 from repro.chaos import ChaosInjector, ChaosScheduleGenerator, FaultPlan
 from repro.dso import DsoLayer
-from repro.linearizability import HistoryRecorder, LinearizabilityChecker
+from repro.linearizability import (
+    CounterModel,
+    HistoryRecorder,
+    LinearizabilityChecker,
+)
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
@@ -59,18 +63,6 @@ def test_different_seeds_draw_different_schedules():
     assert _chaotic_run(7)[0] != _chaotic_run(8)[0]
 
 
-class CounterSpec:
-    def __init__(self):
-        self.value = 0
-
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def get(self):
-        return self.value
-
-
 def test_linearizable_across_rebalance_and_slowdown():
     """Histories stay linearizable while the rebalancer re-homes the
     object to a freshly joined node and chaos slows a replica.
@@ -108,6 +100,6 @@ def test_linearizable_across_rebalance_and_slowdown():
         final = env.run(main)
         assert final == 12
         assert injector.log.counts("inject").get("slow_node") == 1
-        checker = LinearizabilityChecker(CounterSpec)
+        checker = LinearizabilityChecker(CounterModel)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)

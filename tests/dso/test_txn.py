@@ -6,7 +6,7 @@ read an atomic-visibility snapshot (history fallback and RAMP's
 forced fetch), the server-side commit fence, and the documented
 *absence* of atomicity in ``read_bulk`` that transactions exist to
 fix.  Crash-failover behaviour lives in ``tests/chaos/test_txn_chaos``
-and the fuzzer in ``tests/explore/test_txn_hunter``.
+and the ``txn-failover`` hunt in ``tests/explore/test_guarantees.py``.
 """
 
 import pytest

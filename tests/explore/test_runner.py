@@ -12,21 +12,10 @@ import os
 
 from repro import AtomicLong, ExplorationRunner, LinearizabilityChecker
 from repro.chaos import ChaosInjector, FaultPlan
+from repro.linearizability import CounterModel
 from repro.simulation.thread import sleep, spawn
 
 COUNTER = "explore-counter"
-
-
-class CounterSpec:
-    def __init__(self):
-        self.value = 0
-
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def get(self):
-        return self.value
 
 
 def counter_workload(trial):
@@ -84,7 +73,7 @@ def both_updates_applied(trial, value):
 def test_two_thread_counter_reaches_distinct_interleavings():
     report = ExplorationRunner(
         counter_workload, trials=6, base_seed=0, scheduler="random",
-        checker=LinearizabilityChecker(CounterSpec),
+        checker=LinearizabilityChecker(CounterModel),
         invariants=[lambda trial, value: value == 6]).run()
     assert report.ok, report.summary()
     assert report.distinct_schedules >= 2
@@ -140,7 +129,7 @@ def test_pct_scheduler_explores_the_counter_workload():
     report = ExplorationRunner(
         counter_workload, trials=4, base_seed=3, scheduler="pct",
         scheduler_opts={"depth": 2, "expected_steps": 200},
-        checker=LinearizabilityChecker(CounterSpec)).run()
+        checker=LinearizabilityChecker(CounterModel)).run()
     assert report.ok, report.summary()
     assert all(r.schedule_id.startswith("pct:") for r in report.results)
 

@@ -17,20 +17,12 @@ from hypothesis import strategies as st
 
 from repro import AtomicLong, CrucialEnvironment
 from repro.config import DEFAULT_CONFIG
-from repro.linearizability import HistoryRecorder, LinearizabilityChecker
+from repro.linearizability import (
+    CounterModel,
+    HistoryRecorder,
+    LinearizabilityChecker,
+)
 from repro.simulation.thread import sleep, spawn
-
-
-class CounterSpec:
-    def __init__(self):
-        self.value = 0
-
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def get(self):
-        return self.value
 
 
 #: Read-heavy mix; a "flush" is a run of same-key ``add_and_get``
@@ -79,7 +71,7 @@ def test_cached_read_histories_linearizable(seed, plans, rf):
                 t.join()
 
         env.run(main)
-        checker = LinearizabilityChecker(CounterSpec)
+        checker = LinearizabilityChecker(CounterModel)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)
 
@@ -135,7 +127,7 @@ def test_cached_histories_linearizable_across_crash_and_rebalance():
 
         final = env.run(main)
         assert final == 6  # every acknowledged add exactly once
-        checker = LinearizabilityChecker(CounterSpec)
+        checker = LinearizabilityChecker(CounterModel)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)
         stats = env.dso.stats

@@ -11,26 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AtomicLong, CrucialEnvironment, SharedMap
-from repro.linearizability import HistoryRecorder, LinearizabilityChecker
+from repro.linearizability import (
+    CounterModel,
+    HistoryRecorder,
+    LinearizabilityChecker,
+)
 from repro.simulation.thread import spawn
-
-
-class CounterSpec:
-    def __init__(self):
-        self.value = 0
-
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def get(self):
-        return self.value
-
-    def compare_and_set(self, expected, update):
-        if self.value == expected:
-            self.value = update
-            return True
-        return False
 
 
 class MapSpec:
@@ -94,7 +80,7 @@ def test_atomic_long_histories_linearizable(seed, plans, rf):
                 t.join()
 
         env.run(main)
-        checker = LinearizabilityChecker(CounterSpec)
+        checker = LinearizabilityChecker(CounterModel)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)
 

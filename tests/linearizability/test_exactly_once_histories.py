@@ -11,24 +11,16 @@ produces a value no single-application spec can explain.
 
 from repro import AtomicLong, CrucialEnvironment, SharedList
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.linearizability import HistoryRecorder, LinearizabilityChecker
+from repro.linearizability import (
+    CounterModel,
+    HistoryRecorder,
+    LinearizabilityChecker,
+)
 from repro.simulation.thread import sleep, spawn
 
 WORKERS = 3
 ADDS_PER_WORKER = 4
 APPENDS_PER_WORKER = 3
-
-
-class CounterSpec:
-    def __init__(self):
-        self.value = 0
-
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def get(self):
-        return self.value
 
 
 class ListSpec:
@@ -94,7 +86,7 @@ def test_non_idempotent_histories_linearizable_across_failover(chaos_seed):
                       for i in range(APPENDS_PER_WORKER))
     assert items == expected  # each append applied exactly once
 
-    checker = LinearizabilityChecker(CounterSpec)
+    checker = LinearizabilityChecker(CounterModel)
     assert checker.check(counter_history.operations), \
         checker.explain(counter_history.operations)
     list_checker = LinearizabilityChecker(ListSpec)

@@ -377,8 +377,8 @@ class DsoLayer:
         first touch.  ``cost`` is the modelled CPU seconds the method
         burns server-side (beyond fixed dispatch overhead).  Transient
         infrastructure failures are retried until failure detection
-        re-homes the object; an application exception raised by the
-        method travels back in the reply and propagates to the caller.
+        re-homes the object; a method's exception is its recorded outcome
+        (a retry gets it back, never re-applies it) and reaches the caller.
         """
         kwargs = kwargs or {}
         if self._pipelines:  # one truth test while no thread has a queue

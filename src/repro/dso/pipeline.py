@@ -24,8 +24,9 @@ path: :func:`_attempt`, repeated by the layer's one retry driver.
   one object's ops in order, as one critical section (a hot key's run of
   writes pays one lease revocation round) sharing one SMR ordering
   round; different objects concurrently, up to ``node_workers`` — and
-  one reply carries every outcome back, errors included.  A flush costs
-  its slowest primary, and a group its slowest object.  A group of one
+  one reply carries every outcome back — a method's exception is one,
+  recorded, replicated and replayed like a value.  A flush costs its
+  slowest primary, and a group its slowest object.  A group of one
   travels bare (:func:`_carry`): a synchronous call's bytes are as ever.
 
 The ordering contract is the paper's (Section 4.1: each object is
@@ -408,23 +409,21 @@ def _run_chain(layer: DsoLayer, client: str, node: DsoNode, chain: list,
     chain pays one lease revocation round, not one per write, and
     refreshes the holders it reached as the section ends.  The
     chain's replicated ops share one SMR ordering round; each op's
-    ``(ok, value, lease grant)`` lands in ``reply`` at the op's place
-    in the group."""
+    reply entry (``(False, error, None)`` for an error raised before or
+    outside apply) lands in ``reply`` at the op's place in the group."""
     smr_context: dict = {}
     call = node.hold(chain[0][1].ref)
     try:
         for index, op, (method, args, kwargs, stamp) in chain:
             try:
-                result, grant = node.execute(
+                reply[index] = node.execute(
                     call, client, op.ref, method, args, kwargs, op.cost,
                     op.raw_service, stamp, op.placement, op.lease_version,
                     smr_context)
             except TRANSIENT:
                 raise
-            except Exception as exc:  # noqa: BLE001 - app-level error
+            except Exception as exc:  # noqa: BLE001 - raised outside apply
                 reply[index] = (False, exc, None)
-            else:
-                reply[index] = (True, result, grant)
         if call.refresh:
             node.refresh_leases(call)
     finally:

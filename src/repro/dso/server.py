@@ -223,26 +223,33 @@ class ObjectContainer:
         return txns
 
     def apply(self, method: str, args: tuple, kwargs: dict,
-              call: DsoCall | None) -> Any:
+              call: DsoCall | None) -> tuple[bool, Any]:
         """Run ``method`` on this replica's instance (no locking, no
-        timing: callers own both)."""
+        timing: callers own both); its outcome is ``(True, value)`` or
+        ``(False, the exception it raised)``.  Infrastructure failures
+        propagate."""
         instance = self.instance
         if method == "__dso_touch__":
-            return None  # creation ping from Proxy._ensure()
+            return True, None  # creation ping from Proxy._ensure()
         bound = getattr(instance, method, None)
         if bound is None or not callable(bound):
             raise AttributeError(
                 f"{type(instance).__name__} has no method {method!r}")
         self.applied_ops += 1
-        if isinstance(instance, ServerObject) and call is not None:
-            return bound(call, *args, **kwargs)
-        result = bound(*args, **kwargs)
+        try:
+            if isinstance(instance, ServerObject) and call is not None:
+                return True, bound(call, *args, **kwargs)
+            result = bound(*args, **kwargs)
+        except TRANSIENT:
+            raise
+        except Exception as exc:  # noqa: BLE001 - an outcome, not a failure
+            return False, exc
         if method in ("__txn_commit__", "__txn_abort__"):
             # The prepare's pinned dedup record may now be reclaimed;
             # runs wherever the op applies (primary, SMR backups, and
             # rebalanced tables that travelled with pins).
             self.sessions.unpin(args[0])
-        return result
+        return True, result
 
     def mark_dead(self) -> None:
         self.dead = True
@@ -306,12 +313,6 @@ class DsoNode:
     # Executing shipped ops (primary side)
     # ------------------------------------------------------------------
 
-    def _hosted(self, ref: DsoReference) -> ObjectContainer:
-        container = self.containers.get(ref.ident)
-        if container is None or container.dead:
-            raise StaleContainer(f"{ref} not hosted on {self.name}")
-        return container
-
     def hold(self, ref: DsoReference) -> DsoCall:
         """Open a critical section on ``ref``: its object lock, then a
         worker.
@@ -323,7 +324,7 @@ class DsoNode:
         so a chain's first write that finds lease holders revokes them
         and its later writes find none.
         """
-        # _hosted() inlined: every blocking call passes here, and its
+        # No helper call: every blocking call passes here, and its
         # call count is budgeted (BENCH_kernel.json calls_per_sync_put).
         container = self.containers.get(ref.ident)
         if container is None or container.dead:
@@ -337,7 +338,7 @@ class DsoNode:
                 raw_service: float | None, stamp: SessionStamp | None,
                 placement: Placement, lease_version: int | None = None,
                 smr_context: dict | None = None
-                ) -> tuple[Any, LeaseGrant | None]:
+                ) -> tuple[bool, Any, LeaseGrant | None]:
         """Run one shipped op at its primary, under ``call`` — a
         critical section on the op's object that the caller opened
         with :meth:`hold` and releases: fence, dedup, apply, lease
@@ -347,14 +348,14 @@ class DsoNode:
         which runs each per-object chain of a group — a blocking
         call's has one op — as one section: ``smr_context`` makes the
         chain's replicated ops share a single SMR ordering round (see
-        :meth:`replicate`).  An earlier op of the
-        section may have given its worker up (replication, lease
-        revocation, a parked wait); this op takes one again before its
-        service time.
+        :meth:`replicate`).  An earlier op of the section may have
+        given its worker up (replication, lease revocation, a parked
+        wait); this op takes one again before its service time.
         ``lease_version`` is the placement version the client captured
         before shipping a cacheable read, or ``None`` for no lease.
-        Returns ``(result, lease grant or None)``; the caller owns the
-        reply transfer back to the client.
+        Returns the op's reply entry ``(ok, value or exception, lease
+        grant or None)`` — a method's exception is recorded, replicated
+        and replayed like a value; the caller owns its transfer.
         """
         layer = self.layer
         container = call.container
@@ -380,7 +381,7 @@ class DsoNode:
             if entry is not None:
                 return self._dedup_hit(
                     placement, ref, container, call, entry, stamp,
-                    method, args, kwargs, cost, smr_context), None
+                    method, args, kwargs, cost, smr_context)
             service = (raw_service if raw_service is not None
                        else layer.config.dso.method_call_overhead)
             current_thread().sleep((service + cost) * self.slow_factor)
@@ -407,22 +408,10 @@ class DsoNode:
                             f"{args[0]!r} at {self.name}; "
                             f"re-prepare before committing")
             layer.stats.invocations += 1
-            mutating = layer.caches.enabled and not is_readonly(
-                type(container.instance), method)
-            if fence_dropped:
-                result = args[1]
-            else:
-                try:
-                    result = container.apply(method, args, kwargs, call)
-                except TRANSIENT:
-                    raise
-                except Exception:
-                    # A method may change state and then raise: its
-                    # error reply waits for the revocation round too.
-                    if mutating:
-                        self._revoke_for_write(call, client, placement,
-                                               ref, method)
-                    raise
+            ok, value = ((True, args[1]) if fence_dropped
+                         else container.apply(method, args, kwargs, call))
+            if not ok and "error-not-recorded" in PLANTED:
+                raise value
             # Replicate to the *current* backup set whenever one
             # exists, whatever placement version the client captured:
             # a concurrent rebalance bumps the version while writes
@@ -444,18 +433,17 @@ class DsoNode:
                 # txn id — LRU eviction must not reclaim it before the
                 # commit/abort resolves.
                 entry = container.sessions.record(
-                    stamp, layer.shippable(result),
+                    stamp, layer.shippable(value),
                     committed=not replicated,
                     pin=(args[0] if method == "__txn_prepare__"
-                         else None))
+                         else None), ok=ok)
             if layer.caches.enabled:
-                if mutating:
+                if not is_readonly(type(container.instance), method):
                     # Coherence: no cached read may be served after
                     # this write acks.  Runs after the session record,
                     # so a crash mid-revocation still dedups the
                     # client's retry.
-                    self._revoke_for_write(call, client, placement, ref,
-                                           method)
+                    self._revoke_leases(call, client, placement.version)
                 elif lease_version is not None and not isinstance(
                         container.instance, ServerObject):
                     expiry = self.kernel.now + layer.config.dso.lease_ttl
@@ -471,16 +459,16 @@ class DsoNode:
                 # op stream, preserving SMR's total order.
                 call.release_worker()
                 self.replicate(placement, ref, method, args, kwargs,
-                               cost, stamp, result, smr_context)
+                               cost, stamp, ok, value, smr_context)
                 if entry is not None:
                     entry.committed = True
-        return result, grant
+        return ok, value, grant
 
     def _dedup_hit(self, placement: Placement, ref: DsoReference,
                    container: ObjectContainer, call: DsoCall,
                    entry: SessionEntry, stamp: SessionStamp, method: str,
                    args: tuple, kwargs: dict, cost: float,
-                   smr_context: dict | None) -> Any:
+                   smr_context: dict | None) -> tuple[bool, Any, None]:
         """Answer a retransmission from the session table.
 
         Charges only lookup-grade service time, and — crucially — if
@@ -508,20 +496,21 @@ class DsoNode:
                 if len(placement.replicas) > 1:
                     call.release_worker()
                     self.replicate(placement, ref, method, args, kwargs,
-                                   cost, stamp, entry.reply, smr_context)
+                                   cost, stamp, entry.ok, entry.reply,
+                                   smr_context)
                 entry.committed = True
-        return entry.reply
+        return entry.ok, entry.reply, None
 
     def replicate(self, placement: Placement, ref: DsoReference,
                   method: str, args: tuple, kwargs: dict, cost: float,
-                  stamp: SessionStamp | None, reply: Any,
+                  stamp: SessionStamp | None, ok: bool, reply: Any,
                   smr_context: dict | None) -> None:
         """Apply the op at every backup before acknowledging (SMR).
 
-        Methods must be deterministic: each replica executes them on
-        its own copy — the state-machine-replication contract.  The
-        session ``stamp`` and primary ``reply`` replicate with the op,
-        so any backup promoted to primary can still deduplicate the
+        Methods must be deterministic: each replica executes them —
+        ones that raised too — on its own copy.  The session ``stamp``
+        and the primary's outcome (``ok``, ``reply``) replicate with the
+        op, so any backup promoted to primary can still deduplicate the
         client's retries.
 
         ``smr_context`` (a per-chain dict: one object's ops of a batch)
@@ -579,7 +568,7 @@ class DsoNode:
                         if stamp is not None:
                             bcontainer.sessions.record(
                                 stamp, layer.shippable(reply),
-                                committed=False)
+                                committed=False, ok=ok)
                     finally:
                         backup.node.workers.release()
             if charge_hops:
@@ -593,7 +582,9 @@ class DsoNode:
                    cost: float) -> Any:
         """Serve ``read_any``: apply a read on whatever this replica
         holds, charging one worker slot and the method's service time."""
-        container = self._hosted(ref)
+        container = self.containers.get(ref.ident)
+        if container is None or container.dead:
+            raise StaleContainer(f"{ref} not hosted on {self.name}")
         self.node.workers.acquire()
         try:
             current_thread().sleep(
@@ -602,9 +593,11 @@ class DsoNode:
             if not self.alive or container.dead:
                 raise NodeCrashedError(
                     f"{self.name} crashed during {ref}.{method} read")
-            result = container.apply(method, args, {}, None)
+            ok, result = container.apply(method, args, {}, None)
         finally:
             self.node.workers.release()
+        if not ok:
+            raise result
         self.layer.stats.invocations += 1
         return result
 
@@ -626,7 +619,10 @@ class DsoNode:
                 container = self.containers.get(ref.ident)
                 if container is None or container.dead:
                     raise StaleContainer(f"{ref} moved")
-                results.append(container.apply(method, (), {}, None))
+                ok, value = container.apply(method, (), {}, None)
+                if not ok:
+                    raise value
+                results.append(value)
         finally:
             self.node.workers.release()
         return results
@@ -634,16 +630,6 @@ class DsoNode:
     # ------------------------------------------------------------------
     # Read leases (repro.dso.cache), primary side
     # ------------------------------------------------------------------
-
-    def _revoke_for_write(self, call: DsoCall, writer: str,
-                          placement: Placement, ref: DsoReference,
-                          method: str) -> None:
-        """A write's revocation round, then the crash check it needs:
-        a primary that died mid-round must not ack the write."""
-        self._revoke_leases(call, writer, placement.version)
-        if not self.alive or call.container.dead:
-            raise NodeCrashedError(
-                f"{self.name} crashed revoking leases for {ref}.{method}")
 
     def _revoke_leases(self, call: DsoCall, writer: str,
                        version: int) -> None:
@@ -728,6 +714,9 @@ class DsoNode:
         call.refresh = {holder: LeaseGrant(None, expiry, version, generation)
                         for holder, expiry in holders
                         if holder in invalidated and holder != writer}
+        if not self.alive or container.dead:  # must not ack the write
+            raise NodeCrashedError(
+                f"{self.name} crashed revoking leases on {'/'.join(key)}")
 
     def refresh_leases(self, call: DsoCall) -> None:
         """Re-grant, as the section ends, the leases its revocation

@@ -229,6 +229,8 @@ class SessionEntry:
     #: would let a crashed-and-retried prepare re-execute under a
     #: fresh entry, breaking exactly-once commit.
     pin: str | None = None
+    #: False when ``reply`` is the exception the op raised.
+    ok: bool = True
 
 
 @dataclass
@@ -288,11 +290,11 @@ class SessionTable:
         return None
 
     def record(self, stamp: SessionStamp, reply: Any,
-               committed: bool, pin: str | None = None) -> SessionEntry:
-        """Remember ``reply`` for ``stamp`` and prune acknowledged
-        predecessors.  A ``pin`` token exempts the entry (and its
-        session) from LRU eviction until :meth:`unpin` releases it.
-        """
+               committed: bool, pin: str | None = None,
+               ok: bool = True) -> SessionEntry:
+        """Remember ``reply`` (an exception unless ``ok``) for ``stamp``
+        and prune acknowledged predecessors.  A ``pin`` token exempts the
+        entry (and its session) from LRU eviction until :meth:`unpin`."""
         state = self._sessions.get(stamp.sid)
         if state is None:
             state = self._sessions[stamp.sid] = _SessionState()
@@ -303,7 +305,8 @@ class SessionTable:
         # usually all acknowledged (a thread session acknowledges each
         # reply as it stamps the next) and goes in one sweep.
         self._prune(state.replies, stamp.acked)
-        entry = SessionEntry(reply=reply, committed=committed, pin=pin)
+        entry = SessionEntry(reply=reply, committed=committed, pin=pin,
+                             ok=ok)
         if stamp.seq > stamp.acked:  # else acknowledged before it is kept
             state.replies[stamp.seq] = entry
         if stamp.seq > state.last_seq:

@@ -3,6 +3,7 @@
 :class:`CounterModel` is the Wing & Gong model for histories of an
 :class:`repro.AtomicLong` created with value 0: method names and
 arguments match the proxy's, so a recorder can log proxy calls as-is.
+``add_then_raise`` adds, then raises: its result is the error's count.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ class CounterModel:
         self.value = 0
 
     def add_and_get(self, delta: int) -> int:
+        self.value += delta
+        return self.value
+
+    def add_then_raise(self, delta: int) -> int:
         self.value += delta
         return self.value
 

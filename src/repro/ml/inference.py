@@ -18,8 +18,11 @@ from repro.core.cloud_thread import CloudThread
 from repro.core.runtime import compute, current_environment
 from repro.core.shared import shared
 from repro.dso.reference import DsoReference
+from repro.dso.server import TRANSIENT
+from repro.errors import CloudError
 from repro.ml.costmodel import inference_cost
 from repro.ml.kmeans import CentroidShard
+from repro.simulation.thread import sleep
 
 #: Server CPU to read + marshal one centroid object (95 us dispatch is
 #: charged separately): calibrated so 3 nodes saturate near the
@@ -70,11 +73,9 @@ class InferenceWorker:
             try:
                 env.dso.read_bulk(env.client_endpoint, refs, method="get",
                                   per_read_cost=PER_READ_COST)
-            except Exception:
-                # Node failure mid-read: back off briefly and retry —
-                # the service degrades but never blocks (Fig. 8).
-                from repro.simulation.thread import sleep
-
+            except (CloudError, *TRANSIENT):
+                # A node failure outlived the read's retry window: back
+                # off briefly and retry — degraded, never blocked (Fig. 8).
                 sleep(0.2)
                 continue
             compute(inference_cost(env.config))

@@ -9,7 +9,6 @@ makes SQS-based synchronization the slowest strategy in Fig. 6.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,7 +48,7 @@ class QueueService:
         self.name = name
         self._queues: dict[str, _Queue] = {}
         self._rng = kernel.rng.stream(f"storage.{name}")
-        self._receipts = itertools.count()
+        self._receipts = 0  # issued so far: r-0 .. r-{n-1}
         self.send_count = 0
         self.receive_count = 0
 
@@ -90,7 +89,8 @@ class QueueService:
         storage hosts.
         """
         queue = self._queue(queue_name)
-        receipt = f"r-{next(self._receipts)}"
+        receipt = f"r-{self._receipts}"
+        self._receipts += 1
         lag = self.config.storage.sqs_delivery_lag.sample(self._rng)
         queue.messages.append(
             Message(body=body, receipt=receipt,
@@ -154,11 +154,7 @@ class QueueService:
                           endpoint=self.name,
                           attributes={"queue": queue_name})
               if tracer.enabled else NO_SPAN):
-            delay = self.config.storage.sqs_send.sample(self._rng)
-            current_thread().sleep(delay)
-            queue = self._queue(queue_name)
-            queue.messages = [m for m in queue.messages
-                              if m.receipt != receipt]
+            self.delete_batch(queue_name, [receipt])
 
     def delete_batch(self, queue_name: str, receipts: list[str]) -> None:
         """DeleteMessageBatch: up to 10 acknowledgements per request."""
@@ -180,14 +176,20 @@ class QueueService:
                 delay, lambda chunk=chunk: self._remove(queue, chunk))
 
     @staticmethod
-    def _chunks(receipts: list[str]) -> list[set[str]]:
-        return [set(receipts[start:start + 10])
+    def _chunks(receipts: list[str]) -> list[list[str]]:
+        return [receipts[start:start + 10]
                 for start in range(0, len(receipts), 10)]
 
-    @staticmethod
-    def _remove(queue: _Queue, receipts: set[str]) -> None:
-        queue.messages = [m for m in queue.messages
-                          if m.receipt not in receipts]
+    def _remove(self, queue: _Queue, receipts: list[str]) -> None:
+        """Drop the messages ``receipts`` acknowledge (none for one
+        already deleted); a receipt never issued raises ValueError."""
+        for receipt in receipts:
+            if not (isinstance(receipt, str) and receipt[:2] == "r-"
+                    and receipt[2:].isdigit()
+                    and int(receipt[2:]) < self._receipts):
+                raise ValueError(f"{receipt!r} is not a receipt it issued")
+        gone = set(receipts)
+        queue.messages = [m for m in queue.messages if m.receipt not in gone]
 
     def approximate_depth(self, queue_name: str) -> int:
         """Visible-message count (no latency; monitoring API)."""

@@ -70,7 +70,7 @@ def run_workload(seed):
                                        message.body["payload"])
                        for message in batch]
             for message in batch:
-                sqs.delete("dlq", message)
+                sqs.delete("dlq", message.receipt)
             return sorted(replays), sqs.approximate_depth("dlq")
 
         replays, depth = kernel.run_main(main)

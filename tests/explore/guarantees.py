@@ -206,9 +206,94 @@ def dedup_workload(trial):
 
 
 def exact_count(trial, value):
+    """``final == acked``, an increment that raised after it applied
+    counted as acked."""
     assert value == DEDUP_WRITES, \
         f"expected exactly {DEDUP_WRITES} increments, read {value}"
     return True
+
+
+# ---------------------------------------------------------------------------
+# Exactly-once shipping: a write that applied and then raised
+# ---------------------------------------------------------------------------
+# A method's exception is an outcome: recorded in the session table,
+# replicated to the backup and replayed to a retry, like a value.  Half
+# of an rf=2 counter's increments raise after they apply; one's reply
+# is cut off (the retry must get the recorded exception, not re-apply),
+# then the primary crashes (the promoted backup must hold every raised
+# increment).
+
+RAISE_KEY = "raising-counter"
+
+
+class CheckedCounter:
+    """A counter whose ``add_then_raise`` applies, then raises."""
+
+    def __init__(self):
+        self.value = 0
+
+    def add_and_get(self, delta):
+        self.value += delta
+        return self.value
+
+    def add_then_raise(self, delta):
+        self.value += delta
+        raise ValueError(self.value)
+
+    def get(self):
+        return self.value
+
+
+CHECKED_CTOR = (CheckedCounter, (), {})
+
+
+def raised_write_workload(trial):
+    """Eight spaced increments on an rf=2 counter, alternating returning
+    and raising ones; a raising one's reply is cut off by a seed-timed
+    partition, and the primary crashes at a seed-drawn instant later."""
+    rnd = random.Random(trial.seed)
+    cut_step = 2 * rnd.randrange(DEDUP_WRITES // 4) + 1  # raising, first half
+    cut_after = 0.0005 + rnd.random() * 0.004  # inside the slow op
+    crash_after = 1.5 + rnd.random() * 1.0  # second half of the writes
+    ref = DsoReference("CheckedCounter", RAISE_KEY, persistent=True, rf=2)
+    with trial.environment(dso_nodes=3) as env:
+        layer, network = env.dso, env.network
+        client = env.client_endpoint
+
+        def increment(method, cost=0.0):
+            try:
+                return layer.invoke(client, ref, method, (1,),
+                                    ctor=CHECKED_CTOR, cost=cost)
+            except ValueError as exc:  # add_then_raise: the count it saw
+                return exc.args[0]
+
+        injector = ChaosInjector(env.kernel, network=network, dso=layer)
+
+        def main():
+            layer.invoke(client, ref, "get", ctor=CHECKED_CTOR)
+            primary = layer.placement_of(ref)[0]
+            injector.schedule(FaultPlan().add(env.now + crash_after,
+                                              "crash_node", primary))
+            for step in range(DEDUP_WRITES):
+                method = "add_then_raise" if step % 2 else "add_and_get"
+                cost = 0.0
+                if step == cut_step:
+                    cost = SLOW
+                    env.kernel.call_later(cut_after, lambda: network.partition(
+                        {client}, {primary}))
+                    env.kernel.call_later(0.1, lambda: network.unpartition(
+                        {client}, {primary}))
+                trial.recorder.record("writer", method, (1,),
+                                      lambda: increment(method, cost),
+                                      key=RAISE_KEY)
+                sleep(0.3)
+            sleep(DEFAULT_CONFIG.dso.failure_detection + 3.0)
+            return trial.recorder.record(
+                "writer", "get", (),
+                lambda: layer.invoke(client, ref, "get", ctor=CHECKED_CTOR),
+                key=RAISE_KEY)
+
+        return env.run(main)
 
 
 # ---------------------------------------------------------------------------
@@ -730,15 +815,18 @@ GUARANTEES = (
         text=(
             "Exactly-once method shipping: retries (client, failover, "
             "`CloudThread` re-invocation) never double-apply — `final == "
-            "acked`, not `>=`"),
+            "acked`, not `>=`, an op that applied and then raised counted "
+            "as acked"),
         mechanism=(
             "replicated client sessions: `(session, seq)` stamps "
             "deduplicated against per-container tables that travel with "
-            "SMR, rebalance, and passivation (a deliberate strengthening of "
-            "the paper's application-level idempotence, Section 4.4 — see "
-            "DESIGN.md §8)"),
+            "SMR, rebalance, and passivation; a method's exception is an "
+            "outcome like its value, recorded, replicated and replayed (a "
+            "deliberate strengthening of the paper's application-level "
+            "idempotence, Section 4.4 — see DESIGN.md §8)"),
         pinned_by=("tests/chaos/test_exactly_once.py",
-                   "tests/dso/test_sessions.py", HUNTS_TEST),
+                   "tests/dso/test_sessions.py",
+                   "tests/dso/test_error_outcomes.py", HUNTS_TEST),
         hunts=(
             Hunt("backup-dedup", dedup_workload, trials=6,
                  preempt_prob=0.05, model=CounterModel,
@@ -752,6 +840,18 @@ GUARANTEES = (
                             trials=6, preempt_prob=0.05,
                             oracles=("exact_count", "not linearizable")),
                  )),
+            Hunt("raised-write", raised_write_workload, trials=6,
+                 preempt_prob=0.05, model=CounterModel,
+                 invariants=(exact_count,),
+                 mutants=(
+                     Mutant("error-not-recorded",
+                            "a method that applies and then raises is "
+                            "neither session-recorded nor replicated, so "
+                            "a retry of its lost reply applies it again "
+                            "and a promoted backup never had it",
+                            trials=6, preempt_prob=0.05,
+                            oracles=("exact_count", "not linearizable")),
+                 )),
         ),
     ),
     Guarantee(
@@ -759,12 +859,13 @@ GUARANTEES = (
         text=(
             "Re-runnable function bodies: `once()` / `IdempotentStep` / "
             "`CloudThread(idempotency_key=...)` replay completed DSO calls "
-            "on re-entry"),
+            "on re-entry, a call that raised re-raising its exception"),
         mechanism=(
             "named sessions restart their sequence and collect cached "
-            "replies"),
+            "replies, values and exceptions alike"),
         pinned_by=("tests/core/test_idempotency.py",
-                   "tests/core/test_retry.py"),
+                   "tests/core/test_retry.py",
+                   "tests/dso/test_error_outcomes.py"),
     ),
     Guarantee(
         "dead-letter",

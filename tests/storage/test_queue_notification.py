@@ -94,6 +94,22 @@ def test_delete_acknowledges(kernel, sqs):
     assert kernel.run_main(main) == []
 
 
+def test_delete_rejects_a_receipt_never_issued(kernel, sqs):
+    def main():
+        sqs.send("q", "m")
+        (message,) = sqs.receive("q", wait=10.0)
+        for forged in (message, "r-99", "receipt"):
+            with pytest.raises(ValueError, match="not a receipt"):
+                sqs.delete("q", forged)
+        with pytest.raises(ValueError, match="not a receipt"):
+            sqs.delete_batch("q", [message.receipt, "r-99"])
+        sqs.delete("q", message.receipt)
+        sqs.delete("q", message.receipt)  # already deleted: a no-op
+        return sqs.approximate_depth("q"), message.receipt
+
+    assert kernel.run_main(main) == (0, "r-0")
+
+
 def test_unknown_queue(kernel, sqs):
     def main():
         sqs.send("ghost", 1)

@@ -50,30 +50,30 @@ def workload(kernel, store, label):
 def main():
     results = {}
     for label in ("all-hot", "all-cold", "tiered"):
-        kernel = Kernel(seed=11)
-        ledger = CostLedger()
-        if label == "all-hot":
-            store = MemoryStore(kernel, name="memory", ledger=ledger)
-        elif label == "all-cold":
-            store = ObjectStore(kernel, name="s3", ledger=ledger)
-        else:
-            hot = MemoryStore(kernel, name="memory", ledger=ledger)
-            cold = ObjectStore(kernel, name="s3", ledger=ledger)
-            store = TieredStore(kernel, [hot, cold], ledger=ledger)
-        mean = workload(kernel, store, label)
-        ledger.settle()
-        # Capacity price of where the data ended up resting: the
-        # steady-state dollars this placement pays per GB each month.
-        if isinstance(store, TieredStore):
-            gb_month = store.dollars_per_gb_month()
-        else:
-            gb_month = store.profile.dollars_per_gb_month
-        results[label] = (mean, gb_month)
-        print(f"--- {label}: mean read {mean * 1000:7.3f} ms, "
-              f"capacity ${gb_month:.3f}/GB-month, "
-              f"requests ${ledger.request_dollars:.6f}")
-        print(cost_summary(ledger))
-        print()
+        with Kernel(seed=11) as kernel:
+            ledger = CostLedger()
+            if label == "all-hot":
+                store = MemoryStore(kernel, name="memory", ledger=ledger)
+            elif label == "all-cold":
+                store = ObjectStore(kernel, name="s3", ledger=ledger)
+            else:
+                hot = MemoryStore(kernel, name="memory", ledger=ledger)
+                cold = ObjectStore(kernel, name="s3", ledger=ledger)
+                store = TieredStore(kernel, [hot, cold], ledger=ledger)
+            mean = workload(kernel, store, label)
+            ledger.settle()
+            # Capacity price of where the data ended up resting: the
+            # steady-state dollars this placement pays per GB each month.
+            if isinstance(store, TieredStore):
+                gb_month = store.dollars_per_gb_month()
+            else:
+                gb_month = store.profile.dollars_per_gb_month
+            results[label] = (mean, gb_month)
+            print(f"--- {label}: mean read {mean * 1000:7.3f} ms, "
+                  f"capacity ${gb_month:.3f}/GB-month, "
+                  f"requests ${ledger.request_dollars:.6f}")
+            print(cost_summary(ledger))
+            print()
 
     hot_ms, hot_cost = results["all-hot"]
     cold_ms, cold_cost = results["all-cold"]

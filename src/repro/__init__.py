@@ -7,7 +7,7 @@ stateful applications on FaaS, built on a distributed shared object
 
 This package re-implements the complete system — and every substrate
 it depends on (FaaS platform, in-memory data grid, object store,
-queues, total-order multicast, a mini-Spark baseline) — on top of a
+queues, a mini-Spark baseline) — on top of a
 deterministic discrete-event simulation, so the paper's experiments
 run on a laptop in seconds.  See DESIGN.md for the experiment index.
 
@@ -30,23 +30,27 @@ Quickstart::
         print(env.run(main))  # -> 4
 
 **This module is the public API.**  Everything in Table 1 of the paper
-— plus the observability entry points (``Tracer``, ``trace_enabled``
-and the exporters in :mod:`repro.trace`) and the correctness tooling
-(``ExplorationRunner`` and the schedulers of :mod:`repro.explore`,
-``LinearizabilityChecker``/``HistoryRecorder``) and the storage layer
-(the ``StorageBackend`` protocol, the priced tiers, ``TieredStore``
-and the ``CostLedger``/``cost_summary`` accounting) and the serving
-stack (the open-loop ``OpenLoopGenerator``/``TenantSpec``/
-``RateProfile`` workloads, the shared ``ZipfSampler``, and the
-elastic ``Autoscaler``) and the coordination service (the
-ZooKeeper-like ``KeeperService`` with its sessions, recipes and the
-znode/watch-order checkers) — is re-exported
-here, and
-only names listed in ``__all__`` are covered by compatibility
-guarantees.  The ``repro.core.*``, ``repro.simulation.*``,
-``repro.faas.*``, ``repro.dso.*`` ... submodules are internal:
-import from ``repro`` (or ``repro.trace`` for the exporters), not
-from the implementation packages.
+— plus the observability entry points (``Tracer``, ``trace_enabled``,
+the span tree and Chrome exporters), the storage layer (the
+``StorageBackend`` protocol, the priced tiers, ``TieredStore`` and the
+``CostLedger``/``cost_summary`` accounting), the serving stack (the
+open-loop ``OpenLoopGenerator``/``TenantSpec``/``RateProfile``
+workloads, the shared ``ZipfSampler``, and the elastic
+``Autoscaler``) and the coordination service (the ZooKeeper-like
+``KeeperService`` with its sessions and recipes, and the
+``find_watch_violations`` audit of its watch deliveries) — is
+re-exported here, and only names listed in ``__all__`` are covered by
+compatibility guarantees.
+
+Four subpackages are public in their own right, each through its own
+``__all__``: :mod:`repro.trace` (tracer internals and exporters),
+:mod:`repro.chaos` (fault plans, injector, schedule generator),
+:mod:`repro.explore` (``ExplorationRunner`` and its schedulers) and
+:mod:`repro.linearizability` (``HistoryRecorder``, the checkers and
+their sequential models).  The ``repro.core.*``,
+``repro.simulation.*``, ``repro.faas.*``, ``repro.dso.*`` ...
+submodules are internal: import from ``repro`` or one of those four,
+not from the implementation packages.
 """
 
 from repro.config import Config, DEFAULT_CONFIG
@@ -98,28 +102,7 @@ from repro.errors import (
     TxnFracturedReadError,
     TxnPrepareLostError,
 )
-from repro.explore import (
-    ExplorationReport,
-    ExplorationRunner,
-    FifoScheduler,
-    PctScheduler,
-    RandomScheduler,
-    ScheduleTrace,
-)
-from repro.linearizability import (
-    AtomicityViolation,
-    HistoryRecorder,
-    LinearizabilityChecker,
-    Operation,
-    TxnCommitRecord,
-    TxnReadRecord,
-    WatchViolation,
-    ZnodeModel,
-    final_state_violations,
-    find_fractured_reads,
-    find_watch_violations,
-    watch_order_invariant,
-)
+from repro.linearizability import WatchViolation, find_watch_violations
 from repro.metrics import BackendBill, CostLedger, cost_summary
 from repro.storage import (
     BackendProfile,
@@ -153,7 +136,7 @@ from repro.workload import (
     ZipfSampler,
 )
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Config",
@@ -191,20 +174,6 @@ __all__ = [
     "Semaphore",
     "Future",
     "CountDownLatch",
-    "ExplorationRunner",
-    "ExplorationReport",
-    "RandomScheduler",
-    "PctScheduler",
-    "FifoScheduler",
-    "ScheduleTrace",
-    "HistoryRecorder",
-    "LinearizabilityChecker",
-    "Operation",
-    "AtomicityViolation",
-    "TxnCommitRecord",
-    "TxnReadRecord",
-    "find_fractured_reads",
-    "final_state_violations",
     "KeeperService",
     "KeeperSession",
     "WatchEvent",
@@ -218,10 +187,8 @@ __all__ = [
     "BadVersionError",
     "NotEmptyError",
     "SessionExpiredError",
-    "ZnodeModel",
     "WatchViolation",
     "find_watch_violations",
-    "watch_order_invariant",
     "StorageBackend",
     "BackendProfile",
     "ObjectStore",

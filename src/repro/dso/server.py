@@ -23,8 +23,7 @@ Table 2's latency doubling; on a node crash the surviving replicas
 take over after failure detection and acknowledged writes survive
 (``rf - 1`` joint failures tolerated, Section 4.4).
 :meth:`DsoNode.replicate` is the DSO's one replication path — a cost
-model of that round, checked against the message-passing reference in
-:mod:`repro.smr` by ``tests/dso/test_smr_properties.py``.
+model of that round.
 """
 
 from __future__ import annotations
@@ -518,6 +517,10 @@ class DsoNode:
         ordering hops once per chain: the object's ops travel to the
         backups in a single totally-ordered round, while per-op
         replica work is still paid in full.
+
+        This is a cost model of the round, not the protocol: the
+        message-passing Skeen/SMR stack it is checked against lives in
+        ``tests/oracles`` (``tests/dso/test_smr_properties.py``).
         """
         layer = self.layer
         hop = layer.config.dso.replica_replica

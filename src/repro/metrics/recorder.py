@@ -91,28 +91,19 @@ class ThroughputTracker:
         return self.count_between(start, end) / (end - start)
 
 
-def percentile(values: list[float], q: float,
-               method: str = "linear") -> float:
+def percentile(values: list[float], q: float) -> float:
     """Percentile of ``values`` (``q`` in [0, 100]).
 
-    ``method="linear"`` (the default) interpolates linearly between
-    the two closest order statistics — the sample at fractional rank
-    ``(n - 1) * q / 100`` — matching ``numpy.percentile``.  The old
-    nearest-rank rule pinned p999 to the sample *maximum* for any
-    n < 1000, overstating tail latency in every benchmark; it remains
-    available as ``method="nearest"`` for callers asserting exact
-    historical values.
+    Interpolates linearly between the two closest order statistics —
+    the sample at fractional rank ``(n - 1) * q / 100`` — matching
+    ``numpy.percentile``.  (A nearest-rank rule would pin p999 to the
+    sample *maximum* for any n < 1000, overstating tail latency.)
     """
     if not values:
         raise ValueError("percentile of empty sequence")
     if not 0 <= q <= 100:
         raise ValueError(f"q out of range: {q}")
     ordered = sorted(values)
-    if method == "nearest":
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
-    if method != "linear":
-        raise ValueError(f"unknown percentile method: {method!r}")
     position = (len(ordered) - 1) * q / 100.0
     lower = math.floor(position)
     upper = math.ceil(position)

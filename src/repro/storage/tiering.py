@@ -34,9 +34,9 @@ Correctness under concurrency and faults:
   surfaces a spurious miss for a key that still exists.
 
 The store itself satisfies the backend protocol, so anything written
-against :class:`~repro.storage.backend.StorageBackend` — the PyWren
-executor, DSO passivation, the ML dataset loaders — runs unmodified
-over tiered storage.
+against :class:`~repro.storage.backend.StorageBackend` — the Fig. 6
+map-sync strategies, DSO passivation, the ML dataset loaders — runs
+unmodified over tiered storage.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer
 from repro.linearizability import HistoryRecorder, LinearizabilityChecker
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 
 def config_with(**dso_overrides):
@@ -31,20 +30,6 @@ def config_with(**dso_overrides):
 def kernel():
     with Kernel(seed=101) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes, config=DEFAULT_CONFIG):
-    layer = DsoLayer(kernel, network, config, read_cache=True)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 class KvSpec:
@@ -70,7 +55,8 @@ def test_kill_primary_while_leases_outstanding(kernel, network):
     a live lease.  A write acknowledged by the promoted backup must
     fence it (version bump), never letting the stale snapshot serve."""
     config = config_with(lease_ttl=300.0)
-    layer = make_layer(kernel, network, nodes=3, config=config)
+    layer = make_layer(kernel, network, nodes=3,
+                       config=config, read_cache=True)
     injector = ChaosInjector(kernel, network=network, dso=layer)
     network.ensure_endpoint("writer")
 
@@ -96,7 +82,8 @@ def test_cached_reads_linearizable_under_kill_primary_schedule(kernel,
     chaos plan kills the primary mid-run.  The history must stay
     linearizable and every acknowledged write must survive."""
     config = config_with(lease_ttl=60.0)
-    layer = make_layer(kernel, network, nodes=3, config=config)
+    layer = make_layer(kernel, network, nodes=3,
+                       config=config, read_cache=True)
     injector = ChaosInjector(kernel, network=network, dso=layer)
     recorder = HistoryRecorder(clock=lambda: kernel.now)
     for i in range(3):
@@ -145,7 +132,8 @@ def test_kill_primary_mid_txn_commit_fences_leases(kernel, network):
     TTL is kept inside the retry window so the wait-out path completes
     before the commit's retry deadline."""
     config = config_with(lease_ttl=2.0)
-    layer = make_layer(kernel, network, nodes=3, config=config)
+    layer = make_layer(kernel, network, nodes=3,
+                       config=config, read_cache=True)
     injector = ChaosInjector(kernel, network=network, dso=layer)
     network.ensure_endpoint("writer")
     ctor = layer.txns.ctor()

@@ -14,7 +14,6 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.metrics.cost import CostLedger
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep
 from repro.storage import DataGrid, ObjectStore, TieredStore
@@ -31,13 +30,6 @@ def config_with(**tiering_overrides):
 def kernel():
     with Kernel(seed=71) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
 
 
 def make_tiered(kernel, network, config):

@@ -14,7 +14,6 @@ write set.
 
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer
 from repro.errors import TxnError
 from repro.linearizability import (
     final_state_violations,
@@ -23,16 +22,10 @@ from repro.linearizability import (
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 KEYS = ("a", "b")
 ROUNDS = 5
-
-
-def make_layer(kernel, network, nodes=3):
-    layer = DsoLayer(kernel, network)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 def collect_final_cids(layer):
@@ -57,7 +50,7 @@ def test_kill_primary_mid_commit_installs_exactly_acked(chaos_seed):
     with Kernel(seed=chaos_seed) as kernel:
         network = Network(kernel, LatencyModel(0.0001))
         network.ensure_endpoint("client")
-        layer = make_layer(kernel, network)
+        layer = make_layer(kernel, network, nodes=3)
         injector = ChaosInjector(kernel, network=network, dso=layer)
 
         def main():
@@ -97,7 +90,7 @@ def test_concurrent_txns_with_reader_audit_under_crash(chaos_seed):
     with Kernel(seed=chaos_seed) as kernel:
         network = Network(kernel, LatencyModel(0.0001))
         network.ensure_endpoint("client")
-        layer = make_layer(kernel, network)
+        layer = make_layer(kernel, network, nodes=3)
         injector = ChaosInjector(kernel, network=network, dso=layer)
         keys = ("x", "y", "z")
 

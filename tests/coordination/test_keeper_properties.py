@@ -12,7 +12,9 @@ both the random-preemption and PCT schedulers:
 
 import pytest
 
-from repro import ExplorationRunner, KeeperService, watch_order_invariant
+from repro import KeeperService
+from repro.explore import ExplorationRunner
+from repro.linearizability import watch_order_invariant
 from repro.simulation.thread import sleep, spawn
 
 CREATORS = 3

@@ -12,12 +12,11 @@ import pytest
 
 from repro import AtomicLong, CloudThread, CrucialEnvironment
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer
 from repro.dso.cache import LeaseTable, ObjectCache, is_readonly, readonly
 from repro.dso.layer import KvSlot
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 
 def config_with(**dso_overrides):
@@ -30,21 +29,6 @@ def config_with(**dso_overrides):
 def kernel():
     with Kernel(seed=101) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes, config=DEFAULT_CONFIG,
-               read_cache=True):
-    layer = DsoLayer(kernel, network, config, read_cache=read_cache)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +83,7 @@ def test_object_cache_evicts_lru():
 
 
 def test_warm_read_served_from_cache(kernel, network):
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
 
     def main():
         layer.put("client", "k", "v")
@@ -119,7 +103,7 @@ def test_warm_read_served_from_cache(kernel, network):
 
 
 def test_cache_disabled_by_default(kernel, network):
-    layer = make_layer(kernel, network, nodes=1, read_cache=False)
+    layer = make_layer(kernel, network)
 
     def main():
         layer.put("client", "k", "v")
@@ -134,7 +118,7 @@ def test_cache_disabled_by_default(kernel, network):
 
 
 def test_write_revokes_lease_before_acknowledging(kernel, network):
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
     network.ensure_endpoint("writer")
 
     def main():
@@ -151,7 +135,7 @@ def test_write_revokes_lease_before_acknowledging(kernel, network):
 
 def test_lease_expires_by_ttl(kernel, network):
     config = config_with(lease_ttl=1.0)
-    layer = make_layer(kernel, network, nodes=1, config=config)
+    layer = make_layer(kernel, network, config=config, read_cache=True)
 
     def main():
         layer.put("client", "k", "v")
@@ -169,7 +153,7 @@ def test_unreachable_holder_is_waited_out(kernel, network):
     holder's lease TTL before acknowledging — no cached read can be
     served after the ack even though the revoke message was lost."""
     config = config_with(lease_ttl=2.0)
-    layer = make_layer(kernel, network, nodes=1, config=config)
+    layer = make_layer(kernel, network, config=config, read_cache=True)
     network.ensure_endpoint("writer")
     (node_name,) = layer.nodes
 
@@ -194,7 +178,7 @@ def test_revocation_stalls_for_the_slowest_hop_not_the_sum(kernel, network):
     """Six reachable holders are invalidated in one hop: the write
     stalls for about one node -> client flight, where one blocking
     invalidation per holder cost six."""
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
     holders = [f"reader-{i}" for i in range(6)]
     for name in holders + ["writer"]:
         network.ensure_endpoint(name)
@@ -230,7 +214,7 @@ def test_holder_lost_mid_invalidation_is_waited_out(kernel, network, fault):
     waits out that lease — while the reachable holder was invalidated
     in one hop — and no read that starts after the ack is stale."""
     config = config_with(lease_ttl=2.0)
-    layer = make_layer(kernel, network, nodes=1, config=config)
+    layer = make_layer(kernel, network, config=config, read_cache=True)
     for name in ("lost", "near", "writer"):
         network.ensure_endpoint(name)
     (node_name,) = layer.nodes
@@ -283,7 +267,7 @@ def test_holder_lost_mid_invalidation_is_waited_out(kernel, network, fault):
 
 def test_lru_eviction_respects_configured_limit(kernel, network):
     config = config_with(cache_max_objects=2)
-    layer = make_layer(kernel, network, nodes=1, config=config)
+    layer = make_layer(kernel, network, config=config, read_cache=True)
 
     def main():
         for key in ("a", "b", "c"):
@@ -302,7 +286,8 @@ def test_failover_invalidates_leases_via_version(kernel, network):
     under a still-unexpired lease re-fetches instead of serving the
     pre-crash snapshot."""
     config = config_with(lease_ttl=120.0)  # far beyond detection time
-    layer = make_layer(kernel, network, nodes=3, config=config)
+    layer = make_layer(kernel, network, nodes=3,
+                       config=config, read_cache=True)
     network.ensure_endpoint("writer")
 
     def main():
@@ -322,7 +307,7 @@ def test_failover_invalidates_leases_via_version(kernel, network):
 
 def test_delete_purges_cached_snapshots(kernel, network):
     config = config_with(lease_ttl=120.0)
-    layer = make_layer(kernel, network, nodes=1, config=config)
+    layer = make_layer(kernel, network, config=config, read_cache=True)
 
     def main():
         layer.put("client", "k", "old")
@@ -336,7 +321,7 @@ def test_delete_purges_cached_snapshots(kernel, network):
 
 
 def test_drop_endpoint_cache_forgets_working_set(kernel, network):
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
 
     def main():
         layer.put("client", "k", "v")
@@ -360,7 +345,7 @@ def test_txn_commit_revokes_lease_before_acknowledging(kernel, network):
     """A reader's lease on a TxnCell is revoked before the writing
     transaction's commit acknowledges — the txn write path honours
     the same coherence contract as plain writes."""
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
     network.ensure_endpoint("writer")
     ctor = layer.txns.ctor()
     ref = layer.txns.ref("k", 1)
@@ -391,7 +376,7 @@ def test_mid_txn_lease_on_written_key_is_fenced_at_commit(
     (the txn's own read of a key it then writes) is invalidated by
     the commit, so no later cached read serves the pre-commit
     snapshot."""
-    layer = make_layer(kernel, network, nodes=1)
+    layer = make_layer(kernel, network, read_cache=True)
     ctor = layer.txns.ctor()
     ref = layer.txns.ref("k", 1)
 

@@ -15,10 +15,11 @@ objects on the node do not queue behind it.
 
 import pytest
 
-from repro import ExplorationRunner, LinearizabilityChecker
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoLayer, DsoReference
 from repro.dso.cache import readonly
+from repro.explore import ExplorationRunner
+from repro.linearizability import LinearizabilityChecker
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn

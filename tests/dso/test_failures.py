@@ -3,11 +3,11 @@
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer, DsoReference
+from repro.dso import DsoReference
 from repro.errors import ObjectLostError
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 
 class Counter:
@@ -33,20 +33,6 @@ def ref(key, persistent=False, rf=1):
 def kernel():
     with Kernel(seed=101) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes):
-    layer = DsoLayer(kernel, network)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 def test_backup_crash_is_transparent(kernel, network):

@@ -17,12 +17,12 @@ import dataclasses
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer
 from repro.dso import layer as dso_layer
 from repro.errors import NetworkError
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 
 def config_with(**dso_overrides):
@@ -42,12 +42,6 @@ def network(kernel):
     net = Network(kernel, LatencyModel(0.0001))
     net.ensure_endpoint("writer")
     return net
-
-
-def make_layer(kernel, network, config=DEFAULT_CONFIG, read_cache=False):
-    layer = DsoLayer(kernel, network, config, read_cache=read_cache)
-    layer.add_node()
-    return layer
 
 
 # ---------------------------------------------------------------------------

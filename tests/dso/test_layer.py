@@ -10,9 +10,9 @@ from repro.errors import (
     ObjectLostError,
     ServiceUnavailableError,
 )
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import now, sleep, spawn
+from tests.conftest import make_layer
 
 
 class Counter:
@@ -33,20 +33,6 @@ class Counter:
 def kernel():
     with Kernel(seed=37) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes=1):
-    layer = DsoLayer(kernel, network)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 CTOR = (Counter, (), {})

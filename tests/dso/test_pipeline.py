@@ -11,11 +11,11 @@ import dataclasses
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer, DsoReference
+from repro.dso import DsoReference
 from repro.errors import SerializationError
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep
+from tests.conftest import make_layer
 
 
 def config_with(**dso_overrides):
@@ -28,21 +28,6 @@ def config_with(**dso_overrides):
 def kernel():
     with Kernel(seed=11) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes=1, config=DEFAULT_CONFIG,
-               read_cache=False):
-    layer = DsoLayer(kernel, network, config, read_cache=read_cache)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 def test_flush_resolves_submitted_futures(kernel, network):

@@ -11,13 +11,13 @@ import weakref
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer, DsoReference
+from repro.dso import DsoReference
 from repro.dso.session import SessionStamp, SessionTable
 from repro.errors import SessionReplayError
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
 from repro.storage import ObjectStore
+from tests.conftest import make_layer
 
 
 class Counter:
@@ -43,20 +43,6 @@ def ref(key, rf=1):
 def kernel():
     with Kernel(seed=7) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes):
-    layer = DsoLayer(kernel, network)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 # -- the table itself ---------------------------------------------------------
@@ -297,7 +283,7 @@ def test_dedup_hit_emits_trace_span(kernel, network):
 def test_smr_invoke_with_stamp_dedups(kernel, network):
     from repro.cluster.membership import MembershipService
     from repro.cluster.node import Node
-    from repro.smr.replica import ReplicatedStateMachine
+    from tests.oracles.replica import ReplicatedStateMachine
 
     membership = MembershipService(kernel, failure_detection_delay=1.0)
     for name in ("a", "b", "c"):

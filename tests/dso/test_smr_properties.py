@@ -1,10 +1,11 @@
 """Property-based tests: SMR replicas stay byte-identical.
 
 The DSO layer replicates through a *cost model* of the ordering round
-(``DsoNode.replicate``); :mod:`repro.smr` implements the same contract
-from scratch over message-passing total-order multicast.  Both run the
-same generated plans here and must satisfy the same properties — that
-is what keeps ``repro.smr`` a reference the layer is checked against.
+(``DsoNode.replicate``); :mod:`tests.oracles.replica` implements the
+same contract from scratch over message-passing total-order multicast.
+Both run the same generated plans here and must satisfy the same
+properties — that is what makes the oracle a reference the layer is
+checked against.
 """
 
 import pickle
@@ -19,7 +20,7 @@ from repro.dso.session import SessionStamp
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import spawn
-from repro.smr import ReplicatedStateMachine
+from tests.oracles.replica import ReplicatedStateMachine
 
 REPLICAS = 3
 
@@ -85,7 +86,7 @@ class DsoMachine:
 
 
 class SmrMachine:
-    """The same Ledger behind ``repro.smr``'s multicast rounds."""
+    """The same Ledger behind the oracle's multicast rounds."""
 
     def __init__(self, kernel, network):
         membership = MembershipService(kernel, failure_detection_delay=1.0)

@@ -11,13 +11,12 @@ and the ``txn-failover`` hunt in ``tests/explore/test_guarantees.py``.
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG
-from repro.dso import DsoLayer, DsoReference
+from repro.dso import DsoReference
 from repro.errors import TxnAbortedError, TxnPrepareLostError
 from repro.linearizability import find_fractured_reads
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
+from tests.conftest import make_layer
 
 
 class Counter:
@@ -41,20 +40,6 @@ CTOR = (Counter, (), {})
 def kernel():
     with Kernel(seed=37) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
-
-
-def make_layer(kernel, network, nodes=1):
-    layer = DsoLayer(kernel, network)
-    for _ in range(nodes):
-        layer.add_node()
-    return layer
 
 
 def cell_ref(key, rf=1):

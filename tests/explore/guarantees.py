@@ -25,24 +25,23 @@ from typing import Any, Callable, Iterator
 
 from repro import (
     AtomicLong,
-    ExplorationRunner,
     KeeperService,
-    LinearizabilityChecker,
     OpenLoopGenerator,
     RateProfile,
     TenantSpec,
-    watch_order_invariant,
 )
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoReference
 from repro.errors import TxnError
-from repro.explore import ExplorationReport
+from repro.explore import ExplorationReport, ExplorationRunner
 from repro.harness.serving import serving_config
 from repro.linearizability import (
     CounterModel,
+    LinearizabilityChecker,
     final_state_violations,
     find_fractured_reads,
+    watch_order_invariant,
 )
 from repro.mutation import PLANTED
 from repro.net import LatencyModel

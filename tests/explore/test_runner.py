@@ -10,9 +10,10 @@ composition, and CI artifact dumping.
 import json
 import os
 
-from repro import AtomicLong, ExplorationRunner, LinearizabilityChecker
+from repro import AtomicLong
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.linearizability import CounterModel
+from repro.explore import ExplorationRunner
+from repro.linearizability import CounterModel, LinearizabilityChecker
 from repro.simulation.thread import sleep, spawn
 
 COUNTER = "explore-counter"

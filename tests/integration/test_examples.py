@@ -12,15 +12,7 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
-EXAMPLES = [
-    "quickstart",
-    "kmeans_clustering",
-    "logistic_regression",
-    "santa_claus",
-    "fault_tolerance",
-    "map_reduce_sync",
-    "pywren_vs_crucial",
-]
+EXAMPLES = sorted(path.stem for path in EXAMPLES_DIR.glob("*.py"))
 
 
 def load_example(name: str):

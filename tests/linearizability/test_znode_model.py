@@ -14,13 +14,15 @@ from dataclasses import replace
 from repro import (
     CrucialEnvironment,
     KeeperService,
-    LinearizabilityChecker,
     NodeExistsError,
     NoNodeError,
-    ZnodeModel,
 )
 from repro.coordination.keeper import _KeeperTree
-from repro.linearizability import HistoryRecorder
+from repro.linearizability import (
+    HistoryRecorder,
+    LinearizabilityChecker,
+    ZnodeModel,
+)
 from repro.simulation.thread import sleep, spawn
 
 #: One op per line: (method, args).  Exercises every result shape and

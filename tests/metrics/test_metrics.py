@@ -71,17 +71,11 @@ def test_throughput_tracker_out_of_order_record():
     assert tracker.count_between(0.0, 1.5) == 2
 
 
-def test_percentile_nearest_rank():
-    values = [float(v) for v in range(1, 101)]
-    assert percentile(values, 50, method="nearest") == 50.0
-    assert percentile(values, 99, method="nearest") == 99.0
-    assert percentile(values, 100, method="nearest") == 100.0
+def test_percentile_rejects_empty_input_and_q_out_of_range():
     with pytest.raises(ValueError):
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 150)
-    with pytest.raises(ValueError):
-        percentile([1.0], 50, method="median-of-vibes")
 
 
 def test_percentile_linear_interpolation():
@@ -95,10 +89,8 @@ def test_percentile_linear_interpolation():
 
 def test_percentile_p999_no_longer_pins_to_max():
     """Regression: nearest-rank pinned p999 to the sample maximum for
-    any n < 1000; the interpolated default must sit below a lone
-    outlier."""
+    any n < 1000; interpolation must sit below a lone outlier."""
     values = [1.0] * 99 + [1000.0]
-    assert percentile(values, 99.9, method="nearest") == 1000.0
     assert percentile(values, 99.9) < 1000.0
     assert percentile(values, 99.9) == pytest.approx(1.0 + 999 * 0.901)
 
@@ -112,19 +104,18 @@ def test_percentile_p999_no_longer_pins_to_max():
                               allow_nan=False), min_size=1, max_size=40),
     qs=st.tuples(st.floats(min_value=0, max_value=100),
                  st.floats(min_value=0, max_value=100)),
-    method=st.sampled_from(["linear", "nearest"]),
 )
 # Equal neighbours used to blend to an ulp off the sample: below the
 # minimum, above the maximum, and out of order in q.
-@example(values=[0.000228, 0.000228], qs=(0.8, 1.7), method="linear")
+@example(values=[0.000228, 0.000228], qs=(0.8, 1.7))
 @example(values=[-767685.9258694759] * 4,
-         qs=(20.12000617915647, 90.53894035696106), method="linear")
+         qs=(20.12000617915647, 90.53894035696106))
 @example(values=[-509148.28389608726] * 2,
-         qs=(56.02575960634735, 60.53527496610309), method="linear")
-def test_percentile_monotone_and_bounded(values, qs, method):
+         qs=(56.02575960634735, 60.53527496610309))
+def test_percentile_monotone_and_bounded(values, qs):
     lo, hi = sorted(qs)
-    p_lo = percentile(values, lo, method=method)
-    p_hi = percentile(values, hi, method=method)
+    p_lo = percentile(values, lo)
+    p_hi = percentile(values, hi)
     assert p_lo <= p_hi
     assert min(values) <= p_lo <= max(values)
     assert min(values) <= p_hi <= max(values)

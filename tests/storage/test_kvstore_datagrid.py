@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
-from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import now, spawn
 from repro.storage import DataGrid, RedisCluster
@@ -15,13 +14,6 @@ from repro.storage.kvstore import Script
 def kernel():
     with Kernel(seed=29) as k:
         yield k
-
-
-@pytest.fixture
-def network(kernel):
-    net = Network(kernel, LatencyModel(0.0001))
-    net.ensure_endpoint("client")
-    return net
 
 
 # -- Redis ---------------------------------------------------------------------

@@ -43,15 +43,13 @@ class PiEstimator:
 
 
 def estimate_pi(n_threads: int, iterations_per_thread: int = 100_000_000,
-                counter_key: str = "counter",
-                pre_warm: bool = True) -> tuple[float, float]:
+                counter_key: str = "counter") -> tuple[float, float]:
     """Run Listing 1's fork/join; returns ``(pi_estimate, elapsed)``.
 
     Must be called from inside ``env.run(...)``.
     """
     env = current_environment()
-    if pre_warm:
-        env.pre_warm(n_threads)
+    env.pre_warm(n_threads)
     start = env.now
     threads = [
         CloudThread(PiEstimator(iterations_per_thread, counter_key, seed=i))

@@ -9,9 +9,10 @@ from the hash point is the object's replica set.
 Properties verified by the test suite:
 
 * balance — with enough virtual nodes, keys spread near-uniformly;
-* monotonicity — adding/removing one member only moves keys to/from
-  that member (minimal service interruption, the property Section 4.1
-  calls out for persistent objects);
+* monotonicity — adding one member only moves keys to it, and the
+  ring rebuilt without one member only moves that member's keys
+  (minimal service interruption, the property Section 4.1 calls out
+  for persistent objects; the DSO rebuilds its ring from every view);
 * disjoint replica sets — ``preference_list`` returns distinct nodes.
 """
 
@@ -42,10 +43,6 @@ class ConsistentHashRing:
 
     # -- membership ---------------------------------------------------------
 
-    @property
-    def members(self) -> frozenset[str]:
-        return frozenset(self._members)
-
     def __len__(self) -> int:
         return len(self._members)
 
@@ -61,16 +58,6 @@ class ConsistentHashRing:
                 point = (point + 1) % (1 << 64)
             self._owners[point] = member
             bisect.insort(self._points, point)
-
-    def remove(self, member: str) -> None:
-        if member not in self._members:
-            raise ValueError(f"member {member!r} not on the ring")
-        self._members.discard(member)
-        points = [p for p, owner in self._owners.items() if owner == member]
-        for point in points:
-            del self._owners[point]
-            index = bisect.bisect_left(self._points, point)
-            del self._points[index]
 
     # -- lookup -------------------------------------------------------------
 

@@ -454,7 +454,6 @@ class KeeperService:
                  session_ttl: float = 3.0, pump_period: float = 0.1,
                  sweep_period: float | None = None,
                  recorder: HistoryRecorder | None = None,
-                 history_key: str | None = None,
                  env: CrucialEnvironment | None = None):
         self._env = env if env is not None else current_environment()
         self.name = name
@@ -463,7 +462,7 @@ class KeeperService:
         self.sweep_period = (sweep_period if sweep_period is not None
                              else session_ttl / 3.0)
         self._recorder = recorder
-        self._history_key = history_key or f"keeper:{name}"
+        self._record_key = f"keeper:{name}"
         # rf>=2 keeper trees are persistent DSO objects: SMR-replicated,
         # so the zxid log and every ephemeral/watch survives a primary
         # crash.  rf=1 is for cheap single-node test setups.
@@ -509,7 +508,7 @@ class KeeperService:
                 return ("err", type(exc).__name__)
 
         outcome = self._recorder.record(current_location(), method, args,
-                                        attempt, key=self._history_key)
+                                        attempt, key=self._record_key)
         if isinstance(outcome, tuple) and len(outcome) == 2 \
                 and outcome[0] == "err" and outcome[1] in _ERRORS:
             raise _ERRORS[outcome[1]](f"{method} {args[:1]}: {outcome[1]}")
@@ -577,7 +576,7 @@ class KeeperService:
         if expired and self._recorder is not None:
             self._recorder.add(current_location(), "expire_sessions",
                                (now,), expired, invoked,
-                               self._env.now, key=self._history_key)
+                               self._env.now, key=self._record_key)
         for sid, _deleted in expired:
             local = self._sessions.pop(sid, None)
             if local is not None:

@@ -210,14 +210,13 @@ class MapSyncExperiment:
         self.draws = draws
         self.run_id = run_id or f"mapsync-{strategy_name}"
 
-    def execute(self, pre_warm: bool = True) -> MapSyncResult:
+    def execute(self) -> MapSyncResult:
         env = current_environment()
         strategy = STRATEGIES[self.strategy_name](self.run_id,
                                                   self.n_threads)
         if hasattr(strategy, "setup"):
             strategy.setup()
-        if pre_warm:
-            env.pre_warm(self.n_threads)
+        env.pre_warm(self.n_threads)
         start = env.now
         threads = [
             CloudThread(MapSyncWorker(strategy, i, self.draws))

@@ -42,7 +42,7 @@ from repro.dso.reference import DsoReference
 from repro.dso.server import TRANSIENT, DsoNode
 from repro.dso.session import ClientSessions, SessionStamp
 from repro.dso.txn import Transactions, Txn
-from repro.errors import NetworkError, NoSuchObjectError, ObjectLostError
+from repro.errors import NetworkError, NoSuchObjectError
 from repro.mutation import PLANTED
 from repro.net.network import Network, ship
 from repro.simulation.kernel import Kernel, current_thread
@@ -321,15 +321,12 @@ class DsoLayer:
         return delay < remaining
 
     def _retry_transient(self, attempt: Callable[..., Any], *args,
-                         lost_ref: DsoReference | None = None,
                          span=None) -> Any:
         """Run ``attempt(*args)`` until it succeeds, retrying transient
         infrastructure failures until failure detection re-homes the
         object or the retry window closes (the last failure then
-        surfaces).  ``lost_ref`` turns a retry against an object that
-        a view change declared lost into :class:`ObjectLostError`.
-        The one retry loop: every shipped batch (a blocking call's
-        included), ``read_bulk`` and ``read_any`` run under it.
+        surfaces).  The one retry loop: every shipped batch (a blocking
+        call's included) and ``read_bulk`` run under it.
         """
         started = self.kernel.now  # the window opens with the operation
         attempts = 0
@@ -337,12 +334,8 @@ class DsoLayer:
             attempts += 1
             try:
                 result = attempt(*args)
-            except TRANSIENT as exc:
+            except TRANSIENT:
                 self.stats.retries += 1
-                if lost_ref is not None and self.placements.lost(lost_ref):
-                    raise ObjectLostError(
-                        f"{lost_ref} was lost in a storage-node failure"
-                    ) from exc
                 if not self.backoff(attempts,
                                     started + self.retry_window()):
                     raise
@@ -522,7 +515,7 @@ class DsoLayer:
                 pipeline.drain()
 
     # ------------------------------------------------------------------
-    # Weaker reads: bulk sweeps and any-replica reads
+    # Bulk reads: one request per hosting node
     # ------------------------------------------------------------------
 
     def read_bulk(self, client: str, refs: Sequence[DsoReference],
@@ -586,38 +579,3 @@ class DsoLayer:
             self._retry_transient(attempt)
             self.stats.invocations += len(refs)
             return self.shippable(results)
-
-    def read_any(self, client: str, ref: DsoReference, method: str,
-                 args: tuple = (), cost: float = 0.0) -> Any:
-        """Eventually-consistent read from a *random* replica.
-
-        The paper leaves weaker consistency models as future work
-        (Section 7); this extension implements the obvious one: a read
-        served by any replica, without the per-object lock or the SMR
-        ordering round.  It can return stale state while a write is in
-        flight, but halves the latency of replicated reads and spreads
-        load across replicas.
-
-        Transient infrastructure failures (replica crashed or lost the
-        container to a rebalance mid-read) are retried against a fresh
-        replica choice under the same deadline/backoff policy as
-        :meth:`invoke` — internal routing errors never escape to the
-        caller.
-        """
-        def attempt() -> Any:
-            replicas = self.placements.lookup(ref).replicas
-            rng = self.kernel.rng.stream(f"dso.{self.name}.anyread")
-            target = replicas[int(rng.integers(0, len(replicas)))]
-            tracer = self.kernel.tracer
-            with (tracer.span(f"dso.read_any:{ref.type_name}.{method}",
-                              kind="client", endpoint=client,
-                              attributes={"key": ref.key, "replica": target})
-                  if tracer.enabled else NO_SPAN):
-                node = self.live_node(target)
-                self.connect(client, target)
-                self.network.transfer(client, target, (method, args))
-                result = node.read_local(ref, method, args, cost)
-                return self.network.transfer(target, client, result)
-
-        self._preflight(client)
-        return self._retry_transient(attempt, lost_ref=ref)

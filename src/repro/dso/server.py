@@ -577,33 +577,6 @@ class DsoNode:
             if charge_hops:
                 current_thread().sleep(hop.sample(rng))  # commit round back
 
-    # ------------------------------------------------------------------
-    # Unordered reads (no object lock, no SMR round)
-    # ------------------------------------------------------------------
-
-    def read_local(self, ref: DsoReference, method: str, args: tuple,
-                   cost: float) -> Any:
-        """Serve ``read_any``: apply a read on whatever this replica
-        holds, charging one worker slot and the method's service time."""
-        container = self.containers.get(ref.ident)
-        if container is None or container.dead:
-            raise StaleContainer(f"{ref} not hosted on {self.name}")
-        self.node.workers.acquire()
-        try:
-            current_thread().sleep(
-                (self.layer.config.dso.method_call_overhead + cost)
-                * self.slow_factor)
-            if not self.alive or container.dead:
-                raise NodeCrashedError(
-                    f"{self.name} crashed during {ref}.{method} read")
-            ok, result = container.apply(method, args, {}, None)
-        finally:
-            self.node.workers.release()
-        if not ok:
-            raise result
-        self.layer.stats.invocations += 1
-        return result
-
     def read_group(self, refs: Sequence[DsoReference], method: str,
                    per_read_cost: float) -> list[Any]:
         """Serve one ``read_bulk`` group: one worker slot for the whole

@@ -1,6 +1,7 @@
-"""Measurement and reporting: time series, AWS costs, result tables."""
+"""Measurement and reporting: event rates, percentiles, AWS costs,
+result tables."""
 
-from repro.metrics.recorder import ThroughputTracker, TimeSeries, percentile
+from repro.metrics.recorder import ThroughputTracker, percentile
 from repro.metrics.cost import BackendBill, CostLedger, CostModel, ExperimentCost
 from repro.metrics.report import (
     cache_summary,
@@ -11,7 +12,6 @@ from repro.metrics.report import (
 )
 
 __all__ = [
-    "TimeSeries",
     "ThroughputTracker",
     "percentile",
     "BackendBill",

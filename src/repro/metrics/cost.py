@@ -112,30 +112,29 @@ class ExperimentCost:
 class CostModel:
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.prices = config.prices
+        #: The EMR cluster: the configured workers plus one master.
+        self.spark_nodes = config.spark.worker_nodes + 1
 
     # -- Crucial -------------------------------------------------------------------
 
-    def crucial_rate_per_second(self, functions: int, memory_mb: int,
-                                storage_nodes: int = 1) -> float:
-        """$/s while all functions and the DSO node(s) are running.
+    def crucial_rate_per_second(self, functions: int,
+                                memory_mb: int) -> float:
+        """$/s while all functions and the one DSO node are running.
 
         With 80 x 1792 MB this is ~0.25 cents/s, with 80 x 2048 MB
         ~0.28 cents/s — Section 6.2.3's quoted rates.
         """
         lambda_rate = (functions * (memory_mb / 1024.0)
                        * self.prices.lambda_gb_second)
-        storage_rate = (storage_nodes
-                        * self.prices.ec2_r5_2xlarge_hour / 3600.0)
+        storage_rate = self.prices.ec2_r5_2xlarge_hour / 3600.0
         return lambda_rate + storage_rate
 
     def crucial_experiment(self, label: str, total_seconds: float,
                            iteration_seconds: float, functions: int,
-                           memory_mb: int, storage_nodes: int = 1,
-                           invocations: int | None = None) -> ExperimentCost:
-        rate = self.crucial_rate_per_second(functions, memory_mb,
-                                            storage_nodes)
-        requests = (invocations if invocations is not None
-                    else functions) * self.prices.lambda_per_request
+                           memory_mb: int) -> ExperimentCost:
+        """One invocation per function, billed for the whole run."""
+        rate = self.crucial_rate_per_second(functions, memory_mb)
+        requests = functions * self.prices.lambda_per_request
         return ExperimentCost(
             label=label,
             total_seconds=total_seconds,
@@ -145,21 +144,18 @@ class CostModel:
 
     # -- Spark on EMR -----------------------------------------------------------------
 
-    def spark_rate_per_second(self, worker_nodes: int = 10,
-                              master_nodes: int = 1) -> float:
+    def spark_rate_per_second(self) -> float:
         """$/s of the EMR cluster: EC2 + EMR surcharge per node.
 
         11 m5.2xlarge nodes cost ~0.15 cents/s (Section 6.2.3).
         """
-        nodes = worker_nodes + master_nodes
         per_node_hour = (self.prices.ec2_m5_2xlarge_hour
                          + self.prices.emr_m5_2xlarge_hour)
-        return nodes * per_node_hour / 3600.0
+        return self.spark_nodes * per_node_hour / 3600.0
 
     def spark_experiment(self, label: str, total_seconds: float,
-                         iteration_seconds: float,
-                         worker_nodes: int = 10) -> ExperimentCost:
-        rate = self.spark_rate_per_second(worker_nodes)
+                         iteration_seconds: float) -> ExperimentCost:
+        rate = self.spark_rate_per_second()
         return ExperimentCost(
             label=label,
             total_seconds=total_seconds,

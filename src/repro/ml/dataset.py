@@ -100,20 +100,6 @@ class MLDataset:
         self._cache[index] = data
         return data
 
-    def upload(self, store: StorageBackend) -> list[PartitionInfo]:
-        """PUT all partitions to the store at nominal size.
-
-        Must run inside a simulated thread (charges the backend's
-        write latencies and request fees).
-        """
-        infos = []
-        for index in range(self.partitions):
-            info = self.partition_info(index)
-            store.put(info.key, self.materialize(index),
-                      nbytes=info.nominal_bytes)
-            infos.append(info)
-        return infos
-
     def install(self, store: StorageBackend) -> list[PartitionInfo]:
         """Place partitions in the store *without* charging upload
         time (the dataset pre-exists the experiment, as in the paper).

@@ -95,16 +95,15 @@ class InferenceRunResult:
 
 
 def run_inference_load(run_id: str, n_threads: int, duration: float,
-                       n_objects: int = 200, rf: int = 2,
-                       pre_warm: bool = True) -> InferenceRunResult:
+                       n_objects: int = 200,
+                       rf: int = 2) -> InferenceRunResult:
     """Drive the closed-loop load; call inside ``env.run(...)``.
 
     Fault injection (crash/add nodes) is the caller's business — see
     the Fig. 8 harness.
     """
     env = current_environment()
-    if pre_warm:
-        env.pre_warm(n_threads)
+    env.pre_warm(n_threads)
     start = env.now
     threads = [
         CloudThread(InferenceWorker(i, run_id, n_objects, duration, rf))

@@ -192,12 +192,11 @@ class CrucialKMeans:
         self.convergence_delta = convergence_delta
         self.retry_policy = retry_policy
 
-    def train(self, pre_warm: bool = True) -> KMeansResult:
+    def train(self) -> KMeansResult:
         """Run the full job; call from inside ``env.run(...)``."""
         env = current_environment()
         self.dataset.install(env.object_store)
-        if pre_warm:
-            env.pre_warm(self.workers)
+        env.pre_warm(self.workers)
         rng = np.random.Generator(np.random.PCG64(self.seed))
         initial = mlmath.init_centroids(rng, self.k, self.dataset.features)
         start = env.now

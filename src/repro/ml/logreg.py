@@ -133,11 +133,10 @@ class CrucialLogisticRegression:
         self.seed = seed
         self.retry_policy = retry_policy
 
-    def train(self, pre_warm: bool = True) -> LogRegResult:
+    def train(self) -> LogRegResult:
         env = current_environment()
         self.dataset.install(env.object_store)
-        if pre_warm:
-            env.pre_warm(self.workers)
+        env.pre_warm(self.workers)
         initial = np.zeros(self.dataset.features)
         start = env.now
         runnables = [

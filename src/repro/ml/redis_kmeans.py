@@ -141,13 +141,12 @@ class RedisKMeans:
         self.run_id = run_id
         self.seed = seed
 
-    def train(self, pre_warm: bool = True) -> RedisKMeansResult:
+    def train(self) -> RedisKMeansResult:
         env = current_environment()
         redis = env.redis()
         register_scripts(redis)
         self.dataset.install(env.object_store)
-        if pre_warm:
-            env.pre_warm(self.workers)
+        env.pre_warm(self.workers)
         rng = np.random.Generator(np.random.PCG64(self.seed))
         initial = mlmath.init_centroids(rng, self.k,
                                         self.dataset.features)

@@ -4,8 +4,8 @@ A remote call is modelled in the *caller's* simulated thread:
 
 1. request transfer (link latency; fails if the server is down),
 2. admission to one of the server's worker threads (FIFO),
-3. the handler body, which charges service time and may block on
-   server-side conditions (parking releases the worker),
+3. the handler body, which charges service time while it holds the
+   worker,
 4. a liveness check — if the server crashed while serving, the caller
    sees :class:`NodeCrashedError`,
 5. response transfer back.
@@ -26,12 +26,12 @@ from repro.simulation.kernel import current_thread
 
 
 class ServerCall:
-    """Context handed to RPC handlers.
+    """Context handed to RPC handlers: the serving node, the calling
+    endpoint and operation, and :meth:`service` to charge CPU time.
 
-    Exposes the serving node and *parking*: a handler that must wait
-    for another request (e.g. a barrier) parks, releasing its worker
-    thread so the node can keep serving — the wait()/notify() pattern
-    Section 5 describes for synchronization objects.
+    The call holds one of the node's worker threads from admission to
+    reply.  Section 5's wait()/notify() lives in the DSO
+    (``ServerCondition``), not here.
     """
 
     def __init__(self, server: "RpcServer", client: str, op: str):
@@ -39,34 +39,6 @@ class ServerCall:
         self.node = server.node
         self.client = client
         self.op = op
-        self._parked = False
-        self._admitted = False
-
-    # Admission control ------------------------------------------------------
-
-    def _admit(self) -> None:
-        self.node.workers.acquire()
-        self._admitted = True
-
-    def _leave(self) -> None:
-        if self._admitted:
-            self.node.workers.release()
-            self._admitted = False
-
-    def park(self) -> None:
-        """Release the worker thread while blocked on a condition."""
-        if self._parked:
-            return
-        self._parked = True
-        self._leave()
-
-    def unpark(self) -> None:
-        """Re-acquire a worker thread after waking."""
-        if not self._parked:
-            return
-        self.node.workers.acquire()
-        self._admitted = True
-        self._parked = False
 
     def service(self, duration: float) -> None:
         """Charge ``duration`` seconds of server CPU to this call."""
@@ -104,7 +76,7 @@ class RpcServer:
         shipped_args = network.transfer(client, self.node.name, args)
         epoch = self.node.epoch
         call = ServerCall(self, client, op)
-        call._admit()
+        self.node.workers.acquire()
         try:
             result: Any = None
             error: BaseException | None = None
@@ -120,7 +92,7 @@ class RpcServer:
                 raise NodeCrashedError(
                     f"{self.node.name} crashed while serving {op!r}")
         finally:
-            call._leave()
+            self.node.workers.release()
         self.calls_served += 1
         response = network.transfer(self.node.name, client,
                                     result if error is None else error)

@@ -428,10 +428,9 @@ class Kernel:
     def _next_event(self):
         """Pop the event to dispatch next, or ``None`` to re-examine.
 
-        Without a scheduler this is a plain heap pop (cancelled events
-        yield ``None``): the historical, byte-stable ``(time, seq)``
-        order.  With one, every pop becomes a *scheduling point*: all
-        live events ready at the minimum virtual time are offered to
+        Only the loop's scheduler path calls this, with a live event at
+        the heap's head.  Every pop is a *scheduling point*: all live
+        events ready at the minimum virtual time are offered to
         ``scheduler.decide(time, entries)`` — ``entries`` being
         ``(seq, item)`` pairs in FIFO order — which returns the chosen
         index plus a bounded extra delay.  A positive delay re-enqueues
@@ -440,13 +439,6 @@ class Kernel:
         the caller re-peeks the heap.
         """
         time, seq, item = heapq.heappop(self._heap)
-        if item.cancelled:
-            self._reclaim(item)
-            if self._cancelled:
-                self._cancelled -= 1
-            return None
-        if self.scheduler is None:
-            return item
         batch = [(seq, item)]
         while self._heap and self._heap[0][0] == time:
             _, other_seq, other = heapq.heappop(self._heap)

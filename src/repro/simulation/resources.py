@@ -1,10 +1,10 @@
 """Capacity-limited resources (CPU cores, network interfaces...).
 
 A :class:`Resource` models a server with ``capacity`` identical units.
-Simulated threads ``use`` it for a virtual duration; when all units are
-busy, requests queue FIFO.  This is how we model the core count of a
-VM, the single event-loop thread of the Redis-like store, and the
-worker pool of a DSO node.
+Simulated threads hold a unit (``with resource.request():``) while
+they work; when all units are busy, requests queue FIFO.  This is how
+we model the core count of a VM, the single event-loop thread of the
+Redis-like store, and the worker pool of a DSO node.
 """
 
 from __future__ import annotations
@@ -57,33 +57,17 @@ class Resource:
         finally:
             self.release()
 
-    def use(self, duration: float) -> None:
-        """Occupy one unit for ``duration`` virtual seconds."""
-        from repro.simulation.kernel import current_thread
-
-        with self.request():
-            current_thread().sleep(duration)
-
     def _account(self) -> None:
         now = self.kernel.now
         self._busy_time += self._busy * (now - self._last_change)
         self._last_change = now
 
-    def utilization(self) -> float:
-        """Average fraction of capacity used since creation."""
-        self._account()
-        elapsed = self.kernel.now
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_time / (self.capacity * elapsed)
-
     def busy_seconds(self) -> float:
         """Cumulative busy unit-seconds since creation.
 
         Monotone, so a controller can difference two snapshots for a
-        *windowed* busy fraction — :meth:`utilization` only gives the
-        since-creation average, which goes stale as soon as load
-        changes (exactly when an autoscaler needs a fresh signal).
+        *windowed* busy fraction — the signal an autoscaler needs when
+        load changes.
         """
         self._account()
         return self._busy_time

@@ -112,15 +112,6 @@ class RDD:
         results = self._run_stage(fn, cost_fn)
         return RDD(self.cluster, results, self.nominal_partition_bytes)
 
-    def collect(self) -> list[Any]:
-        """Pull every partition to the driver (network-charged)."""
-        driver = self.cluster.driver.name
-        for partition_id, data in enumerate(self.partitions):
-            executor = self.cluster.executor_for(partition_id)
-            self.cluster.network.transfer(executor.name, driver, None,
-                                          nbytes=payload_size(data))
-        return list(self.partitions)
-
     def reduce(self, fn: Callable[[Any, Any], Any],
                map_fn: Callable[[Any], Any] | None = None,
                cost_fn: CostFn | None = None) -> Any:
@@ -144,6 +135,3 @@ class RDD:
     def broadcast(self, value: Any) -> Broadcast:
         return Broadcast(self.cluster, value)
 
-    def count(self) -> int:
-        lengths = self._run_stage(lambda _i, data: len(data), None)
-        return sum(lengths)

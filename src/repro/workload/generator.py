@@ -164,13 +164,10 @@ class RequestRecord:
 class ServingMetrics:
     """Live measurements the generator writes and the autoscaler reads."""
 
-    arrivals: ThroughputTracker = field(
-        default_factory=lambda: ThroughputTracker(bucket_width=1.0))
-    completions: ThroughputTracker = field(
-        default_factory=lambda: ThroughputTracker(bucket_width=1.0))
+    arrivals: ThroughputTracker = field(default_factory=ThroughputTracker)
+    completions: ThroughputTracker = field(default_factory=ThroughputTracker)
     #: Arrivals routed through the FaaS runner (drives pre-warming).
-    faas_arrivals: ThroughputTracker = field(
-        default_factory=lambda: ThroughputTracker(bucket_width=1.0))
+    faas_arrivals: ThroughputTracker = field(default_factory=ThroughputTracker)
     records: list[RequestRecord] = field(default_factory=list)
     #: key -> acknowledged increments (only successful writes count).
     acked_writes: dict[str, int] = field(default_factory=dict)

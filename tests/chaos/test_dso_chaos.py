@@ -11,10 +11,9 @@ import pytest
 from repro.chaos import ChaosInjector, ChaosScheduleGenerator, FaultPlan
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoReference
-from repro.errors import NodeCrashedError, ObjectLostError
 from repro.metrics import fault_summary
 from repro.simulation import Kernel
-from repro.simulation.thread import sleep, spawn
+from repro.simulation.thread import sleep
 from tests.conftest import make_layer
 
 
@@ -76,39 +75,6 @@ def test_rf2_durability_under_generated_crash_schedule(kernel, network):
     restarts = injector.log.counts("inject").get("restart_node", 0)
     assert crashes >= 1
     assert restarts >= 1
-
-
-def test_read_any_surfaces_crash_during_read(kernel, network):
-    """Regression: ``read_any`` re-checks liveness after its service
-    sleep, so a replica that died mid-read cannot return stale state
-    as if it were healthy.  With every replica gone, the retry loop
-    rides out the transient ``NodeCrashedError``s until failure
-    detection marks the object lost — the loss, never a stale value,
-    is what surfaces."""
-    layer = make_layer(kernel, network, nodes=2)
-    injector = ChaosInjector(kernel, network=network, dso=layer)
-    r = ref("stale")
-
-    def main():
-        layer.invoke("client", r, "add", (5,), ctor=CTOR)
-        plan = FaultPlan()
-        for name in layer.nodes:
-            plan.add(1.0, "crash_node", name)
-        injector.schedule(plan)
-        outcome = []
-
-        def reader():
-            try:
-                outcome.append(layer.read_any("client", r, "get", cost=2.0))
-            except (NodeCrashedError, ObjectLostError) as exc:
-                outcome.append(exc)
-
-        thread = spawn(reader)
-        thread.join()
-        return outcome
-
-    (outcome,) = kernel.run_main(main)
-    assert isinstance(outcome, (NodeCrashedError, ObjectLostError))
 
 
 def test_partition_blocks_replication_until_it_heals(kernel, network):

@@ -1,4 +1,4 @@
-"""Tests for the DSO extensions: passivation and eventual reads."""
+"""Tests for the DSO extension: passivation."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.dso import DsoLayer, DsoReference
 from repro.errors import ObjectLostError, ServiceUnavailableError
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
-from repro.simulation.thread import now, sleep
+from repro.simulation.thread import sleep
 from repro.storage import ObjectStore
 
 
@@ -110,68 +110,3 @@ def test_restored_object_is_replicated_per_ref(kernel, setup):
 
     replicas = kernel.run_main(main)
     assert len(replicas) == 2
-
-
-# -- eventual reads ------------------------------------------------------------------
-
-
-def test_read_any_returns_current_value_when_quiescent(kernel, setup):
-    layer, _ = setup
-    r = ref("quiet", rf=2)
-
-    def main():
-        layer.invoke("client", r, "add", (7,), ctor=CTOR)
-        return [layer.read_any("client", r, "get") for _ in range(6)]
-
-    assert kernel.run_main(main) == [7] * 6
-
-
-def test_read_any_is_faster_than_linearizable_read(kernel, setup):
-    """No lock, no SMR round: an any-replica read of a replicated
-    object is roughly a plain round trip."""
-    layer, _ = setup
-    r = ref("fast", rf=2)
-    ops = 40
-
-    def main():
-        layer.invoke("client", r, "add", (1,), ctor=CTOR)
-        t0 = now()
-        for _ in range(ops):
-            layer.invoke("client", r, "get", ctor=CTOR)
-        linearizable = (now() - t0) / ops
-        t1 = now()
-        for _ in range(ops):
-            layer.read_any("client", r, "get")
-        eventual = (now() - t1) / ops
-        return linearizable, eventual
-
-    linearizable, eventual = kernel.run_main(main)
-    assert eventual < 0.75 * linearizable
-
-
-def test_read_any_spreads_load_across_replicas(kernel, setup):
-    layer, _ = setup
-    r = ref("spread", rf=2)
-
-    def main():
-        layer.invoke("client", r, "add", (1,), ctor=CTOR)
-        for _ in range(50):
-            layer.read_any("client", r, "get")
-
-    kernel.run_main(main)
-    replicas = layer.placement_of(r)
-    served = [layer.nodes[name].containers[r.ident].applied_ops
-              for name in replicas]
-    assert all(count > 5 for count in served)
-
-
-def test_read_any_requires_existing_object(kernel, setup):
-    from repro.errors import NoSuchObjectError
-
-    layer, _ = setup
-
-    def main():
-        layer.read_any("client", ref("ghost"), "get")
-
-    with pytest.raises(NoSuchObjectError):
-        kernel.run_main(main)

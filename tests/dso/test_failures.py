@@ -141,51 +141,6 @@ def test_operations_queue_behind_rebalancing_object(kernel, network):
     assert kernel.run_main(main) == list(range(10))
 
 
-def test_read_any_retries_through_replica_crash(kernel, network):
-    """Regression: ``read_any`` had no retry loop, so a dead replica
-    pick leaked the internal ``_StaleContainer``/``NetworkError`` to
-    callers instead of retrying against another replica."""
-    layer = make_layer(kernel, network, nodes=2)
-    r = ref("anyread", persistent=True, rf=2)
-
-    def main():
-        layer.invoke("client", r, "add", (3,), ctor=CTOR)
-        layer.crash_node(layer.placement_of(r)[0])
-        # Before detection the placement still lists the dead primary;
-        # the random replica pick will keep landing on it until the
-        # retry loop re-rolls onto the survivor.
-        return [layer.read_any("client", r, "get") for _ in range(8)]
-
-    assert kernel.run_main(main) == [3] * 8
-    assert layer.stats.retries >= 1
-
-
-def test_read_any_retries_when_container_moved(kernel, network):
-    """The other ``_StaleContainer`` source: the replica is alive but
-    no longer hosts the object (rebalance moved it away)."""
-    layer = make_layer(kernel, network, nodes=1)
-    r = ref("moved")
-
-    def main():
-        layer.invoke("client", r, "add", (4,), ctor=CTOR)
-        # Force staleness by hand: evict the container but leave the
-        # placement pointing at the node, exactly the window a
-        # concurrent rebalance opens.
-        (node,) = layer.nodes.values()
-        container = node.containers[r.ident]
-        node.evict(r.ident)
-
-        def rehost():
-            sleep(0.5)
-            node.containers[r.ident] = container
-
-        spawn(rehost)
-        return layer.read_any("client", r, "get")
-
-    assert kernel.run_main(main) == 4
-    assert layer.stats.retries >= 1
-
-
 def test_read_bulk_retries_only_failed_groups(kernel, network):
     """Regression: a transient failure used to re-read the *whole*
     batch, double-charging nodes whose group had already succeeded.

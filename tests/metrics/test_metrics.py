@@ -1,13 +1,15 @@
 """Unit tests for metrics: recorder, cost model, report tables."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import DEFAULT_CONFIG
 from repro.metrics import (
     CostModel,
     ThroughputTracker,
-    TimeSeries,
     comparison_table,
     percentile,
     render_table,
@@ -17,20 +19,10 @@ from repro.metrics import (
 # -- recorder -----------------------------------------------------------------
 
 
-def test_time_series_stats():
-    series = TimeSeries("latency")
-    for t, v in enumerate([1.0, 3.0, 2.0]):
-        series.add(float(t), v)
-    assert series.mean() == pytest.approx(2.0)
-    assert series.maximum() == 3.0
-    assert TimeSeries("empty").mean() == 0.0
-
-
 def test_throughput_tracker_buckets():
-    tracker = ThroughputTracker(bucket_width=1.0)
+    tracker = ThroughputTracker()
     for t in (0.1, 0.2, 1.5, 2.9, 2.95):
         tracker.record(t)
-    assert tracker.series(0, 3) == [2.0, 1.0, 2.0]
     assert tracker.rate_between(0, 3) == pytest.approx(5 / 3)
 
 
@@ -43,7 +35,7 @@ def test_rate_between_non_aligned_window():
     """Regression: the old implementation averaged whole-bucket rates,
     dropping the trailing partial bucket and dividing by bucket count
     instead of elapsed time."""
-    tracker = ThroughputTracker(bucket_width=1.0)
+    tracker = ThroughputTracker()
     for t in (0.1, 0.2, 1.5, 2.2, 2.9):
         tracker.record(t)
     # [0, 2.5) holds 4 events over 2.5s — exactly events/elapsed.
@@ -52,20 +44,8 @@ def test_rate_between_non_aligned_window():
     assert tracker.rate_between(0.15, 2.5) == pytest.approx(3 / 2.35)
 
 
-def test_series_partial_edge_buckets():
-    tracker = ThroughputTracker(bucket_width=1.0)
-    for t in (0.1, 0.2, 1.5, 2.2, 2.9):
-        tracker.record(t)
-    # The trailing [2.0, 2.5) half-bucket holds one event: 2/s, not
-    # dropped (old bug) and not diluted to 1/s.
-    assert tracker.series(0.0, 2.5) == [2.0, 1.0, 2.0]
-    # Leading partial bucket [0.15, 1.0) sees only the 0.2 event.
-    first = tracker.series(0.15, 3.0)[0]
-    assert first == pytest.approx(1 / 0.85)
-
-
 def test_throughput_tracker_out_of_order_record():
-    tracker = ThroughputTracker(bucket_width=1.0)
+    tracker = ThroughputTracker()
     for t in (1.0, 0.5, 2.0):
         tracker.record(t)
     assert tracker.count_between(0.0, 1.5) == 2
@@ -129,30 +109,13 @@ def test_percentile_monotone_and_bounded(values, qs):
                      st.floats(min_value=0.1, max_value=50)),
 )
 def test_rate_between_equals_events_over_elapsed(events, window):
-    tracker = ThroughputTracker(bucket_width=1.0)
+    tracker = ThroughputTracker()
     for t in events:
         tracker.record(t)
     start, span = window
     end = start + span
     expected = sum(1 for t in events if start <= t < end) / span
     assert tracker.rate_between(start, end) == pytest.approx(expected)
-    # The bucketed series integrates back to the same count.
-    total = sum(rate * width for rate, width in zip(
-        tracker.series(start, end),
-        _bucket_widths(start, end, tracker.bucket_width)))
-    assert total == pytest.approx(expected * span)
-
-
-def _bucket_widths(start, end, width):
-    import math
-
-    out = []
-    for bucket in range(int(start // width), math.ceil(end / width)):
-        lo = max(start, bucket * width)
-        hi = min(end, (bucket + 1) * width)
-        if hi > lo:
-            out.append(hi - lo)
-    return out
 
 
 # -- cost model ------------------------------------------------------------------
@@ -172,6 +135,15 @@ def test_spark_rate_matches_section_623():
     # "0.15 cents per second" for the 11-node EMR cluster.
     assert model.spark_rate_per_second() * 100 == pytest.approx(0.15,
                                                                 abs=0.01)
+
+
+def test_spark_rate_prices_the_configured_cluster():
+    """The EMR bill follows ``config.spark.worker_nodes`` (plus one
+    master), not a second copy of the cluster size."""
+    config = replace(DEFAULT_CONFIG, spark=replace(DEFAULT_CONFIG.spark,
+                                                   worker_nodes=20))
+    assert CostModel(config).spark_rate_per_second() == pytest.approx(
+        CostModel().spark_rate_per_second() * 21 / 11)
 
 
 def test_crucial_experiment_cost_breakdown():

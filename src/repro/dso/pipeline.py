@@ -348,48 +348,68 @@ def _ship_group(layer: DsoLayer, client: str, primary_name: str,
     like any result.  Infrastructure failures abort the group once
     every chain has stopped and surface to the retry driver (ops that
     completed dedup on the retry, when their replies reach the client).
+
+    A cached site's writes carry their own invalidation (see
+    :meth:`ObjectCache.ship`) and settle with the reply, fenced at its
+    grants' generations, or at the current one if it fails.
     """
     node = layer.live_node(primary_name)
     layer.connect(client, primary_name)
     request = [(op.method, op.args, op.kwargs, op.stamp) for op in group]
+    site = writes = None
+    if layer.caches.enabled and "writer-unmarked" not in PLANTED:
+        writes = [op.ref.ident for op in group if op.stamp is not None]
+        site = layer.caches.site(client)
+        site.ship(writes)
+    shipped = None
     try:
         shipped = _carry(layer, client, primary_name, request)
-    except SerializationError:
+        # Each op's reply lands in its request's slot: the arrived
+        # copies move into the chains below, so the list is free.
+        reply = shipped
+        if len(group) == 1:  # one op is one chain: no split, no lane
+            _run_chain(layer, client, node, [(0, group[0], shipped[0])], reply)
+        else:
+            chains: dict[Any, list] = {}
+            items = []
+            for index, op in enumerate(group):
+                key = index if "chain-per-op" in PLANTED else op.ref.ident
+                if key in chains:
+                    chains[key].append((index, op, shipped[index]))
+                else:
+                    chains[key] = chain = [(index, op, shipped[index])]
+                    items.append((f"{primary_name}-{op.ref.key}",
+                                  (layer, client, node, chain, reply)))
+            _fan_out(layer, client, _run_chain, items)
+        try:
+            replies = _carry(layer, primary_name, client, reply, True)
+        except SerializationError:
+            for index, exc in _unencodable(
+                    [entry[1:] for entry in reply]).items():
+                reply[index] = (False, exc, None)
+            replies = _carry(layer, primary_name, client, reply, True)
+    except BaseException as exc:
+        if site is not None:  # a write may have applied
+            for ident in writes:
+                site.settle(ident, layer.caches.generation)
+        if shipped is not None or not isinstance(exc, SerializationError):
+            raise
+        # The request itself could not be encoded: nothing ran.
         unencodable = _unencodable(request)
-        for index, exc in unencodable.items():
-            group[index]._fail(exc)
+        for index, error in unencodable.items():
+            group[index]._fail(error)
         rest = [op for index, op in enumerate(group)
                 if index not in unencodable]
         if rest:
             _ship_group(layer, client, primary_name, rest, span)
         return
-    # Each op's reply lands in its request's slot: the arrived copies
-    # move into the chains below, so the list is free to reuse.
-    reply = shipped
-    if len(group) == 1:  # one op is one chain: no split, no lane
-        _run_chain(layer, client, node, [(0, group[0], shipped[0])], reply)
-    else:
-        chains: dict[Any, list] = {}
-        items = []
-        for index, op in enumerate(group):
-            key = index if "chain-per-op" in PLANTED else op.ref.ident
-            if key in chains:
-                chains[key].append((index, op, shipped[index]))
-            else:
-                chains[key] = chain = [(index, op, shipped[index])]
-                items.append((f"{primary_name}-{op.ref.key}",
-                              (layer, client, node, chain, reply)))
-        _fan_out(layer, client, _run_chain, items)
-    try:
-        replies = _carry(layer, primary_name, client, reply, True)
-    except SerializationError:
-        for index, exc in _unencodable(
-                [entry[1:] for entry in reply]).items():
-            reply[index] = (False, exc, None)
-        replies = _carry(layer, primary_name, client, reply, True)
     if span is None:
         layer.stats.batches += 1
         layer.stats.pipelined_ops += len(group)
+    if site is not None:  # every write settles before a grant installs
+        for op, (_, _, grant) in zip(group, replies):
+            if op.stamp is not None:
+                site.settle(op.ref.ident, grant.generation if grant else 0)
     for op, (ok, value, grant) in zip(group, replies):
         if grant is not None:
             layer.caches.store(client, op.ref.ident, grant, grant.generation)
@@ -425,7 +445,7 @@ def _run_chain(layer: DsoLayer, client: str, node: DsoNode, chain: list,
             except Exception as exc:  # noqa: BLE001 - raised outside apply
                 reply[index] = (False, exc, None)
         if call.refresh:
-            node.refresh_leases(call)
+            node.refresh_leases(call, client)
     finally:
         call.release()
 
@@ -436,19 +456,23 @@ def _carry(layer: DsoLayer, src: str, dst: str, entries: list,
     them as they arrive.
 
     The wire rule: **a group of one travels bare**, its entry and not a
-    list.  A request entry is ``(method, args, kwargs, stamp)``; a reply
-    entry ``(ok, value, grant)`` travels as ``(ok, value)`` in a larger
-    group and alone as ``value`` — ``(value, grant)`` when a read was
-    leased — its ``ok`` riding in the reply's status, which like every
-    header (the grant's lease generation too) costs no bytes.  So a
-    synchronous put ships 112 B and gets 4 B back, as it always did.
+    list, and **only a grant fills a reply's grant slot**.  A request
+    entry is ``(method, args, kwargs, stamp)``; a reply entry ``(ok,
+    value, grant)`` travels as ``(ok, value[, grant])`` in a larger group
+    and alone as ``value`` or ``(value, grant)``, its ``ok`` riding in
+    the reply's status, which like every header (the grant's lease
+    generation too) costs no bytes: a synchronous put gets 4 B back.
     """
     transfer = layer.network.transfer
     if len(entries) > 1:
         if not reply:
             return transfer(src, dst, entries)
-        return [(ok, value, None) for ok, value in transfer(
-            src, dst, [(ok, value) for ok, value, _ in entries])]
+        arrived = transfer(src, dst, [entry[:2] if entry[2] is None
+                                      else entry for entry in entries])
+        for entry, (_, _, grant) in zip(arrived, entries):
+            if grant is not None:
+                entry[2].generation = grant.generation
+        return [(*entry, None)[:3] for entry in arrived]
     (entry,) = entries
     if not reply:
         return [transfer(src, dst, entry)]

@@ -379,7 +379,7 @@ class DsoNode:
                      if stamp is not None else None)
             if entry is not None:
                 return self._dedup_hit(
-                    placement, ref, container, call, entry, stamp,
+                    placement, ref, container, call, client, entry, stamp,
                     method, args, kwargs, cost, smr_context)
             service = (raw_service if raw_service is not None
                        else layer.config.dso.method_call_overhead)
@@ -442,7 +442,7 @@ class DsoNode:
                     # this write acks.  Runs after the session record,
                     # so a crash mid-revocation still dedups the
                     # client's retry.
-                    self._revoke_leases(call, client, placement.version)
+                    grant = self._revoke_leases(call, client, placement.version)
                 elif lease_version is not None and not isinstance(
                         container.instance, ServerObject):
                     expiry = self.kernel.now + layer.config.dso.lease_ttl
@@ -464,17 +464,19 @@ class DsoNode:
         return ok, value, grant
 
     def _dedup_hit(self, placement: Placement, ref: DsoReference,
-                   container: ObjectContainer, call: DsoCall,
+                   container: ObjectContainer, call: DsoCall, client: str,
                    entry: SessionEntry, stamp: SessionStamp, method: str,
                    args: tuple, kwargs: dict, cost: float,
-                   smr_context: dict | None) -> tuple[bool, Any, None]:
+                   smr_context: dict | None
+                   ) -> tuple[bool, Any, LeaseGrant | None]:
         """Answer a retransmission from the session table.
 
         Charges only lookup-grade service time, and — crucially — if
         the original attempt died before replication finished
         (``committed`` is false), re-runs replication so the cached
         acknowledgement is as durable as a fresh one.  Backups dedup
-        the re-sent op themselves.
+        the re-sent op themselves.  A writer holding a lease is
+        re-granted it at the current generation (a lost reply's refresh).
         """
         self.layer.stats.dedup_hits += 1
         tracer = self.kernel.tracer
@@ -498,7 +500,11 @@ class DsoNode:
                                    cost, stamp, entry.ok, entry.reply,
                                    smr_context)
                 entry.committed = True
-        return entry.ok, entry.reply, None
+        expiry = (dict(container.leases.active(self.kernel.now)).get(client)
+                  if self.layer.caches.enabled else None)
+        return entry.ok, entry.reply, None if expiry is None else LeaseGrant(
+            self.layer.shippable(container.instance), expiry,
+            placement.version, self.layer.caches.generation)
 
     def replicate(self, placement: Placement, ref: DsoReference,
                   method: str, args: tuple, kwargs: dict, cost: float,
@@ -608,7 +614,7 @@ class DsoNode:
     # ------------------------------------------------------------------
 
     def _revoke_leases(self, call: DsoCall, writer: str,
-                       version: int) -> None:
+                       version: int) -> LeaseGrant | None:
         """Invalidate every outstanding lease before a write acks.
 
         Every reachable holder is posted its invalidation at once, as a
@@ -619,7 +625,9 @@ class DsoNode:
         failed or was cut off mid-flight — is waited out to its lease
         expiry instead, after which its cache entry is stale by time.
         Those holders are waited out *together*: their leases expire
-        concurrently, so the stall is the max remaining TTL.
+        concurrently, so the stall is the max remaining TTL.  The
+        ``writer``'s own request carried its invalidation: it is posted
+        nothing.
 
         Runs under ``call``'s object lock, so no new lease can be
         granted concurrently — for the rest of a batched chain too,
@@ -629,27 +637,26 @@ class DsoNode:
         holder waited out to its TTL stalls only writers of its own
         object, not the node.
 
-        The round opens a lease generation; the holders it reaches, bar
-        the ``writer``, are refreshed as the section ends (its only
-        round: a leased read is a chain of its own).
+        The round opens a lease generation; the holders it reaches are
+        refreshed as the section ends (its only round: a leased read is
+        a chain of its own).  Returns the writer's refresh, for its reply.
         """
         container = call.container
         holders = container.leases.active(self.kernel.now)
         container.leases.clear()
         if not holders:
-            return
-        call.release_worker()
+            return None
         layer = self.layer
         key = container.key
         generation = layer.caches.generation = layer.caches.generation + 1
+        invalidated = {writer}
+        others = [lease for lease in holders if lease[0] != writer]
         tracer = self.kernel.tracer
         with (tracer.span("dso.lease_revoke", kind="server",
                           endpoint=self.name,
                           attributes={"object": "/".join(key),
                                       "holders": len(holders)})
-              if tracer.enabled else NO_SPAN) as span:
-            invalidated: set[str] = set()
-
+              if tracer.enabled and others else NO_SPAN) as span:
             def invalidate(holder: str, expiry: float, _message: Any) -> None:
                 # At the holder, in kernel context (non-blocking).
                 layer.caches.revoke(holder, key, generation)
@@ -662,14 +669,16 @@ class DsoNode:
             # the timers are queued first: the writer wakes after the
             # last delivery, having slept the slowest hop only.
             flights = {}
-            for holder, expiry in holders:
+            if others:
+                call.release_worker()
+            for holder, expiry in others:
                 try:
                     flights[holder] = layer.network.post(
                         self.name, holder, ("dso.lease_revoke", key),
                         partial(invalidate, holder, expiry))
                 except NetworkError:
                     continue
-            if tracer.enabled:
+            if tracer.enabled and others:
                 span.set("fanout", len(flights))
             if flights:
                 if "revoke-first-arrival" in PLANTED:
@@ -677,7 +686,7 @@ class DsoNode:
                     invalidated.update(flights)
                 else:
                     current_thread().sleep(max(flights.values()))
-            unreachable = [(holder, expiry) for holder, expiry in holders
+            unreachable = [(holder, expiry) for holder, expiry in others
                            if holder not in invalidated]
             if unreachable:
                 remaining = (max(expiry for _, expiry in unreachable)
@@ -689,23 +698,27 @@ class DsoNode:
             layer.stats.lease_revocations += len(holders)
         call.refresh = {holder: LeaseGrant(None, expiry, version, generation)
                         for holder, expiry in holders
-                        if holder in invalidated and holder != writer}
+                        if holder in invalidated}
         if not self.alive or container.dead:  # must not ack the write
             raise NodeCrashedError(
                 f"{self.name} crashed revoking leases on {'/'.join(key)}")
+        return call.refresh.get(writer)
 
-    def refresh_leases(self, call: DsoCall) -> None:
+    def refresh_leases(self, call: DsoCall, writer: str) -> None:
         """Re-grant, as the section ends, the leases its revocation
-        round emptied: post each holder the snapshot one way and put it
-        back in the table with its original expiry."""
+        round emptied, with their original expiry: post each holder the
+        snapshot, or copy it for the ``writer``'s reply (sent later)."""
         container, layer = call.container, self.layer
         for holder, grant in call.refresh.items():
-            grant.snapshot = container.instance
-            try:
-                layer.network.post(self.name, holder, grant, partial(
-                    layer.caches.store, holder, container.key,
-                    generation=grant.generation, refresh=True))
-            except NetworkError:
-                continue
+            if holder == writer:
+                grant.snapshot = layer.shippable(container.instance)
+            else:
+                grant.snapshot = container.instance
+                try:
+                    layer.network.post(self.name, holder, grant, partial(
+                        layer.caches.store, holder, container.key,
+                        generation=grant.generation, refresh=True))
+                except NetworkError:
+                    continue
+                layer.stats.lease_refreshes += 1
             container.leases.grant(holder, grant.expiry)
-            layer.stats.lease_refreshes += 1

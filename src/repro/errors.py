@@ -27,11 +27,13 @@ class SimulationError(ReproError):
 class DeadlockError(SimulationError):
     """The event queue drained while simulated threads remain blocked."""
 
-    def __init__(self, blocked_names: list[str]):
+    def __init__(self, blocked_names: list[str],
+                 waits: list[str] | None = None):
         self.blocked_names = list(blocked_names)
         super().__init__(
             "simulation deadlock: no pending events but %d thread(s) "
-            "blocked: %s" % (len(blocked_names), ", ".join(blocked_names))
+            "blocked: %s" % (len(blocked_names),
+                             ", ".join(waits or blocked_names))
         )
 
 

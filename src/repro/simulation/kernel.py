@@ -51,6 +51,16 @@ def current_kernel() -> "Kernel":
     return thread.kernel
 
 
+def _waits(thread: "SimThread") -> str:
+    """``name → what it waits on`` (and who holds it), for a deadlock."""
+    on, text = thread.waiting_on, thread.name
+    if on is not None:
+        owner = getattr(on, "_owner", None)  # a Lock's holder
+        text += f" → {type(on).__name__} {id(on):#x}" + (
+            "" if owner is None else f" held by {owner.name}")
+    return text
+
+
 def current_thread() -> "SimThread":
     """Return the simulated thread executing the caller."""
     try:
@@ -471,9 +481,11 @@ class Kernel:
         return thread.result()
 
     def _detect_deadlock(self) -> None:
-        blocked = [t.name for t in self._threads if not t.daemon and not t.done]
+        blocked = sorted((t for t in self._threads if not t.daemon
+                          and not t.done), key=lambda t: t.tid)
         if blocked:
-            raise DeadlockError(blocked)
+            raise DeadlockError([t.name for t in blocked],
+                                [_waits(t) for t in blocked])
 
     def _check_host_context(self) -> None:
         if in_sim_thread():

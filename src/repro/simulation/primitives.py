@@ -47,7 +47,7 @@ class Event:
         self._waiters.append(thread)
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         if value is TIMEOUT:
             try:
                 self._waiters.remove(thread)
@@ -91,7 +91,7 @@ class Lock:
         self._waiters.append(thread)
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         if value is TIMEOUT:
             if self._owner is thread:
                 # Granted at the very instant the timeout fired: keep it.
@@ -150,7 +150,7 @@ class Semaphore:
         self._waiters.append(entry)
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         if value is TIMEOUT and not entry[1]:
             try:
                 self._waiters.remove(entry)
@@ -210,7 +210,7 @@ class Condition:
         self.lock.release()
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         notified = value is not TIMEOUT
         if not notified:
             try:
@@ -277,7 +277,7 @@ class Queue:
         self._putters.append(entry)
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         if value is TIMEOUT and not entry[2]:
             try:
                 self._putters.remove(entry)
@@ -301,7 +301,7 @@ class Queue:
         self._getters.append(entry)
         if timeout is not None:
             self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend()
+        value = thread._suspend(self)
         if value is TIMEOUT and not entry[2]:
             try:
                 self._getters.remove(entry)

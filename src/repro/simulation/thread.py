@@ -94,6 +94,8 @@ class SimThread:
         self._wake_value: Any = None
         self._shutdown = False
         self._joiners: list[SimThread] = []
+        #: The primitive (or thread, for a join) it is blocked on.
+        self.waiting_on: Any = None
         #: Per-thread storage for upper layers.  OS-thread-local storage
         #: would not do: simulated threads take turns on OS threads.
         self.locals: dict = {}
@@ -173,14 +175,15 @@ class SimThread:
 
     # -- suspension protocol -------------------------------------------------
 
-    def _suspend(self) -> Any:
-        """Give up the baton until the next wakeup for this thread.
+    def _suspend(self, waiting_on: Any = None) -> Any:
+        """Block on ``waiting_on`` until this thread's next wakeup.
 
         Must be called by the thread itself, after having scheduled (or
         registered for) at least one wakeup.  Returns the wakeup value.
         """
         if self._shutdown:
             raise SimShutdown()
+        self.waiting_on = waiting_on
         gate = self.kernel._advance(self)
         if gate is not None:
             gate.release()
@@ -188,7 +191,7 @@ class SimThread:
             if self._shutdown:
                 raise SimShutdown()
         value = self._wake_value
-        self._wake_value = None
+        self._wake_value = self.waiting_on = None
         return value
 
     def _cancel_pending(self) -> None:
@@ -236,7 +239,7 @@ class SimThread:
             handle = None
             if timeout is not None:
                 handle = self.kernel.schedule_wakeup(caller, timeout, TIMEOUT)
-            value = caller._suspend()
+            value = caller._suspend(self)
             caller._cancel_pending()
             if value is TIMEOUT:
                 if caller in self._joiners:

@@ -2,9 +2,9 @@
 emptied (:mod:`repro.dso.cache`).
 
 The primary posts the post-write snapshot to every holder its round
-reached, but for the writer, once the write's critical section ends;
-a lease generation fences out grants and refreshes that a later
-revocation overtook on the wire.
+reached once the write's critical section ends — the writer's rides
+its reply; a lease generation fences out grants and refreshes that a
+later revocation overtook on the wire.
 """
 
 import pytest
@@ -67,18 +67,26 @@ def test_reread_after_remote_write_acked_is_a_hit(kernel, layer):
     assert layer.stats.cache_hits == 2
 
 
-def test_writer_lease_is_revoked_and_never_refreshed(kernel, layer):
+def test_writer_lease_is_revoked_and_refreshed_in_its_reply(kernel, layer):
+    """The writer's revoked lease comes back with the write's reply,
+    holding its own value and its original expiry: no post reaches
+    it, and only the reader's refresh is one."""
     def main():
         layer.put("writer", "k", "v0")
         layer.get("writer", "k")  # the writer holds a lease too
+        expiry = layer.caches.of("writer").get(IDENT).expiry
         layer.get("reader", "k")
+        sent = layer.network.messages_sent
         layer.put("writer", "k", "v1")
+        messages = layer.network.messages_sent - sent
         sleep(2 * HOP)
-        return (layer.caches.of("writer").get(IDENT),
+        return (expiry, layer.caches.of("writer").get(IDENT), messages,
                 layer.caches.of("reader").get(IDENT).snapshot.value)
 
-    writer_entry, reader_value = kernel.run_main(main)
-    assert writer_entry is None
+    expiry, writer_entry, messages, reader_value = kernel.run_main(main)
+    assert writer_entry.snapshot.value == "v1"
+    assert writer_entry.expiry == expiry
+    assert messages == 4  # request, the reader's revocation and refresh, reply
     assert reader_value == "v1"
     assert layer.stats.lease_revocations == 2
     assert layer.stats.lease_refreshes == 1
@@ -107,8 +115,8 @@ def test_grant_overtaken_by_revocation_is_not_installed(kernel, layer):
 
 def test_refresh_overtaken_by_next_revocation_is_discarded(kernel, layer):
     """A refresh on a slow link lands after the next write's revocation
-    (the reader's own write: no refresh follows it) and must not
-    re-install the older snapshot in the emptied slot."""
+    (the reader's own write, whose reply brings its own value back) and
+    must not re-install the older snapshot over it."""
     def main():
         layer.put("writer", "k", "v0")
         layer.get("reader", "k")
@@ -118,11 +126,11 @@ def test_refresh_overtaken_by_next_revocation_is_discarded(kernel, layer):
         layer.put("reader", "k", "v2")  # revokes the reader, fast
         sleep(2e-3)
         entry = layer.caches.of("reader").get(IDENT)
-        return entry, layer.get("reader", "k")
+        hits = layer.stats.cache_hits
+        return (entry.snapshot.value, layer.get("reader", "k"),
+                layer.stats.cache_hits - hits)
 
-    entry, value = kernel.run_main(main)
-    assert entry is None
-    assert value == "v2"
+    assert kernel.run_main(main) == ("v2", "v2", 1)
     assert layer.stats.lease_refreshes == 1
 
 

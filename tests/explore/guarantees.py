@@ -343,12 +343,14 @@ def estimates_pi(trial, value):
 # ---------------------------------------------------------------------------
 # No stale cached read: holders on links of different latency
 # ---------------------------------------------------------------------------
-# A write posts an invalidation to every lease holder at once and may
-# acknowledge only after the last one landed.  Two holders re-read a
-# key from their lease caches while one site writes it, by synchronous
-# puts and by flushed runs of same-key ``put_async``; a cached read
-# that starts after a write acked and returns the value before it has
-# no linearization.
+# A write posts an invalidation to every other lease holder at once and
+# may acknowledge only after the last one landed; the writer's own
+# request carries its invalidation.  Two holders and a reader at the
+# writer's own site re-read a key from their lease caches while one
+# site writes it, by synchronous puts and by flushed runs of same-key
+# ``put_async``; a cached read that starts after a write acked (or
+# after another read saw the write) and returns the value before it
+# has no linearization.
 
 #: A short lease keeps a (safe) wait-out cheap: under an exploring
 #: scheduler a delivery timer tied with the writer's wakeup may run
@@ -356,8 +358,14 @@ def estimates_pi(trial, value):
 LEASE_CONFIG = dataclasses.replace(
     DEFAULT_CONFIG,
     dso=dataclasses.replace(DEFAULT_CONFIG.dso, lease_ttl=10e-3))
-FAR_HOP = 450e-6  # node -> "far"; "near" keeps the 100 us client hop
+#: node -> "far" and node -> "writer"; "near" keeps the 100 us client
+#: hop, so it sees a write's value well before the writer's reply lands.
+FAR_HOP = 450e-6
 READ_GAP = 30e-6
+#: The writer's site reads less often: with its entry never dropped
+#: (``writer-unmarked``) its reads all hit, and a longer history would
+#: overflow the linearizability checker's recursion.
+WRITER_SITE_GAP = 200e-6
 LEASE_ROUNDS = 6
 
 
@@ -382,11 +390,11 @@ def lease_workload(trial):
         (node_name,) = layer.nodes
         done = []
 
-        def reader(name):
+        def reader(name, site, gap):
             while not done:
                 recorder.record(name, "get", (),
-                                lambda: layer.get(name, "hot"), key="hot")
-                sleep(READ_GAP)
+                                lambda: layer.get(site, "hot"), key="hot")
+                sleep(gap)
 
         def write_round(base):
             invoke = env.now
@@ -408,11 +416,15 @@ def lease_workload(trial):
             layer.put("writer", "hot", 0)
             for name in ("near", "far"):
                 layer.get(name, "hot")
-            env.network.set_link(node_name, "far",
-                                 LatencyModel(FAR_HOP, sigma=0.05),
-                                 symmetric=False)
-            threads = [spawn(reader, name, name=name)
-                       for name in ("near", "far")]
+            for site in ("far", "writer"):
+                env.network.set_link(node_name, site,
+                                     LatencyModel(FAR_HOP, sigma=0.05),
+                                     symmetric=False)
+            threads = [spawn(reader, name, site, gap, name=name)
+                       for name, site, gap in (
+                           ("near", "near", READ_GAP),
+                           ("far", "far", READ_GAP),
+                           ("at-writer", "writer", WRITER_SITE_GAP))]
             for round_ in range(1, LEASE_ROUNDS + 1):
                 sleep(rnd.uniform(200e-6, 900e-6))
                 write_round(10 * round_)
@@ -898,15 +910,18 @@ GUARANTEES = (
         mechanism=(
             "primary-granted leases revoked before write ack (reachable "
             "holders in one hop, writer woken by the last arrival; "
-            "unreachable ones waited out to expiry), then refreshed: as the "
-            "write's section ends the primary posts the new snapshot to the "
-            "holders the round reached, the writer excepted, with their "
-            "original expiry; a lease generation on revocations, grants and "
-            "refreshes lets a site drop any grant or refresh a later "
-            "revocation overtook; placement-version fencing on "
+            "unreachable ones waited out to expiry; the writer's own request "
+            "drops its entry, and its site installs nothing for the object "
+            "until the write settles), then refreshed: as the write's "
+            "section ends the primary posts the new snapshot to the holders "
+            "the round reached, and returns it in the writer's reply, with "
+            "their original expiry; a lease generation on revocations, "
+            "grants and refreshes lets a site drop any grant or refresh a "
+            "later revocation overtook; placement-version fencing on "
             "failover/rebalance (DESIGN.md §10)"),
         pinned_by=("tests/dso/test_cache.py",
                    "tests/dso/test_lease_refresh.py",
+                   "tests/dso/test_writer_lease.py",
                    "tests/linearizability/test_cached_reads.py",
                    "tests/chaos/test_cache_chaos.py", HUNTS_TEST),
         hunts=(
@@ -927,6 +942,14 @@ GUARANTEES = (
                             "instead of dropping the old, so a fast "
                             "holder serves the new value while a slow "
                             "one still serves the old",
+                            trials=4, preempt_prob=0.05,
+                            oracles=("not linearizable",)),
+                     Mutant("writer-unmarked",
+                            "a site that ships a write keeps its cached "
+                            "entry and installs grants for the object "
+                            "while the write is in flight, so a read at "
+                            "the writer's site serves the old value after "
+                            "another site read the new one",
                             trials=4, preempt_prob=0.05,
                             oracles=("not linearizable",)),
                  )),

@@ -250,6 +250,31 @@ def test_deadlock_detection(kernel):
         kernel.run()
 
 
+def test_deadlock_names_each_lock_and_its_holder(kernel):
+    """Two threads take two locks in opposite orders: the error says
+    which lock each one waits on and who holds it."""
+    from repro.simulation import Lock
+
+    first, second = Lock(kernel), Lock(kernel)
+
+    def take(name, held, wanted):
+        def body():
+            with held:
+                sleep(1.0)
+                with wanted:
+                    pass
+        return kernel.spawn(body, name=name)
+
+    take("t1", first, second)
+    take("t2", second, first)
+    with pytest.raises(DeadlockError) as raised:
+        kernel.run()
+    message = str(raised.value)
+    assert f"t1 → Lock {id(second):#x} held by t2" in message
+    assert f"t2 → Lock {id(first):#x} held by t1" in message
+    assert raised.value.blocked_names == ["t1", "t2"]
+
+
 def test_daemon_threads_do_not_trigger_deadlock(kernel):
     from repro.simulation import Event
 

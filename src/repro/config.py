@@ -273,14 +273,30 @@ class SparkTimings:
 
 @dataclass(frozen=True)
 class AwsPrices:
+    """Every price the simulation bills, in one table (capacity
+    prices from the ``HW_PARAMETERS`` table: RAM is ~250x dearer per
+    GB than S3)."""
+
     lambda_gb_second: float = 0.0000166667
     lambda_per_request: float = 0.20 / 1e6
     ec2_m5_2xlarge_hour: float = 0.384
-    ec2_m5_4xlarge_hour: float = 0.768
     ec2_r5_2xlarge_hour: float = 0.504
     emr_m5_2xlarge_hour: float = 0.096  # EMR surcharge per core node
     s3_get_per_1000: float = 0.0004
     s3_put_per_1000: float = 0.005
+    s3_dollars_per_gb_month: float = 0.023
+    gp3_dollars_per_gb_month: float = 0.081
+    #: RAM rent at the r5.2xlarge rate: 0.504 $/h / 64 GB * 730 h.
+    memory_dollars_per_gb_month: float = 5.75
+
+    def lambda_dollars(self, gb_seconds: float, requests: int = 0) -> float:
+        """The Lambda bill for ``gb_seconds`` and ``requests``."""
+        return (gb_seconds * self.lambda_gb_second
+                + requests * self.lambda_per_request)
+
+    def node_dollars(self, node_seconds: float, hourly: float) -> float:
+        """Rent for ``node_seconds`` of instances priced ``hourly``."""
+        return node_seconds * hourly / 3600.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +342,10 @@ class ComputeCosts:
 
 @dataclass(frozen=True)
 class TieringSettings:
-    """Price/latency parameters of the storage tiers, plus the
-    heat/migration policy knobs of :class:`repro.storage.TieredStore`.
-
-    The tier numbers are seeded from the ``HW_PARAMETERS`` table used
-    in serverless-database cost modelling: S3 at 100-200 ms and
-    $0.023/GB-month plus per-request fees, gp3 block volumes at 1-2 ms
-    and $0.081/GB-month with free requests and a 125 MB/s throughput
-    cap.  The in-memory tier prices RAM at the r5.2xlarge rate
-    ($0.504/h for 64 GB: ~$5.75/GB-month) with grid-grade latency —
-    the Table 3 economics (memory is ~250x dearer per GB than S3, and
-    ~4 orders of magnitude faster per request) in one table.
-    """
+    """Storage-tier latencies (from the ``HW_PARAMETERS`` table: gp3
+    at 1-2 ms with a 125 MB/s cap, memory at grid latency; their prices
+    are in :class:`AwsPrices`), plus the heat/migration policy knobs of
+    :class:`repro.storage.TieredStore`."""
 
     #: gp3 block tier: 1-2 ms per request, free requests, throughput
     #: capped at 125 MB/s.
@@ -345,17 +353,12 @@ class TieringSettings:
                                          bandwidth=125e6)
     gp3_put: LatencyModel = LatencyModel(1.6 * MILLIS, sigma=0.12,
                                          bandwidth=125e6)
-    gp3_dollars_per_gb_month: float = 0.081
     #: In-memory tier next to compute: same 100 us hops as the data
     #: grid plus a few us of service.
     memory_get: LatencyModel = LatencyModel(207 * MICROS, sigma=0.05,
                                             bandwidth=1.2e9)
     memory_put: LatencyModel = LatencyModel(228 * MICROS, sigma=0.05,
                                             bandwidth=1.2e9)
-    #: RAM rent at the r5.2xlarge rate: 0.504 $/h / 64 GB * 730 h.
-    memory_dollars_per_gb_month: float = 5.75
-    #: S3 capacity price (requests are priced in AwsPrices).
-    s3_dollars_per_gb_month: float = 0.023
 
     # -- TieredStore heat/migration policy ---------------------------------
     #: Bytes the hot tier may hold before the sweeper demotes the

@@ -52,8 +52,8 @@ The moving parts:
   backup that never saw the unreplicated prepare) is rejected with
   :class:`~repro.errors.TxnPrepareLostError` *before* anything is
   installed; the client re-prepares at the new primary and retries.
-  Commits are additionally fenced client-side by the placement
-  version recorded at prepare time.  Disabling the fence (the
+  (A rebalance ships the cell with its prepared map, so a moved
+  primary still holds the prepare.)  Disabling the fence (the
   ``"no-commit-fence"`` mutant, mutation testing only) silently drops
   such writes — producing exactly the fractured, half-committed state
   the exploration fuzzer is required to find (the ``txn-failover``
@@ -225,7 +225,6 @@ class Txn:
         self._reads: dict[str, tuple[int, tuple]] = {}
         self._read_values: dict[str, Any] = {}
         self._deferred: list[tuple] = []
-        self._prepare_versions: dict[str, int] = {}
 
     # -- application surface ------------------------------------------------
 
@@ -453,29 +452,20 @@ class Txn:
         for key in writeset:
             if replies[key] != cid:
                 self._reprepare(key, cid, writeset)
-            else:
-                self._note_version(key)
         return cid
 
     def _commit_all(self, cid: int, writeset: tuple) -> None:
         """Install every key's write (one concurrent round per pass).
 
-        Client-side fence first: a key whose placement version moved
-        since its prepare re-prepares before the commit ships.  A
-        server-side fence rejection (:class:`TxnPrepareLostError` —
-        the failover raced the version check) re-prepares and retries
-        that key, bounded by the retry deadline.
+        A commit fence rejection (:class:`TxnPrepareLostError`: a
+        failover promoted a backup that never saw the prepare)
+        re-prepares and retries that key, bounded by the retry
+        deadline.
         """
         layer = self._layer
         deadline = layer.retry_deadline()
         pending = list(writeset)
         while True:
-            for key in pending:
-                placement = layer.placements.live(
-                    layer.txns.ref(key, self._rf))
-                if (placement is None or placement.version
-                        != self._prepare_versions.get(key)):
-                    self._reprepare(key, cid, writeset)
             futures = {}
             for key in pending:
                 futures[key] = layer.invoke_async(
@@ -509,13 +499,6 @@ class Txn:
                      args=(self.txn_id, cid, self._writes[key], writeset),
                      ctor=layer.txns.ctor())
         layer.stats.txn_prepares += 1
-        self._note_version(key)
-
-    def _note_version(self, key: str) -> None:
-        layer = self._layer
-        placement = layer.placements.live(layer.txns.ref(key, self._rf))
-        self._prepare_versions[key] = (
-            placement.version if placement is not None else -1)
 
     # -- bookkeeping --------------------------------------------------------
 

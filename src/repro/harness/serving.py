@@ -211,13 +211,11 @@ def _run_point(label: str, base: float, peak: float, duration: float,
 
 def _bill_lambda(env: CrucialEnvironment) -> None:
     """Fold the FaaS bill into the ledger next to the node rent."""
-    prices = env.config.prices
     gb_seconds = env.platform.billed_gb_seconds(RUNNER_FUNCTION)
     invocations = env.platform.invocation_count(RUNNER_FUNCTION)
     env.cost_ledger.request(
         "lambda", "faas",
-        dollars=(gb_seconds * prices.lambda_gb_second
-                 + invocations * prices.lambda_per_request),
+        dollars=env.config.prices.lambda_dollars(gb_seconds, invocations),
         count=invocations)
 
 

@@ -1,8 +1,9 @@
 """Table 3: monetary costs of the Spark/Crucial experiments.
 
-Applies the 2019 AWS pricing model to the measured Fig. 4/5 run times:
-Lambda GB-seconds + requests + one r5.2xlarge storage node for
-Crucial; the 11-node EMR cluster for Spark.  Paper shape: costs are
+The paper's method: 2019 AWS prices (:class:`repro.config.AwsPrices`)
+times the measured Fig. 4/5 run times — Lambda GB-seconds + requests +
+one r5.2xlarge storage node for Crucial; the 11-node EMR cluster for
+Spark; no provisioning time, no free tier.  Paper shape: costs are
 comparable where Crucial is much faster (k=25); Crucial costs more
 where computation dominates (k=200), because its per-second rate is
 higher (0.28 vs 0.15 cents/s).
@@ -12,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.config import Config, DEFAULT_CONFIG
 from repro.harness import fig4_logreg, fig5_kmeans
 from repro.harness.claims import Claim, above, below, between, claim_lines
-from repro.metrics.cost import CostModel, ExperimentCost
 from repro.metrics.report import render_table
+
+PRICES = DEFAULT_CONFIG.prices
 
 #: Table 3 reference values: (total $, iterations $).
 PAPER = {
@@ -57,16 +60,54 @@ CLAIMS = [
 ]
 
 
+@dataclass(frozen=True)
+class Cost:
+    total_seconds: float
+    total_dollars: float
+    iteration_dollars: float
+
+
+def crucial_rate(functions: int, memory_mb: int) -> float:
+    """$/s while all functions and the one DSO node are running.
+
+    With 80 x 1792 MB this is ~0.25 cents/s, with 80 x 2048 MB
+    ~0.28 cents/s — Section 6.2.3's quoted rates.
+    """
+    return (PRICES.lambda_dollars(functions * (memory_mb / 1024.0))
+            + PRICES.node_dollars(1, PRICES.ec2_r5_2xlarge_hour))
+
+
+def spark_rate(config: Config = DEFAULT_CONFIG) -> float:
+    """$/s of the EMR cluster (the configured workers plus a master),
+    EC2 + EMR surcharge per node: ~0.15 cents/s for 11 m5.2xlarge."""
+    prices = config.prices
+    return prices.node_dollars(
+        config.spark.worker_nodes + 1,
+        prices.ec2_m5_2xlarge_hour + prices.emr_m5_2xlarge_hour)
+
+
+def crucial_cost(total_seconds: float, iteration_seconds: float,
+                 functions: int, memory_mb: int) -> Cost:
+    """One invocation per function, billed for the whole run."""
+    rate = crucial_rate(functions, memory_mb)
+    return Cost(total_seconds,
+                rate * total_seconds + PRICES.lambda_dollars(0, functions),
+                rate * iteration_seconds)
+
+
+def spark_cost(total_seconds: float, iteration_seconds: float) -> Cost:
+    rate = spark_rate()
+    return Cost(total_seconds, rate * total_seconds, rate * iteration_seconds)
+
+
 @dataclass
 class CostsResult:
-    #: (experiment, system) -> ExperimentCost
-    costs: dict[tuple[str, str], ExperimentCost]
+    costs: dict[tuple[str, str], Cost]
 
 
 def run(iterations_logreg: int = 100, iterations_kmeans: int = 10,
         workers: int = 80, seed: int = 6) -> CostsResult:
-    model = CostModel()
-    costs: dict[tuple[str, str], ExperimentCost] = {}
+    costs: dict[tuple[str, str], Cost] = {}
 
     # Only the two systems Table 3 prices: Fig. 5's Redis variant
     # would cost a third of the run for nothing.
@@ -74,24 +115,20 @@ def run(iterations_logreg: int = 100, iterations_kmeans: int = 10,
         label = f"k-means k={k}"
         iteration, total = fig5_kmeans.RUNNERS["crucial"](
             k, iterations_kmeans, workers, seed)
-        costs[(label, "crucial")] = model.crucial_experiment(
-            label, total_seconds=total, iteration_seconds=iteration,
-            functions=workers, memory_mb=2048)
+        costs[(label, "crucial")] = crucial_cost(
+            total, iteration, functions=workers, memory_mb=2048)
         iteration, total = fig5_kmeans.RUNNERS["spark"](
             k, iterations_kmeans, workers, seed)
-        costs[(label, "spark")] = model.spark_experiment(
-            label, total_seconds=total, iteration_seconds=iteration)
+        costs[(label, "spark")] = spark_cost(total, iteration)
 
     logreg = fig4_logreg.run(iterations=iterations_logreg,
                              workers=workers, seed=seed)
     label = "logistic regression"
-    costs[(label, "crucial")] = model.crucial_experiment(
-        label, total_seconds=logreg.crucial_total,
-        iteration_seconds=logreg.crucial_iter,
+    costs[(label, "crucial")] = crucial_cost(
+        logreg.crucial_total, logreg.crucial_iter,
         functions=workers, memory_mb=1792)
-    costs[(label, "spark")] = model.spark_experiment(
-        label, total_seconds=logreg.spark_total,
-        iteration_seconds=logreg.spark_iter)
+    costs[(label, "spark")] = spark_cost(logreg.spark_total,
+                                         logreg.spark_iter)
     return CostsResult(costs=costs)
 
 

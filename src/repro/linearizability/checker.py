@@ -117,40 +117,29 @@ class LinearizabilityChecker:
     # -- search -------------------------------------------------------------------
 
     def _check_one(self, operations: list[Operation]) -> bool:
-        """Wing & Gong over one (already sorted) sub-history."""
+        """Wing & Gong over one (already sorted) sub-history, depth
+        first over an explicit stack of ``[model, pending, seen-key,
+        next index]`` frames (recursion would overflow on long ones)."""
         self._budget = self._explored + self.max_states
         seen: set[tuple[frozenset[int], bytes]] = set()
-        return self._search(self.model_factory(), list(operations), seen)
-
-    def _search(self, model: object, pending: list[Operation],
-                seen: set) -> bool:
-        if not pending:
-            return True
-        self._explored += 1
-        if self._explored > self._budget:
-            raise RuntimeError(
-                f"state budget exceeded ({self.max_states}); "
-                "history too large for exhaustive checking")
-        key = (frozenset(op.op_id for op in pending), _fingerprint(model))
-        if key in seen:
-            return False
-        # Minimal operations: those not preceded by another pending op.
-        horizon = min(op.response for op in pending)
-        for index, candidate in enumerate(pending):
-            if candidate.invoke > horizon:
-                break  # sorted by invoke: nothing later can be minimal
-            replica = _clone(model)
-            try:
-                outcome = getattr(replica, candidate.method)(*candidate.args)
-            except Exception:  # the model rejects this op here
-                continue
-            if outcome != candidate.result:
-                continue
-            rest = pending[:index] + pending[index + 1:]
-            if self._search(replica, rest, seen):
-                return True
-        seen.add(key)
-        return False
+        stack: list[list] = []
+        model, pending = self.model_factory(), list(operations)
+        while pending:
+            self._explored += 1
+            if self._explored > self._budget:
+                raise RuntimeError(
+                    f"state budget exceeded ({self.max_states}); "
+                    "history too large for exhaustive checking")
+            key = (frozenset(op.op_id for op in pending),
+                   _fingerprint(model))
+            if key not in seen:
+                stack.append([model, pending, key, 0])
+            while stack and (successor := _advance(stack[-1])) is None:
+                seen.add(stack.pop()[2])
+            if not stack:
+                return False
+            model, pending = successor
+        return True
 
     # -- counterexample minimisation ---------------------------------------
 
@@ -186,6 +175,27 @@ class LinearizabilityChecker:
             else:
                 index += 1
         return window
+
+
+def _advance(frame: list) -> tuple[object, list[Operation]] | None:
+    """The state after the frame's next minimal operation (from its
+    next index on) that the model accepts; ``None`` once none is."""
+    model, pending, _key, start = frame
+    # Minimal operations: those not preceded by another pending op.
+    horizon = min(op.response for op in pending)
+    for index in range(start, len(pending)):
+        candidate = pending[index]
+        if candidate.invoke > horizon:
+            break  # sorted by invoke: nothing later can be minimal
+        replica = _clone(model)
+        try:
+            outcome = getattr(replica, candidate.method)(*candidate.args)
+        except Exception:  # the model rejects this op here
+            continue
+        if outcome == candidate.result:
+            frame[3] = index + 1
+            return replica, pending[:index] + pending[index + 1:]
+    return None
 
 
 def _clone(model: object) -> object:

@@ -1,8 +1,8 @@
-"""Measurement and reporting: event rates, percentiles, AWS costs,
-result tables."""
+"""Measurement and reporting: event rates, percentiles, the cost
+ledger, result tables."""
 
 from repro.metrics.recorder import ThroughputTracker, percentile
-from repro.metrics.cost import BackendBill, CostLedger, CostModel, ExperimentCost
+from repro.metrics.cost import BackendBill, CostLedger, Rent
 from repro.metrics.report import (
     cache_summary,
     comparison_table,
@@ -16,8 +16,7 @@ __all__ = [
     "percentile",
     "BackendBill",
     "CostLedger",
-    "CostModel",
-    "ExperimentCost",
+    "Rent",
     "render_table",
     "comparison_table",
     "cost_summary",

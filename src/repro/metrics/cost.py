@@ -1,34 +1,29 @@
-"""Monetary-cost models: the Table 3 experiment bill and the
-per-backend storage ledger.
+"""The run's ledger: request fees and rent, per billed component.
 
-:class:`CostModel` prices whole experiments (2019 on-demand AWS
-rates): Lambda GB-seconds + requests, plus the DSO storage instance(s)
-for Crucial; the EMR cluster for Spark.  As in the paper, provisioning
-time is not billed and the free tier is ignored.
-
-:class:`CostLedger` is the storage-tier ledger behind the pluggable
-backend API (:mod:`repro.storage.backend`): every request accrues its
-per-request fee, and capacity rent accrues as a byte-seconds integral
-over virtual time, per backend — so tiered-placement policies can be
-compared in dollars, not just microseconds
-(:func:`repro.metrics.report.cost_summary` renders it).
+:class:`CostLedger` is one account per run: every storage request
+accrues its fee as it is served, and every :class:`Rent` integrates a
+level (bytes at rest on a backend, member nodes of a grid) over
+virtual time and books it at its price, so totals read mid-run are
+exact (:func:`repro.metrics.report.cost_summary` renders it).  Prices
+come from :class:`repro.config.AwsPrices`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.config import Config, DEFAULT_CONFIG
+from typing import Callable
 
 
 @dataclass
 class BackendBill:
-    """Accumulated dollars for one storage backend."""
+    """Accumulated dollars for one billed component."""
 
     backend: str
     tier: str
     requests: int = 0
     request_dollars: float = 0.0
+    #: The rented level integrated over time: byte-seconds for a
+    #: storage tier, node-seconds for the ``compute`` tier.
     byte_seconds: float = 0.0
     storage_dollars: float = 0.0
 
@@ -39,23 +34,22 @@ class BackendBill:
 
 @dataclass
 class CostLedger:
-    """Per-backend request fees + capacity rent, in one account.
+    """Per-component request fees + rent, in one account.
 
     Backends report into the ledger as they serve traffic
-    (:meth:`request`) and as data rests on them (:meth:`occupancy`);
-    :meth:`settle` asks every attached backend to accrue rent up to
-    the current virtual time, so totals read mid-run are exact.  One
-    ledger may serve many backends (a :class:`~repro.storage.tiering.
-    TieredStore` shares one across its tiers), keyed by backend name.
+    (:meth:`request`), and every attached :class:`Rent` books its
+    occupancy (:meth:`occupancy`); :meth:`settle` brings every rent up
+    to the current virtual time.  One ledger may serve many components
+    (a :class:`~repro.storage.tiering.TieredStore` shares one across
+    its tiers), keyed by name.
     """
 
     bills: dict[str, BackendBill] = field(default_factory=dict)
-    _backends: list = field(default_factory=list, repr=False)
+    _rents: list[Rent] = field(default_factory=list, repr=False)
 
-    def attach(self, backend) -> None:
-        """Register ``backend`` for :meth:`settle` sweeps."""
-        if backend not in self._backends:
-            self._backends.append(backend)
+    def attach(self, rent: Rent) -> None:
+        """Register ``rent`` for :meth:`settle` sweeps."""
+        self._rents.append(rent)
 
     def bill_for(self, name: str, tier: str = "object") -> BackendBill:
         bill = self.bills.get(name)
@@ -78,9 +72,9 @@ class CostLedger:
         bill.storage_dollars += dollars
 
     def settle(self) -> None:
-        """Flush every attached backend's pending rent accrual."""
-        for backend in self._backends:
-            backend.settle()
+        """Book every attached rent up to the current virtual time."""
+        for rent in self._rents:
+            rent.settle()
 
     @property
     def request_dollars(self) -> float:
@@ -95,70 +89,31 @@ class CostLedger:
         return sum(b.total_dollars for b in self.bills.values())
 
 
-@dataclass(frozen=True)
-class ExperimentCost:
-    label: str
-    total_seconds: float
-    total_dollars: float
-    iteration_seconds: float
-    iteration_dollars: float
+class Rent:
+    """Books ``level() x elapsed`` virtual seconds (``clock.now``, the
+    kernel's) into ``ledger`` at ``price``.  ``level`` is read when the
+    rent settles, so whoever changes it settles first; a zero level
+    books nothing."""
 
-    def row(self) -> tuple:
-        return (self.label, round(self.total_seconds),
-                round(self.total_dollars, 3),
-                round(self.iteration_dollars, 3))
+    def __init__(self, ledger: CostLedger, clock, name: str, tier: str,
+                 level: Callable[[], float],
+                 price: Callable[[float], float]):
+        self.ledger = ledger
+        self.clock = clock
+        self.name = name
+        self.tier = tier
+        self.level = level
+        self.price = price
+        self.level_seconds = 0.0  # everything booked so far
+        self._last = clock.now
+        ledger.attach(self)
 
-
-class CostModel:
-    def __init__(self, config: Config = DEFAULT_CONFIG):
-        self.prices = config.prices
-        #: The EMR cluster: the configured workers plus one master.
-        self.spark_nodes = config.spark.worker_nodes + 1
-
-    # -- Crucial -------------------------------------------------------------------
-
-    def crucial_rate_per_second(self, functions: int,
-                                memory_mb: int) -> float:
-        """$/s while all functions and the one DSO node are running.
-
-        With 80 x 1792 MB this is ~0.25 cents/s, with 80 x 2048 MB
-        ~0.28 cents/s — Section 6.2.3's quoted rates.
-        """
-        lambda_rate = (functions * (memory_mb / 1024.0)
-                       * self.prices.lambda_gb_second)
-        storage_rate = self.prices.ec2_r5_2xlarge_hour / 3600.0
-        return lambda_rate + storage_rate
-
-    def crucial_experiment(self, label: str, total_seconds: float,
-                           iteration_seconds: float, functions: int,
-                           memory_mb: int) -> ExperimentCost:
-        """One invocation per function, billed for the whole run."""
-        rate = self.crucial_rate_per_second(functions, memory_mb)
-        requests = functions * self.prices.lambda_per_request
-        return ExperimentCost(
-            label=label,
-            total_seconds=total_seconds,
-            total_dollars=rate * total_seconds + requests,
-            iteration_seconds=iteration_seconds,
-            iteration_dollars=rate * iteration_seconds)
-
-    # -- Spark on EMR -----------------------------------------------------------------
-
-    def spark_rate_per_second(self) -> float:
-        """$/s of the EMR cluster: EC2 + EMR surcharge per node.
-
-        11 m5.2xlarge nodes cost ~0.15 cents/s (Section 6.2.3).
-        """
-        per_node_hour = (self.prices.ec2_m5_2xlarge_hour
-                         + self.prices.emr_m5_2xlarge_hour)
-        return self.spark_nodes * per_node_hour / 3600.0
-
-    def spark_experiment(self, label: str, total_seconds: float,
-                         iteration_seconds: float) -> ExperimentCost:
-        rate = self.spark_rate_per_second()
-        return ExperimentCost(
-            label=label,
-            total_seconds=total_seconds,
-            total_dollars=rate * total_seconds,
-            iteration_seconds=iteration_seconds,
-            iteration_dollars=rate * iteration_seconds)
+    def settle(self) -> None:
+        now = self.clock.now
+        elapsed = now - self._last
+        self._last = now
+        if elapsed > 0 and (level := self.level()) > 0:
+            amount = level * elapsed
+            self.level_seconds += amount
+            self.ledger.occupancy(self.name, self.tier, amount,
+                                  self.price(amount))

@@ -89,21 +89,22 @@ def cache_summary(stats, title: str = "dso read cache") -> str:
     return render_table(["counter", "value"], rows, title=title)
 
 
-def cost_summary(ledger, title: str = "storage cost ledger") -> str:
-    """Render a :class:`repro.metrics.cost.CostLedger` per backend.
+def cost_summary(ledger, title: str = "cost ledger") -> str:
+    """Render a :class:`repro.metrics.cost.CostLedger` per component.
 
-    Settles pending capacity rent first, then shows each backend's
-    request count, request dollars, GB-hours of occupancy, capacity
-    rent, and total — followed by an account-wide total row — so a
-    harness can print what a placement policy actually cost.
+    Settles pending rent first, then shows each component's requests,
+    request dollars, occupancy (node-hours for the ``compute`` tier,
+    GB-hours for a storage tier), rent and total, and a total row.
     """
     ledger.settle()
     rows = []
     for name in sorted(ledger.bills):
         bill = ledger.bills[name]
+        occupancy = (f"{bill.byte_seconds / 3600.0:.4g} node-h"
+                     if bill.tier == "compute" else
+                     f"{bill.byte_seconds / 1e9 / 3600.0:.4g} GB-h")
         rows.append((name, bill.tier, bill.requests,
-                     f"${bill.request_dollars:.6f}",
-                     f"{bill.byte_seconds / 1e9 / 3600.0:.4g}",
+                     f"${bill.request_dollars:.6f}", occupancy,
                      f"${bill.storage_dollars:.6f}",
                      f"${bill.total_dollars:.6f}"))
     rows.append(("total", "-",
@@ -112,8 +113,8 @@ def cost_summary(ledger, title: str = "storage cost ledger") -> str:
                  f"${ledger.storage_dollars:.6f}",
                  f"${ledger.total_dollars:.6f}"))
     return render_table(
-        ["backend", "tier", "requests", "request $", "GB-hours",
-         "storage $", "total $"],
+        ["component", "tier", "requests", "request $", "occupancy",
+         "rent $", "total $"],
         rows, title=title)
 
 

@@ -16,11 +16,11 @@ live and what a request costs in time.
 The profile numbers are seeded from the ``HW_PARAMETERS`` table used
 in serverless cost modelling (S3: 100-200 ms, $0.023/GB-month,
 $0.005/1k PUT + $0.0004/1k GET; gp3: 1-2 ms, $0.081/GB-month, free
-requests, 125 MB/s) — see :class:`repro.config.TieringSettings`.
-Every request accrues dollars into a
-:class:`repro.metrics.cost.CostLedger`, and capacity rent is accrued
-as a byte-seconds integral over virtual time, so a harness can report
-exactly what a placement policy costs, not just how fast it is.
+requests, 125 MB/s) — see :class:`repro.config.AwsPrices`.  Every
+request accrues dollars into a :class:`repro.metrics.cost.CostLedger`,
+and capacity rent is a :class:`repro.metrics.cost.Rent` over the bytes
+at rest, so a harness can report exactly what a placement policy
+costs, not just how fast it is.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
-from repro.metrics.cost import CostLedger
+from repro.metrics.cost import CostLedger, Rent
 from repro.net.latency import LatencyModel
 from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
@@ -156,7 +156,7 @@ class StorageBackend(Protocol):
 
     def settle(self) -> None:
         """Accrue capacity rent up to the current virtual time (what
-        :meth:`CostLedger.settle` calls on every attached backend)."""
+        :meth:`CostLedger.settle` does for every store's rent)."""
         ...
 
 
@@ -172,7 +172,7 @@ def s3_profile(config: Config = DEFAULT_CONFIG,
         name=name, tier="object",
         get_latency=config.storage.s3_get,
         put_latency=config.storage.s3_put,
-        dollars_per_gb_month=config.tiering.s3_dollars_per_gb_month,
+        dollars_per_gb_month=config.prices.s3_dollars_per_gb_month,
         get_request_dollars=config.prices.s3_get_per_1000 / 1000.0,
         put_request_dollars=config.prices.s3_put_per_1000 / 1000.0,
         visibility_lag=config.storage.s3_visibility_lag)
@@ -185,7 +185,7 @@ def gp3_profile(config: Config = DEFAULT_CONFIG,
         name=name, tier="block",
         get_latency=config.tiering.gp3_get,
         put_latency=config.tiering.gp3_put,
-        dollars_per_gb_month=config.tiering.gp3_dollars_per_gb_month)
+        dollars_per_gb_month=config.prices.gp3_dollars_per_gb_month)
 
 
 def memory_profile(config: Config = DEFAULT_CONFIG,
@@ -195,7 +195,7 @@ def memory_profile(config: Config = DEFAULT_CONFIG,
         name=name, tier="memory",
         get_latency=config.tiering.memory_get,
         put_latency=config.tiering.memory_put,
-        dollars_per_gb_month=config.tiering.memory_dollars_per_gb_month)
+        dollars_per_gb_month=config.prices.memory_dollars_per_gb_month)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +222,16 @@ class _MeteredStore:
         self.profile = profile
         self.name = profile.name
         self.ledger = ledger if ledger is not None else CostLedger()
-        self.ledger.attach(self)
         self.stats = BackendStats()
         self._nbytes: dict[str, int] = {}
         self._resting_bytes = 0
-        self._last_settle = kernel.now
+        self._rent = Rent(self.ledger, kernel, self.name, profile.tier,
+                          lambda: self._resting_bytes,
+                          profile.storage_dollars)
 
     def settle(self) -> None:
         """Accrue capacity rent up to the current virtual time."""
-        now = self.kernel.now
-        elapsed = now - self._last_settle
-        if elapsed > 0 and self._resting_bytes > 0:
-            byte_seconds = self._resting_bytes * elapsed
-            self.ledger.occupancy(
-                self.name, self.profile.tier, byte_seconds,
-                self.profile.storage_dollars(byte_seconds))
-        self._last_settle = now
+        self._rent.settle()
 
     def _charge(self, dollars: float, count_attr: str) -> None:
         setattr(self.stats, count_attr, getattr(self.stats, count_attr) + 1)

@@ -39,49 +39,33 @@ import math
 from dataclasses import dataclass
 
 from repro.core.runtime import RUNNER_FUNCTION, CrucialEnvironment
-from repro.metrics.cost import CostLedger
+from repro.metrics.cost import CostLedger, Rent
 from repro.metrics.recorder import percentile
 from repro.simulation.thread import PeriodicThread
 from repro.workload.generator import ServingMetrics
 
 
-class NodeRentMeter:
-    """Accrues grid-node rent into a :class:`CostLedger`.
-
-    Each live DSO node bills like the paper's r5.2xlarge storage
-    instance: ``rate_per_hour / 3600`` dollars per node-second,
-    integrated over virtual time (``byte_seconds`` carries
-    node-seconds for this bill).  Attach it to the ledger so
-    ``ledger.settle()`` sweeps it with the storage backends; the
-    autoscaler also settles right before changing the node count, so
-    the integral is exact across scale events.
-    """
+class NodeRentMeter(Rent):
+    """Grid-node rent: a :class:`Rent` over the DSO's member nodes,
+    each billed like the paper's r5.2xlarge storage instance.  The
+    autoscaler settles right before changing the node count, so the
+    integral is exact across scale events."""
 
     def __init__(self, env: CrucialEnvironment, ledger: CostLedger,
                  rate_per_hour: float | None = None,
                  name: str = "grid-nodes"):
-        self.env = env
-        self.ledger = ledger
+        prices = env.config.prices
         if rate_per_hour is None:
-            rate_per_hour = env.config.prices.ec2_r5_2xlarge_hour
-        self.rate_per_hour = rate_per_hour
-        self.name = name
-        self.node_seconds = 0.0
-        self._last = env.kernel.now
-        ledger.attach(self)
+            rate_per_hour = prices.ec2_r5_2xlarge_hour
+        super().__init__(
+            ledger, env.kernel, name, "compute",
+            lambda: len(env.dso.member_nodes()),
+            lambda node_seconds: prices.node_dollars(node_seconds,
+                                                     rate_per_hour))
 
-    def settle(self) -> None:
-        now = self.env.kernel.now
-        elapsed = now - self._last
-        self._last = now
-        if elapsed <= 0:
-            return
-        nodes = len(self.env.dso.member_nodes())
-        node_seconds = nodes * elapsed
-        self.node_seconds += node_seconds
-        self.ledger.occupancy(
-            self.name, "compute", byte_seconds=node_seconds,
-            dollars=node_seconds * self.rate_per_hour / 3600.0)
+    @property
+    def node_seconds(self) -> float:
+        return self.level_seconds
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ acknowledged — so the counter's final value equals *exactly* the
 number of acknowledged futures, never more.
 """
 
-import pytest
-
 from repro import AtomicInt
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG

@@ -1,6 +1,5 @@
 """Property-based tests on the synchronization objects' invariants."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

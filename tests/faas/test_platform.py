@@ -190,8 +190,6 @@ def test_invalid_failure_kind(kernel, platform):
 
 
 def test_throttling_at_concurrency_limit(kernel):
-    from dataclasses import replace
-
     from repro.config import Config, FaasLimits
 
     config = Config(faas_limits=FaasLimits(max_concurrency=2))

@@ -11,7 +11,6 @@ that the primary runs as one critical section — with
 ``read_cache=True`` end to end through the proxy stack.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -271,3 +271,19 @@ def test_explain_window_contains_all_conflicting_ops():
     assert "minimal unlinearizable window (2 of 2 ops)" in text
     assert "a: add_and_get(1) -> 1" in text
     assert "b: add_and_get(1) -> 1" in text
+
+
+
+def test_long_history_checks_without_recursion():
+    """The search is one level deep per linearized op: 2 000 sequential
+    ``add_and_get(1)`` calls on one key, from two clients taking turns,
+    must not overflow the interpreter's stack."""
+    history = [Operation(i, f"c{i % 2}", "add_and_get", (1,), i + 1,
+                         float(i), i + 0.5, key="counter")
+               for i in range(2000)]
+    assert LinearizabilityChecker(Counter).check(history)
+    last = history[-1]
+    history[-1] = Operation(last.op_id, last.thread, last.method,
+                            last.args, last.result + 1, last.invoke,
+                            last.response, key=last.key)
+    assert not LinearizabilityChecker(Counter).check(history)

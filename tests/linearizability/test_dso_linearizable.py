@@ -6,7 +6,6 @@ cloud-side threads hammer one shared object through the full stack
 concurrent history must admit a legal linearization.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

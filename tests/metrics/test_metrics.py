@@ -1,4 +1,4 @@
-"""Unit tests for metrics: recorder, cost model, report tables."""
+"""Unit tests for metrics: recorder, Table 3 cost formula, report tables."""
 
 from dataclasses import replace
 
@@ -6,14 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import CrucialEnvironment, NodeRentMeter
 from repro.config import DEFAULT_CONFIG
+from repro.harness.table3_costs import (
+    crucial_cost,
+    crucial_rate,
+    spark_cost,
+    spark_rate,
+)
 from repro.metrics import (
-    CostModel,
     ThroughputTracker,
     comparison_table,
+    cost_summary,
     percentile,
     render_table,
 )
+from repro.simulation.thread import sleep
 
 
 # -- recorder -----------------------------------------------------------------
@@ -118,23 +126,18 @@ def test_rate_between_equals_events_over_elapsed(events, window):
     assert tracker.rate_between(start, end) == pytest.approx(expected)
 
 
-# -- cost model ------------------------------------------------------------------
+# -- Table 3 cost formula --------------------------------------------------
 
 
 def test_crucial_rate_matches_section_623():
-    model = CostModel()
     # "0.25 and 0.28 cents per second for 1792MB and 2048MB"
-    assert model.crucial_rate_per_second(80, 1792) * 100 == \
-        pytest.approx(0.25, abs=0.01)
-    assert model.crucial_rate_per_second(80, 2048) * 100 == \
-        pytest.approx(0.28, abs=0.01)
+    assert crucial_rate(80, 1792) * 100 == pytest.approx(0.25, abs=0.01)
+    assert crucial_rate(80, 2048) * 100 == pytest.approx(0.28, abs=0.01)
 
 
 def test_spark_rate_matches_section_623():
-    model = CostModel()
     # "0.15 cents per second" for the 11-node EMR cluster.
-    assert model.spark_rate_per_second() * 100 == pytest.approx(0.15,
-                                                                abs=0.01)
+    assert spark_rate() * 100 == pytest.approx(0.15, abs=0.01)
 
 
 def test_spark_rate_prices_the_configured_cluster():
@@ -142,24 +145,19 @@ def test_spark_rate_prices_the_configured_cluster():
     master), not a second copy of the cluster size."""
     config = replace(DEFAULT_CONFIG, spark=replace(DEFAULT_CONFIG.spark,
                                                    worker_nodes=20))
-    assert CostModel(config).spark_rate_per_second() == pytest.approx(
-        CostModel().spark_rate_per_second() * 21 / 11)
+    assert spark_rate(config) == pytest.approx(spark_rate() * 21 / 11)
 
 
 def test_crucial_experiment_cost_breakdown():
-    model = CostModel()
-    cost = model.crucial_experiment("k-means", total_seconds=87,
-                                    iteration_seconds=20.4,
-                                    functions=80, memory_mb=2048)
+    cost = crucial_cost(total_seconds=87, iteration_seconds=20.4,
+                        functions=80, memory_mb=2048)
     # Table 3: k-means (k=25) Crucial: total $0.244, iterations $0.057.
     assert cost.total_dollars == pytest.approx(0.244, abs=0.02)
     assert cost.iteration_dollars == pytest.approx(0.057, abs=0.005)
 
 
 def test_spark_experiment_cost_breakdown():
-    model = CostModel()
-    cost = model.spark_experiment("k-means", total_seconds=168,
-                                  iteration_seconds=34)
+    cost = spark_cost(total_seconds=168, iteration_seconds=34)
     # Table 3: k-means (k=25) Spark: total $0.246, iterations $0.050.
     assert cost.total_dollars == pytest.approx(0.246, abs=0.01)
     assert cost.iteration_dollars == pytest.approx(0.050, abs=0.005)
@@ -181,3 +179,23 @@ def test_comparison_table_ratio():
     text = comparison_table("t", [("x", 2.0, 1.0)], unit="s")
     assert "0.50x" in text
     assert "2s" in text
+
+
+def test_cost_summary_shows_node_rent_in_node_hours():
+    """Node rent is not storage: the grid's row reads in node-hours,
+    an S3 row in GB-hours, and both rents sit under "rent $"."""
+    with CrucialEnvironment(seed=3, dso_nodes=2) as env:
+        NodeRentMeter(env, env.cost_ledger)
+        env.object_store.seed("dataset", b"", nbytes=10 ** 9)
+
+        def main():
+            sleep(3600.0)
+            return cost_summary(env.cost_ledger)
+
+        lines = env.run(main).splitlines()
+    rows = {cells[0]: cells for cells in
+            ([cell.strip() for cell in line.split("|")] for line in lines)}
+    assert rows["component"][4:6] == ["occupancy", "rent $"]
+    assert rows["grid-nodes"][1] == "compute"
+    assert rows["grid-nodes"][4:6] == ["2 node-h", "$1.008000"]
+    assert rows["s3"][4] == "1 GB-h"

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread
+from repro.core.cloud_thread import run_all
 from repro.core.objects import AtomicLong
 from repro.core.runtime import compute, current_environment
 from repro.ml.costmodel import montecarlo_cost
@@ -51,14 +51,8 @@ def estimate_pi(n_threads: int, iterations_per_thread: int = 100_000_000,
     env = current_environment()
     env.pre_warm(n_threads)
     start = env.now
-    threads = [
-        CloudThread(PiEstimator(iterations_per_thread, counter_key, seed=i))
-        for i in range(n_threads)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    run_all([PiEstimator(iterations_per_thread, counter_key, seed=i)
+             for i in range(n_threads)])
     total = AtomicLong(counter_key).get()
     elapsed = env.now - start
     estimate = 4.0 * total / (n_threads * iterations_per_thread)

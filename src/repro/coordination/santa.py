@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread
+from repro.core.cloud_thread import run_all
 from repro.core.runtime import current_environment
 from repro.core.shared import shared
 from repro.dso.server import ServerObject
@@ -285,11 +285,7 @@ class SantaClausProblem:
                    for i in range(self.elves)])
             env.pre_warm(len(runnables))
             start = env.now  # exclude provisioning, as the paper does
-            threads = [CloudThread(r) for r in runnables]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            run_all(runnables)
         else:
             threads = (
                 [spawn(_santa_loop, handle, self.params["delivery_time"],

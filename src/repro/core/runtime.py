@@ -102,7 +102,6 @@ class CrucialEnvironment:
     def __init__(self, kernel: Kernel | None = None, seed: int = 0,
                  dso_nodes: int = 1, config: Config = DEFAULT_CONFIG,
                  function_memory_mb: int = 1792,
-                 copy_messages: bool = True,
                  trace_enabled: bool = False,
                  read_cache: bool = False):
         self._owns_kernel = kernel is None
@@ -112,8 +111,7 @@ class CrucialEnvironment:
         self.config = config
         self.network = Network(
             self.kernel,
-            default_latency=LatencyModel(100e-6, sigma=0.05),
-            copy_messages=copy_messages)
+            default_latency=LatencyModel(100e-6, sigma=0.05))
         self.client_endpoint = "client"
         self.network.ensure_endpoint(self.client_endpoint)
         self.platform = FaasPlatform(self.kernel, self.network, config)
@@ -121,7 +119,6 @@ class CrucialEnvironment:
         #: of read-only DSO methods (repro.dso.cache); off by default,
         #: preserving the paper's always-ship read path.
         self.dso = DsoLayer(self.kernel, self.network, config,
-                            copy_instances=copy_messages,
                             read_cache=read_cache)
         # Cache lifetime == container lifetime: when the platform
         # reclaims a container (keep-alive expiry, chaos kill), the DSO

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dso.reference import DsoReference
+from repro.net.network import ship
 from repro.simulation.kernel import current_thread
 from repro.trace.tracer import NO_SPAN
 
@@ -318,9 +319,9 @@ class EndpointCaches:
                     f"{method!r}")
             result = bound(*args, **kwargs)
         layer.stats.cache_hits += 1
-        # Copy out: the caller must never mutate the cached snapshot
-        # through an aliased result (same wire discipline as ship()).
-        return layer.shippable(result)
+        # Copy out, as the wire would: the caller must never mutate the
+        # cached snapshot through an aliased result.
+        return ship(result)
 
     def store(self, client: str, ident: tuple[str, str],
               grant: LeaseGrant, generation: int,

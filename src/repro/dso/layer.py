@@ -114,14 +114,11 @@ class DsoLayer:
 
     def __init__(self, kernel: Kernel, network: Network,
                  config: Config = DEFAULT_CONFIG, name: str = "dso",
-                 copy_instances: bool = True, read_cache: bool = False):
+                 read_cache: bool = False):
         self.kernel = kernel
         self.network = network
         self.config = config
         self.name = name
-        #: Ship object state through pickle on creation/rebalance.
-        #: Benchmarks with huge logical objects can disable it.
-        self.copy_instances = copy_instances
         self.membership = MembershipService(
             kernel, failure_detection_delay=config.dso.failure_detection)
         self.nodes: dict[str, DsoNode] = {}
@@ -242,11 +239,6 @@ class DsoLayer:
         if self.network.link(client, node_name) is not latency:
             self.network.ensure_endpoint(client)
             self.network.set_link(client, node_name, latency)
-
-    def shippable(self, value: Any) -> Any:
-        """``value`` as it arrives after crossing the wire: a copy that
-        later mutations on either side cannot alias into."""
-        return ship(value) if self.copy_instances else value
 
     def placement_of(self, ref: DsoReference) -> tuple[str, ...]:
         placement = self.placements.get(ref)
@@ -578,4 +570,4 @@ class DsoLayer:
               if tracer.enabled else NO_SPAN):
             self._retry_transient(attempt)
             self.stats.invocations += len(refs)
-            return self.shippable(results)
+            return ship(results)

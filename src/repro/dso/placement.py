@@ -83,7 +83,7 @@ class PlacementDirectory:
         placement = self._place(ref)
         for name in placement.replicas:
             layer.nodes[name].host(ref.ident, cls(
-                *layer.shippable(ctor_args), **layer.shippable(ctor_kwargs)))
+                *ship(ctor_args), **ship(ctor_kwargs)))
         layer.stats.creations += 1
         return placement
 
@@ -171,8 +171,8 @@ class PlacementDirectory:
             # Dedup state survives passivation too: a client whose
             # write landed before the snapshot still dedups after the
             # restore.
-            layer.nodes[name].host(ref.ident, layer.shippable(instance),
-                                   sessions=layer.shippable(sessions))
+            layer.nodes[name].host(ref.ident, ship(instance),
+                                   sessions=ship(sessions))
         layer.stats.creations += 1
 
     # -- view changes and rebalancing ---------------------------------------
@@ -247,8 +247,8 @@ class PlacementDirectory:
                         # a client retrying against the new owner must
                         # still find its cached replies.
                         layer.nodes[name].host(
-                            ident, layer.shippable(container.instance),
-                            sessions=layer.shippable(container.sessions))
+                            ident, ship(container.instance),
+                            sessions=ship(container.sessions))
                 old_replicas = placement.replicas
                 placement.replicas = target
                 placement.version += 1

@@ -43,6 +43,7 @@ from repro.errors import (
     TxnPrepareLostError,
 )
 from repro.mutation import PLANTED
+from repro.net.network import ship
 from repro.simulation.kernel import current_thread
 from repro.simulation.primitives import Condition, Lock
 from repro.trace.tracer import NO_SPAN
@@ -432,7 +433,7 @@ class DsoNode:
                 # txn id — LRU eviction must not reclaim it before the
                 # commit/abort resolves.
                 entry = container.sessions.record(
-                    stamp, layer.shippable(value),
+                    stamp, ship(value),
                     committed=not replicated,
                     pin=(args[0] if method == "__txn_prepare__"
                          else None), ok=ok)
@@ -503,7 +504,7 @@ class DsoNode:
         expiry = (dict(container.leases.active(self.kernel.now)).get(client)
                   if self.layer.caches.enabled else None)
         return entry.ok, entry.reply, None if expiry is None else LeaseGrant(
-            self.layer.shippable(container.instance), expiry,
+            ship(container.instance), expiry,
             placement.version, self.layer.caches.generation)
 
     def replicate(self, placement: Placement, ref: DsoReference,
@@ -576,7 +577,7 @@ class DsoNode:
                         bcontainer.apply(method, args, kwargs, None)
                         if stamp is not None:
                             bcontainer.sessions.record(
-                                stamp, layer.shippable(reply),
+                                stamp, ship(reply),
                                 committed=False, ok=ok)
                     finally:
                         backup.node.workers.release()
@@ -661,7 +662,7 @@ class DsoNode:
                 # At the holder, in kernel context (non-blocking).
                 layer.caches.revoke(holder, key, generation)
                 if "refresh-in-revocation" in PLANTED:
-                    layer.caches.store(holder, key, LeaseGrant(layer.shippable(
+                    layer.caches.store(holder, key, LeaseGrant(ship(
                         container.instance), expiry, version), generation)
                 invalidated.add(holder)
 
@@ -711,7 +712,7 @@ class DsoNode:
         container, layer = call.container, self.layer
         for holder, grant in call.refresh.items():
             if holder == writer:
-                grant.snapshot = layer.shippable(container.instance)
+                grant.snapshot = ship(container.instance)
             else:
                 grant.snapshot = container.instance
                 try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import CrucialEnvironment
-from repro.core.cloud_thread import CloudThread
+from repro.core.cloud_thread import run_all
 from repro.core.runtime import current_environment
 from repro.core.shared import dso_costs, shared
 from repro.core.sync import CyclicBarrier
@@ -134,13 +134,8 @@ def _run(worker_cls, n: int, run_id: str, seed: int) -> tuple[float, int]:
             env.pre_warm(n)
             messages_before = env.network.messages_sent
             start = env.now
-            threads = [CloudThread(worker_cls(i, n, run_id))
-                       for i in range(n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            results = {round(t.result(), 6) for t in threads}
+            results = {round(total, 6) for total in
+                       run_all([worker_cls(i, n, run_id) for i in range(n)])}
             assert len(results) == 1  # everyone got the same aggregate
             return (env.now - start,
                     env.network.messages_sent - messages_before)

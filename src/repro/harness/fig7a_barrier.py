@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import CrucialEnvironment, CloudThread, CyclicBarrier
+from repro import CrucialEnvironment, CyclicBarrier, run_all
 from repro.coordination.sns_barrier import SnsSqsBarrier
 from repro.core.runtime import compute, current_environment
 from repro.harness.claims import Claim, above, below, claim_lines
@@ -85,15 +85,8 @@ def _run_crucial(threads: int, seed: int) -> float:
     with CrucialEnvironment(seed=seed, dso_nodes=1) as env:
         def main():
             env.pre_warm(threads)
-            workers = [
-                CloudThread(_CrucialLockStep(f"7a-{threads}", i, threads))
-                for i in range(threads)
-            ]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-            return sum(w.result() for w in workers) / threads
+            return sum(run_all([_CrucialLockStep(f"7a-{threads}", i, threads)
+                                for i in range(threads)])) / threads
 
         return env.run(main)
 
@@ -106,14 +99,10 @@ def _run_sns(threads: int, seed: int) -> float:
             env.pre_warm(threads)
             coordinator = spawn(barrier.coordinate, ROUNDS + 1,
                                 name="coordinator")
-            workers = [CloudThread(_SnsLockStep(barrier, i))
-                       for i in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
+            waits = run_all([_SnsLockStep(barrier, i)
+                             for i in range(threads)])
             coordinator.join()
-            return sum(w.result() for w in workers) / threads
+            return sum(waits) / threads
 
         return env.run(main)
 

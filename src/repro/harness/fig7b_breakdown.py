@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import CloudThread, CrucialEnvironment, CyclicBarrier, compute
+from repro import CrucialEnvironment, CyclicBarrier, compute, run_all
 from repro.harness.claims import Claim, above, below, claim_lines
 from repro.metrics.report import render_table
 from repro.trace.tracer import Span, Tracer
@@ -138,24 +138,14 @@ def run(threads: int = 10, iterations: int = 5,
 
             # Approach (a): one stage per iteration.
             for _iteration in range(iterations):
-                stage = [CloudThread(_SingleIteration(f"input-{i}"))
-                         for i in range(threads)]
-                for thread in stage:
-                    thread.start()
-                for thread in stage:
-                    thread.join()
+                run_all([_SingleIteration(f"input-{i}")
+                         for i in range(threads)])
             marker["a_end"] = tracer.spans[-1].span_id
 
             # Approach (b): one stage, barrier-synchronized.
-            stage = [
-                CloudThread(_AllIterations(f"input-{i}", "fig7b", i,
-                                           threads, iterations))
-                for i in range(threads)
-            ]
-            for thread in stage:
-                thread.start()
-            for thread in stage:
-                thread.join()
+            run_all([_AllIterations(f"input-{i}", "fig7b", i, threads,
+                                    iterations)
+                     for i in range(threads)])
 
         env.run(main)
 

@@ -11,15 +11,23 @@ dataset carries two scales:
 
 Both the Crucial workers and the Spark executors read the same
 materialized partitions, so their models agree.
+
+The module also holds what every trainer shares: the worker's load
+phase (:meth:`PartitionInfo.load`), the fork/join that runs Listing 2's
+workers (:func:`fork_join`) and the timings each run reports
+(:class:`TrainingRun`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.config import Config, DEFAULT_CONFIG
+from repro.core.cloud_thread import RetryPolicy, run_all
+from repro.core.runtime import compute, current_environment
 from repro.ml import math as mlmath
 from repro.storage.backend import StorageBackend
 
@@ -29,6 +37,48 @@ class PartitionInfo:
     key: str
     nominal_points: int
     nominal_bytes: int
+
+    def load(self) -> Any:
+        """A worker's load phase: GET the partition from the object
+        store, then parse it at nominal size."""
+        env = current_environment()
+        data = env.object_store.get(self.key)
+        compute(self.nominal_bytes * env.config.compute.parse_per_byte)
+        return data
+
+
+@dataclass
+class TrainingRun:
+    """What every trainer reports, in virtual seconds: the whole run,
+    its load phase, and each iteration (the slowest worker's, for the
+    Crucial trainers)."""
+
+    total_time: float
+    load_time: float
+    per_iteration: list[float]
+
+    @property
+    def iteration_phase_time(self) -> float:
+        return sum(self.per_iteration)
+
+
+def fork_join(runnables: list[Any], retry_policy: RetryPolicy | None = None
+              ) -> tuple[list[dict], TrainingRun]:
+    """Run one CloudThread per worker and join them all (Listing 1).
+
+    Each worker returns a report with its ``load_time`` (the virtual
+    time its load phase ended) and its ``iteration_times``; returns the
+    reports and the run's timings, measured from the fork.
+    """
+    env = current_environment()
+    start = env.now
+    reports = run_all(runnables, retry_policy)
+    rounds = min(len(r["iteration_times"]) for r in reports)
+    return reports, TrainingRun(
+        total_time=env.now - start,
+        load_time=max(r["load_time"] for r in reports) - start,
+        per_iteration=[max(r["iteration_times"][i] for r in reports)
+                       for i in range(rounds)])
 
 
 class MLDataset:

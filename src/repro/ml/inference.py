@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread
+from repro.core.cloud_thread import run_all
 from repro.core.runtime import compute, current_environment
 from repro.core.shared import shared
 from repro.dso.reference import DsoReference
@@ -105,18 +105,12 @@ def run_inference_load(run_id: str, n_threads: int, duration: float,
     env = current_environment()
     env.pre_warm(n_threads)
     start = env.now
-    threads = [
-        CloudThread(InferenceWorker(i, run_id, n_objects, duration, rf))
-        for i in range(n_threads)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    timelines = run_all([InferenceWorker(i, run_id, n_objects, duration, rf)
+                         for i in range(n_threads)])
     buckets = [0] * (int(duration) + 2)
     total = 0
-    for thread in threads:
-        for timestamp in thread.result():
+    for timeline in timelines:
+        for timestamp in timeline:
             buckets[min(int(timestamp - start), len(buckets) - 1)] += 1
             total += 1
     return InferenceRunResult(duration=duration, per_second=buckets,

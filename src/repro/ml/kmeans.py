@@ -11,18 +11,18 @@ Spark's reduce phase (Section 4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread, RetryPolicy
+from repro.core.cloud_thread import RetryPolicy
 from repro.core.objects import AtomicInt
 from repro.core.runtime import compute, current_environment
 from repro.core.shared import dso_costs, shared
 from repro.core.sync import CyclicBarrier
 from repro.ml import math as mlmath
 from repro.ml.costmodel import kmeans_iteration_cost
-from repro.ml.dataset import MLDataset
+from repro.ml.dataset import MLDataset, PartitionInfo, TrainingRun, fork_join
 
 
 @dso_costs(update=lambda sums, counts: sums.size * 2e-9,
@@ -85,15 +85,11 @@ class GlobalDelta:
 class KMeansWorker:
     """The per-cloud-thread Runnable of Listing 2."""
 
-    def __init__(self, worker_id: int, run_id: str, partition_key: str,
-                 nominal_points: int, nominal_bytes: int, dims: int, k: int,
-                 shards: int, parties: int, max_iterations: int,
+    def __init__(self, run_id: str, partition: PartitionInfo, dims: int,
+                 k: int, shards: int, parties: int, max_iterations: int,
                  initial_centroids: np.ndarray,
                  convergence_delta: float = 0.0):
-        self.worker_id = worker_id
-        self.partition_key = partition_key
-        self.nominal_points = nominal_points
-        self.nominal_bytes = nominal_bytes
+        self.partition = partition
         self.dims = dims
         self.k = k
         self.max_iterations = max_iterations
@@ -108,21 +104,12 @@ class KMeansWorker:
         self.iteration_counter = AtomicInt(f"{run_id}/iterations")
         self.barrier = CyclicBarrier(f"{run_id}/barrier", parties)
 
-    # -- phases -------------------------------------------------------------------
-
-    def load_dataset_fragment(self) -> np.ndarray:
-        env = current_environment()
-        points = env.object_store.get(self.partition_key)
-        compute(self.nominal_bytes
-                * env.config.compute.parse_per_byte)
-        return points
-
     def run(self) -> dict:
         env = current_environment()
-        points = self.load_dataset_fragment()
+        points = self.partition.load()
         load_done = env.now
         iteration_cost = kmeans_iteration_cost(
-            self.nominal_points, self.dims, self.k, env.config)
+            self.partition.nominal_points, self.dims, self.k, env.config)
         iteration_times = []
         iteration = self.iteration_counter.get()
         while True:
@@ -152,24 +139,15 @@ class KMeansWorker:
             if self.convergence_delta > 0 and \
                     self.global_delta.get() < self.convergence_delta:
                 break
-        return {
-            "worker_id": self.worker_id,
-            "load_time": load_done,
-            "iteration_times": iteration_times,
-            "iterations_done": iteration,
-        }
+        return {"load_time": load_done, "iteration_times": iteration_times,
+                "iterations_done": iteration}
 
 
 @dataclass
-class KMeansResult:
+class KMeansResult(TrainingRun):
     centroids: np.ndarray
     iterations: int
-    total_time: float
-    load_time: float
-    iteration_phase_time: float
-    per_iteration: list[float]
     delta_history: list[float]
-    worker_reports: list[dict] = field(repr=False, default_factory=list)
 
 
 class CrucialKMeans:
@@ -199,42 +177,21 @@ class CrucialKMeans:
         env.pre_warm(self.workers)
         rng = np.random.Generator(np.random.PCG64(self.seed))
         initial = mlmath.init_centroids(rng, self.k, self.dataset.features)
-        start = env.now
         runnables = [
             KMeansWorker(
-                worker_id=i, run_id=self.run_id,
-                partition_key=self.dataset.partition_info(i).key,
-                nominal_points=self.dataset.nominal_points_per_partition,
-                nominal_bytes=self.dataset.nominal_bytes_per_partition,
+                run_id=self.run_id, partition=self.dataset.partition_info(i),
                 dims=self.dataset.features, k=self.k, shards=self.shards,
                 parties=self.workers, max_iterations=self.iterations,
                 initial_centroids=initial,
                 convergence_delta=self.convergence_delta)
             for i in range(self.workers)
         ]
-        threads = [CloudThread(r, retry_policy=self.retry_policy)
-                   for r in runnables]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        reports = [thread.result() for thread in threads]
-        end = env.now
-        load_time = max(r["load_time"] for r in reports) - start
-        per_iteration = [
-            max(r["iteration_times"][i] for r in reports)
-            for i in range(min(len(r["iteration_times"]) for r in reports))
-        ]
+        reports, run = fork_join(runnables, self.retry_policy)
         centroids = np.concatenate([
             runnables[0].shard_proxies[s].get()
             for s in range(self.shards)])
-        delta_history = runnables[0].global_delta.get_history()
         return KMeansResult(
             centroids=centroids,
             iterations=max(r["iterations_done"] for r in reports),
-            total_time=end - start,
-            load_time=load_time,
-            iteration_phase_time=sum(per_iteration),
-            per_iteration=per_iteration,
-            delta_history=delta_history,
-            worker_reports=reports)
+            delta_history=runnables[0].global_delta.get_history(),
+            **vars(run))

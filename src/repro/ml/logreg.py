@@ -10,17 +10,17 @@ iteration."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread, RetryPolicy
+from repro.core.cloud_thread import RetryPolicy
 from repro.core.runtime import compute, current_environment
 from repro.core.shared import dso_costs, shared
 from repro.core.sync import CyclicBarrier
 from repro.ml import math as mlmath
 from repro.ml.costmodel import logreg_iteration_cost
-from repro.ml.dataset import MLDataset
+from repro.ml.dataset import MLDataset, PartitionInfo, TrainingRun, fork_join
 
 
 @dso_costs(update=lambda grad, loss, count: grad.size * 2e-9,
@@ -64,14 +64,10 @@ class GlobalWeights:
 class LogRegWorker:
     """Per-cloud-thread SGD worker."""
 
-    def __init__(self, worker_id: int, run_id: str, partition_key: str,
-                 nominal_points: int, nominal_bytes: int, dims: int,
+    def __init__(self, run_id: str, partition: PartitionInfo, dims: int,
                  parties: int, iterations: int,
                  initial_weights: np.ndarray, learning_rate: float):
-        self.worker_id = worker_id
-        self.partition_key = partition_key
-        self.nominal_points = nominal_points
-        self.nominal_bytes = nominal_bytes
+        self.partition = partition
         self.dims = dims
         self.iterations = iterations
         self.weights = shared(GlobalWeights, f"{run_id}/weights",
@@ -80,11 +76,10 @@ class LogRegWorker:
 
     def run(self) -> dict:
         env = current_environment()
-        features, labels = env.object_store.get(self.partition_key)
-        compute(self.nominal_bytes * env.config.compute.parse_per_byte)
+        features, labels = self.partition.load()
         load_done = env.now
         iteration_cost = logreg_iteration_cost(
-            self.nominal_points, self.dims, env.config)
+            self.partition.nominal_points, self.dims, env.config)
         iteration_times = []
         for _iteration in range(self.iterations):
             iteration_start = env.now
@@ -98,22 +93,13 @@ class LogRegWorker:
                 self.weights.advance()
             self.barrier.wait()
             iteration_times.append(env.now - iteration_start)
-        return {
-            "worker_id": self.worker_id,
-            "load_time": load_done,
-            "iteration_times": iteration_times,
-        }
+        return {"load_time": load_done, "iteration_times": iteration_times}
 
 
 @dataclass
-class LogRegResult:
+class LogRegResult(TrainingRun):
     weights: np.ndarray
     loss_history: list[float]
-    total_time: float
-    load_time: float
-    iteration_phase_time: float
-    per_iteration: list[float]
-    worker_reports: list[dict] = field(repr=False, default_factory=list)
 
 
 class CrucialLogisticRegression:
@@ -138,37 +124,17 @@ class CrucialLogisticRegression:
         self.dataset.install(env.object_store)
         env.pre_warm(self.workers)
         initial = np.zeros(self.dataset.features)
-        start = env.now
         runnables = [
             LogRegWorker(
-                worker_id=i, run_id=self.run_id,
-                partition_key=self.dataset.partition_info(i).key,
-                nominal_points=self.dataset.nominal_points_per_partition,
-                nominal_bytes=self.dataset.nominal_bytes_per_partition,
+                run_id=self.run_id, partition=self.dataset.partition_info(i),
                 dims=self.dataset.features, parties=self.workers,
                 iterations=self.iterations, initial_weights=initial,
                 learning_rate=self.learning_rate)
             for i in range(self.workers)
         ]
-        threads = [CloudThread(r, retry_policy=self.retry_policy)
-                   for r in runnables]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        reports = [thread.result() for thread in threads]
-        end = env.now
-        load_time = max(r["load_time"] for r in reports) - start
-        per_iteration = [
-            max(r["iteration_times"][i] for r in reports)
-            for i in range(self.iterations)
-        ]
+        _reports, run = fork_join(runnables, self.retry_policy)
         weights_proxy = runnables[0].weights
         return LogRegResult(
             weights=weights_proxy.get(),
             loss_history=weights_proxy.get_loss_history(),
-            total_time=end - start,
-            load_time=load_time,
-            iteration_phase_time=sum(per_iteration),
-            per_iteration=per_iteration,
-            worker_reports=reports)
+            **vars(run))

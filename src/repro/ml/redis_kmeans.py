@@ -15,17 +15,14 @@ is always slower than Crucial" (Fig. 5), consistent with Fig. 2a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.cloud_thread import CloudThread
 from repro.core.objects import AtomicInt
 from repro.core.runtime import compute, current_environment, current_location
 from repro.core.sync import CyclicBarrier
 from repro.ml import math as mlmath
 from repro.ml.costmodel import kmeans_iteration_cost
-from repro.ml.dataset import MLDataset
+from repro.ml.dataset import MLDataset, PartitionInfo, TrainingRun, fork_join
 from repro.storage.kvstore import RedisCluster, Script
 
 # -- server-side scripts (the Lua stand-ins) ----------------------------------------
@@ -64,14 +61,10 @@ class RedisKMeansWorker:
     """Same loop as :class:`~repro.ml.kmeans.KMeansWorker`, but state
     ops target Redis scripts instead of DSO methods."""
 
-    def __init__(self, worker_id: int, run_id: str, partition_key: str,
-                 nominal_points: int, nominal_bytes: int, dims: int, k: int,
-                 shards: int, parties: int, max_iterations: int):
-        self.worker_id = worker_id
+    def __init__(self, run_id: str, partition: PartitionInfo, dims: int,
+                 k: int, shards: int, parties: int, max_iterations: int):
         self.run_id = run_id
-        self.partition_key = partition_key
-        self.nominal_points = nominal_points
-        self.nominal_bytes = nominal_bytes
+        self.partition = partition
         self.dims = dims
         self.k = k
         self.shards = shards
@@ -86,11 +79,10 @@ class RedisKMeansWorker:
         env = current_environment()
         redis = env.redis()
         client = current_location()
-        points = env.object_store.get(self.partition_key)
-        compute(self.nominal_bytes * env.config.compute.parse_per_byte)
+        points = self.partition.load()
         load_done = env.now
         iteration_cost = kmeans_iteration_cost(
-            self.nominal_points, self.dims, self.k, env.config)
+            self.partition.nominal_points, self.dims, self.k, env.config)
         bounds = np.linspace(0, self.k, self.shards + 1, dtype=int)
         iteration_times = []
         for iteration in range(self.max_iterations):
@@ -115,16 +107,7 @@ class RedisKMeansWorker:
                                                        iteration + 1)
             self.barrier.wait()
             iteration_times.append(env.now - iteration_start)
-        return {"worker_id": self.worker_id, "load_time": load_done,
-                "iteration_times": iteration_times}
-
-
-@dataclass
-class RedisKMeansResult:
-    total_time: float
-    load_time: float
-    iteration_phase_time: float
-    per_iteration: list[float]
+        return {"load_time": load_done, "iteration_times": iteration_times}
 
 
 class RedisKMeans:
@@ -141,7 +124,7 @@ class RedisKMeans:
         self.run_id = run_id
         self.seed = seed
 
-    def train(self) -> RedisKMeansResult:
+    def train(self) -> TrainingRun:
         env = current_environment()
         redis = env.redis()
         register_scripts(redis)
@@ -155,29 +138,10 @@ class RedisKMeans:
         for shard in range(self.shards):
             redis.set(client, f"{self.run_id}/centroids-{shard}",
                       initial[bounds[shard]:bounds[shard + 1]])
-        start = env.now
-        threads = [
-            CloudThread(RedisKMeansWorker(
-                worker_id=i, run_id=self.run_id,
-                partition_key=self.dataset.partition_info(i).key,
-                nominal_points=self.dataset.nominal_points_per_partition,
-                nominal_bytes=self.dataset.nominal_bytes_per_partition,
+        _reports, run = fork_join([
+            RedisKMeansWorker(
+                run_id=self.run_id, partition=self.dataset.partition_info(i),
                 dims=self.dataset.features, k=self.k, shards=self.shards,
-                parties=self.workers, max_iterations=self.iterations))
-            for i in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        reports = [thread.result() for thread in threads]
-        end = env.now
-        per_iteration = [
-            max(r["iteration_times"][i] for r in reports)
-            for i in range(self.iterations)
-        ]
-        return RedisKMeansResult(
-            total_time=end - start,
-            load_time=max(r["load_time"] for r in reports) - start,
-            iteration_phase_time=sum(per_iteration),
-            per_iteration=per_iteration)
+                parties=self.workers, max_iterations=self.iterations)
+            for i in range(self.workers)])
+        return run

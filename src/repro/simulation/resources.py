@@ -27,10 +27,6 @@ class Resource:
         self._busy_time = 0.0
         self._last_change = kernel.now
 
-    @property
-    def in_use(self) -> int:
-        return self._busy
-
     def acquire(self) -> None:
         """Claim one unit, queueing FIFO until one is free.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.ml import math as mlmath
 from repro.ml.costmodel import kmeans_iteration_cost, logreg_iteration_cost
-from repro.ml.dataset import MLDataset
+from repro.ml.dataset import MLDataset, TrainingRun
 from repro.simulation.kernel import current_thread
 from repro.sparklike.cluster import SparkCluster
 from repro.sparklike.rdd import RDD
@@ -48,13 +48,38 @@ def read_dataset(cluster: SparkCluster, dataset: MLDataset,
 
 
 @dataclass
-class SparkFitResult:
+class SparkFitResult(TrainingRun):
     model: np.ndarray
-    total_time: float
-    load_time: float
-    iteration_phase_time: float
-    per_iteration: list[float]
     history: list[float]  # cost (k-means) or loss (LR) per iteration
+
+
+def _fit(cluster: SparkCluster, dataset: MLDataset, store: ObjectStore,
+         iterations: int, model: np.ndarray, iteration_cost: float,
+         partial, step, overhead: float) -> SparkFitResult:
+    """MLlib's BSP loop: load, then per iteration broadcast the model,
+    reduce ``partial(partition, model)`` at the driver, take
+    ``step(model, aggregate) -> (model, history entry)`` and pay the
+    calibrated per-iteration ``overhead``."""
+    kernel = cluster.kernel
+    start = kernel.now
+    data = read_dataset(cluster, dataset, store)
+    load_time = kernel.now - start
+    per_iteration: list[float] = []
+    history: list[float] = []
+    for _iteration in range(iterations):
+        iteration_start = kernel.now
+        data.broadcast(model)
+        aggregate = data.reduce(
+            fn=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+            map_fn=lambda part: partial(part, model),
+            cost_fn=lambda _part: iteration_cost)
+        model, entry = step(model, aggregate)
+        current_thread().sleep(overhead)
+        history.append(entry)
+        per_iteration.append(kernel.now - iteration_start)
+    return SparkFitResult(total_time=kernel.now - start,
+                          load_time=load_time, per_iteration=per_iteration,
+                          model=model, history=history)
 
 
 class KMeansMLlib:
@@ -68,40 +93,23 @@ class KMeansMLlib:
         self.seed = seed
 
     def train(self, dataset: MLDataset, store: ObjectStore) -> SparkFitResult:
-        cluster = self.cluster
-        config = cluster.config
-        thread = current_thread()
-        start = cluster.kernel.now
-        data = read_dataset(cluster, dataset, store)
-        load_time = cluster.kernel.now - start
+        config = self.cluster.config
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        centroids = mlmath.init_centroids(rng, self.k, dataset.features)
-        iteration_cost = kmeans_iteration_cost(
-            dataset.nominal_points_per_partition, dataset.features, self.k,
-            config, spark=True)
-        per_iteration: list[float] = []
-        history: list[float] = []
-        for _iteration in range(self.iterations):
-            iteration_start = cluster.kernel.now
-            data.broadcast(centroids)
-            sums, counts, cost = data.reduce(
-                fn=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-                map_fn=lambda points: mlmath.kmeans_partial(
-                    points, centroids),
-                cost_fn=lambda _points: iteration_cost)
-            centroids, _delta = mlmath.kmeans_update(sums, counts, centroids)
+
+        def step(centroids, aggregate):
+            sums, counts, cost = aggregate
+            return mlmath.kmeans_update(sums, counts, centroids)[0], cost
+
+        return _fit(
+            self.cluster, dataset, store, self.iterations,
+            model=mlmath.init_centroids(rng, self.k, dataset.features),
+            iteration_cost=kmeans_iteration_cost(
+                dataset.nominal_points_per_partition, dataset.features,
+                self.k, config, spark=True),
+            partial=mlmath.kmeans_partial, step=step,
             # MLlib's k-means runs extra jobs per iteration (cost
             # evaluation, collectAsMap): calibrated fixed overhead.
-            thread.sleep(config.spark.mllib_kmeans_iteration_overhead)
-            history.append(cost)
-            per_iteration.append(cluster.kernel.now - iteration_start)
-        return SparkFitResult(
-            model=centroids,
-            total_time=cluster.kernel.now - start,
-            load_time=load_time,
-            iteration_phase_time=sum(per_iteration),
-            per_iteration=per_iteration,
-            history=history)
+            overhead=config.spark.mllib_kmeans_iteration_overhead)
 
 
 class LogisticRegressionWithSGD:
@@ -114,35 +122,20 @@ class LogisticRegressionWithSGD:
         self.learning_rate = learning_rate
 
     def train(self, dataset: MLDataset, store: ObjectStore) -> SparkFitResult:
-        cluster = self.cluster
-        config = cluster.config
-        thread = current_thread()
-        start = cluster.kernel.now
-        data = read_dataset(cluster, dataset, store)
-        load_time = cluster.kernel.now - start
-        weights = np.zeros(dataset.features)
-        iteration_cost = logreg_iteration_cost(
-            dataset.nominal_points_per_partition, dataset.features,
-            config, spark=True)
-        per_iteration: list[float] = []
-        history: list[float] = []
-        for _iteration in range(self.iterations):
-            iteration_start = cluster.kernel.now
-            data.broadcast(weights)
-            gradient, loss, count = data.reduce(
-                fn=lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-                map_fn=lambda part: mlmath.logreg_partial(
-                    part[0], part[1], weights),
-                cost_fn=lambda _part: iteration_cost)
-            weights = mlmath.sgd_step(weights, gradient, count,
-                                      self.learning_rate)
-            thread.sleep(config.spark.mllib_logreg_iteration_overhead)
-            history.append(loss / max(count, 1))
-            per_iteration.append(cluster.kernel.now - iteration_start)
-        return SparkFitResult(
-            model=weights,
-            total_time=cluster.kernel.now - start,
-            load_time=load_time,
-            iteration_phase_time=sum(per_iteration),
-            per_iteration=per_iteration,
-            history=history)
+        config = self.cluster.config
+
+        def step(weights, aggregate):
+            gradient, loss, count = aggregate
+            return (mlmath.sgd_step(weights, gradient, count,
+                                    self.learning_rate),
+                    loss / max(count, 1))
+
+        return _fit(
+            self.cluster, dataset, store, self.iterations,
+            model=np.zeros(dataset.features),
+            iteration_cost=logreg_iteration_cost(
+                dataset.nominal_points_per_partition, dataset.features,
+                config, spark=True),
+            partial=lambda part, weights: mlmath.logreg_partial(
+                part[0], part[1], weights), step=step,
+            overhead=config.spark.mllib_logreg_iteration_overhead)

@@ -15,6 +15,7 @@ import pytest
 from repro import AtomicLong, CrucialEnvironment, chrome_trace_json
 from repro.dso import DsoLayer, DsoReference
 from repro.net import LatencyModel, Network
+from repro.net.network import ship
 from repro.simulation import Kernel
 from repro.storage import BlockStore
 from repro.trace.tracer import NULL_TRACER
@@ -188,7 +189,5 @@ def test_nothing_mutable_is_shared_with_the_session_table():
 @pytest.mark.parametrize("scalar", [None, True, 7, 2.5, "text" * 20,
                                     b"bytes" * 20])
 def test_immutable_scalars_need_no_copy(scalar):
-    with Kernel(seed=3) as kernel:
-        layer = DsoLayer(kernel, Network(kernel, LatencyModel(0.0001)))
-        assert layer.shippable(scalar) is scalar
-        assert layer.shippable([scalar]) == [scalar]
+    assert ship(scalar) is scalar
+    assert ship([scalar]) == [scalar]

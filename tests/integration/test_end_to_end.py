@@ -6,6 +6,7 @@ import pytest
 from repro import CrucialEnvironment
 from repro.ml import MLDataset
 from repro.ml import math as mlmath
+from repro.ml.dataset import TrainingRun
 from repro.ml.kmeans import CrucialKMeans
 from repro.ml.logreg import CrucialLogisticRegression
 from repro.ml.redis_kmeans import RedisKMeans
@@ -69,19 +70,54 @@ def test_crucial_and_spark_logreg_same_losses():
     assert crucial.loss_history[-1] < crucial.loss_history[0]
 
 
-def test_redis_kmeans_runs_and_times_coherently():
-    """The Redis-backed variant completes; Fig. 5's "always slower"
-    ordering is asserted at full scale in the benchmark suite (at toy
-    scale the Fig. 2a crossover legitimately favours Redis)."""
-    dataset = small_dataset("kmeans")
-    with CrucialEnvironment(seed=84, dso_nodes=1) as env:
-        redis = env.run(
-            RedisKMeans(dataset, k=4, iterations=4, workers=WORKERS,
-                        run_id="it-km4").train)
-    assert len(redis.per_iteration) == 4
-    assert redis.total_time > redis.load_time > 0
-    assert redis.iteration_phase_time == pytest.approx(
-        sum(redis.per_iteration))
+def _on_crucial(make_job):
+    def train(dataset):
+        with CrucialEnvironment(seed=89, dso_nodes=1) as env:
+            return env.run(make_job(dataset).train)
+    return train
+
+
+def _on_spark(make_algorithm):
+    def train(dataset):
+        with Kernel(seed=89) as kernel:
+            network = Network(kernel, LatencyModel(2e-4), copy_messages=False)
+            algorithm = make_algorithm(SparkCluster(kernel, network,
+                                                    workers=3))
+            return kernel.run_main(
+                lambda: algorithm.train(dataset, ObjectStore(kernel)))
+    return train
+
+
+ITERATIONS = 3
+TRAINERS = {
+    "crucial-kmeans": ("kmeans", _on_crucial(lambda d: CrucialKMeans(
+        d, k=4, iterations=ITERATIONS, workers=WORKERS, run_id="tr-km"))),
+    # Fig. 5's "always slower" ordering is asserted at full scale in the
+    # benchmark suite (at toy scale the Fig. 2a crossover favours Redis).
+    "redis-kmeans": ("kmeans", _on_crucial(lambda d: RedisKMeans(
+        d, k=4, iterations=ITERATIONS, workers=WORKERS, run_id="tr-rk"))),
+    "crucial-logreg": ("logreg", _on_crucial(
+        lambda d: CrucialLogisticRegression(
+            d, iterations=ITERATIONS, workers=WORKERS, run_id="tr-lr"))),
+    "mllib-kmeans": ("kmeans", _on_spark(lambda cluster: KMeansMLlib(
+        cluster, k=4, iterations=ITERATIONS))),
+    "mllib-logreg": ("logreg", _on_spark(
+        lambda cluster: LogisticRegressionWithSGD(
+            cluster, iterations=ITERATIONS))),
+}
+
+
+@pytest.mark.parametrize("trainer", sorted(TRAINERS))
+def test_every_trainer_times_coherently(trainer):
+    """All five trainers time a run the same way: the iteration phase
+    is the sum of its iterations, and loading is a strict part of the
+    whole."""
+    kind, train = TRAINERS[trainer]
+    result = train(small_dataset(kind))
+    assert isinstance(result, TrainingRun)
+    assert len(result.per_iteration) == ITERATIONS
+    assert result.iteration_phase_time == sum(result.per_iteration)
+    assert 0 < result.load_time < result.total_time
 
 
 def test_kmeans_with_injected_function_failures():

@@ -1,33 +1,28 @@
-"""Every experiment, checked against the claims its harness declares.
+"""Every experiment, archived and checked against its claims.
 
-One case per ``repro.__main__.EXPERIMENTS`` entry (``-k`` selects):
-archive the report, write the ``BENCH_*.json`` the harness's
-``bench(result)`` fills, record every claim's measured value in
-``benchmarks/out/claims/<name>.json``, and fail naming each claim whose
-bound the measurement misses.
+One case per ``repro.harness.runner.EXPERIMENTS`` entry (``-k``
+selects): run it once under pytest-benchmark (which records real wall
+time; the scientific results are *virtual-time* measurements), archive
+what it leaves under ``benchmarks/out/``, and fail naming each claim
+whose bound the measurement misses.
+
+Set ``REPRO_BENCH_FULL=1`` to run every experiment at paper scale; the
+default scale keeps every reported shape in a fraction of the time.
 """
 
-import json
+import os
 
 import pytest
 
-from conftest import run_archived
-from repro.__main__ import EXPERIMENTS, OUT_DIR
+from repro.harness import runner
 
 
-def _write_json(path, data) -> None:
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
-@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@pytest.mark.parametrize("name", list(runner.EXPERIMENTS))
 def test_experiment(benchmark, name):
-    module, spec = EXPERIMENTS[name]
-    result, report = run_archived(benchmark, name)
-    if "bench" in spec:
-        _write_json(OUT_DIR / f"{spec['bench']}.json", module.bench(result))
-    measured = {claim.id: claim.value(result) for claim in module.CLAIMS}
-    _write_json(OUT_DIR / "claims" / f"{name}.json", measured)
-    missed = [claim.id for claim in module.CLAIMS
-              if claim.verdict(measured[claim.id]) == "FAIL"]
-    assert not missed, f"claims missed: {', '.join(missed)}\n{report}"
+    scale = "full" if os.environ.get("REPRO_BENCH_FULL") == "1" else "default"
+    outcome = benchmark.pedantic(runner.run, args=(name, scale),
+                                 rounds=1, iterations=1)
+    runner.archive(outcome)
+    print("\n" + outcome.report)
+    assert not outcome.missed, \
+        f"claims missed: {', '.join(outcome.missed)}\n{outcome.report}"

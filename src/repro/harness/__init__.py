@@ -6,8 +6,8 @@ paper-vs-measured comparison, and ``CLAIMS``: what the result must show
 (:mod:`repro.harness.claims`), which ``report`` renders, the benchmark
 suite asserts, and EXPERIMENTS.md tabulates.
 
-``repro.__main__.EXPERIMENTS`` names every experiment module here.
-Experiments accept a ``scale`` knob where the paper's full size would
-be slow to simulate; scaled runs keep the workload *shape* (threads,
-objects, and measured windows shrink together).
+:mod:`repro.harness.runner` declares and runs every experiment: a
+module's ``run()`` defaults are its default scale, and its row adds the
+``full`` and ``smoke`` scales.  Reduced scales keep the workload
+*shape*: threads, objects and measured windows shrink together.
 """

@@ -143,7 +143,7 @@ def _run(worker_cls, n: int, run_id: str, seed: int) -> tuple[float, int]:
         return env.run(main)
 
 
-def run(worker_counts: tuple[int, ...] = (8, 20, 40, 80),
+def run(worker_counts: tuple[int, ...] = (8, 20, 40),
         seed: int = 14) -> ShippingResult:
     measurements: dict[tuple[str, int], tuple[float, int]] = {}
     for n in worker_counts:

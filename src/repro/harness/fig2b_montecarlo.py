@@ -42,7 +42,7 @@ class MonteCarloScaling:
         return self.runs[threads][2] / base
 
 
-def run(thread_counts: tuple[int, ...] = (1, 50, 100, 200, 400, 800),
+def run(thread_counts: tuple[int, ...] = (1, 50, 200, 800),
         draws: int = 100_000_000, seed: int = 3) -> MonteCarloScaling:
     runs = {}
     for threads in thread_counts:

@@ -70,7 +70,7 @@ def _vm_time(cores: int, threads: int, k: int, iterations: int,
         return kernel.run_main(main)
 
 
-def run(thread_counts: tuple[int, ...] = (1, 8, 16, 80, 160, 320),
+def run(thread_counts: tuple[int, ...] = (1, 16, 160, 320),
         k: int = 25, iterations: int = 10, seed: int = 4) -> ScaleUpResult:
     curves: dict[str, dict[int, float]] = {}
     for label, timer in (

@@ -58,7 +58,7 @@ class MapSyncComparison:
 
 
 def run(n_threads: int = 100, draws: int = 100_000_000,
-        repetitions: int = 3, seed: int = 8) -> MapSyncComparison:
+        repetitions: int = 2, seed: int = 8) -> MapSyncComparison:
     sync_times: dict[str, list[float]] = {name: [] for name in ORDER}
     total_times: dict[str, float] = {}
     for repetition in range(repetitions):

@@ -3,10 +3,11 @@
 The paper's method: 2019 AWS prices (:class:`repro.config.AwsPrices`)
 times the measured Fig. 4/5 run times — Lambda GB-seconds + requests +
 one r5.2xlarge storage node for Crucial; the 11-node EMR cluster for
-Spark; no provisioning time, no free tier.  Paper shape: costs are
-comparable where Crucial is much faster (k=25); Crucial costs more
-where computation dominates (k=200), because its per-second rate is
-higher (0.28 vs 0.15 cents/s).
+Spark; no provisioning time, no free tier.  The runs are the figures'
+own, computed once per process.  Paper shape: costs are comparable
+where Crucial is much faster (k=25); Crucial costs more where
+computation dominates (k=200), because its per-second rate is higher
+(0.28 vs 0.15 cents/s).
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class CostsResult:
 
 
 def run(iterations_logreg: int = 100, iterations_kmeans: int = 10,
-        workers: int = 80, seed: int = 6) -> CostsResult:
+        workers: int = 80) -> CostsResult:
     costs: dict[tuple[str, str], Cost] = {}
 
     # Only the two systems Table 3 prices: Fig. 5's Redis variant
@@ -114,15 +115,15 @@ def run(iterations_logreg: int = 100, iterations_kmeans: int = 10,
     for k in (25, 200):
         label = f"k-means k={k}"
         iteration, total = fig5_kmeans.RUNNERS["crucial"](
-            k, iterations_kmeans, workers, seed)
+            k, iterations_kmeans, workers, fig5_kmeans.SEED)
         costs[(label, "crucial")] = crucial_cost(
             total, iteration, functions=workers, memory_mb=2048)
         iteration, total = fig5_kmeans.RUNNERS["spark"](
-            k, iterations_kmeans, workers, seed)
+            k, iterations_kmeans, workers, fig5_kmeans.SEED)
         costs[(label, "spark")] = spark_cost(total, iteration)
 
     logreg = fig4_logreg.run(iterations=iterations_logreg,
-                             workers=workers, seed=seed)
+                             workers=workers)
     label = "logistic regression"
     costs[(label, "crucial")] = crucial_cost(
         logreg.crucial_total, logreg.crucial_iter,

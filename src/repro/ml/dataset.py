@@ -67,18 +67,23 @@ def fork_join(runnables: list[Any], retry_policy: RetryPolicy | None = None
     """Run one CloudThread per worker and join them all (Listing 1).
 
     Each worker returns a report with its ``load_time`` (the virtual
-    time its load phase ended) and its ``iteration_times``; returns the
-    reports and the run's timings, measured from the fork.
+    time its load phase ended) and its ``iteration_times`` (iteration
+    -> seconds); returns the reports and the run's timings, measured
+    from the fork.  The timings come from the reports that ran
+    iterations: a body retried after its last iteration ran none.
     """
     env = current_environment()
     start = env.now
     reports = run_all(runnables, retry_policy)
-    rounds = min(len(r["iteration_times"]) for r in reports)
+    ran = [r for r in reports if r["iteration_times"]] or reports
+    slowest: dict[int, float] = {}
+    for report in ran:
+        for iteration, seconds in report["iteration_times"].items():
+            slowest[iteration] = max(slowest.get(iteration, 0.0), seconds)
     return reports, TrainingRun(
         total_time=env.now - start,
-        load_time=max(r["load_time"] for r in reports) - start,
-        per_iteration=[max(r["iteration_times"][i] for r in reports)
-                       for i in range(rounds)])
+        load_time=max(r["load_time"] for r in ran) - start,
+        per_iteration=[slowest[i] for i in sorted(slowest)])
 
 
 class MLDataset:

@@ -104,15 +104,21 @@ class KMeansWorker:
         self.iteration_counter = AtomicInt(f"{run_id}/iterations")
         self.barrier = CyclicBarrier(f"{run_id}/barrier", parties)
 
+    def _converged(self) -> bool:
+        return (self.convergence_delta > 0
+                and self.global_delta.get() < self.convergence_delta)
+
     def run(self) -> dict:
         env = current_environment()
         points = self.partition.load()
         load_done = env.now
         iteration_cost = kmeans_iteration_cost(
             self.partition.nominal_points, self.dims, self.k, env.config)
-        iteration_times = []
+        iteration_times = {}
+        # Listing 2's end condition comes first: a body retried after
+        # the run ended resumes at the shared counter and runs nothing.
         iteration = self.iteration_counter.get()
-        while True:
+        while iteration < self.max_iterations and not self._converged():
             iteration_start = env.now
             correct_centroids = np.concatenate(
                 [proxy.get() for proxy in self.shard_proxies])
@@ -132,13 +138,8 @@ class KMeansWorker:
                 self.iteration_counter.compare_and_set(
                     iteration, iteration + 1)
             self.barrier.wait()
+            iteration_times[iteration] = env.now - iteration_start
             iteration += 1
-            iteration_times.append(env.now - iteration_start)
-            if iteration >= self.max_iterations:
-                break
-            if self.convergence_delta > 0 and \
-                    self.global_delta.get() < self.convergence_delta:
-                break
         return {"load_time": load_done, "iteration_times": iteration_times,
                 "iterations_done": iteration}
 

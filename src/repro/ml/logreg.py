@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.cloud_thread import RetryPolicy
+from repro.core.objects import AtomicInt
 from repro.core.runtime import compute, current_environment
 from repro.core.shared import dso_costs, shared
 from repro.core.sync import CyclicBarrier
@@ -72,6 +73,7 @@ class LogRegWorker:
         self.iterations = iterations
         self.weights = shared(GlobalWeights, f"{run_id}/weights",
                               initial_weights, learning_rate)
+        self.iteration_counter = AtomicInt(f"{run_id}/iterations")
         self.barrier = CyclicBarrier(f"{run_id}/barrier", parties)
 
     def run(self) -> dict:
@@ -80,8 +82,11 @@ class LogRegWorker:
         load_done = env.now
         iteration_cost = logreg_iteration_cost(
             self.partition.nominal_points, self.dims, env.config)
-        iteration_times = []
-        for _iteration in range(self.iterations):
+        iteration_times = {}
+        # The shared iteration counter of Listing 2: a retried body
+        # resumes where the others are, not at iteration 0.
+        for iteration in range(self.iteration_counter.get(),
+                               self.iterations):
             iteration_start = env.now
             weights = self.weights.get()
             gradient, loss, count = mlmath.logreg_partial(
@@ -91,8 +96,10 @@ class LogRegWorker:
             arrival = self.barrier.wait()
             if arrival == 0:
                 self.weights.advance()
+                self.iteration_counter.compare_and_set(iteration,
+                                                       iteration + 1)
             self.barrier.wait()
-            iteration_times.append(env.now - iteration_start)
+            iteration_times[iteration] = env.now - iteration_start
         return {"load_time": load_done, "iteration_times": iteration_times}
 
 

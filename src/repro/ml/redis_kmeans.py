@@ -84,7 +84,7 @@ class RedisKMeansWorker:
         iteration_cost = kmeans_iteration_cost(
             self.partition.nominal_points, self.dims, self.k, env.config)
         bounds = np.linspace(0, self.k, self.shards + 1, dtype=int)
-        iteration_times = []
+        iteration_times = {}
         for iteration in range(self.max_iterations):
             iteration_start = env.now
             centroids = np.concatenate([
@@ -106,7 +106,7 @@ class RedisKMeansWorker:
                 self.iteration_counter.compare_and_set(iteration,
                                                        iteration + 1)
             self.barrier.wait()
-            iteration_times.append(env.now - iteration_start)
+            iteration_times[iteration] = env.now - iteration_start
         return {"load_time": load_done, "iteration_times": iteration_times}
 
 

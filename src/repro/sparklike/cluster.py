@@ -8,11 +8,17 @@ has cores.
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from repro.cluster.node import Node
 from repro.config import Config, DEFAULT_CONFIG
+from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.simulation.kernel import Kernel
 from repro.simulation.resources import Resource
+from repro.storage.object_store import ObjectStore
+
+T = TypeVar("T")
 
 
 class Executor:
@@ -61,3 +67,16 @@ class SparkCluster:
     def executor_for(self, partition_id: int) -> Executor:
         """Sticky partition placement (data locality)."""
         return self.executors[partition_id % len(self.executors)]
+
+
+def run_on_spark(seed: int,
+                 train: Callable[[SparkCluster, ObjectStore], T]) -> T:
+    """Run ``train(cluster, store)`` as the main thread of the paper's
+    Spark deployment: a fresh kernel seeded ``seed``, a 200 us network
+    that copies no messages, the default EMR cluster and one S3 bucket.
+    """
+    with Kernel(seed=seed) as kernel:
+        network = Network(kernel, LatencyModel(0.0002), copy_messages=False)
+        cluster = SparkCluster(kernel, network)
+        store = ObjectStore(kernel)
+        return kernel.run_main(lambda: train(cluster, store))

@@ -1,106 +1,95 @@
-"""Smoke tests: every harness runs at reduced scale and its report
-renders.  Full-scale shapes are asserted in benchmarks/."""
+"""Smoke tests: every harness runs through the experiment runner at
+its ``smoke`` scale and its report renders.  Default-scale shapes are
+asserted in benchmarks/."""
+
+import functools
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS
-from repro.harness import (
-    ablation_shipping,
-    fig2a_throughput,
-    fig2b_montecarlo,
-    fig3_scaleup,
-    fig4_logreg,
-    fig6_mapsync,
-    fig7a_barrier,
-    fig7b_breakdown,
-    fig7c_santa,
-    fig8_persistence,
-    serving,
-    table2_latency,
-    table4_loc,
-)
+from repro.harness import fig2b_montecarlo, serving, table2_latency
 from repro.harness.claims import INFO, Bound
+from repro.harness.runner import EXPERIMENTS, run
+
+
+@functools.cache
+def smoke(name):
+    """Experiment ``name`` at smoke scale, run once for all its tests."""
+    return run(name, "smoke")
 
 
 def test_table2_small():
-    result = table2_latency.run(ops=40)
-    report = table2_latency.report(result)
-    assert "Table 2" in report
-    assert set(result.averages) == set(table2_latency.PAPER)
+    outcome = smoke("table2")
+    assert "Table 2" in outcome.report
+    assert set(outcome.result.averages) == set(table2_latency.PAPER)
 
 
 def test_fig2a_small():
-    result = fig2a_throughput.run(threads=10, window=0.05)
-    report = fig2a_throughput.report(result)
-    assert "Fig. 2a" in report
-    assert all(v > 0 for v in result.throughput.values())
+    outcome = smoke("fig2a")
+    assert "Fig. 2a" in outcome.report
+    assert all(v > 0 for v in outcome.result.throughput.values())
 
 
 def test_fig2b_small():
-    result = fig2b_montecarlo.run(thread_counts=(1, 8),
-                                  draws=2_000_000)
-    assert result.speedup(8) > 5
-    assert "Fig. 2b" in fig2b_montecarlo.report(result)
+    outcome = smoke("fig2b")
+    assert outcome.result.speedup(8) > 5
+    assert "Fig. 2b" in outcome.report
 
 
 def test_fig3_small():
-    result = fig3_scaleup.run(thread_counts=(1, 16), iterations=2)
-    assert result.curves["vm-8-cores"][16] < 0.6
-    assert result.curves["crucial"][16] > 0.9
-    assert "Fig. 3" in fig3_scaleup.report(result)
+    outcome = smoke("fig3")
+    assert outcome.result.curves["vm-8-cores"][16] < 0.6
+    assert outcome.result.curves["crucial"][16] > 0.9
+    assert "Fig. 3" in outcome.report
 
 
 def test_fig4_small():
-    result = fig4_logreg.run(iterations=5, workers=10)
-    assert result.crucial_iter < result.spark_iter
-    assert "Fig. 4" in fig4_logreg.report(result)
+    outcome = smoke("fig4")
+    assert outcome.result.crucial_iter < outcome.result.spark_iter
+    assert "Fig. 4" in outcome.report
 
 
 def test_fig6_small():
-    result = fig6_mapsync.run(n_threads=10, draws=2_000_000,
-                              repetitions=1)
-    assert result.mean("auto-reduce") < result.mean("sqs")
-    assert "Fig. 6" in fig6_mapsync.report(result)
+    outcome = smoke("fig6")
+    assert outcome.result.mean("auto-reduce") < outcome.result.mean("sqs")
+    assert "Fig. 6" in outcome.report
 
 
 def test_fig7a_small():
-    result = fig7a_barrier.run(thread_counts=(4,))
-    assert result.waits[("crucial", 4)] < result.waits[("sns-sqs", 4)]
-    assert "Fig. 7a" in fig7a_barrier.report(result)
+    outcome = smoke("fig7a")
+    waits = outcome.result.waits
+    assert waits[("crucial", 4)] < waits[("sns-sqs", 4)]
+    assert "Fig. 7a" in outcome.report
 
 
 def test_fig7b_small():
-    result = fig7b_breakdown.run(threads=4, iterations=2)
-    stages = result.phases["per-iteration stages"]
-    barrier = result.phases["single stage + barrier"]
+    outcome = smoke("fig7b")
+    stages = outcome.result.phases["per-iteration stages"]
+    barrier = outcome.result.phases["single stage + barrier"]
     assert stages["s3_read"] > barrier["s3_read"]
-    assert "Fig. 7b" in fig7b_breakdown.report(result)
+    assert "Fig. 7b" in outcome.report
 
 
 def test_fig7c_small():
-    result = fig7c_santa.run(deliveries=4)
-    assert all(r.deliveries == 4 for r in result.results.values())
-    assert "Fig. 7c" in fig7c_santa.report(result)
+    outcome = smoke("fig7c")
+    assert all(r.deliveries == 4 for r in outcome.result.results.values())
+    assert "Fig. 7c" in outcome.report
 
 
 def test_fig8_small():
-    result = fig8_persistence.run(duration=30.0, n_threads=10,
-                                  n_objects=30)
-    assert result.steady() > 0
-    assert result.run.total > 0
-    assert "Fig. 8" in fig8_persistence.report(result)
+    outcome = smoke("fig8")
+    assert outcome.result.steady() > 0
+    assert outcome.result.run.total > 0
+    assert "Fig. 8" in outcome.report
 
 
 def test_table4_report():
-    result = table4_loc.run()
-    assert len(result.rows) == 4
-    assert "Table 4" in table4_loc.report(result)
+    outcome = smoke("table4")
+    assert len(outcome.result.rows) == 4
+    assert "Table 4" in outcome.report
 
 
 def test_fig2a_report_contains_ratios():
-    result = fig2a_throughput.run(threads=8, window=0.05)
-    report = fig2a_throughput.report(result)
-    assert "complex ops" in report
+    assert "complex ops" in smoke("fig2a").report
 
 
 @pytest.mark.parametrize("module,marker", [
@@ -119,7 +108,7 @@ def test_every_experiment_declares_its_claims():
     the experiment's name; a claim without limits is marked INFO; and
     every claim renders its paper value."""
     seen = set()
-    for name, (module, _spec) in EXPERIMENTS.items():
+    for name, (module, _row) in EXPERIMENTS.items():
         assert module.CLAIMS, name
         for claim in module.CLAIMS:
             assert claim.id.startswith(f"{name}."), claim.id
@@ -130,20 +119,27 @@ def test_every_experiment_declares_its_claims():
             claim.row(claim.paper)
 
 
+def test_rows_declare_scales_once():
+    """A row names its archive and its non-default scales, nothing
+    else: the default scale is the harness's ``run()`` defaults."""
+    for name, (_module, row) in EXPERIMENTS.items():
+        assert set(row) <= {"archive", "bench", "full", "smoke"}, name
+    with pytest.raises(ValueError):
+        run("table4", "default ")
+
+
 def test_ablation_small():
-    result = ablation_shipping.run(worker_counts=(4, 8))
-    report = ablation_shipping.report(result)
-    assert "Ablation" in report
-    m = result.measurements
+    outcome = smoke("ablation")
+    assert "Ablation" in outcome.report
+    m = outcome.result.measurements
     assert m[("data-shipping", 8)][1] > m[("method-shipping", 8)][1]
 
 
 def test_serving_small():
-    result = serving.run(base_rate=15.0, peak_rate=90.0, duration=14.0)
-    report = serving.report(result)
-    assert "open-loop serving" in report
-    assert set(result.points) == set(serving.POINTS)
-    for point in result.points.values():
+    outcome = smoke("serving")
+    assert "open-loop serving" in outcome.report
+    assert set(outcome.result.points) == set(serving.POINTS)
+    for point in outcome.result.points.values():
         assert point.errors == 0
         assert point.requests > 0
         assert point.sustained_tput > 0

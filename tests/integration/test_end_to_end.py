@@ -1,5 +1,7 @@
 """Integration tests: whole-system scenarios at reduced scale."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,41 @@ def test_kmeans_with_injected_function_failures():
                                                      backoff=0.1))
         result = env.run(job.train)
     assert result.iterations == 3
+
+
+RERUN = dict(partitions=4, materialized_points=400, nominal_points=40_000,
+             nominal_bytes=10 ** 8)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("kind,trainer,model,iterations", [
+    ("kmeans", functools.partial(CrucialKMeans, k=5), "centroids", 3),
+    ("kmeans", functools.partial(CrucialKMeans, k=5,
+                                 convergence_delta=1e12), "centroids", 1),
+    ("logreg", CrucialLogisticRegression, "weights", 3),
+], ids=["kmeans", "kmeans-converged", "logreg"])
+def test_trainer_survives_bodies_failing_after_their_work(
+        kind, trainer, model, iterations, seed):
+    """A cloud thread that fails after its last iteration is retried:
+    the retry finds the run ended (the shared iteration counter, or
+    k-means' convergence criterion), runs nothing and returns, so the
+    run ends with the failure-free model and one timing per iteration."""
+    from repro import RetryPolicy
+    from repro.core.runtime import RUNNER_FUNCTION
+
+    def train(rate):
+        dataset = MLDataset(kind, **RERUN)
+        with CrucialEnvironment(seed=seed, dso_nodes=1) as env:
+            env.platform.inject_failures(RUNNER_FUNCTION, rate=rate,
+                                         kind="after")
+            return env.run(trainer(
+                dataset, iterations=3, workers=4,
+                retry_policy=RetryPolicy(max_retries=25)).train)
+
+    faulty, clean = train(0.3), train(0.0)
+    np.testing.assert_allclose(getattr(faulty, model),
+                               getattr(clean, model), rtol=1e-12)
+    assert len(faulty.per_iteration) == len(clean.per_iteration) == iterations
 
 
 def test_kmeans_quality_beats_baseline():

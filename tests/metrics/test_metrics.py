@@ -1,5 +1,7 @@
 """Unit tests for metrics: recorder, Table 3 cost formula, report tables."""
 
+import collections
+import functools
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from repro import CrucialEnvironment, NodeRentMeter
 from repro.config import DEFAULT_CONFIG
+from repro.harness import fig4_logreg, fig5_kmeans, table3_costs
 from repro.harness.table3_costs import (
+    PRICES,
     crucial_cost,
     crucial_rate,
     spark_cost,
@@ -21,7 +25,11 @@ from repro.metrics import (
     percentile,
     render_table,
 )
+from repro.ml.dataset import MLDataset
+from repro.ml.kmeans import CrucialKMeans
+from repro.ml.logreg import CrucialLogisticRegression
 from repro.simulation.thread import sleep
+from repro.sparklike import KMeansMLlib, LogisticRegressionWithSGD
 
 
 # -- recorder -----------------------------------------------------------------
@@ -161,6 +169,60 @@ def test_spark_experiment_cost_breakdown():
     # Table 3: k-means (k=25) Spark: total $0.246, iterations $0.050.
     assert cost.total_dollars == pytest.approx(0.246, abs=0.01)
     assert cost.iteration_dollars == pytest.approx(0.050, abs=0.005)
+
+
+@pytest.fixture
+def trainings(monkeypatch):
+    """Counts training runs per (trainer, k) over empty run caches, on
+    a small k-means sample (k=200's host cost is in the points)."""
+    def clear():
+        fig4_logreg._compare.cache_clear()
+        for runner in fig5_kmeans.RUNNERS.values():
+            runner.cache_clear()
+
+    counts = collections.Counter()
+    for trainer in (CrucialKMeans, KMeansMLlib, CrucialLogisticRegression,
+                    LogisticRegressionWithSGD):
+        def train(self, *args, _train=trainer.train):
+            counts[(type(self).__name__, getattr(self, "k", None))] += 1
+            return _train(self, *args)
+        monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(fig5_kmeans, "MLDataset", functools.partial(
+        MLDataset, materialized_points=400))
+    clear()
+    yield counts
+    clear()
+
+
+def test_table3_prices_the_runs_fig4_and_fig5_made(trainings):
+    workers = 10
+    fig5 = fig5_kmeans.run(ks=(25, 200), iterations=1, workers=workers)
+    fig4 = fig4_logreg.run(iterations=2, workers=workers)
+    costs = table3_costs.run(iterations_logreg=2, iterations_kmeans=1,
+                             workers=workers).costs
+    requests = PRICES.lambda_dollars(0, workers)
+    for k in (25, 200):
+        for system, rate, fixed in (
+                ("crucial", crucial_rate(workers, 2048), requests),
+                ("spark", spark_rate(), 0.0)):
+            cost = costs[(f"k-means k={k}", system)]
+            total = fig5.total_times[(system, k)]
+            assert cost.iteration_dollars == \
+                rate * fig5.iteration_times[(system, k)]
+            assert cost.total_dollars == rate * total + fixed
+    rate = crucial_rate(workers, 1792)
+    crucial = costs[("logistic regression", "crucial")]
+    assert crucial.iteration_dollars == rate * fig4.crucial_iter
+    assert crucial.total_dollars == rate * fig4.crucial_total + requests
+    spark = costs[("logistic regression", "spark")]
+    assert spark.iteration_dollars == spark_rate() * fig4.spark_iter
+    assert spark.total_dollars == spark_rate() * fig4.spark_total
+    # Each training ran once: Table 3 read the figures' runs.
+    assert set(trainings.values()) == {1}
+    assert sorted(trainings) == [
+        ("CrucialKMeans", 25), ("CrucialKMeans", 200),
+        ("CrucialLogisticRegression", None), ("KMeansMLlib", 25),
+        ("KMeansMLlib", 200), ("LogisticRegressionWithSGD", None)]
 
 
 # -- report ------------------------------------------------------------------------

@@ -28,6 +28,28 @@ def test_kmeans_partial_shapes_and_counts():
     assert cost >= 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_partial_matches_the_broadcast_formula(seed):
+    """Per-centroid distances give the (n, k, d) broadcast's sums,
+    counts and cost exactly, ties going to the lower centroid."""
+    generator = np.random.Generator(np.random.PCG64(seed))
+    n, k, d = generator.integers(1, 300), generator.integers(1, 40), \
+        generator.integers(1, 60)
+    points = generator.standard_normal((n, d))
+    centroids = generator.standard_normal((k, d))
+    centroids[-1] = centroids[0]
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(2)
+    assignment = distances.argmin(axis=1)
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, assignment, points)
+
+    got_sums, got_counts, got_cost = mlmath.kmeans_partial(points, centroids)
+    np.testing.assert_array_equal(got_sums, sums)
+    np.testing.assert_array_equal(got_counts,
+                                  np.bincount(assignment, minlength=k))
+    assert got_cost == distances[np.arange(n), assignment].sum()
+
+
 def test_kmeans_update_moves_to_means():
     points = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0]])
     centroids = np.array([[1.0, 0.0], [9.0, 9.0]])

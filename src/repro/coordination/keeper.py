@@ -25,9 +25,12 @@ event reaches the application when its message turns visible.  The
 planted bug the ``watch-order`` hunt of
 ``tests/explore/test_guarantees.py`` must catch.
 
-**Sessions.**  A session is a server-side lease: a client-side
-heartbeat (``Kernel.every``) renews it at a third of the TTL, and a
-periodic sweeper invokes
+**Sessions.**  A session is a server-side lease.  The sessions one
+endpoint holds at one TTL share its fate (a reclaimed container
+abandons them together), so they share one heartbeat too: one
+``Kernel.every`` per (endpoint, TTL) renews all of them with one
+batched ``touch`` at a third of the TTL, as a ZooKeeper follower pings
+for all its sessions at once.  A periodic sweeper invokes
 ``expire_sessions(now)`` with the clock sampled *caller-side* (the
 method stays deterministic for SMR).  Expiry deletes the session's
 ephemeral znodes and fires their watches — exactly once, because the
@@ -56,6 +59,7 @@ from repro.errors import (
 )
 from repro.linearizability.znode import SEQUENTIAL_WIDTH
 from repro.mutation import PLANTED
+from repro.trace.tracer import NO_SPAN
 
 if TYPE_CHECKING:
     from repro.linearizability.history import HistoryRecorder
@@ -352,11 +356,19 @@ class _KeeperTree:
         self.sessions[sid] = _Session(ttl, now + ttl)
         return True
 
-    def touch(self, sid: str, now: float) -> float:
-        """Renew the lease; returns the new expiry instant."""
-        session = self._live(sid)
-        session.expires_at = now + session.ttl
-        return session.expires_at
+    def touch(self, sids: tuple[str, ...], now: float) \
+            -> tuple[float | None, ...]:
+        """Renew every listed lease in one call; returns each session's
+        new expiry instant, or ``None`` for a session that is gone."""
+        expiries = []
+        for sid in sids:
+            session = self.sessions.get(sid)
+            if session is not None:
+                session.expires_at = now + session.ttl
+                expiries.append(session.expires_at)
+            else:
+                expiries.append(None)
+        return tuple(expiries)
 
     def close_session(self, sid: str) -> tuple[tuple[str, int], ...]:
         """Graceful goodbye: drop the session and its ephemerals.
@@ -470,6 +482,8 @@ class KeeperService:
                                    persistent=rf >= 2, rf=rf)
         self._proxy._ensure()
         self._sessions: dict[str, KeeperSession] = {}
+        #: One shared heartbeat per (home endpoint, TTL).
+        self._heartbeats: dict[tuple[str, float], _Heartbeat] = {}
         self._sids = itertools.count(1)
         #: Pump/sweeper invocations that failed after DSO retries
         #: (e.g. a failover outlasting the retry deadline).
@@ -522,8 +536,9 @@ class KeeperService:
     def session(self, ttl: float | None = None, *,
                 name: str | None = None,
                 home: str | None = None) -> "KeeperSession":
-        """Open a session: a lease on the tree, a watch-event queue,
-        and a heartbeat pump renewing at a third of the TTL.
+        """Open a session: a lease on the tree and a watch-event
+        queue.  The session joins its endpoint's heartbeat for this
+        TTL, which renews it at a third of the TTL.
 
         ``home`` ties the session to an endpoint's liveness (default:
         wherever the call runs).  A function handler passes its
@@ -536,6 +551,11 @@ class KeeperService:
         session = KeeperSession(self, sid, ttl,
                                 home=home or current_location())
         self._sessions[sid] = session
+        key = (session.home, ttl)
+        heartbeat = self._heartbeats.get(key)
+        if heartbeat is None or heartbeat.done:  # done: a beat failed
+            heartbeat = self._heartbeats[key] = _Heartbeat(self, *key)
+        heartbeat.join(session)
         return session
 
     def _container_reclaimed(self, endpoint: str) -> None:
@@ -550,17 +570,23 @@ class KeeperService:
 
     def _pump_step(self) -> None:
         queues = self._env.queue_service
+        tracer = self._env.kernel.tracer
         while True:
-            try:
-                batch = self._proxy._invoke("drain_outbox", _PUMP_BATCH)
-            except CloudError:
-                self.service_errors += 1
-                batch = ()
-            for sid, event in batch:
+            with (tracer.span("keeper.pump.drain")
+                  if tracer.enabled else NO_SPAN) as span:
                 try:
-                    queues.deliver(self._queue_name(sid), event)
-                except NoSuchKeyError:
-                    pass  # a session some other client owns
+                    batch = self._proxy._invoke("drain_outbox",
+                                                _PUMP_BATCH)
+                except CloudError:
+                    self.service_errors += 1
+                    batch = ()
+                for sid, event in batch:
+                    try:
+                        queues.deliver(self._queue_name(sid), event)
+                    except NoSuchKeyError:
+                        pass  # a session some other client owns
+                if tracer.enabled:
+                    span.set("events", len(batch))
             # A full batch may have left more behind: drain again now.
             if len(batch) < _PUMP_BATCH or self._pump.cancelled:
                 return
@@ -583,11 +609,12 @@ class KeeperService:
                 local._mark_expired()
 
     def stop(self) -> None:
-        """Stop the pump and sweeper (sessions keep their state)."""
+        """Stop the pump, sweeper and heartbeats (sessions keep their
+        state)."""
         self._pump.cancel()
         self._sweeper.cancel()
-        for session in self._sessions.values():
-            session._heartbeat.cancel()
+        for heartbeat in list(self._heartbeats.values()):
+            heartbeat.stop()
 
     # -- audit accessors -------------------------------------------------------------
 
@@ -605,6 +632,78 @@ class KeeperService:
 
     def outbox_depth(self) -> int:
         return self._proxy._invoke("outbox_depth")
+
+
+class _Heartbeat:
+    """The lease renewals of every session one endpoint holds at one
+    TTL: one periodic thread, one batched ``touch`` per period.
+
+    A third of the TTL survives two lost or late beats before a lease
+    lapses (ZooKeeper pings at a third of the timeout).  A session
+    that joins mid-period is renewed at the group's next beat, sooner
+    than a period after it joined; the group stops once its last
+    member leaves.
+    """
+
+    def __init__(self, service: KeeperService, home: str, ttl: float):
+        self._service = service
+        self.home = home
+        self.ttl = ttl
+        #: Member session ids, in join order.
+        self.members: dict[str, None] = {}
+        self._beating = False
+        self._thread = service._env.kernel.every(
+            ttl / 3.0, self._beat,
+            name=f"{service.name}-{home}-ttl{ttl:g}-heartbeat")
+
+    @property
+    def done(self) -> bool:
+        return self._thread.done
+
+    def join(self, session: KeeperSession) -> None:
+        self.members[session.sid] = None
+        session._heartbeat = self
+        if self._beating:
+            # Not in the batch in flight: the next beat follows it at
+            # once instead of a period later.
+            self._thread.poke()
+
+    def leave(self, sid: str) -> None:
+        if sid in self.members:
+            del self.members[sid]
+            if not self.members:
+                self.stop()
+
+    def stop(self) -> None:
+        self._thread.cancel()
+        heartbeats = self._service._heartbeats
+        if heartbeats.get((self.home, self.ttl)) is self:
+            del heartbeats[(self.home, self.ttl)]
+
+    def _beat(self) -> None:
+        service = self._service
+        tracer = service._env.kernel.tracer
+        sids = tuple(self.members)
+        with (tracer.span("keeper.heartbeat", endpoint=self.home)
+              if tracer.enabled else NO_SPAN) as span:
+            self._beating = True
+            try:
+                expiries = service._call("touch", sids, service._env.now)
+            except ReproError:
+                # A failover outlasting the retries: the server may
+                # have given every lease away, so none is renewed again.
+                self.stop()
+                return
+            finally:
+                self._beating = False
+            # A lapsed lease stays lapsed: its session leaves the group.
+            gone = [sid for sid, expiry in zip(sids, expiries)
+                    if expiry is None]
+            for sid in gone:
+                self.leave(sid)
+            if tracer.enabled:
+                span.set("renewed", len(sids) - len(gone))
+                span.set("dropped", len(gone))
 
 
 class KeeperSession:
@@ -634,27 +733,17 @@ class KeeperSession:
         self._arrivals: list[WatchEvent] = []
         self._next_seq = 1
         self._queue = service._queue_name(sid)
-        # A third of the TTL survives two lost or late beats before the
-        # lease lapses (ZooKeeper pings at a third of the timeout).
-        self._heartbeat = service._env.kernel.every(
-            ttl / 3.0, self._beat, name=f"{sid}-heartbeat")
+        #: The endpoint's heartbeat for this TTL (set when it joins).
+        self._heartbeat: _Heartbeat | None = None
 
     # -- liveness ----------------------------------------------------------------
-
-    def _beat(self) -> None:
-        try:
-            self._service._call("touch", self.sid, self._service._env.now)
-        except ReproError:
-            # A lapsed lease (or a failover outlasting the retries)
-            # stays lapsed: the server may have given its state away.
-            self._heartbeat.cancel()
 
     def close(self) -> None:
         """Graceful goodbye: ephemerals are deleted immediately."""
         if self.state != "open":
             return
         self.state = "closed"
-        self._heartbeat.cancel()
+        self._heartbeat.leave(self.sid)
         self._service._call("close_session", self.sid)
         self._service._sessions.pop(self.sid, None)
 
@@ -663,7 +752,7 @@ class KeeperSession:
         the lease lapses and the sweeper reaps the ephemerals."""
         if self.state == "open":
             self.state = "killed"
-        self._heartbeat.cancel()
+        self._heartbeat.leave(self.sid)
 
     #: A reclaimed container's sessions are abandoned the same way.
     abandon = kill
@@ -671,7 +760,7 @@ class KeeperSession:
     def _mark_expired(self) -> None:
         if self.state in ("open", "killed"):
             self.state = "expired"
-        self._heartbeat.cancel()
+        self._heartbeat.leave(self.sid)
 
     @property
     def expired(self) -> bool:

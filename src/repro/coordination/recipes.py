@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.coordination.keeper import KeeperSession, WatchEvent
-from repro.errors import NodeExistsError, NoNodeError
+from repro.errors import NodeExistsError, NoNodeError, SimTimeoutError
 
 #: Recipes re-check state at least this often while waiting.
 _RECHECK = 1.0
@@ -72,8 +72,8 @@ class KeeperBarrier:
             if len(arrived) >= self.parties:
                 return
             if self.session._service._env.now >= deadline:
-                raise TimeoutError(
-                    f"barrier round {round_number}: "
+                raise SimTimeoutError(
+                    f"barrier {round_path}: "
                     f"{len(arrived)}/{self.parties} after {timeout}s")
             self.session.next_event(timeout=_RECHECK)
 
@@ -108,8 +108,8 @@ class KeeperSemaphore:
                 self._held = lease
                 return lease
             if self.session._service._env.now >= deadline:
-                raise TimeoutError(f"semaphore {self.path}: "
-                                   f"no permit after {timeout}s")
+                raise SimTimeoutError(f"semaphore {self.path}: "
+                                      f"no permit after {timeout}s")
             self.session.next_event(timeout=_RECHECK)
 
     def release(self) -> None:
@@ -182,7 +182,8 @@ class LeaderElector:
             if self.session.exists(predecessor, watch=True) is None:
                 continue
             if env.now >= deadline:
-                raise TimeoutError(f"no leadership after {timeout}s")
+                raise SimTimeoutError(f"election {self.path}: "
+                                      f"no leadership after {timeout}s")
             self.session.next_event(timeout=_RECHECK)
 
     def _announce(self) -> None:

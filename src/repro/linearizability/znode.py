@@ -185,12 +185,16 @@ class ZnodeModel:
         self.sessions[sid] = _MSession(ttl, now + ttl)
         return True
 
-    def touch(self, sid: str, now: float) -> Any:
-        if self._session_gone(sid) or sid is None:
-            return _err("SessionExpiredError")
-        session = self.sessions[sid]
-        session.expires_at = now + session.ttl
-        return session.expires_at
+    def touch(self, sids: tuple[str, ...], now: float) -> Any:
+        expiries = []
+        for sid in sids:
+            session = self.sessions.get(sid)
+            if session is None:
+                expiries.append(None)  # gone: no error, just no lease
+            else:
+                session.expires_at = now + session.ttl
+                expiries.append(session.expires_at)
+        return tuple(expiries)
 
     def close_session(self, sid: str) -> Any:
         if sid not in self.sessions:

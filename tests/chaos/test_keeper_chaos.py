@@ -1,17 +1,22 @@
 """Seeded chaos for the keeper: dead leaders, dead holders, dead nodes.
 
-Two fail-stop scenarios per seed:
+Three fail-stop scenarios per seed:
 
 * the elected leader's and a lock holder's *sessions* are killed
   mid-heartbeat — their ephemerals must vanish exactly once (one
   delete in the zxid log, one ``deleted`` watch event), and the next
   candidate must take over;
+* one member of an endpoint's shared heartbeat is killed mid-period —
+  its lease lapses and its ephemeral goes within 2x TTL, while the
+  heartbeat keeps renewing its group-mates, whose ephemerals stay;
 * the DSO node hosting the replicated tree's primary crashes under
   live writer traffic — rf=2 SMR plus exactly-once sessions must keep
   every acknowledged write in the zxid log exactly once
   (``final == acked``), with the audit run against the promoted
   backup.
 """
+
+import random
 
 from repro import CrucialEnvironment, KeeperService
 from repro.config import DEFAULT_CONFIG
@@ -88,6 +93,45 @@ def test_leader_and_holder_killed_mid_heartbeat(chaos_seed):
     for path in ("/locks/h", leader_node):
         assert sum(1 for _, op, p in log
                    if op == "delete" and p == path) == 1
+
+
+def test_one_member_of_a_heartbeat_group_killed_mid_period(chaos_seed):
+    ttl, members = 2.0, 4
+    rng = random.Random(chaos_seed)
+    victim = f"h{rng.randrange(members)}"
+    # Past the first beat, then a seed-drawn instant inside a period.
+    kill_after = ttl / 3.0 + rng.uniform(0.05, 0.95) * ttl / 3.0
+    with CrucialEnvironment(seed=chaos_seed, dso_nodes=3) as env:
+        def main():
+            keeper = KeeperService(name="chaos-group", rf=2,
+                                   session_ttl=ttl)
+            observer = keeper.session(name="observer", ttl=60.0)
+            observer.create("/held")
+            holders = {f"h{i}": keeper.session(name=f"h{i}")
+                       for i in range(members)}
+            for sid, holder in holders.items():
+                holder.create(f"/held/{sid}", ephemeral=True)
+            sleep(kill_after)
+            killed_at = env.now
+            holders[victim].kill()
+            while observer.exists(f"/held/{victim}") is not None:
+                sleep(0.05)
+            detection = env.now - killed_at
+            sleep(2 * ttl)  # the survivors ride several more beats
+            held = observer.children("/held")
+            states = {sid: holder.state for sid, holder in holders.items()}
+            log = keeper.zxid_log()
+            keeper.stop()
+            return detection, held, states, log
+
+        detection, held, states, log = env.run(main)
+
+    assert detection <= 2 * ttl
+    assert states.pop(victim) == "expired"
+    assert set(states.values()) == {"open"}
+    assert held == tuple(sorted(states))
+    assert [path for _, op, path in log if op == "delete"] \
+        == [f"/held/{victim}"]
 
 
 def test_tree_primary_crash_preserves_acked_writes(chaos_seed):

@@ -21,6 +21,7 @@ from repro import (
     SessionExpiredError,
     find_watch_violations,
 )
+from repro.errors import SimTimeoutError
 from repro.config import DEFAULT_CONFIG
 from repro.coordination import (
     ConfigWatcher,
@@ -516,14 +517,176 @@ def test_a_heartbeat_bug_is_reported_not_read_as_a_lapsed_lease(env):
         keeper._call = broken
         sleep(1.0)
         keeper._call = call
+        # The failed heartbeat is not reused: a new session beats anew.
+        renewed = keeper.session(name="t")._heartbeat
         keeper.stop()
-        return session
+        return session, renewed
 
-    session = env.run(main)
+    session, renewed = env.run(main)
+    assert renewed is not session._heartbeat
     failed = env.kernel.failed_threads
-    assert [thread.name for thread in failed] == ["s-heartbeat"]
+    assert [thread.name for thread in failed] \
+        == ["bug-client-ttl2-heartbeat"]
     assert isinstance(failed[0].exception, ValueError)
     assert session._heartbeat.done
+
+
+# ---------------------------------------------------------------------------
+# heartbeats: one batched renewal per (endpoint, TTL)
+# ---------------------------------------------------------------------------
+
+
+def record_touches(keeper):
+    """Log every lease renewal the keeper ships: (virtual time, sids)."""
+    touches = []
+    invoke = keeper._invoke
+
+    def logging(method, *args):
+        if method == "touch":
+            touches.append((keeper._env.now, args[0]))
+        return invoke(method, *args)
+
+    keeper._invoke = logging
+    return touches
+
+
+def test_one_endpoints_sessions_share_one_renewal_per_period(env):
+    ttl = 2.0
+
+    def main():
+        keeper = make_service(name="group", session_ttl=ttl)
+        touches = record_touches(keeper)
+        sessions = [keeper.session(name=f"s{i}") for i in range(40)]
+        sleep(5.0)
+        for session in sessions:
+            assert not session.expired
+            session.close()
+        keeper.stop()
+        return touches, {s.sid for s in sessions}
+
+    touches, sids = env.run(main)
+    # One touch per ttl/3 period for all 40 sessions, not 40 per period.
+    assert len(touches) == int(5.0 // (ttl / 3.0))
+    assert all(set(batch) == sids for _at, batch in touches)
+
+
+def test_a_session_joining_mid_beat_is_renewed_right_after_it(env):
+    ttl = 2.0
+
+    def main():
+        keeper = make_service(name="late", session_ttl=ttl)
+        touches = record_touches(keeper)
+        invoke = keeper._invoke
+        joined = []
+
+        def opening_mid_beat(method, *args):
+            if method == "touch" and not joined:
+                # The batch is already cut: "late" is not in it.
+                joined.append((env.now, keeper.session(name="late")))
+            return invoke(method, *args)
+
+        keeper._invoke = opening_mid_beat
+        keeper.session(name="early")
+        sleep(ttl)
+        keeper.stop()
+        return touches, joined[0][0]
+
+    touches, joined_at = env.run(main)
+    (first, batch), (second, next_batch) = touches[:2]
+    assert batch == ("early",)
+    # Renewed as soon as the beat in flight returns, not ttl/3 later.
+    assert set(next_batch) == {"early", "late"}
+    assert second - joined_at < 0.01
+
+
+def test_sessions_of_another_home_or_ttl_never_share_a_renewal(env):
+    def main():
+        keeper = make_service(name="split", session_ttl=2.0)
+        touches = record_touches(keeper)
+        groups = [
+            {keeper.session(name="a1").sid, keeper.session(name="a2").sid},
+            {keeper.session(name="b", home="elsewhere").sid},
+            {keeper.session(name="c", ttl=3.0).sid},
+        ]
+        sleep(4.0)
+        keeper.stop()
+        return touches, groups
+
+    touches, groups = env.run(main)
+    batches = [set(batch) for _at, batch in touches]
+    assert all(batch in groups for batch in batches)
+    assert all(group in batches for group in groups)
+
+
+def test_a_reclaimed_containers_heartbeat_stops_and_others_beat_on(env):
+    ttl = 2.0
+
+    def main():
+        keeper = make_service(name="reclaim", session_ttl=ttl)
+        touches = record_touches(keeper)
+        hosted = []
+
+        def handler(ctx, payload):
+            hosted.extend(keeper.session(name=f"fn{i}", home=ctx.endpoint)
+                          for i in range(2))
+
+        env.platform.deploy("keeper-group", handler)
+        local = keeper.session(name="local")
+        env.platform.invoke("client", "keeper-group")
+        sleep(ttl)  # both groups beat
+        assert env.platform.reclaim_idle("keeper-group", keep=0) == 1
+        reclaimed_at = env.now
+        sleep(2 * ttl)
+        states = [session.state for session in hosted]
+        stopped = hosted[0]._heartbeat.done
+        beating = not local._heartbeat.done
+        local.close()
+        keeper.stop()
+        return touches, reclaimed_at, states, stopped, beating
+
+    touches, reclaimed_at, states, stopped, beating = env.run(main)
+    assert {"fn0", "fn1"} in [set(batch) for at, batch in touches
+                              if at < reclaimed_at]
+    after = [set(batch) for at, batch in touches if at > reclaimed_at]
+    assert after and all(batch == {"local"} for batch in after)
+    assert states == ["expired", "expired"]
+    assert stopped and beating
+
+
+def test_heartbeat_and_pump_drain_spans(env):
+    """Traced, a beat is a ``keeper.heartbeat`` span on its endpoint
+    counting renewed and dropped sessions, and every outbox drain is a
+    ``keeper.pump.drain`` span counting the events it moved."""
+    tracer = env.kernel.enable_tracing()
+
+    def main():
+        keeper = make_service(name="spans", session_ttl=2.0)
+        writer = keeper.session(name="writer")
+        watcher = keeper.session(name="watcher")
+        writer.create("/conf", data=0)
+        watcher.get("/conf", watch=True)
+        writer.set("/conf", 1)
+        assert watcher.next_event(timeout=10.0).path == "/conf"
+        sleep(1.0)  # one beat renews both
+        # Another client ends the watcher's session on the tree: the
+        # next beat reads it as gone and drops it from the group.
+        keeper._call("close_session", "watcher")
+        sleep(2.0)
+        writer.close()
+        keeper.stop()
+        return watcher._heartbeat.members
+
+    members = env.run(main)
+    assert "watcher" not in members
+    beats = [span for span in tracer.spans
+             if span.name == "keeper.heartbeat"]
+    assert beats and {span.endpoint for span in beats} == {"client"}
+    counts = [(span.attributes["renewed"], span.attributes["dropped"])
+              for span in beats]
+    assert counts[0] == (2, 0) and (1, 1) in counts
+    drains = [span.attributes["events"] for span in tracer.spans
+              if span.name == "keeper.pump.drain"]
+    assert sum(drains) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +807,48 @@ def test_leader_election_and_failover(env):
     assert (first, second) == ("c0", "c1")
     # Failover = lease expiry + one watch delivery: well under 4x TTL.
     assert convergence < 8.0
+
+
+def test_barrier_deadline_raises_a_typed_timeout(env):
+    def main():
+        keeper = make_service(name="bar-late")
+        with keeper.session(name="alone") as session:
+            barrier = KeeperBarrier(session, "/late", parties=2)
+            with pytest.raises(SimTimeoutError, match="/late/round-0"):
+                barrier.wait(0, timeout=1.0)
+        keeper.stop()
+
+    env.run(main)
+
+
+def test_semaphore_deadline_raises_a_typed_timeout(env):
+    def main():
+        keeper = make_service(name="sem-late")
+        with keeper.session(name="holder") as holder, \
+                keeper.session(name="waiter") as waiter:
+            KeeperSemaphore(holder, "/permits", 1).acquire()
+            with pytest.raises(SimTimeoutError, match="/permits"):
+                KeeperSemaphore(waiter, "/permits", 1).acquire(timeout=1.0)
+        keeper.stop()
+
+    env.run(main)
+
+
+def test_election_deadline_raises_a_typed_timeout(env):
+    def main():
+        keeper = make_service(name="elect-late")
+        with keeper.session(name="c0") as first, \
+                keeper.session(name="c1") as second:
+            LeaderElector(first, "/office", "c0").volunteer()
+            runner_up = LeaderElector(second, "/office", "c1")
+            runner_up.volunteer()
+            with pytest.raises(SimTimeoutError, match="/office") as raised:
+                runner_up.lead(timeout=1.0)
+        keeper.stop()
+        return raised.value
+
+    # Still the built-in too: callers catching TimeoutError keep working.
+    assert isinstance(env.run(main), TimeoutError)
 
 
 def test_config_watcher_follows_updates(env):

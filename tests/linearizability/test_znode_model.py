@@ -51,10 +51,11 @@ SCRIPT = [
     ("exists", ("/gone", "s2", False)),
     ("children", ("/a", "s1", False)),
     ("children", ("/missing", "s1", False)),     # NoNodeError
-    ("touch", ("s2", 3.0, )),
+    ("touch", (("s2", ), 3.0)),
     ("expire_sessions", (7.9, )),                # s1 lapsed, s2 alive
     ("create", ("/b", None, "s1", False, False)),  # SessionExpired
     ("get", ("/missing", "s1", False)),  # session beats node lookup
+    ("touch", (("s1", "s2"), 4.0)),              # s1 gone: None; s2 renewed
     ("close_session", ("s2", )),
     ("close_session", ("s2", )),                 # idempotent: ()
     ("exists", ("/a/e", None, False)),           # ephemeral reaped
@@ -78,6 +79,9 @@ def test_model_matches_live_tree_in_lockstep():
                                            model_results):
         assert live == model, \
             f"{method}{args}: tree={live!r} model={model!r}"
+    # A batched touch names the gone session and renews its batch-mate.
+    assert tree_results[SCRIPT.index(
+        ("touch", (("s1", "s2"), 4.0)))] == (None, 9.0)
     # The script really exercised the error paths.
     errors = [r[1] for r in tree_results
               if isinstance(r, tuple) and len(r) == 2

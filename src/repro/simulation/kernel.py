@@ -34,12 +34,8 @@ _context = threading.local()
 #: Why the dispatch loop handed the baton to the host.
 _STOPPED, _DRAINED, _LIMIT = "stopped", "drained", "limit"
 
-#: Cap on the Wakeup free list; beyond this, surplus events are left to
-#: the garbage collector (a pool larger than the live heap is pure waste).
-_POOL_MAX = 1024
-
-#: Compaction trigger: once at least this many cancelled events sit in
-#: the heap *and* they make up half of it, the dispatch loop rebuilds.
+#: Compaction trigger: once at least this many stale wakeups sit in the
+#: heap *and* they make up half of it, the dispatch loop rebuilds.
 _COMPACT_MIN = 512
 
 
@@ -49,6 +45,14 @@ def current_kernel() -> "Kernel":
     if thread is None:
         raise NotInSimThread("no simulation kernel in this context")
     return thread.kernel
+
+
+def _live(item) -> bool:
+    """Whether a heap entry's event still runs: a timer nobody
+    cancelled, or a wakeup whose thread has not woken since."""
+    if item.is_timer:
+        return not item.cancelled
+    return item.epoch == item.thread._epoch
 
 
 def _waits(thread: "SimThread") -> str:
@@ -83,42 +87,37 @@ class Wakeup:
     ``value`` is handed to the thread as the result of its suspension,
     letting primitives distinguish e.g. a timeout from a notification.
 
-    ``recycle`` marks wakeups whose handle never escapes the scheduling
-    call site (sleeps, primitive notifications): the kernel returns
-    those to a free pool once they leave the heap, so the dominant
-    event type allocates ~once instead of once per dispatch.
+    The one rule of a wakeup's life: it stays live until its thread
+    next wakes.  ``epoch`` is the thread's wake count when it was
+    scheduled; once the thread has woken again (any of its wakeups was
+    dispatched, it finished, or a poke re-armed its tick) the count has
+    moved on and the wakeup is stale — skipped, never dispatched.  So a
+    thread woken by one of two competing wakeups (a notification and a
+    timeout) needs to cancel nothing.
     """
 
-    __slots__ = ("thread", "value", "cancelled", "time", "recycle")
+    __slots__ = ("thread", "value", "time", "epoch")
 
     #: Dispatch discriminator, cheaper than ``isinstance`` per pop.
     is_timer = False
 
-    def __init__(self, thread: "SimThread", value: Any, time: float,
-                 recycle: bool = False):
+    def __init__(self, thread: "SimThread", value: Any, time: float):
         self.thread = thread
         self.value = value
         self.time = time
-        self.cancelled = False
-        self.recycle = recycle
-
-    def cancel(self) -> None:
-        self.cancelled = True
+        self.epoch = thread._epoch
 
 
 class Timer:
     """A scheduled callback executed in kernel context (non-blocking).
 
-    Timer handles are returned to callers (who may hold them across
-    suspension points and cancel them much later), so timers are never
-    pooled — recycling one under a live handle would let a stale
-    ``cancel()`` kill an unrelated event.
+    Unlike a wakeup's, a timer's handle is returned to its caller, who
+    may ``cancel()`` it any time later (a no-op once it fired).
     """
 
     __slots__ = ("callback", "cancelled", "time")
 
     is_timer = True
-    recycle = False
 
     def __init__(self, callback: Callable[[], None], time: float):
         self.callback = callback
@@ -179,13 +178,12 @@ class Kernel:
         self._idle: list = []
         self._closed = False
         self._failed: list = []  # threads that died with an exception
-        #: Free list of recyclable Wakeups (see :class:`Wakeup`).
-        self._wakeup_pool: list = []
-        #: Cancelled events still sitting in the heap (approximate:
-        #: counted where cancellation is cheap to observe).  When the
+        #: Stale wakeups still sitting in the heap, exactly: a thread
+        #: counts in ``_armed`` the wakeups scheduled since it last woke,
+        #: and all but the one that wakes it go stale then.  When the
         #: count dominates the heap the dispatch loop compacts, so a
-        #: workload cancelling far-future timeouts cannot degrade every
-        #: subsequent push/pop to O(log garbage).
+        #: workload of early-satisfied far-future timeouts cannot
+        #: degrade every later push/pop to O(log garbage).
         self._cancelled = 0
 
     # -- tracing ----------------------------------------------------------
@@ -203,52 +201,25 @@ class Kernel:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule_wakeup(self, thread, delay: float, value: Any = None,
-                        recycle: bool = False) -> Wakeup:
-        """Schedule ``thread`` to resume after ``delay`` virtual seconds.
-
-        ``recycle=True`` is an optimisation contract offered by the
-        call site: it promises the returned handle is never retained
-        across a suspension point, letting the kernel pool the Wakeup
-        once it has been dispatched (or popped cancelled).
-        """
+    def schedule_wakeup(self, thread, delay: float,
+                        value: Any = None) -> Wakeup:
+        """Schedule ``thread`` to resume after ``delay`` virtual seconds,
+        unless it wakes some other way first (see :class:`Wakeup`)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        pool = self._wakeup_pool
-        if pool:
-            wakeup = pool.pop()
-            wakeup.thread = thread
-            wakeup.value = value
-            wakeup.time = self.now + delay
-            wakeup.cancelled = False
-            wakeup.recycle = recycle
-        else:
-            wakeup = Wakeup(thread, value, self.now + delay, recycle)
+        wakeup = Wakeup(thread, value, self.now + delay)
+        thread._armed += 1
         heapq.heappush(self._heap, (wakeup.time, next(self._seq), wakeup))
-        thread._pending.add(wakeup)
         return wakeup
 
-    def _reclaim(self, item) -> None:
-        """Return a recyclable event to the pool once it left the heap."""
-        if item.recycle and len(self._wakeup_pool) < _POOL_MAX:
-            item.thread = None
-            item.value = None
-            self._wakeup_pool.append(item)
-
     def _compact(self) -> None:
-        """Drop cancelled events from the heap in one O(n) pass.
+        """Drop stale wakeups and cancelled timers from the heap in one
+        O(n) pass.
 
         Rebuilds in place (run loops hold a reference to the list), so
         the ``(time, seq)`` dispatch order of live events is unchanged.
         """
-        live = []
-        for entry in self._heap:
-            item = entry[2]
-            if item.cancelled:
-                self._reclaim(item)
-            else:
-                live.append(entry)
-        self._heap[:] = live
+        self._heap[:] = [entry for entry in self._heap if _live(entry[2])]
         heapq.heapify(self._heap)
         self._cancelled = 0
 
@@ -377,7 +348,6 @@ class Kernel:
         stop = self._stop
         limit = self._limit
         heap = self._heap
-        pool = self._wakeup_pool
         pop = heapq.heappop
         fast = self.scheduler is None
         if me is not None:
@@ -395,11 +365,14 @@ class Kernel:
                     break
                 head = heap[0]
                 item = head[2]
-                if item.cancelled:
+                # _live, inline: a dead event leaves the heap unrun.
+                if item.is_timer:
+                    if item.cancelled:
+                        pop(heap)
+                        continue
+                elif item.epoch != item.thread._epoch:
                     pop(heap)
-                    self._reclaim(item)
-                    if self._cancelled:
-                        self._cancelled -= 1
+                    self._cancelled -= 1
                     continue
                 time = head[0]
                 if limit is not None and time > limit:
@@ -416,14 +389,13 @@ class Kernel:
                 if item.is_timer:
                     item.callback()
                     continue
+                # The thread wakes: its other wakeups go stale.
                 thread = item.thread
-                value = item.value
-                thread._pending.discard(item)
-                if item.recycle and len(pool) < _POOL_MAX:  # _reclaim, inline
-                    item.thread = item.value = None
-                    pool.append(item)
+                thread._epoch += 1
+                self._cancelled += thread._armed - 1
+                thread._armed = 0
                 if not thread.done:
-                    thread._wake_value = value
+                    thread._wake_value = item.value
                     return None if thread is me \
                         else thread._gate or thread._bind()
         except BaseException as exc:
@@ -452,12 +424,10 @@ class Kernel:
         batch = [(seq, item)]
         while self._heap and self._heap[0][0] == time:
             _, other_seq, other = heapq.heappop(self._heap)
-            if other.cancelled:
-                self._reclaim(other)
-                if self._cancelled:
-                    self._cancelled -= 1
-            else:
+            if _live(other):
                 batch.append((other_seq, other))
+            elif not other.is_timer:
+                self._cancelled -= 1
         index, delay = self.scheduler.decide(time, batch)
         chosen_seq, chosen = batch.pop(index)
         for entry_seq, entry in batch:

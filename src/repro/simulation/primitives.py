@@ -3,7 +3,9 @@
 These mirror the ``threading`` module's API (events, locks, semaphores,
 conditions) plus a ``queue.Queue`` equivalent, but block in *virtual*
 time.  All of them are FIFO-fair: waiters are served in arrival order,
-which keeps simulations deterministic.
+which keeps simulations deterministic.  Every blocking call parks
+through :meth:`SimThread._park`, so a release at a timeout's own
+instant counts as a release for all of them.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ from typing import Any
 
 from repro.errors import SimTimeoutError, SimulationError
 from repro.simulation.kernel import Kernel, current_thread
-from repro.simulation.thread import TIMEOUT
-
-_NOTIFY = object()
-_GRANT = object()
 
 
 class Event:
@@ -34,7 +32,7 @@ class Event:
         self._flag = True
         while self._waiters:
             waiter = self._waiters.popleft()
-            self.kernel.schedule_wakeup(waiter, 0.0, _NOTIFY, recycle=True)
+            self.kernel.schedule_wakeup(waiter, 0.0)
 
     def clear(self) -> None:
         self._flag = False
@@ -44,19 +42,7 @@ class Event:
         if self._flag:
             return True
         thread = current_thread()
-        self._waiters.append(thread)
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        if value is TIMEOUT:
-            try:
-                self._waiters.remove(thread)
-            except ValueError:
-                pass  # set() raced with the timeout at the same instant
-            thread._cancel_pending()
-            return self._flag
-        thread._cancel_pending()
-        return True
+        return thread._park(self._waiters, thread, timeout, self)
 
 
 class Lock:
@@ -88,23 +74,8 @@ class Lock:
             return True
         if self._owner is thread:
             raise SimulationError(f"{thread.name} re-acquired a non-reentrant lock")
-        self._waiters.append(thread)
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        if value is TIMEOUT:
-            if self._owner is thread:
-                # Granted at the very instant the timeout fired: keep it.
-                thread._cancel_pending()
-                return True
-            try:
-                self._waiters.remove(thread)
-            except ValueError:
-                pass
-            thread._cancel_pending()
-            return False
-        thread._cancel_pending()
-        return True
+        # release() hands the lock over as it takes a waiter off.
+        return thread._park(self._waiters, thread, timeout, self)
 
     def release(self) -> None:
         thread = current_thread()
@@ -115,7 +86,7 @@ class Lock:
         if self._waiters:
             successor = self._waiters.popleft()
             self._owner = successor
-            self.kernel.schedule_wakeup(successor, 0.0, _GRANT, recycle=True)
+            self.kernel.schedule_wakeup(successor, 0.0)
         else:
             self._owner = None
 
@@ -146,28 +117,13 @@ class Semaphore:
         if self._permits > 0 and not self._waiters:
             self._permits -= 1
             return True
-        entry = [thread, False]  # [thread, granted]
-        self._waiters.append(entry)
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        if value is TIMEOUT and not entry[1]:
-            try:
-                self._waiters.remove(entry)
-            except ValueError:
-                pass
-            thread._cancel_pending()
-            return False
-        thread._cancel_pending()
-        return True
+        return thread._park(self._waiters, thread, timeout, self)
 
     def release(self, count: int = 1) -> None:
         self._permits += count
         while self._waiters and self._permits > 0:
-            entry = self._waiters.popleft()
-            entry[1] = True
             self._permits -= 1
-            self.kernel.schedule_wakeup(entry[0], 0.0, _GRANT, recycle=True)
+            self.kernel.schedule_wakeup(self._waiters.popleft(), 0.0)
 
     def __enter__(self) -> "Semaphore":
         self.acquire()
@@ -206,18 +162,8 @@ class Condition:
         thread = current_thread()
         if self.lock._owner is not thread:
             raise SimulationError("Condition.wait() without holding the lock")
-        self._waiters.append(thread)
         self.lock.release()
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        notified = value is not TIMEOUT
-        if not notified:
-            try:
-                self._waiters.remove(thread)
-            except ValueError:
-                notified = True  # notified at the same instant
-        thread._cancel_pending()
+        notified = thread._park(self._waiters, thread, timeout, self)
         self.lock.acquire()
         return notified
 
@@ -238,7 +184,7 @@ class Condition:
             raise SimulationError("Condition.notify() without holding the lock")
         for _ in range(min(count, len(self._waiters))):
             waiter = self._waiters.popleft()
-            self.kernel.schedule_wakeup(waiter, 0.0, _NOTIFY, recycle=True)
+            self.kernel.schedule_wakeup(waiter, 0.0)
 
     def notify_all(self) -> None:
         self.notify(len(self._waiters))
@@ -253,8 +199,8 @@ class Queue:
         self.kernel = kernel
         self.capacity = capacity
         self._items: deque = deque()
-        self._getters: deque = deque()  # [thread, cell, filled]
-        self._putters: deque = deque()  # [thread, item, taken]
+        self._getters: deque = deque()  # [thread, item cell]
+        self._putters: deque = deque()  # (thread, item)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -267,47 +213,24 @@ class Queue:
         if self._getters:
             entry = self._getters.popleft()
             entry[1] = item
-            entry[2] = True
-            self.kernel.schedule_wakeup(entry[0], 0.0, _NOTIFY, recycle=True)
+            self.kernel.schedule_wakeup(entry[0], 0.0)
             return
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
             return
-        entry = [thread, item, False]
-        self._putters.append(entry)
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        if value is TIMEOUT and not entry[2]:
-            try:
-                self._putters.remove(entry)
-            except ValueError:
-                pass
-            thread._cancel_pending()
+        if not thread._park(self._putters, (thread, item), timeout, self):
             raise SimTimeoutError("Queue.put timed out")
-        thread._cancel_pending()
 
     def get(self, timeout: float | None = None) -> Any:
         thread = current_thread()
         if self._items:
             item = self._items.popleft()
             if self._putters:
-                entry = self._putters.popleft()
-                entry[2] = True
-                self._items.append(entry[1])
-                self.kernel.schedule_wakeup(entry[0], 0.0, _NOTIFY, recycle=True)
+                putter, queued = self._putters.popleft()
+                self._items.append(queued)
+                self.kernel.schedule_wakeup(putter, 0.0)
             return item
-        entry = [thread, None, False]
-        self._getters.append(entry)
-        if timeout is not None:
-            self.kernel.schedule_wakeup(thread, timeout, TIMEOUT, recycle=True)
-        value = thread._suspend(self)
-        if value is TIMEOUT and not entry[2]:
-            try:
-                self._getters.remove(entry)
-            except ValueError:
-                pass
-            thread._cancel_pending()
+        entry = [thread, None]
+        if not thread._park(self._getters, entry, timeout, self):
             raise SimTimeoutError("Queue.get timed out")
-        thread._cancel_pending()
         return entry[1]

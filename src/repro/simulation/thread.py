@@ -20,12 +20,11 @@ import _thread
 import threading
 from typing import Any, Callable
 
-from repro.errors import SimShutdown, SimulationError
+from repro.errors import SimShutdown, SimTimeoutError, SimulationError
 from repro.simulation import kernel as _kernel_mod
 
-# Sentinel wake values used by primitives.
+#: The wake value of a timed wait's timeout.
 TIMEOUT = object()
-INTERRUPT = object()
 
 
 class _Worker:
@@ -90,7 +89,10 @@ class SimThread:
         #: The raw lock this thread parks on: its worker's, bound by
         #: the dispatch loop (``_bind``) until the target returns.
         self._gate = None
-        self._pending: set = set()  # outstanding Wakeups
+        #: Wakes so far, and wakeups scheduled since the last one (see
+        #: :class:`repro.simulation.kernel.Wakeup`).
+        self._epoch = 0
+        self._armed = 0
         self._wake_value: Any = None
         self._shutdown = False
         self._joiners: list[SimThread] = []
@@ -114,8 +116,12 @@ class SimThread:
             # Trace-context propagation: the child inherits the
             # spawner's active span as its initial parent.
             kernel.tracer.on_spawn(self)
-        kernel.schedule_wakeup(self, 0.0, recycle=True)
+        self._arm(0.0)
         return self
+
+    def _arm(self, delay: float) -> None:
+        """Schedule this thread's next dispatch."""
+        self.kernel.schedule_wakeup(self, delay)
 
     def _bind(self):
         """Take an OS worker (an idle one if any), return its gate: the
@@ -164,16 +170,23 @@ class SimThread:
     def _finish(self) -> None:
         kernel = self.kernel
         self.done = True
-        self._cancel_pending()
+        self._outdate()
         if not self._shutdown:
             for joiner in self._joiners:
-                kernel.schedule_wakeup(joiner, 0.0, self, recycle=True)
+                kernel.schedule_wakeup(joiner, 0.0)
             self._joiners.clear()
         kernel._unregister(self)
         if kernel.tracer.enabled:
             kernel.tracer.on_thread_exit(self)
 
     # -- suspension protocol -------------------------------------------------
+
+    def _outdate(self) -> None:
+        """Count as woken without a dispatch: every wakeup scheduled
+        since the last wake goes stale."""
+        self._epoch += 1
+        self.kernel._cancelled += self._armed
+        self._armed = 0
 
     def _suspend(self, waiting_on: Any = None) -> Any:
         """Block on ``waiting_on`` until this thread's next wakeup.
@@ -194,24 +207,35 @@ class SimThread:
         self._wake_value = self.waiting_on = None
         return value
 
-    def _cancel_pending(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        for wakeup in pending:
-            wakeup.cancelled = True
-        self.kernel._cancelled += len(pending)
-        pending.clear()
+    def _park(self, waiters, entry: Any, timeout: float | None,
+              on: Any) -> bool:
+        """Queue ``entry`` on ``waiters`` and block on ``on`` until a
+        releaser takes it off and wakes this thread (``True``) or
+        ``timeout`` elapses (``False``, ``entry`` withdrawn).
+
+        The one timed wait of every primitive.  An entry a releaser
+        already took off when the timeout fires — at the same instant —
+        counts as released; its notification, now stale, never runs.
+        """
+        waiters.append(entry)
+        if timeout is not None:
+            self.kernel.schedule_wakeup(self, timeout, TIMEOUT)
+        if self._suspend(on) is not TIMEOUT:
+            return True
+        try:
+            waiters.remove(entry)
+        except ValueError:
+            return True
+        return False
 
     # -- blocking API ----------------------------------------------------------
 
     def sleep(self, duration: float) -> None:
         """Advance this thread's virtual time by ``duration`` seconds."""
         # The per-event path of every modelled latency: schedule, then
-        # :meth:`_suspend` spelled out.  The loop has already forgotten
-        # the wakeup it dispatched, so normally nothing is left to cancel.
+        # :meth:`_suspend` spelled out.
         kernel = self.kernel
-        kernel.schedule_wakeup(self, duration, recycle=True)
+        kernel.schedule_wakeup(self, duration)
         if self._shutdown:
             raise SimShutdown()
         gate = kernel._advance(self)
@@ -221,8 +245,6 @@ class SimThread:
             if self._shutdown:
                 raise SimShutdown()
         self._wake_value = None
-        if self._pending:
-            self._cancel_pending()
 
     def join(self, timeout: float | None = None) -> None:
         """Block until this thread finishes.
@@ -234,20 +256,9 @@ class SimThread:
         caller = _kernel_mod.current_thread()
         if caller is self:
             raise SimulationError("a thread cannot join itself")
-        if not self.done:
-            self._joiners.append(caller)
-            handle = None
-            if timeout is not None:
-                handle = self.kernel.schedule_wakeup(caller, timeout, TIMEOUT)
-            value = caller._suspend(self)
-            caller._cancel_pending()
-            if value is TIMEOUT:
-                if caller in self._joiners:
-                    self._joiners.remove(caller)
-                from repro.errors import SimTimeoutError
-                raise SimTimeoutError(f"join({self.name}) timed out")
-            if handle is not None:
-                handle.cancel()
+        if not self.done and not caller._park(self._joiners, caller,
+                                              timeout, self):
+            raise SimTimeoutError(f"join({self.name}) timed out")
         self._observed = True
         if self.exception is not None:
             raise self.exception
@@ -279,6 +290,9 @@ class PeriodicThread(SimThread):
         self._step = step
         self._next = delay or period
         self.cancelled = False
+        #: The pending tick's wakeup: an exploration scheduler's delay
+        #: moves its ``time``, which :meth:`poke` reads.
+        self._tick = None
 
     def cancel(self) -> None:
         """Stop ticking: at once between ticks, else after this one."""
@@ -295,18 +309,20 @@ class PeriodicThread(SimThread):
         if self._gate is not None:  # inside a tick
             self._next = 0.0
             return
-        now = self.kernel.now
-        if any(wakeup.time <= now for wakeup in self._pending):
+        if self._tick.time <= self.kernel.now:
             return  # already due: keep its slot
-        self._cancel_pending()
-        self.kernel.schedule_wakeup(self, 0.0, recycle=True)
+        self._outdate()
+        self._arm(0.0)
         self.target, self._next = self._step, self.period
+
+    def _arm(self, delay: float) -> None:
+        self._tick = self.kernel.schedule_wakeup(self, delay)
 
     def _rearm(self) -> bool:
         if self.cancelled or self._shutdown or self.exception is not None:
             return False
         # Drawn before the thread yields: the slot of a loop's sleep.
-        self.kernel.schedule_wakeup(self, self._next, recycle=True)
+        self._arm(self._next)
         self.target, self._next = self._step, self.period
         return True
 

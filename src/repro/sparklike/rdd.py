@@ -54,16 +54,6 @@ class RDD:
         self.partitions = partitions
         self.nominal_partition_bytes = nominal_partition_bytes
 
-    @classmethod
-    def parallelize(cls, cluster: SparkCluster, items: list[Any],
-                    num_partitions: int) -> "RDD":
-        if num_partitions <= 0:
-            raise ValueError(f"need positive partitions: {num_partitions}")
-        chunks: list[list[Any]] = [[] for _ in range(num_partitions)]
-        for index, item in enumerate(items):
-            chunks[index % num_partitions].append(item)
-        return cls(cluster, chunks)
-
     @property
     def num_partitions(self) -> int:
         return len(self.partitions)
@@ -101,11 +91,6 @@ class RDD:
         return [t.result() for t in threads]
 
     # -- transformations and actions --------------------------------------------------
-
-    def map_partitions(self, fn: Callable[[Any], Any],
-                       cost_fn: CostFn | None = None) -> "RDD":
-        results = self._run_stage(lambda _i, data: fn(data), cost_fn)
-        return RDD(self.cluster, results, self.nominal_partition_bytes)
 
     def map_partitions_with_index(self, fn: Callable[[int, Any], Any],
                                   cost_fn: CostFn | None = None) -> "RDD":

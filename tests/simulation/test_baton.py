@@ -19,7 +19,7 @@ from repro import AtomicLong, CloudThread, CrucialEnvironment, chrome_trace_json
 from repro.errors import SimulationError
 from repro.explore import PctScheduler, RandomScheduler
 from repro.simulation import Kernel, Lock, Queue
-from repro.simulation.kernel import in_sim_thread
+from repro.simulation.kernel import _live, in_sim_thread
 from repro.simulation.thread import sleep
 
 
@@ -159,7 +159,7 @@ def test_run_until_stops_on_the_event_that_flips_the_predicate():
         # Nothing past the flipping event ran or left the heap.
         assert sorted((time, type(item).__name__)
                       for time, _seq, item in kernel._heap
-                      if not item.cancelled) \
+                      if _live(item)) \
             == [(2.25, "Timer"), (3.0, "Wakeup"), (3.0, "Wakeup")]
         kernel.run()
         assert len(hits) == 9 and kernel.now == 6.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimTimeoutError, SimulationError
-from repro.simulation import Kernel
+from repro.simulation import Event, Kernel
 from repro.simulation.thread import now, sleep, spawn
 
 
@@ -185,17 +185,6 @@ def test_run_until_limit_repeated_raises_are_stable(kernel):
     assert fired == [5.0]
 
 
-def test_wakeup_pool_reuses_events(kernel):
-    def main():
-        for _ in range(50):
-            sleep(0.001)
-
-    kernel.run_main(main)
-    # Steady-state sleeping recycles through the pool instead of
-    # allocating one Wakeup per suspension.
-    assert len(kernel._wakeup_pool) >= 1
-
-
 def test_timer_handles_are_never_pooled(kernel):
     fired = []
     stale = kernel.call_later(1.0, lambda: fired.append("a"))
@@ -208,33 +197,33 @@ def test_timer_handles_are_never_pooled(kernel):
 
 
 def test_cancelled_event_compaction_keeps_order(kernel):
-    from repro.simulation.kernel import _COMPACT_MIN
+    from repro.simulation.kernel import _COMPACT_MIN, _live
 
     trace = []
+    threads = 2 * _COMPACT_MIN // 20
 
     def waiter(i):
-        # Each sleep(timeout-style) pattern: schedule a far-future
-        # wakeup then cancel it, leaving garbage in the heap.
-        from repro.simulation.kernel import current_thread
-
-        me = current_thread()
-        for _ in range(20):
-            h = kernel.schedule_wakeup(me, 1e6)
-            h.cancel()
-            kernel._cancelled += 1
-            me._pending.discard(h)
+        # A timer satisfies each far-future timed wait at once, leaving
+        # its timeout in the heap as a stale wakeup: ten times the
+        # compaction threshold in all.
+        for _ in range(100):
+            event = Event(kernel)
+            kernel.call_later(0.0, event.set)
+            assert event.wait(timeout=1e6)
         sleep(float(i % 7) * 0.1)
         trace.append(i)
 
     def main():
-        threads = [spawn(waiter, i) for i in range(2 * _COMPACT_MIN // 20)]
-        for t in threads:
+        for t in [spawn(waiter, i) for i in range(threads)]:
             t.join()
 
     kernel.run_main(main)
-    assert sorted(trace) == list(range(2 * _COMPACT_MIN // 20))
-    # Compaction ran: the garbage did not accumulate unboundedly.
-    assert kernel._cancelled < 2 * _COMPACT_MIN
+    assert sorted(trace) == list(range(threads))
+    # Compaction ran: the dead timeouts did not accumulate unboundedly.
+    assert len(kernel._heap) < 2 * _COMPACT_MIN
+    # And the count that drives it is exact.
+    assert kernel._cancelled == sum(not _live(item)
+                                    for _time, _seq, item in kernel._heap)
 
 
 def test_deadlock_detection(kernel):

@@ -432,3 +432,60 @@ def test_queue_handoff_to_waiting_getter(kernel):
 def test_queue_invalid_capacity(kernel):
     with pytest.raises(SimulationError):
         Queue(kernel, capacity=0)
+
+
+# -- a release at the timeout's own instant ---------------------------------
+
+
+def _timed_waits(kernel):
+    """name -> (releaser's step at 0 s, its release at 1 s, the timed
+    wait on the releaser's thread, the wait's result once released)."""
+    event, lock, semaphore = Event(kernel), Lock(kernel), Semaphore(kernel, 0)
+    condition, items, full = Condition(kernel), Queue(kernel), Queue(kernel, 1)
+
+    def notify():
+        with condition:
+            condition.notify()
+
+    def wait_condition(_):
+        with condition:
+            return condition.wait(timeout=1.0)
+
+    def nothing():
+        pass
+
+    return {
+        "event": (nothing, event.set, lambda _: event.wait(timeout=1.0), True),
+        "lock": (lock.acquire, lock.release,
+                 lambda _: lock.acquire(timeout=1.0), True),
+        "semaphore": (nothing, semaphore.release,
+                      lambda _: semaphore.acquire(timeout=1.0), True),
+        "condition": (nothing, notify, wait_condition, True),
+        "queue_get": (nothing, lambda: items.put("x"),
+                      lambda _: items.get(timeout=1.0), "x"),
+        "queue_put": (lambda: full.put("a"), full.get,
+                      lambda _: full.put("b", timeout=1.0), None),
+        "join": (nothing, nothing,
+                 lambda thread: thread.join(timeout=1.0), None),
+    }
+
+
+@pytest.mark.parametrize("name", ["event", "lock", "semaphore", "condition",
+                                  "queue_get", "queue_put", "join"])
+def test_a_release_at_the_timeouts_instant_wakes_the_waiter_once(kernel, name):
+    first, release, wait, released = _timed_waits(kernel)[name]
+
+    def releaser():
+        first()
+        sleep(1.0)
+        release()
+
+    def main():
+        thread = spawn(releaser)
+        sleep(0)  # the releaser's wakeup at 1 s is queued first
+        result = wait(thread)  # its timeout fires after the release
+        woke = now()
+        sleep(0.5)  # the release's notification, now stale, must not end it
+        return result, woke, now()
+
+    assert kernel.run_main(main) == (released, 1.0, 1.5)

@@ -20,21 +20,16 @@ def cluster(kernel):
     return SparkCluster(kernel, network, workers=2, cores_per_worker=4)
 
 
-def test_parallelize_splits_items(cluster):
-    rdd = RDD.parallelize(cluster, list(range(10)), num_partitions=4)
-    assert rdd.num_partitions == 4
-    assert sorted(sum(rdd.partitions, [])) == list(range(10))
-
-
-def test_parallelize_invalid_partitions(cluster):
-    with pytest.raises(ValueError):
-        RDD.parallelize(cluster, [1], num_partitions=0)
+def _rdd(cluster, items, partitions):
+    """``items`` dealt round-robin over ``partitions`` partitions."""
+    return RDD(cluster, [items[i::partitions] for i in range(partitions)])
 
 
 def test_map_partitions_transforms(kernel, cluster):
     def main():
-        rdd = RDD.parallelize(cluster, list(range(8)), num_partitions=4)
-        doubled = rdd.map_partitions(lambda part: [x * 2 for x in part])
+        rdd = _rdd(cluster, list(range(8)), 4)
+        doubled = rdd.map_partitions_with_index(
+            lambda _i, part: [x * 2 for x in part])
         return sorted(sum(doubled.partitions, []))
 
     assert kernel.run_main(main) == [0, 2, 4, 6, 8, 10, 12, 14]
@@ -42,7 +37,7 @@ def test_map_partitions_transforms(kernel, cluster):
 
 def test_reduce_combines_at_driver(kernel, cluster):
     def main():
-        rdd = RDD.parallelize(cluster, list(range(100)), num_partitions=8)
+        rdd = _rdd(cluster, list(range(100)), 8)
         return rdd.reduce(fn=lambda a, b: a + b, map_fn=sum)
 
     assert kernel.run_main(main) == sum(range(100))
@@ -51,9 +46,10 @@ def test_reduce_combines_at_driver(kernel, cluster):
 def test_tasks_run_in_parallel_across_cores(kernel, cluster):
     # 8 partitions, 8 total cores, 1s each => ~1s + overheads, not 8s.
     def main():
-        rdd = RDD.parallelize(cluster, list(range(8)), num_partitions=8)
+        rdd = _rdd(cluster, list(range(8)), 8)
         t0 = now()
-        rdd.map_partitions(lambda part: part, cost_fn=lambda _p: 1.0)
+        rdd.map_partitions_with_index(lambda _i, part: part,
+                                      cost_fn=lambda _p: 1.0)
         return now() - t0
 
     elapsed = kernel.run_main(main)
@@ -63,9 +59,10 @@ def test_tasks_run_in_parallel_across_cores(kernel, cluster):
 def test_tasks_queue_when_cores_exhausted(kernel, cluster):
     # 16 partitions on 8 cores of 1s each => ~2s.
     def main():
-        rdd = RDD.parallelize(cluster, list(range(16)), num_partitions=16)
+        rdd = _rdd(cluster, list(range(16)), 16)
         t0 = now()
-        rdd.map_partitions(lambda part: part, cost_fn=lambda _p: 1.0)
+        rdd.map_partitions_with_index(lambda _i, part: part,
+                                      cost_fn=lambda _p: 1.0)
         return now() - t0
 
     elapsed = kernel.run_main(main)
@@ -74,8 +71,8 @@ def test_tasks_queue_when_cores_exhausted(kernel, cluster):
 
 def test_stage_and_task_counters(kernel, cluster):
     def main():
-        rdd = RDD.parallelize(cluster, list(range(8)), num_partitions=4)
-        rdd.map_partitions(lambda p: p)
+        rdd = _rdd(cluster, list(range(8)), 4)
+        rdd.map_partitions_with_index(lambda _i, p: p)
         rdd.reduce(fn=lambda a, b: a + b, map_fn=sum)
 
     kernel.run_main(main)
@@ -85,7 +82,7 @@ def test_stage_and_task_counters(kernel, cluster):
 
 def test_broadcast_charges_per_executor(kernel, cluster):
     def main():
-        rdd = RDD.parallelize(cluster, [1], num_partitions=1)
+        rdd = _rdd(cluster, [1], 1)
         t0 = now()
         rdd.broadcast(b"x" * 1_100_000)  # ~1 MB at ~1.1 GB/s per link
         return now() - t0
@@ -96,7 +93,7 @@ def test_broadcast_charges_per_executor(kernel, cluster):
 
 def test_reduce_charges_partial_transfers(kernel, cluster):
     def main():
-        rdd = RDD.parallelize(cluster, list(range(4)), num_partitions=4)
+        rdd = _rdd(cluster, list(range(4)), 4)
         t0 = now()
         rdd.reduce(fn=lambda a, b: a + b,
                    map_fn=lambda part: b"y" * 550_000)  # 0.5 MB partials

@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.core.proxy import GenericProxy
+from repro.core.shared import shared
 from repro.core.runtime import CrucialEnvironment, current_environment, \
     current_location
 from repro.errors import (
@@ -478,8 +478,7 @@ class KeeperService:
         # rf>=2 keeper trees are persistent DSO objects: SMR-replicated,
         # so the zxid log and every ephemeral/watch survives a primary
         # crash.  rf=1 is for cheap single-node test setups.
-        self._proxy = GenericProxy(_KeeperTree, name,
-                                   persistent=rf >= 2, rf=rf)
+        self._proxy = shared(_KeeperTree, name, persistent=rf >= 2, rf=rf)
         self._proxy._ensure()
         self._sessions: dict[str, KeeperSession] = {}
         #: One shared heartbeat per (home endpoint, TTL).

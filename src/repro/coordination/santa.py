@@ -122,35 +122,35 @@ class SantaWorkshop(ServerObject):
 # ---------------------------------------------------------------------------
 
 
-class _LocalCondition:
-    """Adapter exposing the ServerCondition interface over a local
-    monitor lock (the POJO variant's wait/notify)."""
-
-    def __init__(self, host: "LocalMonitorHost"):
-        self._condition = Condition(host.kernel, lock=host.lock)
+class _LocalCondition(Condition):
+    """The ServerCondition interface over a local monitor's lock (the
+    POJO variant's wait/notify): ``wait`` takes the call, no timeout."""
 
     def wait(self, call) -> None:
-        self._condition.wait()
-
-    def notify_all(self) -> None:
-        self._condition.notify_all()
+        super().wait()
 
 
 class LocalMonitorHost:
-    """Runs a ServerObject-style class as an in-process monitor."""
+    """Runs a class as an in-process monitor: one call at a time.  A
+    :class:`ServerObject`'s methods get ``None`` for their call and may
+    wait on its conditions; a plain class's get only the arguments."""
 
-    def __init__(self, kernel: Kernel, cls: type, *args):
+    def __init__(self, kernel: Kernel, cls: type, *args, **kwargs):
         self.kernel = kernel
         self.lock = Lock(kernel)
-        self.instance = cls(*args)
-        self.instance.attach(self)
+        self.instance = cls(*args, **kwargs)
+        self._call = ()
+        if isinstance(self.instance, ServerObject):
+            self._call = (None,)
+            self.instance.attach(self)
 
     def condition(self) -> _LocalCondition:
-        return _LocalCondition(self)
+        return _LocalCondition(self.kernel, lock=self.lock)
 
-    def invoke(self, method: str, *args):
+    def invoke(self, method: str, *args, **kwargs):
         with self.lock:
-            return getattr(self.instance, method)(None, *args)
+            return getattr(self.instance, method)(*self._call, *args,
+                                                  **kwargs)
 
 
 class DsoMonitorHandle:

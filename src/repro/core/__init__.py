@@ -6,7 +6,9 @@
 * synchronization objects — ``CyclicBarrier``, ``Semaphore``,
   ``Future``, ``CountDownLatch``;
 * :func:`shared` — user-defined shared objects (the ``@Shared``
-  annotation), with ``persistent=True`` enabling replication.
+  annotation), with ``persistent=True`` enabling replication;
+* each written once, as its server class: the proxy derives its
+  methods from it (:mod:`repro.core.proxy`).
 
 .. note:: ``repro.core`` and its submodules are **internal**.  Import
    these names from the top-level :mod:`repro` package instead; the

@@ -1,9 +1,11 @@
 """The built-in shared-object library (Table 1).
 
-Each entry pairs a *server class* (the state machine living on DSO
-nodes) with a *proxy class* (the typed client stub).  All objects are
-wait-free and linearizable: every invocation completes in a bounded
-number of steps at its primary replica, under the per-object lock.
+Each entry is written once, as a *server class* (the state machine
+living on DSO nodes); its *proxy class* (the client stub) names that
+class and derives one remote method per public method from it.  All
+objects are wait-free and linearizable: every invocation completes in
+a bounded number of steps at its primary replica, under the
+per-object lock.
 
 Side-effect-free methods carry the :func:`~repro.dso.cache.readonly`
 marker, making them eligible for the lease-based client cache when a
@@ -23,10 +25,10 @@ from repro.dso.cache import readonly
 # ---------------------------------------------------------------------------
 
 
-class _AtomicValue:
+class _AtomicReference:
     """Shared scalar with read-modify-write primitives."""
 
-    def __init__(self, value: Any = 0):
+    def __init__(self, value: Any = None):
         self.value = value
 
     @readonly
@@ -47,6 +49,11 @@ class _AtomicValue:
             return True
         return False
 
+
+class _AtomicNumber(_AtomicReference):
+    def __init__(self, value: int = 0):
+        super().__init__(int(value))
+
     def add_and_get(self, delta) -> Any:
         self.value += delta
         return self.value
@@ -57,14 +64,12 @@ class _AtomicValue:
         return previous
 
 
-class _AtomicInt(_AtomicValue):
-    def __init__(self, value: int = 0):
-        super().__init__(int(value))
+class _AtomicInt(_AtomicNumber):
+    pass
 
 
-class _AtomicLong(_AtomicValue):
-    def __init__(self, value: int = 0):
-        super().__init__(int(value))
+class _AtomicLong(_AtomicNumber):
+    pass
 
 
 class _AtomicBoolean:
@@ -83,11 +88,6 @@ class _AtomicBoolean:
             self.value = bool(update)
             return True
         return False
-
-
-class _AtomicReference(_AtomicValue):
-    def __init__(self, value: Any = None):
-        super().__init__(value)
 
 
 class _AtomicByteArray:
@@ -198,31 +198,11 @@ class _SharedMap:
 
 
 # ---------------------------------------------------------------------------
-# Client proxies
+# Client proxies: only calls that are not a same-named pass-through
 # ---------------------------------------------------------------------------
 
 
-class _ScalarProxy(DsoProxy):
-    def get(self):
-        return self._invoke("get")
-
-    def set(self, value) -> None:
-        self._invoke("set", value)
-
-    def get_and_set(self, value):
-        return self._invoke("get_and_set", value)
-
-    def compare_and_set(self, expected, update) -> bool:
-        return self._invoke("compare_and_set", expected, update)
-
-
-class _NumericProxy(_ScalarProxy):
-    def add_and_get(self, delta):
-        return self._invoke("add_and_get", delta)
-
-    def get_and_add(self, delta):
-        return self._invoke("get_and_add", delta)
-
+class _Counter(DsoProxy):
     def increment_and_get(self):
         return self._invoke("add_and_get", 1)
 
@@ -230,13 +210,13 @@ class _NumericProxy(_ScalarProxy):
         return self._invoke("add_and_get", -1)
 
 
-class AtomicInt(_NumericProxy):
+class AtomicInt(_Counter):
     """A linearizable shared integer."""
 
     _server_cls = _AtomicInt
 
 
-class AtomicLong(_NumericProxy):
+class AtomicLong(_Counter):
     """A linearizable shared long (Listing 1's counter)."""
 
     _server_cls = _AtomicLong
@@ -247,17 +227,8 @@ class AtomicBoolean(DsoProxy):
 
     _server_cls = _AtomicBoolean
 
-    def get(self) -> bool:
-        return self._invoke("get")
 
-    def set(self, value: bool) -> None:
-        self._invoke("set", value)
-
-    def compare_and_set(self, expected: bool, update: bool) -> bool:
-        return self._invoke("compare_and_set", expected, update)
-
-
-class AtomicReference(_ScalarProxy):
+class AtomicReference(DsoProxy):
     """A linearizable shared reference to any picklable value."""
 
     _server_cls = _AtomicReference
@@ -268,77 +239,19 @@ class AtomicByteArray(DsoProxy):
 
     _server_cls = _AtomicByteArray
 
-    def get(self, index: int) -> int:
-        return self._invoke("get", index)
-
-    def set(self, index: int, value: int) -> None:
-        self._invoke("set", index, value)
-
-    def length(self) -> int:
-        return self._invoke("length")
-
-    def to_bytes(self) -> bytes:
-        return self._invoke("to_bytes")
-
-    def fill(self, value: int) -> None:
-        self._invoke("fill", value)
-
 
 class SharedList(DsoProxy):
     """A linearizable shared list."""
 
     _server_cls = _SharedList
 
-    def append(self, item) -> None:
-        self._invoke("append", item)
-
-    def extend(self, items) -> None:
+    def extend(self, items: Iterable[Any]) -> None:
+        # A list: a generator does not pickle, and an iterator the
+        # primary used up would reach every backup empty.
         self._invoke("extend", list(items))
-
-    def get(self, index: int):
-        return self._invoke("get", index)
-
-    def set(self, index: int, item) -> None:
-        self._invoke("set", index, item)
-
-    def get_all(self) -> list:
-        return self._invoke("get_all")
-
-    def size(self) -> int:
-        return self._invoke("size")
-
-    def clear(self) -> None:
-        self._invoke("clear")
 
 
 class SharedMap(DsoProxy):
     """A linearizable shared map with in-store merge."""
 
     _server_cls = _SharedMap
-
-    def put(self, key, value):
-        return self._invoke("put", key, value)
-
-    def get(self, key, default=None):
-        return self._invoke("get", key, default)
-
-    def put_if_absent(self, key, value):
-        return self._invoke("put_if_absent", key, value)
-
-    def remove(self, key):
-        return self._invoke("remove", key)
-
-    def contains_key(self, key) -> bool:
-        return self._invoke("contains_key", key)
-
-    def keys(self) -> list:
-        return self._invoke("keys")
-
-    def entries(self) -> list:
-        return self._invoke("entries")
-
-    def size(self) -> int:
-        return self._invoke("size")
-
-    def merge(self, key, value, fn=None):
-        return self._invoke("merge", key, value, fn)

@@ -6,6 +6,10 @@ object's reference and construction recipe: calling one of its methods
 ships the invocation to the DSO layer from wherever the calling thread
 currently executes (client process or function container).
 
+As Crucial weaves its proxy from the ``@Shared`` class, nobody writes
+a proxy method by hand: :func:`remote_methods` derives them, once per
+server class, each shipping the caller's arguments as passed.
+
 Proxies are picklable — they travel inside Runnables to cloud
 functions and re-bind to the active environment on arrival, which is
 how Crucial "establishes the connection to the DSO layer" inside each
@@ -14,20 +18,67 @@ function.
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+import inspect
+from typing import Any, Callable
 
 from repro.core.runtime import current_environment, current_location
 from repro.dso.reference import DsoReference, reference_for
+from repro.dso.server import ServerObject
+
+
+def _remote(name: str, cost_fn: Callable[..., float] | None) -> Callable:
+    def method(self, *args: Any, **kwargs: Any) -> Any:
+        cost = float(cost_fn(*args, **kwargs)) if cost_fn else 0.0
+        return self._ship(name, args, kwargs, cost)
+
+    method.__name__ = method.__qualname__ = name
+    return method
+
+
+@functools.cache
+def remote_methods(server_cls: type) -> dict[str, Callable]:
+    """One remote method per public method of ``server_cls``, costed
+    by its ``__dso_costs__`` (:func:`repro.core.shared.dso_costs`).
+    ``ServerObject``'s hosting hooks are skipped, and the ``call``
+    parameter its methods take is the server's to fill."""
+    costs = getattr(server_cls, "__dso_costs__", {})
+    methods = {}
+    for name in dir(server_cls):
+        target = getattr(server_cls, name)
+        if name.startswith("_") or not callable(target) \
+                or target is vars(ServerObject).get(name):
+            continue
+        method = methods[name] = _remote(name, costs.get(name))
+        method.__doc__ = target.__doc__
+        if inspect.isfunction(target):
+            signature = inspect.signature(target)
+            params = list(signature.parameters.values())
+            if issubclass(server_cls, ServerObject):
+                del params[1]
+            method.__signature__ = signature.replace(parameters=params)
+    return methods
 
 
 class DsoProxy:
     """Base proxy: reference + constructor recipe + invocation.
 
-    Subclasses set ``_server_cls`` to the server-side class and expose
-    typed methods that call :meth:`_invoke`.
+    A subclass that sets ``_server_cls`` gets that class's
+    :func:`remote_methods` as its own attributes, except where it (or
+    ``DsoProxy``) already has the name: ``delete``, ``ref`` and the
+    like stay the proxy's, and a hand-written member is kept for a
+    call that is not a same-named one.
     """
 
     _server_cls: type | None = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        server_cls = vars(cls).get("_server_cls")
+        if server_cls is not None:
+            for name, method in remote_methods(server_cls).items():
+                if not hasattr(cls, name):
+                    setattr(cls, name, method)
 
     def __init__(self, key: str, *ctor_args: Any, persistent: bool = False,
                  rf: int | None = None, **ctor_kwargs: Any):
@@ -48,6 +99,12 @@ class DsoProxy:
 
     def _invoke(self, method: str, *args: Any, cost: float = 0.0,
                 **kwargs: Any) -> Any:
+        return self._ship(method, args, kwargs, cost)
+
+    def _ship(self, method: str, args: tuple, kwargs: dict,
+              cost: float) -> Any:
+        """The transport, and the only method one overrides: ship a
+        call, wait for its reply; kwargs pass untouched, even ``cost``."""
         env = current_environment()
         return env.dso.invoke(
             current_location(), self._ref, method, args, kwargs,
@@ -85,20 +142,16 @@ class DsoProxy:
         return {"_ref": self._ref, "_ctor": self._ctor}
 
     def __setstate__(self, state: dict) -> None:
-        self._ref = state["_ref"]
-        self._ctor = state["_ctor"]
+        self.__dict__.update(state)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self._ref}>"
 
 
 class GenericProxy(DsoProxy):
-    """Proxy for user-defined ``@Shared`` classes.
-
-    Every attribute access resolves to a remote method; per-method CPU
-    costs come from the server class's ``__dso_costs__`` mapping (see
-    :func:`repro.core.shared.dso_costs`).
-    """
+    """Proxy for user-defined ``@Shared`` classes: the server class is
+    per instance, so its :func:`remote_methods` are looked up on
+    access rather than installed."""
 
     def __init__(self, server_cls: type, key: str, *ctor_args: Any,
                  persistent: bool = False, rf: int | None = None,
@@ -108,23 +161,13 @@ class GenericProxy(DsoProxy):
                          **ctor_kwargs)
 
     def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
+        method = None if name.startswith("_") \
+            else remote_methods(self._server_cls).get(name)
+        if method is None:
             raise AttributeError(name)
-        costs = getattr(self._server_cls, "__dso_costs__", {})
-        cost_fn = costs.get(name)
-
-        def remote_method(*args: Any, **kwargs: Any) -> Any:
-            cost = float(cost_fn(*args, **kwargs)) if cost_fn else 0.0
-            return self._invoke(name, *args, cost=cost, **kwargs)
-
-        remote_method.__name__ = name
-        return remote_method
+        return method.__get__(self)
 
     def __getstate__(self) -> dict:
         state = super().__getstate__()
         state["_server_cls"] = self._server_cls
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self._server_cls = state["_server_cls"]
-        super().__setstate__(state)

@@ -13,9 +13,10 @@ replica).
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
-from repro.core.proxy import GenericProxy
+from repro.core.proxy import DsoProxy, GenericProxy
 
 
 def shared(server_cls: type, key: str, *ctor_args: Any,
@@ -69,28 +70,18 @@ class SharedField:
         self.key = key
         self.persistent = persistent
         self.rf = rf
-        self._owner_name = None
-        self._field_name = None
 
     def __set_name__(self, owner: type, name: str) -> None:
-        self._owner_name = owner.__name__
-        self._field_name = name
         if self.key is None:
             self.key = f"{owner.__name__}.{name}"
 
     def __get__(self, instance: Any, owner: type | None = None):
         if self.key is None:
             raise AttributeError("SharedField used outside a class body")
-        from repro.core.proxy import DsoProxy
-
-        if isinstance(self.target, type) and \
-                issubclass(self.target, DsoProxy):
-            return self.target(self.key, *self.ctor_args,
-                               persistent=self.persistent, rf=self.rf,
-                               **self.ctor_kwargs)
-        return GenericProxy(self.target, self.key, *self.ctor_args,
-                            persistent=self.persistent, rf=self.rf,
-                            **self.ctor_kwargs)
+        make = self.target if issubclass(self.target, DsoProxy) \
+            else functools.partial(GenericProxy, self.target)
+        return make(self.key, *self.ctor_args, persistent=self.persistent,
+                    rf=self.rf, **self.ctor_kwargs)
 
 
 def dso_costs(**method_costs: Callable[..., float] | float):

@@ -4,6 +4,9 @@ Semantically equivalent to ``java.util.concurrent``'s primitives, but
 hosted in the DSO layer: a call blocks at the client while the server
 side parks it with wait()/notify() (Section 5).  The cyclic barrier
 uses the internal-counter-plus-generation scheme the paper describes.
+Each object is written once, as its server class; the proxy derives
+its methods from it (:mod:`repro.core.proxy`), and the in-process
+twins of :mod:`repro.ports.common` run the same class locally.
 
 Synchronization objects are ephemeral and never replicated
 (footnote 2): if their hosting node dies, waiters get an error.
@@ -22,7 +25,19 @@ from repro.errors import BrokenBarrierError, FutureCancelledError
 # ---------------------------------------------------------------------------
 
 
-class _CyclicBarrier(ServerObject):
+class _Monitor(ServerObject):
+    """A server object with one condition, created once it is hosted
+    (``new_condition`` needs the container)."""
+
+    _waiters = None
+
+    def _condition(self):
+        if self._waiters is None:
+            self._waiters = self.new_condition()
+        return self._waiters
+
+
+class _CyclicBarrier(_Monitor):
     """Counter + generation: a new generation starts when the last
     party arrives (Section 5)."""
 
@@ -33,12 +48,6 @@ class _CyclicBarrier(ServerObject):
         self.count = 0
         self.generation = 0
         self.broken_generations: set[int] = set()
-        self._trip = None  # ServerCondition, created lazily after attach
-
-    def _condition(self):
-        if self._trip is None:
-            self._trip = self.new_condition()
-        return self._trip
 
     def await_(self, call: DsoCall) -> int:
         """Block until ``parties`` threads arrive; returns the arrival
@@ -75,17 +84,11 @@ class _CyclicBarrier(ServerObject):
         return self.count
 
 
-class _Semaphore(ServerObject):
+class _Semaphore(_Monitor):
     def __init__(self, permits: int):
         if permits < 0:
             raise ValueError(f"negative permits: {permits}")
         self.permits = permits
-        self._available = None
-
-    def _condition(self):
-        if self._available is None:
-            self._available = self.new_condition()
-        return self._available
 
     def acquire(self, call: DsoCall, permits: int = 1) -> None:
         condition = self._condition()
@@ -107,7 +110,7 @@ class _Semaphore(ServerObject):
         return self.permits
 
 
-class _Future(ServerObject):
+class _Future(_Monitor):
     """A single-assignment cell; getters block until it is set.
 
     This is the object behind the Fig. 6 "future" synchronization
@@ -119,12 +122,6 @@ class _Future(ServerObject):
         self.done = False
         self.cancelled = False
         self.value: Any = None
-        self._ready = None
-
-    def _condition(self):
-        if self._ready is None:
-            self._ready = self.new_condition()
-        return self._ready
 
     def set(self, call: DsoCall, value: Any) -> None:
         if self.done:
@@ -153,17 +150,11 @@ class _Future(ServerObject):
         return self.done
 
 
-class _CountDownLatch(ServerObject):
+class _CountDownLatch(_Monitor):
     def __init__(self, count: int):
         if count < 0:
             raise ValueError(f"negative count: {count}")
         self.count = count
-        self._zero = None
-
-    def _condition(self):
-        if self._zero is None:
-            self._zero = self.new_condition()
-        return self._zero
 
     def count_down(self, call: DsoCall) -> None:
         if self.count > 0:
@@ -181,7 +172,7 @@ class _CountDownLatch(ServerObject):
 
 
 # ---------------------------------------------------------------------------
-# Client proxies
+# Client proxies: only constructors, ``with`` and ``wait`` written here
 # ---------------------------------------------------------------------------
 
 
@@ -200,15 +191,6 @@ class CyclicBarrier(DsoProxy):
     #: Java-flavoured alias (``await`` is reserved in Python).
     await_ = wait
 
-    def reset(self) -> None:
-        self._invoke("reset")
-
-    def get_parties(self) -> int:
-        return self._invoke("get_parties")
-
-    def get_number_waiting(self) -> int:
-        return self._invoke("get_number_waiting")
-
 
 class Semaphore(DsoProxy):
     """Distributed counting semaphore."""
@@ -217,18 +199,6 @@ class Semaphore(DsoProxy):
 
     def __init__(self, key: str, permits: int, **kwargs):
         super().__init__(key, permits, **kwargs)
-
-    def acquire(self, permits: int = 1) -> None:
-        self._invoke("acquire", permits)
-
-    def try_acquire(self, permits: int = 1) -> bool:
-        return self._invoke("try_acquire", permits)
-
-    def release(self, permits: int = 1) -> None:
-        self._invoke("release", permits)
-
-    def available_permits(self) -> int:
-        return self._invoke("available_permits")
 
     def __enter__(self) -> "Semaphore":
         self.acquire()
@@ -243,18 +213,6 @@ class Future(DsoProxy):
 
     _server_cls = _Future
 
-    def set(self, value: Any) -> None:
-        self._invoke("set", value)
-
-    def get(self) -> Any:
-        return self._invoke("get")
-
-    def cancel(self) -> bool:
-        return self._invoke("cancel")
-
-    def is_done(self) -> bool:
-        return self._invoke("is_done")
-
 
 class CountDownLatch(DsoProxy):
     """Distributed count-down latch."""
@@ -264,13 +222,7 @@ class CountDownLatch(DsoProxy):
     def __init__(self, key: str, count: int, **kwargs):
         super().__init__(key, count, **kwargs)
 
-    def count_down(self) -> None:
-        self._invoke("count_down")
-
     def wait(self) -> None:
         self._invoke("await_")
 
     await_ = wait
-
-    def get_count(self) -> int:
-        return self._invoke("get_count")

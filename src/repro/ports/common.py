@@ -2,8 +2,10 @@
 
 These mirror the Crucial API exactly — key-addressed shared objects
 and thread objects — but live in the local process: ``LocalThread``
-spawns an in-process thread, and the "shared" objects are plain
-in-memory instances found through a per-process registry.  Keeping the
+spawns an in-process thread, the "shared" objects are plain in-memory
+instances found through a per-process registry, and the Table 1 twins
+are the Crucial proxy classes themselves, each call run on a monitor
+from that registry instead of shipped to the DSO layer.  Keeping the
 APIs congruent is what makes the Table 4 diffs as small as the paper
 reports: porting an application is (mostly) swapping these imports for
 the Crucial ones.
@@ -13,8 +15,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.coordination.santa import LocalMonitorHost
+from repro.core.objects import AtomicInt, AtomicLong
+from repro.core.sync import CyclicBarrier
 from repro.simulation.kernel import current_kernel
-from repro.simulation.primitives import Condition
 
 
 _registry: dict[tuple[str, str], Any] = {}
@@ -26,10 +30,9 @@ def reset_registry() -> None:
 
 
 def _lookup(kind: str, key: str, factory) -> Any:
-    ident = (kind, key)
-    if ident not in _registry:
-        _registry[ident] = factory()
-    return _registry[ident]
+    if (kind, key) not in _registry:
+        _registry[kind, key] = factory()
+    return _registry[kind, key]
 
 
 def local_shared(cls: type, key: str, *args: Any, **kwargs: Any) -> Any:
@@ -63,85 +66,31 @@ class LocalThread:
         return self._thread.result()
 
 
-class _LocalAtomic:
-    def __init__(self, value=0):
-        self.value = value
+class _InProcess:
+    """The local transport under a Table 1 proxy class: each call runs
+    on the in-process monitor registered under the proxy's key."""
 
-    def get(self):
-        return self.value
+    def _ship(self, method: str, args: tuple, kwargs: dict,
+              cost: float) -> Any:
+        cls, ctor_args, ctor_kwargs = self._ctor
+        host = _lookup(cls.__name__, self.key, lambda: LocalMonitorHost(
+            current_kernel(), cls, *ctor_args, **ctor_kwargs))
+        return host.invoke(method, *args, **kwargs)
 
-    def set(self, value) -> None:
-        self.value = value
+    def invoke_async(self, *args: Any, **kwargs: Any) -> Any:
+        raise NotImplementedError("an in-process twin ships nothing")
 
-    def add_and_get(self, delta):
-        self.value += delta
-        return self.value
-
-    def increment_and_get(self):
-        return self.add_and_get(1)
-
-    def compare_and_set(self, expected, update) -> bool:
-        if self.value == expected:
-            self.value = update
-            return True
-        return False
+    delete = invoke_async
 
 
-class LocalAtomicLong:
-    """Key-addressed local counter, API-identical to AtomicLong."""
-
-    def __init__(self, key: str, initial: int = 0, **_ignored):
-        self._cell = _lookup("AtomicLong", key,
-                             lambda: _LocalAtomic(initial))
-
-    def get(self):
-        return self._cell.get()
-
-    def set(self, value) -> None:
-        self._cell.set(value)
-
-    def add_and_get(self, delta):
-        return self._cell.add_and_get(delta)
-
-    def increment_and_get(self):
-        return self._cell.increment_and_get()
-
-    def compare_and_set(self, expected, update) -> bool:
-        return self._cell.compare_and_set(expected, update)
+class LocalAtomicLong(_InProcess, AtomicLong):
+    """Key-addressed local counter: :class:`AtomicLong` in-process."""
 
 
-class LocalAtomicInt(LocalAtomicLong):
-    pass
+class LocalAtomicInt(_InProcess, AtomicInt):
+    """Key-addressed local counter: :class:`AtomicInt` in-process."""
 
 
-class _BarrierState:
-    def __init__(self, parties: int):
-        self.parties = parties
-        self.count = 0
-        self.generation = 0
-        self.condition = Condition(current_kernel())
-
-
-class LocalCyclicBarrier:
-    """Key-addressed in-process cyclic barrier (java.util.concurrent)."""
-
-    def __init__(self, key: str, parties: int, **_ignored):
-        self._state = _lookup("CyclicBarrier", key,
-                              lambda: _BarrierState(parties))
-
-    def wait(self) -> int:
-        state = self._state
-        with state.condition:
-            generation = state.generation
-            state.count += 1
-            index = state.parties - state.count
-            if state.count == state.parties:
-                state.count = 0
-                state.generation += 1
-                state.condition.notify_all()
-                return index
-            while generation == state.generation:
-                state.condition.wait()
-            return index
-
-    await_ = wait
+class LocalCyclicBarrier(_InProcess, CyclicBarrier):
+    """Key-addressed in-process cyclic barrier: :class:`CyclicBarrier`
+    on the same server class, its waiters parked on a local monitor."""

@@ -309,10 +309,10 @@ class PeriodicThread(SimThread):
         if self._gate is not None:  # inside a tick
             self._next = 0.0
             return
-        if self._tick.time <= self.kernel.now:
-            return  # already due: keep its slot
-        self._outdate()
-        self._arm(0.0)
+        if self._tick.time > self.kernel.now:  # else due: keep its slot
+            self._outdate()
+            self._arm(0.0)
+        # A due spawn slot with a delay would only arm the first tick.
         self.target, self._next = self._step, self.period
 
     def _arm(self, delay: float) -> None:

@@ -12,7 +12,7 @@ from repro import (
     SharedList,
     SharedMap,
 )
-from repro.simulation.thread import spawn
+from repro.simulation.thread import sleep, spawn
 
 
 @pytest.fixture
@@ -170,6 +170,25 @@ def test_persistent_object_replicated(env):
     rf, value = env.run(main)
     assert rf == 2
     assert value == 9
+
+
+def test_list_extend_with_one_pass_iterables_survives_failover(env):
+    """Generators and dict views do not pickle, and a ``map`` the
+    primary consumed is empty when replayed on a backup: the proxy
+    ships a list, so the backup holds every item."""
+    def main():
+        items = SharedList("replicated", persistent=True)
+        items.extend(map(str, range(3)))
+        items.extend(n * n for n in range(3))
+        items.extend({"k": 1}.keys())
+        primary = env.dso.placement_of(items.ref)[0]
+        env.dso.crash_node(primary)
+        sleep(5.0)
+        return items.ref.rf, items.get_all()
+
+    rf, values = env.run(main)
+    assert rf == 2
+    assert values == ["0", "1", "2", 0, 1, 4, "k"]
 
 
 def test_explicit_delete(env):

@@ -86,6 +86,21 @@ def test_local_registry_reset(env):
     assert env.run(main) == 0
 
 
+def test_local_twins_never_reach_the_dso_layer(env):
+    """The DSO-only verbs a twin inherits from its proxy class refuse,
+    instead of touching (or creating) a DSO object under its key."""
+    def main():
+        counter = common.LocalAtomicLong("twin")
+        counter.add_and_get(5)
+        for verb in (counter.delete, lambda: counter.invoke_async("get")):
+            with pytest.raises(NotImplementedError):
+                verb()
+        return counter.get()
+
+    assert env.run(main) == 5
+    assert env.dso.stats.invocations == 0
+
+
 def test_local_shared_ignores_persistence_flags(env):
     from repro.ports.kmeans_objects import GlobalDelta
 

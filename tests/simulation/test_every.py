@@ -233,6 +233,21 @@ def test_poke_between_ticks_ticks_now_then_a_period_later():
     assert ticks == pytest.approx([1.0, 1.25, 2.25, 3.25, 4.25])
 
 
+def test_poke_before_the_spawn_slot_ticks_now():
+    """The spawn slot is due but, with a delay, would only arm the
+    first tick: the poke makes it the tick."""
+    ticks = []
+    with Kernel(seed=1) as kernel:
+        def main():
+            duty = kernel.every(1.0, lambda: ticks.append(kernel.now),
+                                name="duty")
+            duty.poke()
+            sleep(2.5)
+
+        kernel.run_main(main)
+    assert ticks == pytest.approx([0.0, 1.0, 2.0])
+
+
 def test_poke_inside_a_tick_runs_the_next_right_after_it():
     ticks = []
     with Kernel(seed=1) as kernel:

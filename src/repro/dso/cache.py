@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dso.reference import DsoReference
+from repro.mutation import PLANTED
 from repro.net.network import ship
 from repro.simulation.kernel import current_thread
 from repro.trace.tracer import NO_SPAN
@@ -95,7 +96,8 @@ def is_readonly(cls: type, method: str) -> bool:
     never mutates), so it does not revoke leases; it is still never
     served from a cache (there is nothing to apply locally).
     """
-    if method == "__dso_touch__":
+    if method == "__dso_touch__" or (
+            "get-is-readonly" in PLANTED and method.startswith("get")):
         return True
     return bool(getattr(getattr(cls, method, None),
                         "__dso_readonly__", False))

@@ -3,8 +3,9 @@
 The paper claims its shared objects are linearizable: "concurrent
 method invocations behave as if they were executed by a single thread"
 (Section 3.1).  This package records concurrent histories of proxy
-calls and verifies them against a sequential specification — the test
-suite uses it as a property check on the DSO layer.
+calls and verifies them against a sequential specification — for a
+shared object, its own server class.  The test suite uses it as a
+property check on the DSO layer.
 """
 
 from repro.linearizability.history import HistoryRecorder, Operation
@@ -16,7 +17,6 @@ from repro.linearizability.atomicity import (
     final_state_violations,
     find_fractured_reads,
 )
-from repro.linearizability.counter import CounterModel
 from repro.linearizability.znode import ZnodeModel
 from repro.linearizability.watches import (
     WatchViolation,
@@ -27,5 +27,5 @@ from repro.linearizability.watches import (
 __all__ = ["HistoryRecorder", "Operation", "LinearizabilityChecker",
            "AtomicityViolation", "TxnCommitRecord", "TxnReadRecord",
            "find_fractured_reads", "final_state_violations",
-           "CounterModel", "ZnodeModel", "WatchViolation",
+           "ZnodeModel", "WatchViolation",
            "find_watch_violations", "watch_order_invariant"]

@@ -24,7 +24,10 @@ Two scaling levers:
 
 The sequential specification is any factory of fresh objects whose
 methods are called as ``getattr(obj, op.method)(*op.args)``; the
-replayed return value must equal ``op.result``.
+replayed outcome must equal ``op.result`` — a raise counts as
+:func:`~repro.linearizability.history.raised` of its error, so it
+matches only a recorded raise.  A shared object's server class is its
+own specification.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import pickle
 from typing import Callable, Sequence
 
-from repro.linearizability.history import Operation
+from repro.linearizability.history import Operation, raised
 
 #: Above this partition size explain() skips window minimisation (each
 #: probe is itself a worst-case-exponential check).
@@ -190,8 +193,8 @@ def _advance(frame: list) -> tuple[object, list[Operation]] | None:
         replica = _clone(model)
         try:
             outcome = getattr(replica, candidate.method)(*candidate.args)
-        except Exception:  # the model rejects this op here
-            continue
+        except Exception as error:  # noqa: BLE001 - an outcome
+            outcome = raised(error)
         if outcome == candidate.result:
             frame[3] = index + 1
             return replica, pending[:index] + pending[index + 1:]

@@ -5,6 +5,12 @@ interval ``[invoke, response]`` (virtual time).  Two operations are
 concurrent iff their intervals overlap; linearizability requires a
 total order consistent with interval precedence whose sequential
 execution matches the recorded results.
+
+An exception is an outcome: a call that raised records
+:func:`raised` of it, and a model that raises the same type with the
+same ``args`` matches it.  A :class:`~repro.errors.ReproError` is the
+infrastructure failing, not the object answering, so it records
+nothing.
 """
 
 from __future__ import annotations
@@ -12,6 +18,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.errors import ReproError
+
+
+def raised(error: Exception) -> tuple[str, tuple]:
+    """The outcome of a call that raised ``error``."""
+    return type(error).__name__, error.args
 
 
 @dataclass(frozen=True)
@@ -32,10 +45,6 @@ class Operation:
     #: search into per-object searches.
     key: str | None = None
 
-    def precedes(self, other: "Operation") -> bool:
-        """Real-time order: self finished before other started."""
-        return self.response < other.invoke
-
     def __str__(self) -> str:
         arguments = ", ".join(repr(a) for a in self.args)
         where = f" @{self.key}" if self.key is not None else ""
@@ -53,18 +62,23 @@ class HistoryRecorder:
 
     def record(self, thread: str, method: str, args: tuple,
                call: Callable[[], Any], key: str | None = None) -> Any:
-        """Execute ``call`` and log it as an operation.
+        """Execute ``call`` and log it as an operation; one that raises
+        is logged with :func:`raised` of its error (a ``ReproError``
+        with nothing), and the error propagates.
 
         ``key`` names the object acted on; keyed histories let the
         checker exploit P-compositionality (one search per object).
         """
         invoke = self.clock()
-        result = call()
-        response = self.clock()
-        self.operations.append(Operation(
-            op_id=next(self._ids), thread=thread, method=method,
-            args=args, result=result, invoke=invoke, response=response,
-            key=key))
+        try:
+            result = call()
+        except ReproError:
+            raise
+        except Exception as error:
+            self.add(thread, method, args, raised(error), invoke,
+                     self.clock(), key)
+            raise
+        self.add(thread, method, args, result, invoke, self.clock(), key)
         return result
 
     def add(self, thread: str, method: str, args: tuple, result: Any,

@@ -9,11 +9,13 @@ is ever served after a post-failover write acknowledges.
 """
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
+from repro.dso.layer import KvSlot
 from repro.linearizability import HistoryRecorder, LinearizabilityChecker
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
@@ -30,23 +32,6 @@ def config_with(**dso_overrides):
 def kernel():
     with Kernel(seed=101) as k:
         yield k
-
-
-class KvSpec:
-    """Sequential spec of one KvSlot for the linearizability checker.
-
-    Starts at 0 — the value of the unrecorded setup ``put`` that
-    creates the object before the concurrent history begins.
-    """
-
-    def __init__(self):
-        self.value = 0
-
-    def get(self):
-        return self.value
-
-    def set(self, value):
-        self.value = value
 
 
 def test_kill_primary_while_leases_outstanding(kernel, network):
@@ -114,7 +99,8 @@ def test_cached_reads_linearizable_under_kill_primary_schedule(kernel,
             t.join()
 
     kernel.run_main(main)
-    checker = LinearizabilityChecker(KvSpec)
+    # The spec starts at the unrecorded setup put's value.
+    checker = LinearizabilityChecker(functools.partial(KvSlot, 0))
     assert checker.check(recorder.operations), \
         checker.explain(recorder.operations)
     assert injector.log.counts("inject") == {"crash_node": 1}

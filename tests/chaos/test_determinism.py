@@ -10,12 +10,9 @@ injected mid-workload.
 
 from repro import AtomicLong, CrucialEnvironment
 from repro.chaos import ChaosInjector, ChaosScheduleGenerator, FaultPlan
+from repro.core.objects import _AtomicLong
 from repro.dso import DsoLayer
-from repro.linearizability import (
-    CounterModel,
-    HistoryRecorder,
-    LinearizabilityChecker,
-)
+from repro.linearizability import HistoryRecorder, LinearizabilityChecker
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
@@ -100,6 +97,6 @@ def test_linearizable_across_rebalance_and_slowdown():
         final = env.run(main)
         assert final == 12
         assert injector.log.counts("inject").get("slow_node") == 1
-        checker = LinearizabilityChecker(CounterModel)
+        checker = LinearizabilityChecker(_AtomicLong)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)

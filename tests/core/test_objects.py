@@ -69,9 +69,12 @@ def test_atomic_reference(env):
         assert reference.get() is None
         old = reference.get_and_set({"model": [1, 2]})
         assert old is None
+        assert reference.compare_and_set(None, {}) is False
+        # Compared by value: the argument arrives as a copy.
+        assert reference.compare_and_set({"model": [1, 2]}, {"model": [3]})
         return reference.get()
 
-    assert env.run(main) == {"model": [1, 2]}
+    assert env.run(main) == {"model": [3]}
 
 
 def test_atomic_byte_array(env):
@@ -113,6 +116,7 @@ def test_shared_map(env):
         assert table.put_if_absent("j", 9) is None
         assert table.contains_key("j") is True
         assert sorted(table.keys()) == ["j", "k"]
+        assert sorted(table.entries()) == [("j", 9), ("k", 2)]
         assert table.remove("j") == 9
         return table.size()
 
@@ -124,6 +128,9 @@ def test_shared_map_merge_aggregates_in_store(env):
         table = SharedMap("agg")
         for delta in (1.5, 2.5, 3.0):
             table.merge("gradient", delta)
+        # A combiner replaces the addition.
+        assert [table.merge("best", score, max) for score in (2, 5, 3)] \
+            == [2, 5, 5]
         return table.get("gradient")
 
     assert env.run(main) == 7.0

@@ -13,11 +13,14 @@ unreachable lease holder's TTL holds no worker, so writes to other
 objects on the node do not queue behind it.
 """
 
+import functools
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.dso import DsoLayer, DsoReference
 from repro.dso.cache import readonly
+from repro.dso.layer import KvSlot
 from repro.explore import ExplorationRunner
 from repro.linearizability import LinearizabilityChecker
 from repro.net import LatencyModel, Network
@@ -107,19 +110,6 @@ def test_a_hot_key_flush_pays_one_revocation_hop(writes):
 # ---------------------------------------------------------------------------
 
 
-class SlotSpec:
-    """Sequential model of a ``KvSlot`` created with value 0."""
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def get(self):
-        return self.value
-
-
 def cached_flush_workload(trial):
     """Three readers re-read a key from their lease caches while one
     site flushes runs of same-key ``put_async`` to it.  Every write is
@@ -164,7 +154,8 @@ def test_cached_reads_beside_same_key_flushes_are_linearizable(
         scheduler, opts):
     report = ExplorationRunner(
         cached_flush_workload, trials=3, base_seed=7, scheduler=scheduler,
-        scheduler_opts=opts, checker=LinearizabilityChecker(SlotSpec),
+        scheduler_opts=opts,
+        checker=LinearizabilityChecker(functools.partial(KvSlot, 0)),
         shrink=False).run()
     assert report.ok, report.summary()
 

@@ -17,6 +17,7 @@ tests.explore.guarantees``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import random
 from contextlib import contextmanager
@@ -24,27 +25,38 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro import (
+    AtomicBoolean,
+    AtomicByteArray,
+    AtomicInt,
     AtomicLong,
+    AtomicReference,
     KeeperService,
     OpenLoopGenerator,
     RateProfile,
+    SharedList,
+    SharedMap,
     TenantSpec,
+    readonly,
 )
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.config import DEFAULT_CONFIG
+from repro.core.objects import _AtomicLong
+from repro.core.proxy import GenericProxy, remote_methods
 from repro.dso import DsoReference
-from repro.errors import TxnError
+from repro.dso.layer import KvSlot
+from repro.errors import ReproError, TxnError
 from repro.explore import ExplorationReport, ExplorationRunner
 from repro.harness.serving import serving_config
 from repro.linearizability import (
-    CounterModel,
     LinearizabilityChecker,
     final_state_violations,
     find_fractured_reads,
     watch_order_invariant,
 )
+from repro.linearizability.history import raised
 from repro.mutation import PLANTED
 from repro.net import LatencyModel
+from repro.ports.common import _InProcess, reset_registry
 from repro.ports.montecarlo_crucial import estimate_pi
 from repro.simulation.thread import sleep, spawn
 
@@ -73,8 +85,9 @@ class Hunt:
     workload: Callable[[Any], Any]
     trials: int
     preempt_prob: float
-    #: Sequential model for the linearizability checker, if any.
-    model: type | None = None
+    #: Factory of the linearizability checker's sequential model, if
+    #: any: for a shared object, its server class.
+    model: Callable[[], object] | None = None
     invariants: tuple[Callable[[Any, Any], Any], ...] = ()
     mutants: tuple[Mutant, ...] = ()
 
@@ -239,6 +252,7 @@ class CheckedCounter:
         self.value += delta
         raise ValueError(self.value)
 
+    @readonly
     def get(self):
         return self.value
 
@@ -261,10 +275,13 @@ def raised_write_workload(trial):
 
         def increment(method, cost=0.0):
             try:
-                return layer.invoke(client, ref, method, (1,),
-                                    ctor=CHECKED_CTOR, cost=cost)
-            except ValueError as exc:  # add_then_raise: the count it saw
-                return exc.args[0]
+                trial.recorder.record(
+                    "writer", method, (1,),
+                    lambda: layer.invoke(client, ref, method, (1,),
+                                         ctor=CHECKED_CTOR, cost=cost),
+                    key=RAISE_KEY)
+            except ValueError:  # add_then_raise: recorded as it raised
+                pass
 
         injector = ChaosInjector(env.kernel, network=network, dso=layer)
 
@@ -282,9 +299,7 @@ def raised_write_workload(trial):
                         {client}, {primary}))
                     env.kernel.call_later(0.1, lambda: network.unpartition(
                         {client}, {primary}))
-                trial.recorder.record("writer", method, (1,),
-                                      lambda: increment(method, cost),
-                                      key=RAISE_KEY)
+                increment(method, cost)
                 sleep(0.3)
             sleep(DEFAULT_CONFIG.dso.failure_detection + 3.0)
             return trial.recorder.record(
@@ -341,6 +356,120 @@ def estimates_pi(trial, value):
 
 
 # ---------------------------------------------------------------------------
+# Linearizability: every shared object against its own server class
+# ---------------------------------------------------------------------------
+# One hunt per object.  Threads call methods drawn from the object's
+# ``remote_methods``, with arguments drawn per parameter name; a call
+# that raises is recorded as raised.  Trial i runs on transport
+# i mod 5: rf=1, rf=2 with a seed-timed primary crash, the lease cache
+# on, pipelined ``invoke_async``, or the proxy class's in-process
+# twin.  The checker's sequential spec is the server class itself,
+# built from the proxy's constructor arguments.
+
+TRANSPORTS = ("rf=1", "rf=2+crash", "cache", "pipelined", "in-process")
+OBJECT_KEY = "hunted"
+OBJECT_THREADS = 3
+OBJECT_CALLS = 8
+
+#: Per parameter name, a draw of its argument: small domains, so that
+#: compare-and-set hits, merges combine and an index sometimes misses.
+ARGUMENTS = {
+    "value": lambda rnd: rnd.randrange(3),
+    "expected": lambda rnd: rnd.randrange(3),
+    "update": lambda rnd: rnd.randrange(3),
+    "item": lambda rnd: rnd.randrange(3),
+    "delta": lambda rnd: rnd.randrange(1, 3),
+    "items": lambda rnd: [rnd.randrange(3)] * rnd.randrange(3),
+    "index": lambda rnd: rnd.randrange(-1, 3),
+    "key": lambda rnd: rnd.choice("ab"),
+    "default": lambda rnd: rnd.randrange(3),
+    "fn": lambda rnd: rnd.choice((max, min)),
+}
+
+
+def draw_call(rnd, methods):
+    """A method of ``methods`` and its arguments; each optional
+    parameter is passed with even odds, up to the first left out."""
+    name = rnd.choice(sorted(methods))
+    args = []
+    for param in list(methods[name].__signature__.parameters.values())[1:]:
+        if param.default is not param.empty and rnd.random() < 0.5:
+            break
+        args.append(ARGUMENTS[param.name](rnd))
+    return name, tuple(args)
+
+
+def record_calls(trial, obj, name, calls, pipelined):
+    """Make ``calls`` on ``obj`` and record each: one at a time, or
+    queued with ``invoke_async`` in two runs, each op recorded over its
+    whole run.  An infrastructure error fails the trial."""
+    if not pipelined:
+        for method, args in calls:
+            try:
+                trial.recorder.record(
+                    name, method, args,
+                    lambda: getattr(obj, method)(*args), key=OBJECT_KEY)
+            except ReproError:
+                raise
+            except Exception:  # noqa: BLE001 - recorded as raised
+                pass
+        return
+    half = len(calls) // 2
+    for run in (calls[:half], calls[half:]):
+        invoke = trial.kernel.now
+        futures = [obj.invoke_async(method, *args) for method, args in run]
+        for (method, args), future in zip(run, futures):
+            error = future.exception()
+            if isinstance(error, ReproError):
+                raise error
+            trial.recorder.add(
+                name, method, args,
+                future.result() if error is None else raised(error),
+                invoke, trial.kernel.now, key=OBJECT_KEY)
+
+
+def object_hunt(proxy_cls, *ctor_args, server_cls=None, mutants=()):
+    """The hunt of one shared object: a Table 1 proxy class, or
+    :class:`GenericProxy` over a ``shared()`` class ``server_cls``."""
+    server_cls = server_cls or proxy_cls._server_cls
+    lead = (server_cls,) if proxy_cls is GenericProxy else ()
+    twin = type(f"Local{proxy_cls.__name__}", (_InProcess, proxy_cls), {})
+    methods = remote_methods(server_cls)
+
+    def workload(trial):
+        rnd = random.Random(trial.seed)
+        transport = TRANSPORTS[trial.index % len(TRANSPORTS)]
+        crash = transport == "rf=2+crash"
+        plans = [[draw_call(rnd, methods) for _ in range(OBJECT_CALLS)]
+                 for _ in range(OBJECT_THREADS)]
+        crash_after = rnd.uniform(0.0, 3e-3)
+        reset_registry()
+        with trial.environment(dso_nodes=3,
+                               read_cache=transport == "cache") as env:
+            def main():
+                cls = twin if transport == "in-process" else proxy_cls
+                obj = cls(*lead, OBJECT_KEY, *ctor_args, persistent=crash,
+                          rf=2 if crash else None)
+                if crash:
+                    obj._ensure()
+                    ChaosInjector(env.kernel, dso=env.dso).schedule(
+                        FaultPlan().add(env.now + crash_after, "crash_node",
+                                        env.dso.placement_of(obj.ref)[0]))
+                threads = [spawn(record_calls, trial, obj, f"t{index}",
+                                 plan, transport == "pipelined")
+                           for index, plan in enumerate(plans)]
+                for thread in threads:
+                    thread.join()
+
+            env.run(main)
+
+    return Hunt(server_cls.__name__.lstrip("_"), workload,
+                trials=len(TRANSPORTS), preempt_prob=0.05,
+                model=functools.partial(server_cls, *ctor_args),
+                mutants=mutants)
+
+
+# ---------------------------------------------------------------------------
 # No stale cached read: holders on links of different latency
 # ---------------------------------------------------------------------------
 # A write posts an invalidation to every other lease holder at once and
@@ -367,19 +496,6 @@ READ_GAP = 30e-6
 #: overflow the linearizability checker's recursion.
 WRITER_SITE_GAP = 200e-6
 LEASE_ROUNDS = 6
-
-
-class SlotModel:
-    """Sequential model of a ``KvSlot`` created with value 0."""
-
-    def __init__(self):
-        self.value = 0
-
-    def set(self, value):
-        self.value = value
-
-    def get(self):
-        return self.value
 
 
 def lease_workload(trial):
@@ -840,7 +956,7 @@ GUARANTEES = (
                    "tests/dso/test_error_outcomes.py", HUNTS_TEST),
         hunts=(
             Hunt("backup-dedup", dedup_workload, trials=6,
-                 preempt_prob=0.05, model=CounterModel,
+                 preempt_prob=0.05, model=_AtomicLong,
                  invariants=(exact_count,),
                  mutants=(
                      Mutant("no-backup-dedup",
@@ -852,7 +968,7 @@ GUARANTEES = (
                             oracles=("exact_count", "not linearizable")),
                  )),
             Hunt("raised-write", raised_write_workload, trials=6,
-                 preempt_prob=0.05, model=CounterModel,
+                 preempt_prob=0.05, model=CheckedCounter,
                  invariants=(exact_count,),
                  mutants=(
                      Mutant("error-not-recorded",
@@ -893,13 +1009,36 @@ GUARANTEES = (
             "crash/retry/rebalance"),
         mechanism=(
             "per-object locks + exactly-once sessions, checked with Wing & "
-            "Gong"),
-        pinned_by=("tests/linearizability/", HUNTS_TEST),
+            "Gong against each object's own server class by the generic "
+            "hunts `AtomicInt`, `AtomicLong`, `AtomicBoolean`, "
+            "`AtomicReference`, `AtomicByteArray`, `SharedList`, "
+            "`SharedMap`, `KvSlot` and `CheckedCounter` (a `shared()` "
+            "class): random calls over rf=1, rf=2 with a primary crash, the "
+            "lease cache, pipelined `invoke_async` and the in-process twin"),
+        pinned_by=("tests/linearizability/", "tests/explore/guarantees.py",
+                   HUNTS_TEST),
         hunts=(
             Hunt("counter", counter_workload, trials=3, preempt_prob=0.05,
-                 model=CounterModel, invariants=(counts_every_increment,)),
+                 model=_AtomicLong, invariants=(counts_every_increment,)),
             Hunt("montecarlo", montecarlo_workload, trials=3,
                  preempt_prob=0.0, invariants=(estimates_pi,)),
+            object_hunt(AtomicInt),
+            object_hunt(AtomicLong, mutants=(
+                Mutant("get-is-readonly",
+                       "every method whose name starts with `get` counts "
+                       "as read-only, so with the cache on `get_and_set` "
+                       "and `get_and_add` are served from a lease without "
+                       "being applied",
+                       trials=10, preempt_prob=0.05,
+                       oracles=("not linearizable",)),
+            )),
+            object_hunt(AtomicBoolean),
+            object_hunt(AtomicReference),
+            object_hunt(AtomicByteArray, 2),
+            object_hunt(SharedList),
+            object_hunt(SharedMap),
+            object_hunt(GenericProxy, server_cls=KvSlot),
+            object_hunt(GenericProxy, server_cls=CheckedCounter),
         ),
     ),
     Guarantee(
@@ -926,7 +1065,7 @@ GUARANTEES = (
                    "tests/chaos/test_cache_chaos.py", HUNTS_TEST),
         hunts=(
             Hunt("lease", lease_workload, trials=4, preempt_prob=0.05,
-                 model=SlotModel,
+                 model=functools.partial(KvSlot, 0),  # its setup put
                  mutants=(
                      Mutant("revoke-first-arrival",
                             "a write's lease revocation wakes at the "
@@ -970,8 +1109,7 @@ GUARANTEES = (
             "taken once; no lease is granted without the lock); a "
             "revocation wait gives its worker up and the next op takes one "
             "again (DESIGN.md §10, §12)"),
-        pinned_by=("tests/dso/test_chain_leases.py",
-                   "tests/linearizability/test_cached_reads.py"),
+        pinned_by=("tests/dso/test_chain_leases.py",),
     ),
     Guarantee(
         "ordered-shipping",

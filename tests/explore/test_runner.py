@@ -13,7 +13,8 @@ import os
 from repro import AtomicLong
 from repro.chaos import ChaosInjector, FaultPlan
 from repro.explore import ExplorationRunner
-from repro.linearizability import CounterModel, LinearizabilityChecker
+from repro.core.objects import _AtomicLong
+from repro.linearizability import LinearizabilityChecker
 from repro.simulation.thread import sleep, spawn
 
 COUNTER = "explore-counter"
@@ -74,7 +75,7 @@ def both_updates_applied(trial, value):
 def test_two_thread_counter_reaches_distinct_interleavings():
     report = ExplorationRunner(
         counter_workload, trials=6, base_seed=0, scheduler="random",
-        checker=LinearizabilityChecker(CounterModel),
+        checker=LinearizabilityChecker(_AtomicLong),
         invariants=[lambda trial, value: value == 6]).run()
     assert report.ok, report.summary()
     assert report.distinct_schedules >= 2
@@ -130,7 +131,7 @@ def test_pct_scheduler_explores_the_counter_workload():
     report = ExplorationRunner(
         counter_workload, trials=4, base_seed=3, scheduler="pct",
         scheduler_opts={"depth": 2, "expected_steps": 200},
-        checker=LinearizabilityChecker(CounterModel)).run()
+        checker=LinearizabilityChecker(_AtomicLong)).run()
     assert report.ok, report.summary()
     assert all(r.schedule_id.startswith("pct:") for r in report.results)
 

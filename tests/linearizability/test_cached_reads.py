@@ -5,74 +5,18 @@ client-side cache linearizes at its local cache-consult instant,
 because any conflicting write either revoked the lease before
 acknowledging or went through a placement-version bump that
 invalidated the entry first.  These tests check exactly that on
-recorded histories — including ones with crashes and rebalances in the
-middle, and ones where a thread flushes a run of same-key async writes
-that the primary runs as one critical section — with
-``read_cache=True`` end to end through the proxy stack.
+recorded histories, one with a crash and a rebalance in the middle,
+with ``read_cache=True`` end to end through the proxy stack.  Random
+cached histories of every shared object are the cache transport of
+the generic hunts in ``tests/explore/guarantees.py``; same-key flushes
+beside cached readers are ``tests/dso/test_chain_leases.py``'s.
 """
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import AtomicLong, CrucialEnvironment
 from repro.config import DEFAULT_CONFIG
-from repro.linearizability import (
-    CounterModel,
-    HistoryRecorder,
-    LinearizabilityChecker,
-)
+from repro.core.objects import _AtomicLong
+from repro.linearizability import HistoryRecorder, LinearizabilityChecker
 from repro.simulation.thread import sleep, spawn
-
-
-#: Read-heavy mix; a "flush" is a run of same-key ``add_and_get``
-#: shipped as one batch, which its primary runs as one chain.
-OPS = st.sampled_from(["add", "get", "get", "get", "flush"])
-FLUSH_RUN = 3
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=9999),
-    plans=st.lists(st.lists(OPS, min_size=1, max_size=4),
-                   min_size=2, max_size=4),
-    rf=st.sampled_from([1, 2]),
-)
-def test_cached_read_histories_linearizable(seed, plans, rf):
-    with CrucialEnvironment(seed=seed, dso_nodes=3,
-                            read_cache=True) as env:
-        recorder = HistoryRecorder(clock=lambda: env.kernel.now)
-
-        def main():
-            counter = AtomicLong("hot", 0, persistent=rf > 1,
-                                 rf=rf if rf > 1 else None)
-            counter.get()  # force creation before concurrency starts
-
-            def worker(tid, plan):
-                for op in plan:
-                    if op == "add":
-                        recorder.record(
-                            f"t{tid}", "add_and_get", (1,),
-                            lambda: counter.add_and_get(1))
-                    elif op == "flush":
-                        invoke = env.kernel.now
-                        futures = [counter.invoke_async("add_and_get", 1)
-                                   for _ in range(FLUSH_RUN)]
-                        results = [future.result() for future in futures]
-                        for result in results:
-                            recorder.add(f"t{tid}", "add_and_get", (1,),
-                                         result, invoke, env.kernel.now)
-                    else:
-                        recorder.record(f"t{tid}", "get", (), counter.get)
-
-            threads = [spawn(worker, tid, plan)
-                       for tid, plan in enumerate(plans)]
-            for t in threads:
-                t.join()
-
-        env.run(main)
-        checker = LinearizabilityChecker(CounterModel)
-        assert checker.check(recorder.operations), \
-            checker.explain(recorder.operations)
 
 
 def test_no_stale_read_after_acknowledged_write():
@@ -126,7 +70,7 @@ def test_cached_histories_linearizable_across_crash_and_rebalance():
 
         final = env.run(main)
         assert final == 6  # every acknowledged add exactly once
-        checker = LinearizabilityChecker(CounterModel)
+        checker = LinearizabilityChecker(_AtomicLong)
         assert checker.check(recorder.operations), \
             checker.explain(recorder.operations)
         stats = env.dso.stats

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.linearizability import HistoryRecorder, LinearizabilityChecker, Operation
 
 
@@ -27,6 +28,10 @@ class Counter:
     def add_and_get(self, delta):
         self.value += delta
         return self.value
+
+    def add_then_raise(self, delta):
+        self.value += delta
+        raise ValueError(self.value)
 
     def get(self):
         return self.value
@@ -88,21 +93,28 @@ def test_value_out_of_thin_air_rejected():
 
 
 def test_counter_interleaving_found():
-    # Two concurrent increments: results 1 and 2 in some order.
-    history = [
-        op(0, "a", "add_and_get", (1,), 2, 0.0, 3.0),
+    for second in (
+        # Two concurrent increments: results 1 and 2 in some order.
         op(1, "b", "add_and_get", (1,), 1, 0.5, 2.5),
-    ]
-    assert LinearizabilityChecker(Counter).check(history) is True
+        # A recorded raise matches the model's raise: type and args.
+        op(1, "b", "add_then_raise", (1,), ("ValueError", (1,)), 0.5, 2.5),
+    ):
+        history = [op(0, "a", "add_and_get", (1,), 2, 0.0, 3.0), second]
+        assert LinearizabilityChecker(Counter).check(history) is True
 
 
 def test_counter_duplicate_results_rejected():
-    # Both increments observing 1 means a lost update.
-    history = [
-        op(0, "a", "add_and_get", (1,), 1, 0.0, 3.0),
+    for second in (
+        # Both increments observing 1 means a lost update.
         op(1, "b", "add_and_get", (1,), 1, 0.5, 2.5),
-    ]
-    assert LinearizabilityChecker(Counter).check(history) is False
+        # The model raises ValueError(1) or (2): another type, other
+        # args, or a value are rejected.
+        op(1, "b", "add_then_raise", (1,), ("KeyError", (1,)), 0.5, 2.5),
+        op(1, "b", "add_then_raise", (1,), ("ValueError", (3,)), 0.5, 2.5),
+        op(1, "b", "add_then_raise", (1,), 1, 0.5, 2.5),
+    ):
+        history = [op(0, "a", "add_and_get", (1,), 1, 0.0, 3.0), second]
+        assert LinearizabilityChecker(Counter).check(history) is False
 
 
 def test_cas_semantics_checked():
@@ -139,7 +151,19 @@ def test_recorder_round_trip():
     recorder.record("t1", "add_and_get", (5,),
                     lambda: model.add_and_get(5))
     recorder.record("t1", "get", (), model.get)
-    assert len(recorder.operations) == 2
+    # A raise is logged as its outcome and propagates; a ReproError
+    # (the infrastructure failing) leaves no operation.
+    with pytest.raises(ValueError):
+        recorder.record("t1", "add_then_raise", (1,),
+                        lambda: model.add_then_raise(1))
+
+    def down():
+        raise ReproError("node down")
+
+    with pytest.raises(ReproError):
+        recorder.record("t1", "add_and_get", (1,), down)
+    assert [o.result for o in recorder.operations] == [
+        5, 5, ("ValueError", (6,))]
     assert LinearizabilityChecker(Counter).check(recorder.operations)
     recorder.clear()
     assert recorder.operations == []

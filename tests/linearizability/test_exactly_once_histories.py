@@ -2,8 +2,8 @@
 
 The sharpest consequence of exactly-once shipping: histories of
 *non-idempotent* operations (``add_and_get``, ``SharedList.append``)
-stay linearizable against a spec that applies each invocation exactly
-once, even while the primary crashes mid-workload, clients retry
+stay linearizable against their own server classes, which apply each
+invocation exactly once, even while the primary crashes mid-workload, clients retry
 through failover, and the restarted node triggers rebalancing.  Under
 at-least-once retries this check fails — a double-applied increment
 produces a value no single-application spec can explain.
@@ -11,27 +11,13 @@ produces a value no single-application spec can explain.
 
 from repro import AtomicLong, CrucialEnvironment, SharedList
 from repro.chaos import ChaosInjector, FaultPlan
-from repro.linearizability import (
-    CounterModel,
-    HistoryRecorder,
-    LinearizabilityChecker,
-)
+from repro.core.objects import _AtomicLong, _SharedList
+from repro.linearizability import HistoryRecorder, LinearizabilityChecker
 from repro.simulation.thread import sleep, spawn
 
 WORKERS = 3
 ADDS_PER_WORKER = 4
 APPENDS_PER_WORKER = 3
-
-
-class ListSpec:
-    def __init__(self):
-        self.items = []
-
-    def append(self, item):
-        self.items.append(item)
-
-    def size(self):
-        return len(self.items)
 
 
 def run_history(seed):
@@ -86,10 +72,10 @@ def test_non_idempotent_histories_linearizable_across_failover(chaos_seed):
                       for i in range(APPENDS_PER_WORKER))
     assert items == expected  # each append applied exactly once
 
-    checker = LinearizabilityChecker(CounterModel)
+    checker = LinearizabilityChecker(_AtomicLong)
     assert checker.check(counter_history.operations), \
         checker.explain(counter_history.operations)
-    list_checker = LinearizabilityChecker(ListSpec)
+    list_checker = LinearizabilityChecker(_SharedList)
     assert list_checker.check(list_history.operations), \
         list_checker.explain(list_history.operations)
 

@@ -2,12 +2,23 @@
 
 Endpoints register by name.  A *transfer* charges the calling simulated
 thread the sampled link latency; reachability honours endpoint
-liveness and the current partition set.  Payloads cross the network by
-``pickle`` round-trip (see :func:`ship`) so no mutable Python reference
-leaks between simulated nodes — the discipline that lets the DSO layer
-legitimately claim distributed-memory semantics.  A message is encoded
-**once** per hop: the length of that encoding is its wire size and its
-decoding is what arrives (:func:`ship_sized`).
+liveness and the current partition set.  Payloads cross the network as
+copies (see :func:`ship`) so no mutable Python reference leaks between
+simulated nodes — the discipline that lets the DSO layer legitimately
+claim distributed-memory semantics.  Three cases:
+
+* **Sized paths encode once.**  Where the wire size is the encoding's
+  length (:func:`ship_sized` without ``nbytes``, :func:`payload_size`),
+  a message is pickled **once** per hop: that length is its wire size
+  and its decoding is what arrives.
+* **Unsized paths copy structurally, or pickle.**  Where nobody reads
+  the length (:func:`ship`, ``ship_sized`` with a caller's ``nbytes``),
+  numeric ndarrays and exact ``list``/``tuple``/``dict`` nests of
+  scalars and such arrays are copied directly, keeping pickle's layout
+  and identity structure; anything else takes the pickle round trip.
+* **Frozen values are shared.**  Immutable scalars (NumPy's numeric
+  ones included) are never copied, and a store hands every reader the
+  same read-only array (:func:`freeze`).
 """
 
 from __future__ import annotations
@@ -15,41 +26,124 @@ from __future__ import annotations
 import pickle
 from typing import Any, Callable
 
+import numpy as np
+
 from repro.errors import NetworkError, SerializationError
 from repro.net.latency import LatencyModel
 from repro.simulation.kernel import Kernel, current_thread
 from repro.trace.tracer import NO_SPAN
 
 #: Exact types that are immutable all the way down: the receiver may be
-#: handed the sender's own object, so they are never decoded.
-_SCALARS = frozenset((type(None), bool, int, float, str, bytes))
+#: handed the sender's own object, so they are never decoded.  NumPy's
+#: numeric scalars (``np.float64``, ``np.int64``, ``np.bool_``, ...)
+#: are as immutable as Python's.
+_SCALARS = frozenset((type(None), bool, int, float, str, bytes)) | frozenset(
+    np.dtype(code).type
+    for code in "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"])
+
+#: ``dtype.kind`` of the arrays copied (and frozen) without pickle:
+#: bool, signed and unsigned integer, float and complex.
+_NUMERIC = frozenset("biufc")
 
 
-def ship_sized(value: Any, nbytes: int | None = None) -> tuple[Any, int]:
-    """``(value as it arrives, wire bytes)`` from a single encode.
+class _Opaque(Exception):
+    """Raised inside :func:`_copy` for a value it does not cover."""
 
-    ``nbytes`` is a caller's nominal size; it is returned in place of
-    the encoding's length.  Raises :class:`SerializationError` for
-    unpicklable values, exactly as Crucial requires shared objects and
-    method arguments to be serializable for marshalling.
+
+def _copy(value: Any, memo: dict[int, Any]) -> Any:
+    """What ``pickle.loads(pickle.dumps(value))`` returns, built without
+    encoding.
+
+    ``memo`` maps ``id`` of each container already copied to its copy,
+    as pickle's memo does, so shared references stay shared and cycles
+    close.  Raises :class:`_Opaque` for anything but scalars, numeric
+    ndarrays and exact lists, tuples and dicts of those.
     """
-    scalar = type(value) in _SCALARS
-    if scalar and nbytes is not None:
-        return value, nbytes
-    try:
-        blob = pickle.dumps(value)
-        if not scalar:
-            value = pickle.loads(blob)
-    except Exception as exc:  # pickle raises a zoo of types
-        raise SerializationError(f"value is not serializable: {exc!r}") from exc
-    return value, len(blob) if nbytes is None else nbytes
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    ident = id(value)
+    if ident in memo:
+        return memo[ident]
+    if kind is np.ndarray:
+        if value.dtype.kind not in _NUMERIC:
+            raise _Opaque
+        # Pickle keeps Fortran order and makes any other layout C.
+        copied = memo[ident] = value.copy(order="A")
+    elif kind is list:
+        copied = memo[ident] = []
+        copied.extend([_copy(item, memo) for item in value])
+    elif kind is dict:
+        copied = memo[ident] = {}
+        for key, item in value.items():
+            copied[_copy(key, memo)] = _copy(item, memo)
+    elif kind is tuple:
+        items = tuple([_copy(item, memo) for item in value])
+        # Reached again through a list or dict inside it: that copy
+        # wins, as pickle's does.
+        copied = memo.setdefault(ident, items)
+    else:
+        raise _Opaque
+    return copied
 
 
 def ship(value: Any) -> Any:
-    """Copy ``value`` as if it were serialized onto the wire."""
+    """Copy ``value`` as if it were serialized onto the wire.
+
+    Immutable scalars arrive as themselves; numeric arrays and plain
+    nests of them are copied directly; everything else is pickled and
+    unpickled.  Raises :class:`SerializationError` for unpicklable
+    values, exactly as Crucial requires shared objects and method
+    arguments to be serializable for marshalling.
+    """
     if type(value) in _SCALARS:
         return value
-    return ship_sized(value)[0]
+    try:
+        return _copy(value, {})
+    except (_Opaque, RecursionError):
+        return ship_sized(value)[0]
+
+
+def ship_sized(value: Any, nbytes: int | None = None) -> tuple[Any, int]:
+    """``(value as it arrives, wire bytes)``.
+
+    ``nbytes`` is a caller's nominal size; the value is then copied by
+    :func:`ship`.  Without it the wire size is the length of the one
+    encode whose decoding arrives.  Raises :class:`SerializationError`
+    for unpicklable values.
+    """
+    if nbytes is not None:
+        return ship(value), nbytes
+    try:
+        blob = pickle.dumps(value)
+        if type(value) not in _SCALARS:
+            value = pickle.loads(blob)
+    except Exception as exc:  # pickle raises a zoo of types
+        raise SerializationError(f"value is not serializable: {exc!r}") from exc
+    return value, len(blob)
+
+
+def freeze(value: Any) -> tuple[Any, bool]:
+    """``(shared form, True)`` for a value every reader may be handed
+    by reference, else ``(value, False)``.
+
+    The shared form of a numeric ndarray is a read-only view of its
+    buffer (no copy: whoever hands it over gives up writing to it); a
+    tuple's is the tuple of its items' shared forms; an immutable
+    scalar is its own.
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return value, True
+    if kind is np.ndarray and value.dtype.kind in _NUMERIC:
+        view = value.view()
+        view.flags.writeable = False
+        return view, True
+    if kind is tuple:
+        items = [freeze(item) for item in value]
+        if all(shared for _, shared in items):
+            return tuple([item for item, _ in items]), True
+    return value, False
 
 
 def payload_size(value: Any) -> int:

@@ -32,7 +32,7 @@ from repro.config import Config, DEFAULT_CONFIG
 from repro.errors import NoSuchKeyError
 from repro.metrics.cost import CostLedger, Rent
 from repro.net.latency import LatencyModel
-from repro.net.network import payload_size, ship, ship_sized
+from repro.net.network import freeze, payload_size, ship, ship_sized
 from repro.simulation.kernel import Kernel, current_thread
 from repro.trace.tracer import NO_SPAN
 
@@ -143,7 +143,11 @@ class StorageBackend(Protocol):
 
     def seed(self, key: str, value: Any, nbytes: int | None = None) -> None:
         """Install pre-existing data without charging the data path
-        (datasets that predate the experiment); rent still accrues."""
+        (datasets that predate the experiment); rent still accrues.
+
+        The store may adopt ``value`` without a copy (a numeric array
+        becomes a read-only view of the caller's buffer): the caller
+        gives it up and must not write to it afterwards."""
         ...
 
     def size(self) -> int:
@@ -254,7 +258,11 @@ class _MeteredStore:
 
         The object is immediately visible (it predates the experiment,
         like the paper's S3-hosted dataset); capacity rent still
-        accrues from now on.
+        accrues from now on.  A store may adopt ``value`` without a
+        copy — :class:`ProfiledStore` keeps a numeric array, or a tuple
+        of scalars and such arrays, as read-only views of the caller's
+        buffers — so the caller gives it up: writing to it afterwards
+        would change what every later GET returns.
         """
         if nbytes is None:
             nbytes = payload_size(value)
@@ -274,6 +282,9 @@ class _MeteredStore:
 @dataclass
 class _Blob:
     value: Any
+    #: ``value`` is read-only (see :func:`~repro.net.network.freeze`):
+    #: GETs hand it out by reference instead of shipping a copy.
+    frozen: bool
     #: When LIST/HEAD polling starts to see it.
     visible_at: float
 
@@ -288,6 +299,11 @@ class ProfiledStore(_MeteredStore):
     request fee.  Reads of an existing key are read-after-write;
     ``list_prefix``/``exists`` see a fresh PUT only after the
     profile's ``visibility_lag`` (zero on gp3 and memory).
+
+    Numeric arrays, and tuples of scalars and such arrays, are held
+    frozen (read-only) and every GET returns the same object: a reader
+    cannot write into it, so sharing it keeps value semantics without
+    a copy per read.  Any other value is copied out by ``ship``.
     """
 
     def __init__(self, kernel: Kernel, profile: BackendProfile,
@@ -302,6 +318,7 @@ class ProfiledStore(_MeteredStore):
         What is stored is the value as it was when the request was
         sent: one encode up front sizes it and snapshots it, so a
         caller mutating its object during the PUT changes nothing.
+        A numeric array's snapshot is then frozen.
         """
         value, nbytes = ship_sized(value, nbytes)
         tracer = self.kernel.tracer
@@ -312,7 +329,7 @@ class ProfiledStore(_MeteredStore):
             delay = self.profile.put_latency.sample(self._rng, nbytes)
             current_thread().sleep(delay)
             self._blobs[key] = _Blob(
-                value, self.kernel.now + self.profile.visibility_lag)
+                *freeze(value), self.kernel.now + self.profile.visibility_lag)
             self._account(key, nbytes)
             self._charge(self.profile.put_request_dollars, "puts")
             self.stats.bytes_written += nbytes
@@ -332,7 +349,7 @@ class ProfiledStore(_MeteredStore):
             if blob is None:
                 raise NoSuchKeyError(f"{self.name}: no such key {key!r}")
             self.stats.bytes_read += self._nbytes[key]
-            return ship(blob.value)
+            return blob.value if blob.frozen else ship(blob.value)
 
     def delete(self, key: str) -> None:
         tracer = self.kernel.tracer
@@ -381,7 +398,7 @@ class ProfiledStore(_MeteredStore):
             return blob is not None and blob.visible_at <= self.kernel.now
 
     def _seed(self, key: str, value: Any) -> None:
-        self._blobs[key] = _Blob(value, visible_at=0.0)
+        self._blobs[key] = _Blob(*freeze(value), visible_at=0.0)
 
 
 class BlockStore(ProfiledStore):

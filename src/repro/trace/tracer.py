@@ -55,8 +55,8 @@ class TracedRunnable:
 
     The generic runner function unwraps it on the container side and
     re-attaches the context (see ``CrucialEnvironment._run_runnable``),
-    which is how the trace survives the pickle round-trip every payload
-    takes through :func:`repro.net.network.ship`.
+    which is how the trace survives the copy every payload takes
+    through :func:`repro.net.network.ship`.
     """
 
     runnable: Any

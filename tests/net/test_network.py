@@ -2,11 +2,12 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import NetworkError, SerializationError
 from repro.net import LatencyModel, Network
-from repro.net.network import payload_size
+from repro.net.network import payload_size, ship, ship_sized
 from repro.simulation import Kernel
 from repro.simulation.thread import now, sleep
 
@@ -210,6 +211,116 @@ def test_payload_size_rejects_unserializable():
     :func:`ship` does."""
     with pytest.raises(SerializationError):
         payload_size(lambda: None)
+
+
+class _Point:
+    """A user class: always crosses by pickle."""
+
+    def __init__(self, x):
+        self.x = x
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def _wire_payloads():
+    read_only = np.arange(5.0)
+    read_only.flags.writeable = False
+    shared = np.arange(3)
+    cyclic = [1]
+    cyclic.append(cyclic)
+    tuple_cycle = ([],)
+    tuple_cycle[0].append(tuple_cycle)
+    return {
+        **{f"kind-{code}": np.arange(6).astype(code).reshape(2, 3)
+           for code in ("?", "i1", "i8", "u2", "u8", "f2", "f4", "f8",
+                        "c8", "c16")},
+        "numpy-scalars": [np.float64(1.5), np.int64(-3), np.bool_(True)],
+        "0-d": np.array(2.5),
+        "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        "non-contiguous": np.arange(20).reshape(4, 5)[:, ::2],
+        "read-only": read_only,
+        "[a, a]": [shared, shared],
+        "self-referencing list": cyclic,
+        "tuple in a cycle": tuple_cycle,
+        "nested": {"a": (1, (2.0, np.ones(2))),
+                   ("k", 1): {"x": [np.zeros((2, 2)), None, "s"]}},
+        "subclass": np.arange(3).view(_Sub),
+        "object dtype": np.array([1, "x", None], dtype=object),
+        "structured": np.zeros(2, dtype=[("a", "i4"), ("b", "f8")]),
+        "user class": _Point([np.arange(2), {"y": 1}]),
+    }
+
+
+def _assert_same_form(got, want, seen):
+    """``got`` matches ``want`` in type, array form and values, and in
+    which of its parts are one object (``seen`` pairs their ids)."""
+    assert type(got) is type(want)
+    if type(got) in (type(None), bool, int, float, str, bytes) \
+            or isinstance(got, np.generic):
+        assert got == want
+        return
+    if id(got) in seen:
+        assert seen[id(got)] == id(want)
+        return
+    assert id(want) not in seen.values()
+    seen[id(got)] = id(want)
+    if isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tolist() == want.tolist()
+        for flag in ("c_contiguous", "f_contiguous", "writeable"):
+            assert getattr(got.flags, flag) == getattr(want.flags, flag)
+        return
+    if isinstance(got, dict):
+        assert list(got) == list(want)
+        pairs = zip(got.values(), want.values())
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        pairs = zip(got, want)
+    else:
+        pairs = zip(vars(got).values(), vars(want).values())
+    for got_item, want_item in pairs:
+        _assert_same_form(got_item, want_item, seen)
+
+
+def _mutate(value, seen):
+    """Write into every list, dict and numeric array reachable from
+    ``value``."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        if value.flags.writeable and value.dtype.kind in "biufc":
+            value[...] = ~value if value.dtype.kind == "b" else value + 1
+    elif isinstance(value, list):
+        for item in list(value):
+            _mutate(item, seen)
+        value.append("mutated")
+    elif isinstance(value, dict):
+        for item in list(value.values()):
+            _mutate(item, seen)
+        value["mutated"] = True
+    elif isinstance(value, tuple):
+        for item in value:
+            _mutate(item, seen)
+    elif hasattr(value, "__dict__"):
+        _mutate(vars(value), seen)
+
+
+@pytest.mark.parametrize("label", list(_wire_payloads()))
+def test_ship_matches_the_pickle_round_trip(label):
+    """Every way onto the wire arrives as pickle's round trip would,
+    and the sender's later writes never reach the receiver."""
+    payload = _wire_payloads()[label]
+    reference = pickle.loads(pickle.dumps(payload))
+    shipped = ship(payload)
+    via_nominal, nominal = ship_sized(payload, 7)
+    via_encode, nbytes = ship_sized(payload)
+    assert (nominal, nbytes) == (7, len(pickle.dumps(payload)))
+    _mutate(payload, set())
+    for copy in (shipped, via_nominal, via_encode):
+        _assert_same_form(copy, reference, {})
 
 
 def test_partition_blocks_both_directions(kernel, network):

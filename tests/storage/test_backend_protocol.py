@@ -1,6 +1,7 @@
 """The StorageBackend protocol: every store speaks it, every request
 bills into the ledger."""
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -110,6 +111,36 @@ def test_round_trip_on_every_backend(kernel, network):
             assert f"{label}/k" not in store.list_prefix(f"{label}/"), label
 
     kernel.run_main(main)
+
+
+@pytest.mark.parametrize("label", ["s3", "gp3", "memory", "tiered"])
+def test_numeric_arrays_are_held_frozen_and_shared(kernel, network, label):
+    """A PUT snapshots an array or an ``(X, y)`` tuple, a seed adopts
+    the caller's array, and every GET hands out the one read-only copy
+    (``test_values_are_copied`` pins that other values still ship)."""
+    store = all_backends(kernel, network, CostLedger())[label]
+    points = np.arange(6.0).reshape(2, 3)
+    labelled = (np.ones((3, 2)), np.arange(3))
+    dataset = np.arange(4)
+
+    def main():
+        store.put("points", points)
+        store.put("labelled", labelled)
+        points[0, 0] = labelled[0][0, 0] = -1.0  # after the PUTs
+        store.seed("dataset", dataset)
+        return [(store.get(key), store.get(key))
+                for key in ("points", "labelled", "dataset")]
+
+    (p1, p2), (xy1, xy2), (d1, d2) = kernel.run_main(main)
+    assert p1[0, 0] == 0.0 and xy1[0][0, 0] == 1.0
+    assert type(xy1) is tuple and np.array_equal(xy1[1], labelled[1])
+    assert np.shares_memory(d1, dataset)
+    for first, second in ((p1, p2), (xy1[0], xy2[0]), (xy1[1], xy2[1]),
+                          (d1, d2)):
+        assert not first.flags.writeable
+        assert np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            first[...] = 0
 
 
 def test_a_missed_get_is_a_request_on_every_backend(kernel, network):

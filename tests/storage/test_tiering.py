@@ -3,6 +3,7 @@ writes guarantee under concurrent puts."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
@@ -104,6 +105,25 @@ def test_hot_keys_promote_after_repeated_access(kernel):
     kernel.run_main(main)
     assert store.tiering.promotions == 1
     assert store.tiers[1].size() == 0
+
+
+def test_a_frozen_array_promotes(kernel):
+    """The promotion re-PUTs the read-only value its GET returned."""
+    config = config_with(promote_hits=1, heat_window=100.0)
+    store = make_tiered(kernel, config)
+    dataset = np.arange(4.0)
+
+    def main():
+        store.seed("k", dataset)
+        store.get("k")
+        sleep(1.0)
+        assert store.tier_of("k") == 0
+        return store.get("k")
+
+    promoted = kernel.run_main(main)
+    assert store.tiering.promotions == 1
+    assert np.array_equal(promoted, dataset)
+    assert not promoted.flags.writeable
 
 
 def test_capacity_eviction_is_lru(kernel):

@@ -4,8 +4,9 @@ Santa sleeps until either all nine reindeer return from vacation
 (deliver toys — priority) or three of the ten elves need help.  The
 workshop is a single monitor object written once and run three ways:
 
-* ``local`` — plain old Java objects: the monitor lives in-process,
-  entities are ordinary threads (zero-latency synchronization);
+* ``local`` — plain old Java objects: the monitor lives in-process
+  (``shared()``'s in-process twin), entities are ordinary threads
+  (zero-latency synchronization);
 * ``dso``   — the same class, only annotated ``@Shared``: the monitor
   moves into the DSO layer, entities still run in the client;
 * ``cloud`` — additionally, entities become CloudThreads.
@@ -24,18 +25,18 @@ from repro.core.cloud_thread import run_all
 from repro.core.runtime import current_environment
 from repro.core.shared import shared
 from repro.dso.server import ServerObject
-from repro.simulation.kernel import Kernel, current_thread
-from repro.simulation.primitives import Condition, Lock
+from repro.simulation.kernel import current_thread
 from repro.simulation.thread import spawn
 
 
 class SantaWorkshop(ServerObject):
     """The monitor coordinating Santa, reindeer, and elves.
 
-    Written against the ServerObject condition interface, so the same
-    code runs as a local monitor (POJO variant) or as a shared object
-    (DSO variants) — the paper's "code of the objects is not changed"
-    claim, made literal.
+    A plain monitor: its methods take only their own arguments and
+    ``wait()`` on conditions from :meth:`new_condition`, so the same
+    code runs in-process (POJO variant) or as a shared object (DSO
+    variants), each reached through its proxy — the paper's "code of
+    the objects is not changed" claim, made literal.
     """
 
     def __init__(self, n_reindeer: int = 9, elf_group: int = 3,
@@ -62,7 +63,7 @@ class SantaWorkshop(ServerObject):
 
     # -- entity-facing methods ---------------------------------------------------
 
-    def reindeer_back(self, call) -> str:
+    def reindeer_back(self) -> str:
         santa, reindeer, _elves = self._conditions()
         if self.finished:
             return "stop"
@@ -71,10 +72,10 @@ class SantaWorkshop(ServerObject):
             santa.notify_all()
         epoch = self.delivered
         while not self.finished and self.delivered == epoch:
-            reindeer.wait(call)
+            reindeer.wait()
         return "stop" if self.finished else "delivered"
 
-    def elf_asks(self, call) -> str:
+    def elf_asks(self) -> str:
         santa, _reindeer, elves = self._conditions()
         if self.finished:
             return "stop"
@@ -83,10 +84,10 @@ class SantaWorkshop(ServerObject):
         if self.elf_tickets - self.elves_released >= self.elf_group:
             santa.notify_all()
         while not self.finished and ticket >= self.elves_released:
-            elves.wait(call)
+            elves.wait()
         return "stop" if self.finished else "helped"
 
-    def santa_waits(self, call) -> str:
+    def santa_waits(self) -> str:
         """Block until there is work; reindeer have priority."""
         santa, reindeer, elves = self._conditions()
         while True:
@@ -100,69 +101,21 @@ class SantaWorkshop(ServerObject):
                 return "deliver"
             if self.elf_tickets - self.elves_released >= self.elf_group:
                 return "help"
-            santa.wait(call)
+            santa.wait()
 
-    def delivery_done(self, call) -> None:
+    def delivery_done(self) -> None:
         _santa, reindeer, _elves = self._conditions()
         self.delivered += 1
         reindeer.notify_all()
 
-    def help_done(self, call) -> None:
+    def help_done(self) -> None:
         _santa, _reindeer, elves = self._conditions()
         self.elves_released += self.elf_group
         self.helps_done += 1
         elves.notify_all()
 
-    def get_stats(self, call) -> dict:
+    def get_stats(self) -> dict:
         return {"delivered": self.delivered, "helps": self.helps_done}
-
-
-# ---------------------------------------------------------------------------
-# Hosting adapters: one interface, three deployments
-# ---------------------------------------------------------------------------
-
-
-class _LocalCondition(Condition):
-    """The ServerCondition interface over a local monitor's lock (the
-    POJO variant's wait/notify): ``wait`` takes the call, no timeout."""
-
-    def wait(self, call) -> None:
-        super().wait()
-
-
-class LocalMonitorHost:
-    """Runs a class as an in-process monitor: one call at a time.  A
-    :class:`ServerObject`'s methods get ``None`` for their call and may
-    wait on its conditions; a plain class's get only the arguments."""
-
-    def __init__(self, kernel: Kernel, cls: type, *args, **kwargs):
-        self.kernel = kernel
-        self.lock = Lock(kernel)
-        self.instance = cls(*args, **kwargs)
-        self._call = ()
-        if isinstance(self.instance, ServerObject):
-            self._call = (None,)
-            self.instance.attach(self)
-
-    def condition(self) -> _LocalCondition:
-        return _LocalCondition(self.kernel, lock=self.lock)
-
-    def invoke(self, method: str, *args, **kwargs):
-        with self.lock:
-            return getattr(self.instance, method)(*self._call, *args,
-                                                  **kwargs)
-
-
-class DsoMonitorHandle:
-    """Uniform ``invoke`` over a shared-object proxy (picklable)."""
-
-    def __init__(self, key: str, n_reindeer: int, elf_group: int,
-                 target: int):
-        self.proxy = shared(SantaWorkshop, key, n_reindeer, elf_group,
-                            target)
-
-    def invoke(self, method: str, *args):
-        return getattr(self.proxy, method)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -170,60 +123,60 @@ class DsoMonitorHandle:
 # ---------------------------------------------------------------------------
 
 
-def _reindeer_loop(handle, seed: int, vacation_mean: float) -> int:
+def _reindeer_loop(workshop, seed: int, vacation_mean: float) -> int:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, 0xDEE2])))
     trips = 0
     while True:
         current_thread().sleep(float(rng.exponential(vacation_mean)))
-        outcome = handle.invoke("reindeer_back")
+        outcome = workshop.reindeer_back()
         if outcome == "stop":
             return trips
         trips += 1
 
 
-def _elf_loop(handle, seed: int, work_mean: float) -> int:
+def _elf_loop(workshop, seed: int, work_mean: float) -> int:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, 0xE1F])))
     helped = 0
     while True:
         current_thread().sleep(float(rng.exponential(work_mean)))
-        outcome = handle.invoke("elf_asks")
+        outcome = workshop.elf_asks()
         if outcome == "stop":
             return helped
         helped += 1
 
 
-def _santa_loop(handle, delivery_time: float, help_time: float) -> int:
+def _santa_loop(workshop, delivery_time: float, help_time: float) -> int:
     actions = 0
     while True:
-        action = handle.invoke("santa_waits")
+        action = workshop.santa_waits()
         if action == "done":
             return actions
         current_thread().sleep(
             delivery_time if action == "deliver" else help_time)
-        handle.invoke(
-            "delivery_done" if action == "deliver" else "help_done")
+        (workshop.delivery_done if action == "deliver"
+         else workshop.help_done)()
         actions += 1
 
 
 class _EntityRunnable:
     """Wraps an entity loop so it can run as a CloudThread."""
 
-    def __init__(self, role: str, handle, seed: int, params: dict):
+    def __init__(self, role: str, workshop, seed: int, params: dict):
         self.role = role
-        self.handle = handle
+        self.workshop = workshop
         self.seed = seed
         self.params = params
 
     def run(self):
         if self.role == "reindeer":
-            return _reindeer_loop(self.handle, self.seed,
+            return _reindeer_loop(self.workshop, self.seed,
                                   self.params["vacation_mean"])
         if self.role == "elf":
-            return _elf_loop(self.handle, self.seed,
+            return _elf_loop(self.workshop, self.seed,
                              self.params["work_mean"])
-        return _santa_loop(self.handle, self.params["delivery_time"],
+        return _santa_loop(self.workshop, self.params["delivery_time"],
                            self.params["help_time"])
 
 
@@ -265,22 +218,22 @@ class SantaClausProblem:
         """Solve the problem once; call inside ``env.run(...)``."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        # Here, not at the top: ``import repro`` loads no port.
+        from repro.ports.common import local_shared
+
         env = current_environment()
         run_id = run_id or f"santa-{variant}"
-        if variant == "local":
-            handle = LocalMonitorHost(env.kernel, SantaWorkshop,
-                                      self.reindeer, 3, self.deliveries)
-        else:
-            handle = DsoMonitorHandle(f"{run_id}/workshop", self.reindeer,
-                                      3, self.deliveries)
+        workshop = (local_shared if variant == "local" else shared)(
+            SantaWorkshop, f"{run_id}/workshop", self.reindeer, 3,
+            self.deliveries)
         start = env.now
         if variant == "cloud":
             runnables = (
-                [_EntityRunnable("santa", handle, self.seed, self.params)]
-                + [_EntityRunnable("reindeer", handle, self.seed + 1 + i,
+                [_EntityRunnable("santa", workshop, self.seed, self.params)]
+                + [_EntityRunnable("reindeer", workshop, self.seed + 1 + i,
                                    self.params)
                    for i in range(self.reindeer)]
-                + [_EntityRunnable("elf", handle, self.seed + 100 + i,
+                + [_EntityRunnable("elf", workshop, self.seed + 100 + i,
                                    self.params)
                    for i in range(self.elves)])
             env.pre_warm(len(runnables))
@@ -288,18 +241,18 @@ class SantaClausProblem:
             run_all(runnables)
         else:
             threads = (
-                [spawn(_santa_loop, handle, self.params["delivery_time"],
+                [spawn(_santa_loop, workshop, self.params["delivery_time"],
                        self.params["help_time"], name="santa")]
-                + [spawn(_reindeer_loop, handle, self.seed + 1 + i,
+                + [spawn(_reindeer_loop, workshop, self.seed + 1 + i,
                          self.params["vacation_mean"],
                          name=f"reindeer-{i}")
                    for i in range(self.reindeer)]
-                + [spawn(_elf_loop, handle, self.seed + 100 + i,
+                + [spawn(_elf_loop, workshop, self.seed + 100 + i,
                          self.params["work_mean"], name=f"elf-{i}")
                    for i in range(self.elves)])
             for thread in threads:
                 thread.join()
-        stats = handle.invoke("get_stats")
+        stats = workshop.get_stats()
         return SantaResult(variant=variant, elapsed=env.now - start,
                            deliveries=stats["delivered"],
                            helps=stats["helps"])

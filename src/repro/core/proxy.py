@@ -39,9 +39,8 @@ def _remote(name: str, cost_fn: Callable[..., float] | None) -> Callable:
 @functools.cache
 def remote_methods(server_cls: type) -> dict[str, Callable]:
     """One remote method per public method of ``server_cls``, costed
-    by its ``__dso_costs__`` (:func:`repro.core.shared.dso_costs`).
-    ``ServerObject``'s hosting hooks are skipped, and the ``call``
-    parameter its methods take is the server's to fill."""
+    by its ``__dso_costs__`` (:func:`repro.core.shared.dso_costs`)
+    and signed like it; ``ServerObject``'s hosting hooks are skipped."""
     costs = getattr(server_cls, "__dso_costs__", {})
     methods = {}
     for name in dir(server_cls):
@@ -52,11 +51,7 @@ def remote_methods(server_cls: type) -> dict[str, Callable]:
         method = methods[name] = _remote(name, costs.get(name))
         method.__doc__ = target.__doc__
         if inspect.isfunction(target):
-            signature = inspect.signature(target)
-            params = list(signature.parameters.values())
-            if issubclass(server_cls, ServerObject):
-                del params[1]
-            method.__signature__ = signature.replace(parameters=params)
+            method.__signature__ = inspect.signature(target)
     return methods
 
 

@@ -4,9 +4,11 @@ Semantically equivalent to ``java.util.concurrent``'s primitives, but
 hosted in the DSO layer: a call blocks at the client while the server
 side parks it with wait()/notify() (Section 5).  The cyclic barrier
 uses the internal-counter-plus-generation scheme the paper describes.
-Each object is written once, as its server class; the proxy derives
-its methods from it (:mod:`repro.core.proxy`), and the in-process
-twins of :mod:`repro.ports.common` run the same class locally.
+Each object is written once, as a plain monitor class whose methods
+take only their own arguments and ``wait()`` on conditions with none:
+the host supplies what a wait releases (:mod:`repro.dso.server`).  The
+proxy derives its methods from that class (:mod:`repro.core.proxy`),
+and the in-process twins of :mod:`repro.ports.common` run it locally.
 
 Synchronization objects are ephemeral and never replicated
 (footnote 2): if their hosting node dies, waiters get an error.
@@ -17,7 +19,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.proxy import DsoProxy
-from repro.dso.server import DsoCall, ServerObject
+from repro.dso.server import ServerObject
 from repro.errors import BrokenBarrierError, FutureCancelledError
 
 # ---------------------------------------------------------------------------
@@ -49,7 +51,7 @@ class _CyclicBarrier(_Monitor):
         self.generation = 0
         self.broken_generations: set[int] = set()
 
-    def await_(self, call: DsoCall) -> int:
+    def await_(self) -> int:
         """Block until ``parties`` threads arrive; returns the arrival
         index (0 = last to arrive, as in Java)."""
         condition = self._condition()
@@ -63,12 +65,12 @@ class _CyclicBarrier(_Monitor):
             return index
         while (generation == self.generation
                and generation not in self.broken_generations):
-            condition.wait(call)
+            condition.wait()
         if generation in self.broken_generations:
             raise BrokenBarrierError("barrier broke while waiting")
         return index
 
-    def reset(self, call: DsoCall) -> None:
+    def reset(self) -> None:
         """Break the current generation (its waiters see
         BrokenBarrierError) and start a fresh, usable one."""
         if self.count > 0:
@@ -77,10 +79,10 @@ class _CyclicBarrier(_Monitor):
         self.generation += 1
         self._condition().notify_all()
 
-    def get_parties(self, call: DsoCall) -> int:
+    def get_parties(self) -> int:
         return self.parties
 
-    def get_number_waiting(self, call: DsoCall) -> int:
+    def get_number_waiting(self) -> int:
         return self.count
 
 
@@ -90,23 +92,23 @@ class _Semaphore(_Monitor):
             raise ValueError(f"negative permits: {permits}")
         self.permits = permits
 
-    def acquire(self, call: DsoCall, permits: int = 1) -> None:
+    def acquire(self, permits: int = 1) -> None:
         condition = self._condition()
         while self.permits < permits:
-            condition.wait(call)
+            condition.wait()
         self.permits -= permits
 
-    def try_acquire(self, call: DsoCall, permits: int = 1) -> bool:
+    def try_acquire(self, permits: int = 1) -> bool:
         if self.permits >= permits:
             self.permits -= permits
             return True
         return False
 
-    def release(self, call: DsoCall, permits: int = 1) -> None:
+    def release(self, permits: int = 1) -> None:
         self.permits += permits
         self._condition().notify_all()
 
-    def available_permits(self, call: DsoCall) -> int:
+    def available_permits(self) -> int:
         return self.permits
 
 
@@ -123,22 +125,22 @@ class _Future(_Monitor):
         self.cancelled = False
         self.value: Any = None
 
-    def set(self, call: DsoCall, value: Any) -> None:
+    def set(self, value: Any) -> None:
         if self.done:
             raise ValueError("future already completed")
         self.value = value
         self.done = True
         self._condition().notify_all()
 
-    def get(self, call: DsoCall) -> Any:
+    def get(self) -> Any:
         condition = self._condition()
         while not self.done and not self.cancelled:
-            condition.wait(call)
+            condition.wait()
         if self.cancelled:
             raise FutureCancelledError("future was cancelled")
         return self.value
 
-    def cancel(self, call: DsoCall) -> bool:
+    def cancel(self) -> bool:
         if self.done:
             return False
         self.cancelled = True
@@ -146,7 +148,7 @@ class _Future(_Monitor):
         self._condition().notify_all()
         return True
 
-    def is_done(self, call: DsoCall) -> bool:
+    def is_done(self) -> bool:
         return self.done
 
 
@@ -156,18 +158,18 @@ class _CountDownLatch(_Monitor):
             raise ValueError(f"negative count: {count}")
         self.count = count
 
-    def count_down(self, call: DsoCall) -> None:
+    def count_down(self) -> None:
         if self.count > 0:
             self.count -= 1
             if self.count == 0:
                 self._condition().notify_all()
 
-    def await_(self, call: DsoCall) -> None:
+    def await_(self) -> None:
         condition = self._condition()
         while self.count > 0:
-            condition.wait(call)
+            condition.wait()
 
-    def get_count(self, call: DsoCall) -> int:
+    def get_count(self) -> int:
         return self.count
 
 

@@ -3,7 +3,8 @@
 Each node hosts *containers*: the object instance, the per-object
 mutual-exclusion lock that makes method invocations linearizable, and
 any server-side conditions the object uses (synchronization objects
-block callers with wait/notify, Section 5).
+block callers with wait/notify, Section 5).  :class:`LocalMonitorHost`
+hosts the same classes in-process, for the single-machine variants.
 
 When a node crashes, every parked waiter on its objects is released
 with an error, and the containers are marked dead so late arrivals
@@ -44,7 +45,7 @@ from repro.errors import (
 )
 from repro.mutation import PLANTED
 from repro.net.network import ship
-from repro.simulation.kernel import current_thread
+from repro.simulation.kernel import Kernel, current_thread
 from repro.simulation.primitives import Condition, Lock
 from repro.trace.tracer import NO_SPAN
 
@@ -65,19 +66,20 @@ TRANSIENT = (StaleContainer, NetworkError, NodeCrashedError)
 class ServerObject:
     """Base class for objects needing server-side facilities.
 
-    Methods of a ``ServerObject`` receive the current :class:`DsoCall`
-    as their first argument and may park it on conditions created with
-    :meth:`new_condition` — the wait/notify pattern the paper's
-    synchronization objects use.  Server objects are never replicated
+    A monitor: its methods run one at a time and may ``wait()`` on
+    conditions created with :meth:`new_condition` — the wait/notify
+    pattern the paper's synchronization objects use.  The host (an
+    :class:`ObjectContainer`, or a :class:`LocalMonitorHost`) supplies
+    what a wait releases.  Server objects are never replicated
     (footnote 2: synchronization objects are ephemeral).
     """
 
-    _container: ObjectContainer | None = None
+    _container: ObjectContainer | LocalMonitorHost | None = None
 
-    def attach(self, container: ObjectContainer) -> None:
+    def attach(self, container: ObjectContainer | LocalMonitorHost) -> None:
         self._container = container
 
-    def new_condition(self) -> ServerCondition:
+    def new_condition(self) -> ServerCondition | Condition:
         assert self._container is not None, "object not hosted yet"
         return self._container.condition()
 
@@ -103,6 +105,7 @@ class DsoCall:
         """Object lock first (linearization order), then a worker."""
         self.container.lock.acquire()
         self.lock_held = True
+        self.container.holder = self
         self.container.node.node.workers.acquire()
         self.worker_held = True
 
@@ -144,15 +147,17 @@ class ServerCondition:
         self._condition = Condition(container.node.kernel)
         container._conditions.append(self)
 
-    def wait(self, call: DsoCall) -> None:
-        """Park ``call`` until notified (Java's ``Object.wait()``).
+    def wait(self) -> None:
+        """Park the call holding the object until notified (Java's
+        ``Object.wait()``).
 
         Releases the object lock and the worker slot while parked; on
         wake, re-acquires both — unless the node died, in which case
         the waiter aborts with :class:`NodeCrashedError`.
         """
-        call.release()
         container = self.container
+        call = container.holder
+        call.release()
         tracer = container.node.kernel.tracer
         with (tracer.span("dso.wait", kind="server",
                           endpoint=container.node.name,
@@ -205,6 +210,9 @@ class ObjectContainer:
         #: leases and the placement-version bump voids the old ones.
         self.leases = LeaseTable()
         self._conditions: list[ServerCondition] = []
+        #: The :class:`DsoCall` that last took the object lock: the one
+        #: a method runs under, hence the one its ``wait()`` parks.
+        self.holder: DsoCall | None = None
 
     def condition(self) -> ServerCondition:
         return ServerCondition(self)
@@ -222,8 +230,8 @@ class ObjectContainer:
             txns.update(prepared)
         return txns
 
-    def apply(self, method: str, args: tuple, kwargs: dict,
-              call: DsoCall | None) -> tuple[bool, Any]:
+    def apply(self, method: str, args: tuple,
+              kwargs: dict) -> tuple[bool, Any]:
         """Run ``method`` on this replica's instance (no locking, no
         timing: callers own both); its outcome is ``(True, value)`` or
         ``(False, the exception it raised)``.  Infrastructure failures
@@ -237,8 +245,6 @@ class ObjectContainer:
                 f"{type(instance).__name__} has no method {method!r}")
         self.applied_ops += 1
         try:
-            if isinstance(instance, ServerObject) and call is not None:
-                return True, bound(call, *args, **kwargs)
             result = bound(*args, **kwargs)
         except TRANSIENT:
             raise
@@ -256,6 +262,27 @@ class ObjectContainer:
         self.leases.clear()
         for condition in self._conditions:
             condition.notify_all()
+
+
+class LocalMonitorHost:
+    """The in-process host of the same contract: runs any class as a
+    local monitor, one call at a time under one lock, and hands a
+    :class:`ServerObject` the kernel's own :class:`Condition` on that
+    lock (the POJO variant's wait/notify)."""
+
+    def __init__(self, kernel: Kernel, cls: type, *args, **kwargs):
+        self.kernel = kernel
+        self.lock = Lock(kernel)
+        self.instance = cls(*args, **kwargs)
+        if isinstance(self.instance, ServerObject):
+            self.instance.attach(self)
+
+    def condition(self) -> Condition:
+        return Condition(self.kernel, lock=self.lock)
+
+    def invoke(self, method: str, *args, **kwargs):
+        with self.lock:
+            return getattr(self.instance, method)(*args, **kwargs)
 
 
 class DsoNode:
@@ -409,7 +436,7 @@ class DsoNode:
                             f"re-prepare before committing")
             layer.stats.invocations += 1
             ok, value = ((True, args[1]) if fence_dropped
-                         else container.apply(method, args, kwargs, call))
+                         else container.apply(method, args, kwargs))
             if not ok and "error-not-recorded" in PLANTED:
                 raise value
             # Replicate to the *current* backup set whenever one
@@ -574,7 +601,7 @@ class DsoNode:
                         current_thread().sleep(
                             (layer.config.dso.smr_replica_overhead + cost)
                             * backup.slow_factor)
-                        bcontainer.apply(method, args, kwargs, None)
+                        bcontainer.apply(method, args, kwargs)
                         if stamp is not None:
                             bcontainer.sessions.record(
                                 stamp, ship(reply),
@@ -602,7 +629,7 @@ class DsoNode:
                 container = self.containers.get(ref.ident)
                 if container is None or container.dead:
                     raise StaleContainer(f"{ref} moved")
-                ok, value = container.apply(method, (), {}, None)
+                ok, value = container.apply(method, (), {})
                 if not ok:
                     raise value
                 results.append(value)

@@ -55,6 +55,9 @@ SCHEDULERS: dict[str, Callable[..., Scheduler]] = {
     "pct": PctScheduler,
 }
 
+#: Replays one failing trial's shrinking may spend.
+MAX_SHRINK_RUNS = 32
+
 
 class Trial:
     """Everything one exploration trial hands to the workload."""
@@ -241,14 +244,11 @@ class ExplorationRunner:
                  scheduler: str = "random",
                  scheduler_opts: dict[str, Any] | None = None,
                  workload_seed: int = 0,
-                 vary_workload_seed: bool = False,
                  checker: LinearizabilityChecker | None = None,
                  invariants: Iterable[Callable[[Trial, Any], Any]] = (),
                  fault_plans: "FaultPlan | Callable[[Trial], FaultPlan] | None" = None,
                  trace: bool = False, shrink: bool = True,
-                 max_shrink_runs: int = 32,
-                 artifact_dir: str | None = None,
-                 stop_on_failure: bool = False):
+                 artifact_dir: str | None = None):
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}; "
                              f"choose from {sorted(SCHEDULERS)}")
@@ -258,27 +258,17 @@ class ExplorationRunner:
         self.scheduler_kind = scheduler
         self.scheduler_opts = dict(scheduler_opts or {})
         self.workload_seed = workload_seed
-        self.vary_workload_seed = vary_workload_seed
         self.checker = checker
         self.invariants = tuple(invariants)
         self.fault_plans = fault_plans
         self.trace = trace
         self.shrink = shrink
-        self.max_shrink_runs = max_shrink_runs
         self.artifact_dir = artifact_dir
-        self.stop_on_failure = stop_on_failure
 
     # -- seeds ----------------------------------------------------------
 
     def _exploration_seed(self, index: int) -> int:
         return self.base_seed + index
-
-    def _workload_seed(self, index: int) -> int:
-        if self.vary_workload_seed:
-            # Derived, not sequential: keeps workload streams disjoint
-            # from the exploration seed sequence itself.
-            return self.workload_seed + 10_007 * (index + 1)
-        return self.workload_seed
 
     def _make_scheduler(self, seed: int) -> Scheduler:
         return SCHEDULERS[self.scheduler_kind](seed=seed,
@@ -288,13 +278,12 @@ class ExplorationRunner:
 
     def _execute(self, index: int, seed: int,
                  scheduler: Scheduler) -> TrialResult:
-        workload_seed = self._workload_seed(index)
-        kernel = Kernel(seed=workload_seed, scheduler=scheduler,
+        kernel = Kernel(seed=self.workload_seed, scheduler=scheduler,
                         name=f"explore-{index}")
         if self.trace:
             kernel.enable_tracing()
         trial = Trial(index=index, seed=seed,
-                      workload_seed=workload_seed, kernel=kernel,
+                      workload_seed=self.workload_seed, kernel=kernel,
                       scheduler=scheduler)
         if self.fault_plans is not None:
             trial.fault_plan = (self.fault_plans(trial)
@@ -313,7 +302,7 @@ class ExplorationRunner:
         if error is None:
             problems += self._evaluate(trial, value)
         return TrialResult(
-            index=index, seed=seed, workload_seed=workload_seed,
+            index=index, seed=seed, workload_seed=self.workload_seed,
             schedule_id=trial.schedule_id,
             fingerprint=scheduler.trace.fingerprint(),
             schedule=scheduler.trace, problems=problems, value=value,
@@ -350,8 +339,6 @@ class ExplorationRunner:
             if not result.ok and self.shrink:
                 result.shrunk = self._shrink(result)
             results.append(result)
-            if not result.ok and self.stop_on_failure:
-                break
         report = ExplorationReport(results=results)
         if self.artifact_dir is not None and report.failures:
             report.dump_artifacts(self.artifact_dir)
@@ -396,10 +383,10 @@ class ExplorationRunner:
         for position, decision in enumerate(decisions):
             if decision.chosen > 0 or decision.delay > 0:
                 effective_end = position + 1
-        if runs >= self.max_shrink_runs or not fails(effective_end):
+        if runs >= MAX_SHRINK_RUNS or not fails(effective_end):
             return None  # not schedule-reproducible; keep the raw trace
         low, high = 0, effective_end
-        while low < high and runs < self.max_shrink_runs - 1:
+        while low < high and runs < MAX_SHRINK_RUNS - 1:
             mid = (low + high) // 2
             if fails(mid):
                 high = mid

@@ -21,7 +21,7 @@ of Finding Bugs"):
   shrinking.
 * :class:`RandomScheduler` — shuffles same-timestamp ties uniformly
   and, with probability ``preempt_prob`` (up to ``max_preemptions``
-  times per run), delays the chosen event by ``preempt_delay`` virtual
+  times per run), delays the chosen event by ``PREEMPT_DELAY`` virtual
   seconds, letting nearby events overtake it.
 * :class:`PctScheduler` — priority-based: each task (simulated thread,
   or the timer class) gets a random priority on first sight, the
@@ -46,6 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simulation.kernel import Timer
+
+#: Virtual seconds a :class:`RandomScheduler` preemption delays the
+#: chosen event by.
+PREEMPT_DELAY = 100e-6
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ class RandomScheduler(Scheduler):
     """Seeded uniform tie-break shuffling plus bounded preemptions.
 
     ``preempt_prob`` is evaluated per scheduling point; a hit delays
-    the chosen event by ``preempt_delay`` virtual seconds (pushing it
+    the chosen event by ``PREEMPT_DELAY`` virtual seconds (pushing it
     behind anything due sooner), up to ``max_preemptions`` per run so
     exploration cannot livelock a workload.
     """
@@ -169,12 +173,10 @@ class RandomScheduler(Scheduler):
     kind = "random"
 
     def __init__(self, seed: int = 0, preempt_prob: float = 0.0,
-                 preempt_delay: float = 100e-6,
                  max_preemptions: int = 50):
         super().__init__()
         self.seed = seed
         self.preempt_prob = preempt_prob
-        self.preempt_delay = preempt_delay
         self.max_preemptions = max_preemptions
         self.preemptions = 0
         self._rng = np.random.Generator(np.random.PCG64(
@@ -190,7 +192,7 @@ class RandomScheduler(Scheduler):
         if float(self._rng.random()) >= self.preempt_prob:
             return 0.0
         self.preemptions += 1
-        return self.preempt_delay
+        return PREEMPT_DELAY
 
 
 class PctScheduler(Scheduler):

@@ -1,10 +1,11 @@
 """Single-machine baselines (the VM bars of Fig. 3).
 
 The same k-means iteration structure as Listing 2, but run with plain
-threads on one multi-core VM: shared state costs nothing, and the CPU
-is an egalitarian processor-sharing pool — so scale-up collapses to
-``cores / threads`` once the VM is oversubscribed, exactly the
-degradation Fig. 3 shows for m5.2xlarge (8 cores) and m5.4xlarge (16).
+threads on one multi-core VM: shared state costs nothing (the DSO's
+cyclic barrier, hosted in-process), and the CPU is an egalitarian
+processor-sharing pool — so scale-up collapses to ``cores / threads``
+once the VM is oversubscribed, exactly the degradation Fig. 3 shows
+for m5.2xlarge (8 cores) and m5.4xlarge (16).
 """
 
 from __future__ import annotations
@@ -12,33 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import Config, DEFAULT_CONFIG
+from repro.core.sync import _CyclicBarrier
+from repro.dso.server import LocalMonitorHost
 from repro.ml.costmodel import kmeans_iteration_cost
 from repro.simulation.kernel import Kernel
-from repro.simulation.primitives import Condition
 from repro.simulation.resources import ProcessorSharing
 from repro.simulation.thread import spawn
-
-
-class _LocalBarrier:
-    """An in-process cyclic barrier over simulation primitives."""
-
-    def __init__(self, kernel: Kernel, parties: int):
-        self.parties = parties
-        self.count = 0
-        self.generation = 0
-        self._condition = Condition(kernel)
-
-    def wait(self) -> None:
-        with self._condition:
-            generation = self.generation
-            self.count += 1
-            if self.count == self.parties:
-                self.count = 0
-                self.generation += 1
-                self._condition.notify_all()
-                return
-            while generation == self.generation:
-                self._condition.wait()
 
 
 @dataclass
@@ -70,7 +50,7 @@ class LocalKMeansBaseline:
         if dims is None:
             dims = self.config.dataset.features
         cpu = ProcessorSharing(self.kernel, cores=self.cores)
-        barrier = _LocalBarrier(self.kernel, threads)
+        barrier = LocalMonitorHost(self.kernel, _CyclicBarrier, threads)
         cost = kmeans_iteration_cost(nominal_points_per_thread, dims, k,
                                      self.config)
         start = self.kernel.now
@@ -78,7 +58,7 @@ class LocalKMeansBaseline:
         def worker():
             for _ in range(iterations):
                 cpu.execute(cost)
-                barrier.wait()
+                barrier.invoke("await_")
 
         workers = [spawn(worker, name=f"vm-thread-{i}")
                    for i in range(threads)]

@@ -2,48 +2,24 @@
 
 These mirror the Crucial API exactly — key-addressed shared objects
 and thread objects — but live in the local process: ``LocalThread``
-spawns an in-process thread, the "shared" objects are plain in-memory
-instances found through a per-process registry, and the Table 1 twins
-are the Crucial proxy classes themselves, each call run on a monitor
-from that registry instead of shipped to the DSO layer.  Keeping the
-APIs congruent is what makes the Table 4 diffs as small as the paper
-reports: porting an application is (mostly) swapping these imports for
-the Crucial ones.
+spawns an in-process thread, and every "shared" object is the Crucial
+proxy class itself (:func:`local_shared` is :func:`repro.core.shared`'s
+twin), each call run on a :class:`LocalMonitorHost` instead of shipped
+to the DSO layer.  The monitors are found by key in a registry of the
+current kernel, so they die with it.  Keeping the APIs congruent is
+what makes the Table 4 diffs as small as the paper reports: porting an
+application is (mostly) swapping these imports for the Crucial ones.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.coordination.santa import LocalMonitorHost
 from repro.core.objects import AtomicInt, AtomicLong
+from repro.core.proxy import GenericProxy
 from repro.core.sync import CyclicBarrier
+from repro.dso.server import LocalMonitorHost
 from repro.simulation.kernel import current_kernel
-
-
-_registry: dict[tuple[str, str], Any] = {}
-
-
-def reset_registry() -> None:
-    """Forget every local shared object (call between runs)."""
-    _registry.clear()
-
-
-def _lookup(kind: str, key: str, factory) -> Any:
-    if (kind, key) not in _registry:
-        _registry[kind, key] = factory()
-    return _registry[kind, key]
-
-
-def local_shared(cls: type, key: str, *args: Any, **kwargs: Any) -> Any:
-    """The POJO twin of :func:`repro.core.shared`: a plain instance.
-
-    ``persistent``/``rf`` are accepted and ignored (no replication in
-    one process).
-    """
-    kwargs.pop("persistent", None)
-    kwargs.pop("rf", None)
-    return _lookup(cls.__name__, key, lambda: cls(*args, **kwargs))
 
 
 class LocalThread:
@@ -67,20 +43,35 @@ class LocalThread:
 
 
 class _InProcess:
-    """The local transport under a Table 1 proxy class: each call runs
-    on the in-process monitor registered under the proxy's key."""
+    """The local transport under a proxy class: each call runs on the
+    in-process monitor registered under the proxy's key."""
 
     def _ship(self, method: str, args: tuple, kwargs: dict,
               cost: float) -> Any:
-        cls, ctor_args, ctor_kwargs = self._ctor
-        host = _lookup(cls.__name__, self.key, lambda: LocalMonitorHost(
-            current_kernel(), cls, *ctor_args, **ctor_kwargs))
+        kernel = current_kernel()
+        hosts = kernel.locals.setdefault(__name__, {})
+        host = hosts.get(self._ref.ident)
+        if host is None:
+            cls, ctor_args, ctor_kwargs = self._ctor
+            host = hosts[self._ref.ident] = LocalMonitorHost(
+                kernel, cls, *ctor_args, **ctor_kwargs)
         return host.invoke(method, *args, **kwargs)
 
     def invoke_async(self, *args: Any, **kwargs: Any) -> Any:
         raise NotImplementedError("an in-process twin ships nothing")
 
     delete = invoke_async
+
+
+class _LocalShared(_InProcess, GenericProxy):
+    """A ``shared()`` object run in-process."""
+
+
+def local_shared(cls: type, key: str, *args: Any, **kwargs: Any) -> Any:
+    """The POJO twin of :func:`repro.core.shared`: the same proxy, its
+    calls run on an in-process monitor.  ``persistent``/``rf`` are
+    accepted and ignored (no replication in one process)."""
+    return _LocalShared(cls, key, *args, **kwargs)
 
 
 class LocalAtomicLong(_InProcess, AtomicLong):

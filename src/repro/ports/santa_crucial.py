@@ -1,8 +1,9 @@
 """The Santa Claus problem — Crucial shared objects and cloud threads."""
 
-from repro.coordination.santa import DsoMonitorHandle, SantaWorkshop
+from repro.coordination.santa import SantaWorkshop
 from repro.core.runtime import current_environment
 from repro.core.cloud_thread import CloudThread as Thread
+from repro.core.shared import shared
 from repro.simulation.thread import sleep
 
 import numpy as np
@@ -15,7 +16,7 @@ HELP_TIME = 0.01
 
 def make_workshop(deliveries: int, run_id: str):
     current_environment().pre_warm(20)
-    return DsoMonitorHandle(f"{run_id}/workshop", 9, 3, deliveries)
+    return shared(SantaWorkshop, f"{run_id}/workshop", 9, 3, deliveries)
 
 
 class Reindeer:
@@ -27,7 +28,7 @@ class Reindeer:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         while True:
             sleep(float(rng.exponential(VACATION_MEAN)))
-            if self.workshop.invoke("reindeer_back") == "stop":
+            if self.workshop.reindeer_back() == "stop":
                 return
 
 
@@ -40,7 +41,7 @@ class Elf:
         rng = np.random.Generator(np.random.PCG64(self.seed))
         while True:
             sleep(float(rng.exponential(WORK_MEAN)))
-            if self.workshop.invoke("elf_asks") == "stop":
+            if self.workshop.elf_asks() == "stop":
                 return
 
 
@@ -50,12 +51,12 @@ class Santa:
 
     def run(self) -> None:
         while True:
-            action = self.workshop.invoke("santa_waits")
+            action = self.workshop.santa_waits()
             if action == "done":
                 return
             sleep(DELIVERY_TIME if action == "deliver" else HELP_TIME)
-            self.workshop.invoke("delivery_done" if action == "deliver"
-                                 else "help_done")
+            (self.workshop.delivery_done if action == "deliver"
+             else self.workshop.help_done)()
 
 
 def solve(deliveries: int = 15, run_id: str = "santa") -> dict:
@@ -68,4 +69,4 @@ def solve(deliveries: int = 15, run_id: str = "santa") -> dict:
         thread.start()
     for thread in threads:
         thread.join()
-    return workshop.invoke("get_stats")
+    return workshop.get_stats()

@@ -154,6 +154,9 @@ class Kernel:
         #: :meth:`enable_tracing` installs a real one.  Tracing only
         #: *observes* the clock — enabling it never changes timestamps.
         self.tracer = NULL_TRACER
+        #: Per-run storage for upper layers, keyed by module: it dies
+        #: with the kernel, as ``SimThread.locals`` dies with a thread.
+        self.locals: dict = {}
         #: Current virtual time in seconds.  A plain attribute, because
         #: every layer reads it on every operation; only the dispatch
         #: loop writes it.

@@ -19,6 +19,9 @@ from typing import Any, Iterable, Sequence
 
 from repro.trace.tracer import Span, Tracer
 
+#: Children :func:`span_tree` renders per node before eliding the rest.
+MAX_CHILDREN = 24
+
 
 def _spans_of(source: "Tracer | Iterable[Span]") -> list[Span]:
     if isinstance(source, Tracer):
@@ -154,12 +157,12 @@ def _span_label(span: Span) -> str:
 
 
 def span_tree(source: "Tracer | Iterable[Span]", max_depth: int = 12,
-              min_duration: float = 0.0, max_children: int = 24) -> str:
+              min_duration: float = 0.0) -> str:
     """Render the trace as an indented ASCII tree.
 
     Children below ``min_duration`` are elided (summarized as one
     ``... n spans elided`` line), as are children beyond
-    ``max_children`` per node — keeping quickstart output readable.
+    ``MAX_CHILDREN`` per node — keeping quickstart output readable.
     """
     spans = _spans_of(source)
     roots, children = _index(spans)
@@ -171,7 +174,7 @@ def span_tree(source: "Tracer | Iterable[Span]", max_depth: int = 12,
         if depth >= max_depth:
             return
         kids = children.get(span.span_id, [])
-        kept = [k for k in kids if k.duration >= min_duration][:max_children]
+        kept = [k for k in kids if k.duration >= min_duration][:MAX_CHILDREN]
         elided = len(kids) - len(kept)
         extension = "    " if is_last else "|   "
         for index, kid in enumerate(kept):
@@ -184,7 +187,7 @@ def span_tree(source: "Tracer | Iterable[Span]", max_depth: int = 12,
     for index, root in enumerate(roots):
         lines.append(_span_label(root))
         kids = children.get(root.span_id, [])
-        kept = [k for k in kids if k.duration >= min_duration][:max_children]
+        kept = [k for k in kids if k.duration >= min_duration][:MAX_CHILDREN]
         elided = len(kids) - len(kept)
         for kid_index, kid in enumerate(kept):
             last = kid_index == len(kept) - 1 and elided == 0

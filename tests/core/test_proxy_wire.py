@@ -7,6 +7,7 @@ them; the rows marked "As passed" changed shape when the hand-written
 proxies, which filled in defaults, went away.
 """
 
+import inspect
 import types
 
 import pytest
@@ -171,12 +172,17 @@ def test_call_ships_its_arguments_as_passed(shipped, cls, name):
 
 @pytest.mark.parametrize("cls", TABLE1, ids=lambda cls: cls.__name__)
 def test_every_public_server_method_is_a_proxy_class_attribute(cls):
+    """And each is signed as its server method: a proxy call takes
+    what the method takes, nothing the host fills in."""
     server = cls._server_cls
     methods = {name for name in dir(server) if not name.startswith("_")
                and callable(getattr(server, name))
                and not hasattr(ServerObject, name)}
     assert methods
     assert [name for name in methods if not hasattr(cls, name)] == []
+    assert {name: inspect.signature(getattr(cls, name)) for name in methods} \
+        == {name: inspect.signature(getattr(server, name))
+            for name in methods}
 
 
 def test_semaphore_with_block_ships_acquire_then_release(shipped):

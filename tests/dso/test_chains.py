@@ -6,13 +6,16 @@ worker pool.  Checked here: a group costs its slowest object, not the
 sum (and a group wider than ``node_workers`` runs in waves); one
 object's run of ops still costs every service time; a failing op fails
 only its own future; a primary crash while its chains run keeps
-``final == acked``; and a group spawns one lane per extra object.
+``final == acked``; a wait inside a chain lets other callers in; and a
+group spawns one lane per extra object.
 """
 
 import pytest
 
 from repro.config import DEFAULT_CONFIG
+from repro.core.sync import _Semaphore
 from repro.dso import DsoLayer, DsoReference
+from repro.dso.reference import reference_for
 from repro.net import LatencyModel, Network
 from repro.simulation import Kernel
 from repro.simulation.thread import sleep, spawn
@@ -194,6 +197,35 @@ def test_primary_crash_while_its_chains_run_keeps_final_equal_acked(
     assert final == acked == {ref.key: list(range(index, 16, 4))
                               for index, ref in enumerate(refs)}
     assert layer.stats.retries >= 1
+
+
+def test_a_wait_inside_a_chain_parks_and_resumes_that_chain():
+    """A blocking op of a chain gives up the object lock while it
+    waits, so another thread's release gets in; the chain then runs
+    its next ops on the section it took back — a second wait too."""
+    with Kernel(seed=5) as kernel:
+        layer = make_layer(kernel)
+        ref = reference_for(_Semaphore, "s")
+        ctor = (_Semaphore, (0,), {})
+
+        def releaser():
+            for _ in range(2):
+                sleep(0.01)
+                layer.invoke("client", ref, "release", ctor=ctor)
+
+        def main():
+            spawn(releaser)
+            futures = [layer.invoke_async("client", ref, method, ctor=ctor)
+                       for method in ("acquire", "available_permits",
+                                      "release", "available_permits",
+                                      "acquire", "acquire",
+                                      "available_permits")]
+            layer.flush("client")
+            return tuple(future.result() for future in futures)
+
+        assert kernel.run_main(main) == (None, 0, None, 1, None, None, 0)
+    assert layer.stats.pipelined_ops == 7
+    assert layer.stats.batches == 1
 
 
 # ---------------------------------------------------------------------------

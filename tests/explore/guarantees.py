@@ -56,7 +56,7 @@ from repro.linearizability import (
 from repro.linearizability.history import raised
 from repro.mutation import PLANTED
 from repro.net import LatencyModel
-from repro.ports.common import _InProcess, reset_registry
+from repro.ports.common import _InProcess
 from repro.ports.montecarlo_crucial import estimate_pi
 from repro.simulation.thread import sleep, spawn
 
@@ -443,7 +443,6 @@ def object_hunt(proxy_cls, *ctor_args, server_cls=None, mutants=()):
         plans = [[draw_call(rnd, methods) for _ in range(OBJECT_CALLS)]
                  for _ in range(OBJECT_THREADS)]
         crash_after = rnd.uniform(0.0, 3e-3)
-        reset_registry()
         with trial.environment(dso_nodes=3,
                                read_cache=transport == "cache") as env:
             def main():

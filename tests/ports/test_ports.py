@@ -25,10 +25,8 @@ from repro.ports import (
 
 @pytest.fixture
 def env():
-    common.reset_registry()
     with CrucialEnvironment(seed=73, dso_nodes=1) as environment:
         yield environment
-    common.reset_registry()
 
 
 def test_montecarlo_variants_agree(env):
@@ -77,13 +75,17 @@ def test_local_registry_shares_by_key(env):
     assert env.run(main) == 3
 
 
-def test_local_registry_reset(env):
-    def main():
-        common.LocalAtomicLong("x").add_and_get(1)
-        common.reset_registry()
-        return common.LocalAtomicLong("x").get()
-
-    assert env.run(main) == 0
+def test_local_objects_die_with_their_kernel():
+    """A fresh environment starts with fresh local objects: the second
+    run's counter does not add to the first's."""
+    estimates = []
+    for _ in range(2):
+        with CrucialEnvironment(seed=73, dso_nodes=1) as env:
+            estimates.append((
+                env.run(lambda: montecarlo_local.estimate_pi(6)),
+                env.run(lambda: montecarlo_crucial.estimate_pi(6))))
+    assert estimates[0] == estimates[1]
+    assert estimates[0][0] == pytest.approx(math.pi, abs=0.01)
 
 
 def test_local_twins_never_reach_the_dso_layer(env):
@@ -111,6 +113,7 @@ def test_local_shared_ignores_persistence_flags(env):
         return obj.last()
 
     assert env.run(main) == 1.0
+    assert env.dso.stats.invocations == 0
 
 
 def test_diff_counts_are_small():

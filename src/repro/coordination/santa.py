@@ -215,14 +215,22 @@ class SantaClausProblem:
         }
 
     def run(self, variant: str, run_id: str | None = None) -> SantaResult:
-        """Solve the problem once; call inside ``env.run(...)``."""
+        """Solve the problem once; call inside ``env.run(...)``.
+
+        Without a ``run_id``, the environment's first run of a variant
+        is ``santa-<variant>`` and each later one ``santa-<variant>-<n>``,
+        so every run solves the problem on a workshop of its own.
+        """
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         # Here, not at the top: ``import repro`` loads no port.
         from repro.ports.common import local_shared
 
         env = current_environment()
-        run_id = run_id or f"santa-{variant}"
+        if run_id is None:
+            runs = env.kernel.locals.setdefault(__name__, {})
+            count = runs[variant] = runs.get(variant, 0) + 1
+            run_id = f"santa-{variant}" + (f"-{count}" if count > 1 else "")
         workshop = (local_shared if variant == "local" else shared)(
             SantaWorkshop, f"{run_id}/workshop", self.reindeer, 3,
             self.deliveries)

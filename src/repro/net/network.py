@@ -11,11 +11,14 @@ claim distributed-memory semantics.  Three cases:
   length (:func:`ship_sized` without ``nbytes``, :func:`payload_size`),
   a message is pickled **once** per hop: that length is its wire size
   and its decoding is what arrives.
-* **Unsized paths copy structurally, or pickle.**  Where nobody reads
-  the length (:func:`ship`, ``ship_sized`` with a caller's ``nbytes``),
-  numeric ndarrays and exact ``list``/``tuple``/``dict`` nests of
-  scalars and such arrays are copied directly, keeping pickle's layout
-  and identity structure; anything else takes the pickle round trip.
+* **Unsized paths copy structurally, or out of band.**  Where nobody
+  reads the length (:func:`ship`, ``ship_sized`` with a caller's
+  ``nbytes``), numeric ndarrays and exact ``list``/``tuple``/``dict``
+  nests of scalars and such arrays are copied directly, keeping
+  pickle's layout and identity structure; anything else takes one
+  out-of-band pickle round trip: one copy.  The stream carries only
+  structure, and each array's data is copied once into memory the
+  receiver owns (a large buffer into its own mapping).
 * **Frozen values are shared.**  Immutable scalars (NumPy's numeric
   ones included) are never copied, and a store hands every reader the
   same read-only array (:func:`freeze`).
@@ -23,6 +26,9 @@ claim distributed-memory semantics.  Three cases:
 
 from __future__ import annotations
 
+import copyreg
+import io
+import mmap
 import pickle
 from typing import Any, Callable
 
@@ -44,6 +50,14 @@ _SCALARS = frozenset((type(None), bool, int, float, str, bytes)) | frozenset(
 #: ``dtype.kind`` of the arrays copied (and frozen) without pickle:
 #: bool, signed and unsigned integer, float and complex.
 _NUMERIC = frozenset("biufc")
+
+
+#: An out-of-band buffer this large or larger is copied into its own
+#: anonymous mapping, so dropping the payload returns its pages to the
+#: OS; a smaller one into a ``bytearray``.  glibc's default
+#: ``M_MMAP_THRESHOLD``: freed blocks below it, and above it once the
+#: dynamic threshold has risen, stay in the decoding thread's arena.
+MAPPED_BUFFER_BYTES = 128 * 1024
 
 
 class _Opaque(Exception):
@@ -87,21 +101,69 @@ def _copy(value: Any, memo: dict[int, Any]) -> Any:
     return copied
 
 
+def _unpickle_array(buffer: Any, dtype: np.dtype, shape: tuple,
+                    order: str) -> np.ndarray:
+    """The array :func:`_reduce_array` sent, over the receiver's copy."""
+    if isinstance(buffer, memoryview):
+        # Pickle marks a read-only sender's buffer read-only; the copy
+        # is the receiver's, and protocol 4 hands it over writeable.
+        buffer = buffer.obj
+    return np.frombuffer(buffer, dtype).reshape(shape, order=order)
+
+
+def _reduce_array(array: np.ndarray) -> tuple:
+    """``array`` reduced as protocol 4 would, but for a contiguous
+    numeric array, whose data leaves as an out-of-band buffer."""
+    flags = array.flags
+    if array.dtype.kind not in _NUMERIC or not (flags.c_contiguous
+                                               or flags.f_contiguous):
+        return array.__reduce_ex__(4)
+    return _unpickle_array, (pickle.PickleBuffer(array), array.dtype,
+                             array.shape, "C" if flags.c_contiguous else "F")
+
+
+def _owned(buffer: pickle.PickleBuffer) -> bytearray | mmap.mmap:
+    """A writeable copy of ``buffer``'s bytes (see
+    :data:`MAPPED_BUFFER_BYTES`)."""
+    raw = buffer.raw()
+    if raw.nbytes < MAPPED_BUFFER_BYTES:
+        return bytearray(raw)
+    mapped = mmap.mmap(-1, raw.nbytes)
+    mapped.write(raw)
+    return mapped
+
+
+def _round_trip(value: Any) -> Any:
+    """``pickle.loads(pickle.dumps(value))`` with each array's data
+    copied once, out of band."""
+    buffers: list[pickle.PickleBuffer] = []
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, 5, buffer_callback=buffers.append)
+    # Read per call, so a reduction registered later still counts.
+    pickler.dispatch_table = {**copyreg.dispatch_table,
+                              np.ndarray: _reduce_array}
+    try:
+        pickler.dump(value)
+        return pickle.loads(stream.getbuffer(), buffers=map(_owned, buffers))
+    except Exception as exc:  # pickle raises a zoo of types
+        raise SerializationError(f"value is not serializable: {exc!r}") from exc
+
+
 def ship(value: Any) -> Any:
     """Copy ``value`` as if it were serialized onto the wire.
 
     Immutable scalars arrive as themselves; numeric arrays and plain
-    nests of them are copied directly; everything else is pickled and
-    unpickled.  Raises :class:`SerializationError` for unpicklable
-    values, exactly as Crucial requires shared objects and method
-    arguments to be serializable for marshalling.
+    nests of them are copied directly; everything else takes one
+    out-of-band pickle round trip.  Raises :class:`SerializationError`
+    for unpicklable values, exactly as Crucial requires shared objects
+    and method arguments to be serializable for marshalling.
     """
     if type(value) in _SCALARS:
         return value
     try:
         return _copy(value, {})
     except (_Opaque, RecursionError):
-        return ship_sized(value)[0]
+        return _round_trip(value)
 
 
 def ship_sized(value: Any, nbytes: int | None = None) -> tuple[Any, int]:

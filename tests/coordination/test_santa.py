@@ -32,6 +32,19 @@ def test_cloud_variant_completes_all_deliveries(env):
     assert result.deliveries == 5
 
 
+@pytest.mark.parametrize("variant", ["local", "dso"])
+def test_a_second_run_solves_the_problem_again(env, variant):
+    """A default-named run used to find the first run's finished
+    workshop and return at once with its stats."""
+
+    def main():
+        return [make_problem(deliveries=3).run(variant) for _ in range(2)]
+
+    first, second = env.run(main)
+    assert second.deliveries == first.deliveries == 3
+    assert second.elapsed > first.elapsed / 2
+
+
 def test_unknown_variant_rejected(env):
     with pytest.raises(ValueError):
         env.run(lambda: make_problem().run("quantum"))

@@ -1,13 +1,15 @@
 """Unit tests for the network substrate."""
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import NetworkError, SerializationError
 from repro.net import LatencyModel, Network
-from repro.net.network import payload_size, ship, ship_sized
+from repro.net.network import (MAPPED_BUFFER_BYTES, payload_size, ship,
+                                ship_sized)
 from repro.simulation import Kernel
 from repro.simulation.thread import now, sleep
 
@@ -224,6 +226,36 @@ class _Sub(np.ndarray):
     pass
 
 
+class _Fields:
+    """A user class with named fields, as a CloudThread's Runnable: it
+    crosses by the out-of-band round trip."""
+
+    def __init__(self, **fields):
+        vars(self).update(fields)
+
+
+def _runnables():
+    """User objects holding each array layout the out-of-band round
+    trip copies, and the in-band ones around them."""
+    large = np.arange(MAPPED_BUFFER_BYTES // 8, dtype=np.float64)
+    read_only = np.arange(4.0)
+    read_only.flags.writeable = False
+    base = np.arange(10)
+    return {
+        "user: large and small": _Fields(large=large, small=np.arange(3)),
+        "user: large F-order": _Fields(f=np.asfortranarray(
+            large.reshape(128, -1))),
+        "user: read-only": _Fields(weights=read_only),
+        "user: non-contiguous view": _Fields(strided=large[::3]),
+        "user: transposed": _Fields(axes=np.arange(24.0).reshape(
+            2, 3, 4).transpose(1, 0, 2)),
+        "user: view of a field": _Fields(base=base, window=base[2:6]),
+        "user: one array twice": _Fields(a=base, b=base),
+        "user: bytearray": _Fields(blob=bytearray(b"abc"), n=1),
+        "user: 0-d": _Fields(scalar=np.array(7.5)),
+    }
+
+
 def _wire_payloads():
     read_only = np.arange(5.0)
     read_only.flags.writeable = False
@@ -250,6 +282,7 @@ def _wire_payloads():
         "object dtype": np.array([1, "x", None], dtype=object),
         "structured": np.zeros(2, dtype=[("a", "i4"), ("b", "f8")]),
         "user class": _Point([np.arange(2), {"y": 1}]),
+        **_runnables(),
     }
 
 
@@ -266,6 +299,9 @@ def _assert_same_form(got, want, seen):
         return
     assert id(want) not in seen.values()
     seen[id(got)] = id(want)
+    if isinstance(got, bytearray):
+        assert got == want
+        return
     if isinstance(got, np.ndarray):
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tolist() == want.tolist()
@@ -284,15 +320,33 @@ def _assert_same_form(got, want, seen):
         _assert_same_form(got_item, want_item, seen)
 
 
+def _arrays(value, seen):
+    """Every ndarray reachable from ``value``."""
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        items = vars(value).values() if hasattr(value, "__dict__") else ()
+    return [array for item in items for array in _arrays(item, seen)]
+
+
 def _mutate(value, seen):
-    """Write into every list, dict and numeric array reachable from
-    ``value``."""
+    """Write into every list, dict, bytearray and numeric array
+    reachable from ``value``."""
     if id(value) in seen:
         return
     seen.add(id(value))
     if isinstance(value, np.ndarray):
         if value.flags.writeable and value.dtype.kind in "biufc":
             value[...] = ~value if value.dtype.kind == "b" else value + 1
+    elif isinstance(value, bytearray):
+        value[:] = b"mutated"
     elif isinstance(value, list):
         for item in list(value):
             _mutate(item, seen)
@@ -318,9 +372,20 @@ def test_ship_matches_the_pickle_round_trip(label):
     via_nominal, nominal = ship_sized(payload, 7)
     via_encode, nbytes = ship_sized(payload)
     assert (nominal, nbytes) == (7, len(pickle.dumps(payload)))
+    sent = _arrays(payload, set())
+    for copy in (shipped, via_nominal, via_encode):
+        assert not any(np.shares_memory(got, array)
+                       for got in _arrays(copy, set()) for array in sent)
     _mutate(payload, set())
     for copy in (shipped, via_nominal, via_encode):
         _assert_same_form(copy, reference, {})
+
+
+@pytest.mark.parametrize("nbytes", [None, 64])
+def test_ship_rejects_a_lock_inside_a_user_object(nbytes):
+    payload = _Fields(weights=np.arange(3.0), lock=threading.Lock())
+    with pytest.raises(SerializationError):
+        ship_sized(payload, nbytes)
 
 
 def test_partition_blocks_both_directions(kernel, network):
